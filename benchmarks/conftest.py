@@ -17,13 +17,19 @@ committed full-scale rows instead of superseding them.
 
 The scaling benchmarks additionally append to the ``bench`` perf
 trajectory (:func:`record_bench`), which ``repro sweep bench``
-snapshots into ``BENCH_v9.json`` for the CI regression gate.
+snapshots into ``BENCH_v9.json`` for the CI regression gate.  Their
+timing tables and bench rows land in the committed tree only under
+``REPRO_BENCH_RECORD=1`` (CI's benchmark-smoke job sets it); otherwise
+they go to a temporary directory, so a plain run leaves the tree clean.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import pathlib
+import shutil
+import tempfile
 
 import pytest
 
@@ -60,13 +66,34 @@ def _env_int(name: str, default: int) -> int:
 #: checks; the series are still recorded and uploaded as artifacts.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
+#: Write the scaling benchmarks' tables and bench rows into results/.
+RECORD = os.environ.get("REPRO_BENCH_RECORD", "") not in ("", "0")
 
-def record_figure(name: str, text: str) -> None:
-    """Print a figure's series and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+_scratch_dir: pathlib.Path | None = None
+
+
+def _record_dir() -> pathlib.Path:
+    """results/ under RECORD, else a temp dir removed at exit."""
+    global _scratch_dir
+    if RECORD:
+        return RESULTS_DIR
+    if _scratch_dir is None:
+        _scratch_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-"))
+        atexit.register(shutil.rmtree, _scratch_dir, ignore_errors=True)
+    return _scratch_dir
+
+
+def _write_artifact(directory: pathlib.Path, name: str, text: str) -> None:
+    """Print a series and persist it as ``<directory>/<name>.txt``."""
+    directory.mkdir(exist_ok=True)
     banner = f"\n=== {name} ===\n{text}\n"
     print(banner)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    (directory / f"{name}.txt").write_text(text + "\n")
+
+
+def record_figure(name: str, text: str) -> None:
+    """Print a scaling benchmark's table and persist it (see RECORD)."""
+    _write_artifact(_record_dir(), name, text)
 
 
 def run_spec(name: str):
@@ -84,7 +111,7 @@ def run_spec(name: str):
 def render_figures(spec) -> None:
     """Regenerate the spec's txt artifacts from the store."""
     for artifact, text in render_spec(spec, STORE).items():
-        record_figure(artifact, text)
+        _write_artifact(RESULTS_DIR, artifact, text)
 
 
 def series(rows, algorithm: str, x_key: str) -> dict:
@@ -98,9 +125,9 @@ def series(rows, algorithm: str, x_key: str) -> dict:
 
 def record_bench(series_name: str, value_ms: float, speedup: float,
                  **context) -> None:
-    """Append one scaling measurement to the bench perf trajectory."""
+    """Append one scaling measurement to the bench trajectory (see RECORD)."""
     record_bench_series(
-        STORE, series_name, value_ms, speedup,
+        ResultStore(_record_dir() / "store"), series_name, value_ms, speedup,
         {**context, "smoke": SMOKE},
     )
 

@@ -19,7 +19,7 @@ from repro.errors import BudgetExceededError, ProblemError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.relevance import RelevanceEngine
 from repro.perception.params import DynamicsParams
-from repro.perception.state import PerceptionState
+from repro.perception.state import ComplementaryTable, PerceptionState
 from repro.social.network import SocialNetwork
 
 __all__ = ["Seed", "SeedGroup", "IMDPPInstance"]
@@ -197,6 +197,25 @@ class IMDPPInstance:
             raise ProblemError(
                 f"n_promotions must be >= 1, got {self.n_promotions}"
             )
+        #: Complementary rows under ``initial_weights``: filled lazily
+        #: by the states that read them and shared by every state and
+        #: derived clone (DESIGN.md §9).
+        self.complementary_table = ComplementaryTable(
+            self.relevance, self.initial_weights
+        )
+
+    def __getstate__(self) -> dict:
+        # Workers refill the table on demand; shipping it would grow
+        # every process task.
+        state = self.__dict__.copy()
+        del state["complementary_table"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.complementary_table = ComplementaryTable(
+            self.relevance, self.initial_weights
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -238,7 +257,18 @@ class IMDPPInstance:
             base_preference=self.base_preference,
             initial_weights=self.initial_weights,
             params=self.dynamics,
+            complementary_table=self.complementary_table,
         )
+
+    def _derive(self, **changes) -> "IMDPPInstance":
+        """``replace`` that keeps sharing the complementary table.
+
+        No caller changes ``relevance`` or ``initial_weights``, so the
+        clone's pristine rows are the same constants.
+        """
+        clone = replace(self, **changes)
+        clone.complementary_table = self.complementary_table
+        return clone
 
     def frozen(self) -> "IMDPPInstance":
         """Clone with dynamics disabled (the regime of Lemma 1).
@@ -253,15 +283,14 @@ class IMDPPInstance:
         """
         if self.dynamics.is_frozen:
             return self
-        return replace(
-            self,
-            dynamics=replace(self.dynamics, eta=0.0, beta=0.0, gamma=0.0),
+        return self._derive(
+            dynamics=replace(self.dynamics, eta=0.0, beta=0.0, gamma=0.0)
         )
 
     def with_budget(self, budget: float) -> "IMDPPInstance":
         """Clone with a different budget (for sweeps)."""
-        return replace(self, budget=float(budget))
+        return self._derive(budget=float(budget))
 
     def with_promotions(self, n_promotions: int) -> "IMDPPInstance":
         """Clone with a different number of promotions (for sweeps)."""
-        return replace(self, n_promotions=int(n_promotions))
+        return self._derive(n_promotions=int(n_promotions))

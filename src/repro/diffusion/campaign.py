@@ -163,10 +163,10 @@ class CampaignSimulator:
             state = initial_state.copy()
         else:
             # Copy from a simulator-held pristine state rather than
-            # rebuilding one per realization: under frozen weights
-            # (eta == 0) the copies share the complementary-row cache,
-            # so consecutive Monte-Carlo samples skip recomputing the
-            # campaign-constant Pext ingredients.
+            # rebuilding one per realization: the copies share its
+            # clipped base preferences (and, under beta == 0, its
+            # preference rows), so consecutive Monte-Carlo samples skip
+            # recomputing them.
             if self._base_state is None:
                 self._base_state = instance.new_state()
             state = self._base_state.copy()
@@ -401,12 +401,10 @@ class CampaignSimulator:
         # (clip before the association_scale factor).
         scale = state.params.association_scale
         if scale != 0.0:
-            pair_keys = targets * n_items + items
-            unique_keys, inverse = np.unique(pair_keys, return_inverse=True)
-            unique_rows = np.empty((unique_keys.size, n_items))
-            for position, key in enumerate(unique_keys.tolist()):
-                target, item = divmod(key, n_items)
-                unique_rows[position] = state.complementary_row(target, item)
+            unique_keys, inverse = np.unique(
+                targets * n_items + items, return_inverse=True
+            )
+            unique_rows = state.complementary_rows(unique_keys)
             extra_probs = scale * np.clip(
                 (strengths * preferences)[:, None] * unique_rows[inverse],
                 0.0,

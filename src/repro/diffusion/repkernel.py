@@ -664,12 +664,7 @@ def run_campaigns_lockstep(
             unique_keys, inverse = np.unique(
                 pair_keys, return_inverse=True
             )
-            unique_rows = np.empty((unique_keys.size, n_items))
-            for position, key in enumerate(unique_keys.tolist()):
-                target, item = divmod(key, n_items)
-                unique_rows[position] = base_state.complementary_row(
-                    target, item
-                )
+            unique_rows = base_state.complementary_rows(unique_keys)
             inverse = inverse.astype(np.int64, copy=False)
         else:
             unique_rows = np.zeros((1, n_items))

@@ -10,7 +10,9 @@ the four factors update together at the end of the step via
 
 The state is copied once per Monte-Carlo run, so the copy path is kept
 cheap: dense arrays are copied, per-user accumulators only exist for
-users who adopted something.
+users who adopted something, and the complementary relevance rows of
+users whose weights never moved come from one :class:`ComplementaryTable`
+per problem instance (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -30,7 +32,87 @@ from repro.perception.preference import preference_vector
 from repro.perception.weights import update_weights, weight_evidence
 from repro.social.network import SocialNetwork
 
-__all__ = ["PerceptionState"]
+__all__ = ["ComplementaryTable", "PerceptionState"]
+
+
+def _complementary_row(
+    relevance: RelevanceEngine, weights: np.ndarray, item: int
+) -> np.ndarray:
+    """``clip(w[C] · R[C, item, :], 0, 1)`` for one user's weights ``w``.
+
+    One ``np.dot`` per row.  Contracting a whole user's item block at
+    once is not bitwise-equal to this form (DESIGN.md §3a), so every
+    row, pristine or moved, is built here.
+    """
+    index = relevance.complementary_index
+    if index.size == 0:
+        return np.zeros(relevance.n_items)
+    return np.clip(
+        np.dot(weights[index], relevance.matrices[index, item, :]), 0.0, 1.0
+    )
+
+
+class ComplementaryTable:
+    """Complementary rows ``r^C(u, x, .)`` under fixed weights, filled lazily.
+
+    :class:`~repro.core.problem.IMDPPInstance` holds one over its
+    ``initial_weights``.  Those rows are constants of the instance, so
+    every state, copy, simulator and Monte-Carlo chunk built from it
+    reads the same table; only users whose weights have moved compute
+    rows of their own (:meth:`PerceptionState.complementary_row`).  The
+    ``(n_users, n_items, n_items)`` buffer is allocated on first read
+    and filled one row at a time.
+
+    The thread backend needs no lock: the buffer and its filled mask
+    are published together in one assignment, and a row is written
+    before its flag is set, so a reader that sees a flag sees its row.
+    Threads racing on the first read each fill buffers of identical
+    values, and the last publish wins.
+    """
+
+    def __init__(self, relevance: RelevanceEngine, weights: np.ndarray):
+        self.relevance = relevance
+        self.weights = weights
+        self._buffers: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _published(self) -> tuple[np.ndarray, np.ndarray]:
+        buffers = self._buffers
+        if buffers is None:
+            n_users, n_items = self.weights.shape[0], self.relevance.n_items
+            buffers = (
+                np.empty((n_users, n_items, n_items)),
+                np.zeros((n_users, n_items), dtype=bool),
+            )
+            self._buffers = buffers
+        return buffers
+
+    def _fill(
+        self, table: np.ndarray, filled: np.ndarray, user: int, item: int
+    ) -> None:
+        if not filled[user, item]:
+            table[user, item] = _complementary_row(
+                self.relevance, self.weights[user], item
+            )
+            filled[user, item] = True
+
+    @property
+    def n_filled(self) -> int:
+        """Number of rows computed so far."""
+        buffers = self._buffers
+        return 0 if buffers is None else int(buffers[1].sum())
+
+    def row(self, user: int, item: int) -> np.ndarray:
+        """Row ``(user, item)``: a view into the table, treat read-only."""
+        table, filled = self._published()
+        self._fill(table, filled, user, item)
+        return table[user, item]
+
+    def rows(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Rows for parallel ``(user, item)`` arrays, stacked (a copy)."""
+        table, filled = self._published()
+        for position in np.flatnonzero(~filled[users, items]).tolist():
+            self._fill(table, filled, int(users[position]), int(items[position]))
+        return table[users, items]
 
 
 class PerceptionState:
@@ -49,6 +131,10 @@ class PerceptionState:
     params:
         Dynamics hyper-parameters; ``DynamicsParams.frozen()`` disables
         all updates (the regime of Lemma 1).
+    complementary_table:
+        Complementary rows under ``initial_weights``, shared with every
+        other state of the same problem instance; ``None`` builds a
+        private one.
     """
 
     def __init__(
@@ -58,6 +144,7 @@ class PerceptionState:
         base_preference: np.ndarray,
         initial_weights: np.ndarray,
         params: DynamicsParams,
+        complementary_table: ComplementaryTable | None = None,
     ):
         self.network = network
         self.relevance = relevance
@@ -76,13 +163,35 @@ class PerceptionState:
         # allocated per user on first adoption.
         self._accumulated: dict[int, np.ndarray] = {}
         self._preference_cache: dict[int, np.ndarray] = {}
-        # complementary_row results per user -> item; valid until the
-        # user's weights change (invalidated with the preference cache).
-        self._complementary_cache: dict[int, dict[int, np.ndarray]] = {}
+        # Users whose weights have moved read complementary rows from
+        # their current weights, cached per copy in ``_moved_rows``
+        # (user -> item -> row); everyone else reads the shared table.
+        self._moved = np.zeros(self.n_users, dtype=bool)
+        self._moved_rows: dict[int, dict[int, np.ndarray]] = {}
+        if complementary_table is None:
+            complementary_table = ComplementaryTable(
+                relevance, self.weights.copy()
+            )
+        self._pristine_rows = complementary_table
         # Clipped base preferences (n_users, n_items) — the Ppref of
         # every user the cross-elasticity update has not touched.
         # State-independent, built lazily, shared across copies.
         self._clipped_base: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        # The table is an instance-wide cache: pickled states (process
+        # tasks) leave it out and stay as small as without it.
+        state = self.__dict__.copy()
+        del state["_pristine_rows"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Unmoved users still hold their initial weights and moved users
+        # never read the table, so the current weights rebuild it.
+        self._pristine_rows = ComplementaryTable(
+            self.relevance, self.weights.copy()
+        )
 
     # ------------------------------------------------------------------
     def copy(self) -> "PerceptionState":
@@ -108,15 +217,11 @@ class PerceptionState:
         clone._preference_cache = (
             self._preference_cache if self.params.beta == 0.0 else {}
         )
-        # With eta == 0 no weight vector can ever change, so the
-        # complementary rows are campaign constants: share the cache
-        # object across copies and let every Monte-Carlo sample reuse
-        # the rows the first one computed (they are pure functions of
-        # the weights).  Under learning dynamics each copy caches
-        # privately and invalidates per user as weights move.
-        clone._complementary_cache = (
-            self._complementary_cache if self.params.eta == 0.0 else {}
-        )
+        # Moved users' weights diverge per copy from here on, so their
+        # rows stay private; the pristine table is an instance constant.
+        clone._moved = self._moved.copy()
+        clone._moved_rows = {}
+        clone._pristine_rows = self._pristine_rows
         # Built on the parent before the handoff so every clone (and
         # later clones of this parent) shares one materialized matrix
         # instead of each lazily rebuilding its own.
@@ -213,8 +318,10 @@ class PerceptionState:
         frontier kernels already hold the row slices, which avoids any
         per-arc lookup.  Elementwise equal (bit for bit) to calling
         :meth:`influence` per arc: the frozen path (``gamma == 0``)
-        runs the identical clip pipeline vectorized; the dynamic path
-        evaluates the same per-arc similarity sequence.
+        runs the identical clip pipeline vectorized.  The dynamic path
+        calls ``adoption_similarity`` only for arcs whose endpoints both
+        have adoptions — it returns exactly 0.0 for every other arc —
+        and once per distinct (source, target) pair of the call.
         """
         base_strengths = np.asarray(base_strengths, dtype=np.float64)
         if self.params.gamma == 0.0:
@@ -222,18 +329,28 @@ class PerceptionState:
             values = np.maximum(self.params.min_influence, base_strengths)
             values[zero] = 0.0
             return values
-        similarities = np.empty(base_strengths.size, dtype=np.float64)
+        similarities = np.zeros(base_strengths.size)
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
-        for position in range(base_strengths.size):
-            source = int(sources[position])
-            target = int(targets[position])
-            similarities[position] = adoption_similarity(
-                self.adopted[source],
-                self.adopted[target],
-                self.weights[source],
-                self.weights[target],
+        adopters = self._adopted_mask
+        both = np.flatnonzero(
+            adopters[sources].any(axis=1) & adopters[targets].any(axis=1)
+        )
+        if both.size:
+            pairs, inverse = np.unique(
+                sources[both] * self.n_users + targets[both],
+                return_inverse=True,
             )
+            values = np.empty(pairs.size)
+            for position, pair in enumerate(pairs.tolist()):
+                source, target = divmod(pair, self.n_users)
+                values[position] = adoption_similarity(
+                    self.adopted[source],
+                    self.adopted[target],
+                    self.weights[source],
+                    self.weights[target],
+                )
+            similarities[both] = values[inverse]
         return influence_strength_batch(
             base_strengths,
             similarities,
@@ -271,31 +388,44 @@ class PerceptionState:
     def complementary_row(self, user: int, item: int) -> np.ndarray:
         """``r^C(user, item, .)`` under the user's current weights.
 
-        Cached per (user, item) until the user's weights change — the
-        diffusion kernels query the same rows every step.  Treat the
-        returned array as read-only.
+        Users whose weights never moved read the instance's shared
+        table; a moved user's rows are computed from its current
+        weights and cached in this copy until they move again.  Treat
+        the returned array as read-only.
         """
-        user_rows = self._complementary_cache.get(user)
+        if not self._moved[user]:
+            return self._pristine_rows.row(user, item)
+        user_rows = self._moved_rows.get(user)
         if user_rows is None:
-            user_rows = self._complementary_cache[user] = {}
-        cached = user_rows.get(item)
-        if cached is not None:
-            return cached
-        index = self.relevance.complementary_index
-        if index.size == 0:
-            row = np.zeros(self.n_items)
-        else:
-            row = np.clip(
-                np.tensordot(
-                    self.weights[user][index],
-                    self.relevance.matrices[index, item, :],
-                    axes=1,
-                ),
-                0.0,
-                1.0,
+            user_rows = self._moved_rows[user] = {}
+        row = user_rows.get(item)
+        if row is None:
+            row = user_rows[item] = _complementary_row(
+                self.relevance, self.weights[user], item
             )
-        user_rows[item] = row
         return row
+
+    def complementary_rows(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`complementary_row` for pair keys ``user * n_items + item``.
+
+        Returns the rows stacked as ``(len(keys), n_items)``: one fancy
+        index into the shared table for unmoved users, the per-row path
+        for moved ones.
+        """
+        users, items = np.divmod(np.asarray(keys, dtype=np.int64), self.n_items)
+        moved = self._moved[users]
+        if not moved.any():
+            return self._pristine_rows.rows(users, items)
+        rows = np.empty((users.size, self.n_items))
+        pristine = ~moved
+        rows[pristine] = self._pristine_rows.rows(
+            users[pristine], items[pristine]
+        )
+        for position in np.flatnonzero(moved).tolist():
+            rows[position] = self.complementary_row(
+                int(users[position]), int(items[position])
+            )
+        return rows
 
     def extra_adoption_probs(
         self, user: int, promoter: int, item: int
@@ -324,10 +454,10 @@ class PerceptionState:
         ``adoptions`` maps user -> list of items that user newly
         adopted during the step.  For each adopting user, in order:
         the meta-graph weightings update from the evidence connecting
-        history and new items (relevance measurement), then the
-        accumulated relevance gains the new items' rows (which feeds
-        preference estimation), and caches are invalidated so the next
-        step reads fresh ``Ppref``/``Pact``.
+        history and new items (relevance measurement) and the user is
+        flagged as moved, then the accumulated relevance gains the new
+        items' rows (which feeds preference estimation), and caches are
+        invalidated so the next step reads fresh ``Ppref``/``Pact``.
         """
         for user, new_items in adoptions.items():
             if not new_items:
@@ -340,6 +470,8 @@ class PerceptionState:
                 self.weights[user] = update_weights(
                     self.weights[user], evidence, self.params.eta
                 )
+                self._moved[user] = True
+                self._moved_rows.pop(user, None)
             accumulated = self._accumulated.get(user)
             if accumulated is None:
                 accumulated = np.zeros(
@@ -352,14 +484,3 @@ class PerceptionState:
                     history.add(item)
                     self._adopted_mask[user, item] = True
             self._preference_cache.pop(user, None)
-            if self.params.eta > 0.0:
-                self._complementary_cache.pop(user, None)
-
-    def mark_adopted(self, user: int, item: int) -> bool:
-        """Directly record an adoption (used for seeding at zeta=0).
-
-        Returns False if the user had already adopted the item.
-        Perception updates still happen through
-        :meth:`apply_step_adoptions`; this only guards duplicates.
-        """
-        return item not in self.adopted[user]

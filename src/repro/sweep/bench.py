@@ -1,10 +1,11 @@
 """Machine-readable perf trajectory: ``BENCH_v<N>.json``.
 
-The scaling benchmarks (bank / engine / selection / frontier / sketch)
-append one *bench row* per measurement to the ``bench`` spec of the
-result store — series name, measured milliseconds, speedup vs the
-retained reference kernel, and the scale context (world counts,
-sample counts, smoke flag).  The store file is append-only, so it
+The scaling benchmarks (bank / engine / selection / frontier / sketch),
+when run with ``REPRO_BENCH_RECORD=1``, append one *bench row* per
+measurement to the ``bench`` spec of the result store — series name,
+measured milliseconds, speedup vs the retained reference kernel, and
+the scale context (world counts, sample counts, smoke flag).  The
+store file is append-only, so it
 accumulates the full perf trajectory across sessions; this module
 summarizes it into a versioned JSON snapshot that CI and re-anchors
 can gate on instead of eyeballing txt tables.

@@ -23,9 +23,12 @@ RESULTS_DIR = (
 #: Smoke overrides change the sample-count axes of every config hash,
 #: and smoke benchmark runs rewrite the txt artifacts in-place, so
 #: committed-store parity only holds in a default-scale workspace.
+#: ``REPRO_BENCH_RECORD`` only picks where scaling tables go.
 SMOKE_ENV = [
     name for name in os.environ
-    if name.startswith("REPRO_BENCH_") and os.environ[name]
+    if name.startswith("REPRO_BENCH_")
+    and name != "REPRO_BENCH_RECORD"
+    and os.environ[name]
 ]
 
 
