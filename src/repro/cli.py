@@ -38,15 +38,16 @@ the bit-identity reference.  Stacks, selections and sigma values are
 identical either way — only wall-clock differs.
 
 ``--step-kernel`` selects the diffusion step kernel for Monte-Carlo
-replications (``repro.diffusion.repkernel``): ``vectorized`` (default)
-plays one replication at a time; ``scalar`` is the per-arc reference;
-``lockstep`` advances all of a worker chunk's replications in one
-packed pass over the shared CSR — the fast path for every
-frozen-dynamics sigma estimate; ``lockstep-jit`` adds a numba-compiled
-association scan (optional ``[jit]`` extra; degrades to ``lockstep``
-with a warning when numba is missing).  Draw streams, selections and
-sigma values are bit-identical across all four — only wall-clock
-differs.
+replications (``repro.diffusion.repkernel``): ``lockstep`` (default)
+advances all of a worker chunk's replications in one packed pass over
+the shared CSR — the fast path for every frozen-dynamics sigma
+estimate; ``lockstep-jit`` adds a numba-compiled association scan
+(optional ``[jit]`` extra; degrades to ``lockstep`` with a warning
+when numba is missing); ``vectorized`` plays one replication at a
+time (the bit-identity reference, and what recipes lockstep cannot
+pack fall back to); ``scalar`` is the per-arc reference.  Draw
+streams, selections and sigma values are bit-identical across all
+four — only wall-clock differs.
 
 ``--retries`` / ``--chunk-timeout`` tune the execution layer's fault
 supervisor (``repro.engine.resilience``): crashed workers, raising
@@ -284,13 +285,14 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=sorted(STEP_KERNEL_NAMES),
         help="diffusion step kernel for Monte-Carlo replications: "
-        "'vectorized' plays one replication at a time (default), "
-        "'scalar' is the per-arc reference, 'lockstep' advances all "
-        "of a worker chunk's replications in one packed pass over "
-        "the shared CSR (the fast path for frozen-dynamics sigma), "
-        "'lockstep-jit' adds a numba-compiled association scan "
-        "(optional [jit] extra); draws and sigma values are "
-        "bit-identical across all four",
+        "'lockstep' advances all of a worker chunk's replications in "
+        "one packed pass over the shared CSR (default; the fast path "
+        "for frozen-dynamics sigma), 'lockstep-jit' adds a "
+        "numba-compiled association scan (optional [jit] extra), "
+        "'vectorized' plays one replication at a time (the reference "
+        "and the fallback for dynamic recipes), 'scalar' is the "
+        "per-arc reference; draws and sigma values are bit-identical "
+        "across all four",
     )
 
 

@@ -111,17 +111,19 @@ class DysimConfig:
         ignored under the mc oracle.
     step_kernel:
         Diffusion step kernel for Monte-Carlo replications (both
-        estimators): ``"vectorized"`` (the per-replication default),
-        ``"scalar"`` (the per-arc reference), ``"lockstep"`` (all of a
-        worker chunk's replications advanced in one packed pass — the
-        fast path for frozen selection/evaluation sigma) or
+        estimators): ``"lockstep"`` (the default: all of a worker
+        chunk's replications advanced in one packed pass — the fast
+        path for frozen selection/evaluation sigma),
         ``"lockstep-jit"`` (the same pass with a numba-compiled
         association scan; optional ``[jit]`` extra, degrades to
-        ``"lockstep"`` with a warning).  ``None`` resolves the
+        ``"lockstep"`` with a warning), ``"vectorized"`` (one
+        replication at a time — the bit-identity reference) or
+        ``"scalar"`` (the per-arc reference).  ``None`` resolves the
         process-wide default (CLI ``--step-kernel``).  All kernels are
         draw-for-draw bit-identical, so this too is a pure perf knob;
         recipes lockstep cannot pack (dynamic perceptions, state
-        collection) transparently use the per-replication kernel.
+        collection) transparently use the per-replication
+        ``"vectorized"`` kernel.
     seed:
         Root of every random substream Dysim uses.
     backend:

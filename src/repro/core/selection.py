@@ -518,14 +518,18 @@ class MonteCarloGainOracle:
 
     @property
     def prefetch_limit(self) -> int | None:
-        """Speculative stale-entry prefetching is only worth full
-        sigma evaluations when a worker pool absorbs them; on the
-        serial backend one candidate per re-evaluation is strictly
-        cheaper (and matches the historical scalar call counts)."""
+        """One candidate per worker.
+
+        Speculative stale-entry prefetching is only worth full sigma
+        evaluations while idle workers absorb them: a pool prefetches
+        one candidate per worker, and the serial backend re-evaluates
+        one candidate at a time (the historical scalar call counts).
+        Backends that report no worker count stay uncapped.
+        """
         backend = getattr(self.estimator, "backend", None)
         if backend is not None and backend.name == "serial":
             return 1
-        return None
+        return getattr(backend, "workers", None)
 
     # -- group construction (must mirror each consumer exactly) --------
     def _base_group(self) -> SeedGroup:

@@ -4,7 +4,6 @@ from repro.diffusion.models import (
     DiffusionModel,
     adoption_likelihood,
     aggregated_influence,
-    aggregated_influence_vector,
 )
 from repro.diffusion.campaign import CampaignOutcome, CampaignSimulator
 from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
@@ -24,7 +23,6 @@ __all__ = [
     "DiffusionModel",
     "adoption_likelihood",
     "aggregated_influence",
-    "aggregated_influence_vector",
     "CampaignOutcome",
     "CampaignSimulator",
     "MonteCarloEstimate",

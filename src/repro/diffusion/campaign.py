@@ -103,8 +103,11 @@ class CampaignSimulator:
         :mod:`repro.diffusion.repkernel`) are accepted and behave as
         ``"vectorized"`` here — lockstep batches *across replications*
         and therefore engages at the Monte-Carlo chunk level
-        (:func:`repro.engine.replication.run_chunk`), not in a single
-        :meth:`run`.
+        (:func:`repro.engine.replication.run_chunk`, where
+        ``"lockstep"`` is the process default), not in a single
+        :meth:`run`.  Under that default, Monte-Carlo chunks construct
+        a simulator only for the recipes lockstep cannot pack (dynamic
+        perceptions, state collection).
     """
 
     def __init__(

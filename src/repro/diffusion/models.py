@@ -26,11 +26,11 @@ import enum
 import numpy as np
 
 from repro.perception.state import PerceptionState
+from repro.social.csr import row_gather
 
 __all__ = [
     "DiffusionModel",
     "aggregated_influence",
-    "aggregated_influence_vector",
     "adoption_likelihood",
 ]
 
@@ -42,45 +42,30 @@ class DiffusionModel(enum.Enum):
     LINEAR_THRESHOLD = "LT"
 
 
-def _adopter_influences(
-    state: PerceptionState, user: int, adopters: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(selected in-neighbours, current strengths) of ``user``'s in-row.
-
-    ``adopters`` is a boolean mask over the row; only the selected
-    arcs have their (possibly similarity-driven) strength computed —
-    non-adopting neighbours contribute nothing, so batching them would
-    waste the per-arc similarity work in the dynamic regime.  Row
-    order (= historical dict order) is preserved.
-    """
-    neighbours, base = state.network.csr.in_row(user)
-    neighbours = neighbours[adopters]
-    if not neighbours.size:
-        return neighbours, base[adopters]
-    strengths = state.influence_batch(
-        neighbours,
-        np.full(neighbours.size, user, dtype=np.int64),
-        base[adopters],
-    )
-    return neighbours, strengths
-
-
 def aggregated_influence(
     state: PerceptionState,
     model: DiffusionModel,
     user: int,
     item: int,
 ) -> float:
-    """``AIS(user, item)`` under the current perception state."""
+    """``AIS(user, item)`` under the current perception state.
+
+    Only in-neighbours that adopted ``item`` can promote it, so only
+    their (possibly similarity-driven) strengths are computed; they
+    are visited in row order (DESIGN §3).
+    """
     probability_none = 1.0
     total = 0.0
-    row_neighbours, _ = state.network.csr.in_row(user)
-    if row_neighbours.size:
-        adopters = state.adopted_many(
-            row_neighbours,
-            np.full(row_neighbours.size, item, dtype=np.int64),
+    neighbours, base = state.network.csr.in_row(user)
+    adopters = state.adopted_many(
+        neighbours, np.full(neighbours.size, item, dtype=np.int64)
+    )
+    if adopters.any():
+        strengths = state.influence_batch(
+            neighbours[adopters],
+            np.full(int(adopters.sum()), user, dtype=np.int64),
+            base[adopters],
         )
-        _, strengths = _adopter_influences(state, user, adopters)
         for strength in strengths.tolist():
             if strength <= 0.0:
                 continue
@@ -93,42 +78,6 @@ def aggregated_influence(
     return min(1.0, total)
 
 
-def aggregated_influence_vector(
-    state: PerceptionState,
-    model: DiffusionModel,
-    user: int,
-) -> np.ndarray:
-    """``AIS(user, .)`` over all items at once.
-
-    Vectorized form of :func:`aggregated_influence`: strengths are
-    batched over the CSR in-row (adopting neighbours only), then one
-    masked NumPy update per adopting in-neighbour instead of a Python
-    loop per item.  The per-item multiplication/addition order matches
-    the scalar path (neighbours are visited in row order, the same
-    order the dict API exposed), so each entry equals the scalar
-    result exactly.
-    """
-    use_ic = model is DiffusionModel.INDEPENDENT_CASCADE
-    probability_none = np.ones(state.n_items)
-    total = np.zeros(state.n_items)
-    row_neighbours, _ = state.network.csr.in_row(user)
-    if row_neighbours.size:
-        active = state.adopted_matrix(row_neighbours).any(axis=1)
-        neighbours, strengths = _adopter_influences(state, user, active)
-        for position, neighbour in enumerate(neighbours.tolist()):
-            strength = float(strengths[position])
-            if strength <= 0.0:
-                continue
-            adopted = state.adopted_row(neighbour)
-            if use_ic:
-                probability_none[adopted] *= 1.0 - strength
-            else:
-                total[adopted] += strength
-    if use_ic:
-        return 1.0 - probability_none
-    return np.minimum(1.0, total)
-
-
 def adoption_likelihood(
     state: PerceptionState,
     model: DiffusionModel,
@@ -138,15 +87,50 @@ def adoption_likelihood(
 
     Sums, over users in the market and their not-yet-adopted items,
     the probability of being promoted next promotion (``AIS``) times
-    the current preference.  The per-item products run through the
-    vectorized mask path; ``tests/diffusion/test_vectorized.py`` pins
-    it against the scalar :func:`aggregated_influence` oracle.
+    the current preference.  One pass serves the whole market: its
+    in-rows are gathered at once, the in-arcs from adopting
+    neighbours get their strengths from one ``influence_batch`` call,
+    and each (user, item)'s IC product or LT sum accumulates with an
+    unbuffered ``ufunc.at``, which applies the arcs in row order — the
+    float order of the scalar :func:`aggregated_influence` (DESIGN
+    §3).  The closing masked sums stay per user, in sorted order.
+    ``tests/diffusion/test_vectorized.py`` pins the result against the
+    per-user reference exactly.
     """
+    members = np.array(sorted(users), dtype=np.int64)
+    n_items = state.n_items
+    csr = state.network.csr
+    starts = csr.in_indptr[members]
+    counts = csr.in_indptr[members + 1] - starts
+    arcs = row_gather(starts, counts)
+    rows = np.repeat(np.arange(members.size), counts)
+    neighbours = csr.in_indices[arcs]
+    adopted = state.adopted_matrix(neighbours)
+    # In-neighbours without any adoption promote nothing.
+    active = adopted.any(axis=1)
+    use_ic = model is DiffusionModel.INDEPENDENT_CASCADE
+    # Per (user, item): the IC product of (1 - strength), or the LT sum.
+    shape = (members.size, n_items)
+    accumulated = np.ones(shape) if use_ic else np.zeros(shape)
+    if active.any():
+        rows = rows[active]
+        strengths = state.influence_batch(
+            neighbours[active], members[rows], csr.in_strength[arcs[active]]
+        )
+        live = strengths > 0.0
+        arc_of, items = np.nonzero(adopted[active][live])
+        cells = rows[live][arc_of] * n_items + items
+        strengths = strengths[live][arc_of]
+        flat = accumulated.reshape(-1)
+        if use_ic:
+            np.multiply.at(flat, cells, 1.0 - strengths)
+        else:
+            np.add.at(flat, cells, strengths)
+    ais = 1.0 - accumulated if use_ic else np.minimum(1.0, accumulated)
+    mask = (ais > 0.0) & ~state.adopted_matrix(members)
     total = 0.0
-    for user in sorted(users):
-        ais = aggregated_influence_vector(state, model, user)
-        mask = (ais > 0.0) & ~state.adopted_row(user)
-        if not mask.any():
-            continue
-        total += float((ais[mask] * state.preference(user)[mask]).sum())
+    for row in np.flatnonzero(mask.any(axis=1)).tolist():
+        keep = mask[row]
+        preference = state.preference(int(members[row]))
+        total += float((ais[row][keep] * preference[keep]).sum())
     return total

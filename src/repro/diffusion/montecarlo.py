@@ -158,11 +158,13 @@ class SigmaEstimator:
     step_kernel:
         Diffusion step implementation
         (:data:`repro.diffusion.repkernel.STEP_KERNEL_NAMES`; ``None``
-        = the process default, CLI ``--step-kernel``).  All kernels
-        are bit-identical, so this is a pure performance knob and is
-        deliberately *not* part of the cache key; the lockstep names
-        run each worker chunk as one packed pass when the recipe
-        allows (frozen dynamics, no state collectors).
+        = the process default — ``lockstep`` unless the CLI's
+        ``--step-kernel`` or ``REPRO_STEP_KERNEL`` says otherwise).
+        All kernels are bit-identical, so this is a pure performance
+        knob and is deliberately *not* part of the cache key; the
+        lockstep names run each worker chunk as one packed pass when
+        the recipe allows (frozen dynamics, no state collectors) and
+        replay the per-replication ``vectorized`` kernel otherwise.
     """
 
     #: Distinguishes estimator families in cache keys: a cache shared

@@ -26,7 +26,10 @@ per-event probabilities depend on each replication's own perception
 state and nothing can be shared across the replication axis, so
 :func:`repro.engine.replication.run_chunk` transparently falls back to
 the per-replication vectorized kernel — which is bit-identical anyway,
-making ``step_kernel`` a pure performance knob.
+making ``step_kernel`` a pure performance knob.  ``lockstep`` is the
+process default, so every frozen recipe (the nominee MCP's gain
+blocks, fair re-scores) takes the packed pass unless a caller names
+``vectorized``, which stays selectable as the bit-identity reference.
 
 ``lockstep-jit`` swaps the association scan (the O(events × items)
 inner loop) for a numba-compiled two-pass kernel that reads the packed
@@ -76,17 +79,18 @@ __all__ = [
 ]
 
 #: Spelled-out diffusion step kernels (CLI ``--step-kernel``).
-#: ``vectorized`` is the per-replication frontier kernel (default),
-#: ``scalar`` the retained per-arc reference, ``lockstep`` the packed
-#: all-replications pass of this module and ``lockstep-jit`` its
-#: numba-assisted twin (optional ``jit`` extra).  All four are
-#: bit-identical realization for realization.
+#: ``lockstep`` is the packed all-replications pass of this module
+#: (the default), ``lockstep-jit`` its numba-assisted twin (optional
+#: ``jit`` extra), ``vectorized`` the per-replication frontier kernel
+#: (the lockstep fallback and bit-identity reference) and ``scalar``
+#: the retained per-arc reference.  All four are bit-identical
+#: realization for realization.
 STEP_KERNEL_NAMES = ("vectorized", "scalar", "lockstep", "lockstep-jit")
 
 #: The kernels handled by this module (chunk-level, not per-run).
 LOCKSTEP_KERNELS = ("lockstep", "lockstep-jit")
 
-_default_step_kernel = os.environ.get("REPRO_STEP_KERNEL") or "vectorized"
+_default_step_kernel = os.environ.get("REPRO_STEP_KERNEL") or "lockstep"
 
 _warned_no_numba = False
 
@@ -117,7 +121,7 @@ def set_default_step_kernel(kernel: str) -> str:
 
 
 def get_default_step_kernel() -> str:
-    """The process-wide step kernel (``vectorized`` by default)."""
+    """The process-wide step kernel (``lockstep`` by default)."""
     return resolve_step_kernel(_default_step_kernel)
 
 

@@ -61,6 +61,7 @@ from repro.engine.shm import (
     SharedCSRHandle,
     attach_csr,
     release_csr,
+    release_task_arrays,
     share_csr,
     share_for_backend,
     share_task_arrays,
@@ -90,6 +91,7 @@ __all__ = [
     "default_retry_policy",
     "get_default_backend",
     "release_csr",
+    "release_task_arrays",
     "resolve_backend",
     "run_chunk",
     "set_default_backend",

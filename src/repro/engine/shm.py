@@ -19,12 +19,20 @@ worker exits (bpo-38119); plain files mmap identically fast, need no
 tracker, and make the leak check trivial (the file either exists or
 does not).
 
-Lifecycle: the parent *owns* every exported block.  Sharing through
-:func:`share_for_backend` registers an unlink callback on the backend,
-so ``backend.close()`` removes the files and detaches the handle from
-the graph (later pickles fall back to by-value) — including after a
-worker crash, because ownership never leaves the parent.  An
-``atexit`` sweep removes anything this process still owns, and —
+Lifecycle: the parent *owns* every exported block, and a block lives
+no longer than its owner.  A shared graph's files go when the graph is
+garbage-collected or when the backend it was shared for closes,
+whichever comes first: :func:`share_for_backend` registers an unlink
+callback that holds the graph only weakly, and ``backend.close()``
+removes the files and detaches the handle from the graph (later
+pickles fall back to by-value) — including after a worker crash,
+because ownership never leaves the parent.  Task arrays exported by
+:func:`share_task_arrays` are released by their consumer as soon as
+the dispatch that ships them returns (:func:`release_task_arrays`),
+with ``backend.close()`` as the safety net.  Workers memoize what they
+attach, and forget every attachment whose files are gone whenever
+they attach a new one.  An ``atexit`` sweep removes anything this
+process still owns, and —
 because export directories are tagged with the owning PID — a
 *hard-killed* session's leftovers are reclaimed by the next session's
 startup/atexit :func:`sweep_stale_shm` pass (a dir whose owner PID is
@@ -42,6 +50,7 @@ import os
 import re
 import shutil
 import tempfile
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +63,7 @@ __all__ = [
     "attach_array",
     "attach_csr",
     "release_csr",
+    "release_task_arrays",
     "resolve_array",
     "resolve_arrays",
     "share_csr",
@@ -86,6 +96,28 @@ _attached_arrays: dict["SharedArrayHandle", np.ndarray] = {}
 _attached_graphs: dict["SharedCSRHandle", CSRGraph] = {}
 
 
+def _remove_export(directory: str, owner: int) -> None:
+    """Delete one export directory, but only in the process that made it.
+
+    Forked workers inherit the parent's finalizers and callbacks; the
+    PID check keeps them from deleting files the parent still ships.
+    """
+    if os.getpid() == owner:
+        _owned_dirs.discard(directory)
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+def _forget_removed(memo: dict) -> None:
+    """Drop memoized attachments whose export files are gone.
+
+    An owner removes its export once nothing can ship the handle again,
+    so such an entry is dead weight: without this a long-lived worker
+    would pin every graph and array it ever attached.
+    """
+    for handle in [handle for handle in memo if not handle.exported]:
+        del memo[handle]
+
+
 @dataclass(frozen=True)
 class SharedArrayHandle:
     """Picklable pointer to one exported array (file + geometry)."""
@@ -93,6 +125,11 @@ class SharedArrayHandle:
     path: str
     shape: tuple
     dtype: str
+
+    @property
+    def exported(self) -> bool:
+        """Do the files behind this handle still exist?"""
+        return os.path.exists(self.path)
 
 
 @dataclass(frozen=True)
@@ -102,6 +139,11 @@ class SharedCSRHandle:
     n_users: int
     out: tuple[SharedArrayHandle, SharedArrayHandle, SharedArrayHandle]
     into: tuple[SharedArrayHandle, SharedArrayHandle, SharedArrayHandle]
+
+    @property
+    def exported(self) -> bool:
+        """Do the files behind this handle still exist?"""
+        return self.out[0].exported
 
 
 def _export_array(array: np.ndarray, directory: str, name: str) -> SharedArrayHandle:
@@ -119,6 +161,7 @@ def attach_array(handle: SharedArrayHandle) -> np.ndarray:
     """Read-only zero-copy view of an exported array (memoized)."""
     cached = _attached_arrays.get(handle)
     if cached is None:
+        _forget_removed(_attached_arrays)
         cached = np.memmap(
             handle.path,
             dtype=np.dtype(handle.dtype),
@@ -136,7 +179,8 @@ def share_csr(csr: CSRGraph, directory: str | None = None) -> SharedCSRHandle:
     (:meth:`CSRGraph.__reduce__`), so tasks embedding it ship bytes
     proportional to a few path strings.  The caller (parent process)
     owns the files — pair with :func:`release_csr`, or go through
-    :func:`share_for_backend` to tie the lifetime to a backend.
+    :func:`share_for_backend` to tie the lifetime to a backend.  A
+    graph that is garbage-collected takes its files with it.
     """
     existing = getattr(csr, "_shm_handle", None)
     if existing is not None:
@@ -157,6 +201,7 @@ def share_csr(csr: CSRGraph, directory: str | None = None) -> SharedCSRHandle:
         ),
     )
     csr._shm_handle = handle
+    csr._shm_release = weakref.finalize(csr, _remove_export, directory, os.getpid())
     return handle
 
 
@@ -170,6 +215,7 @@ def attach_csr(handle: SharedCSRHandle) -> CSRGraph:
     """
     cached = _attached_graphs.get(handle)
     if cached is None:
+        _forget_removed(_attached_graphs)
         cached = CSRGraph(
             handle.n_users,
             tuple(attach_array(part) for part in handle.out),
@@ -186,13 +232,11 @@ def release_csr(csr: CSRGraph) -> None:
     surviving estimator on a fresh backend keeps working — it just
     loses the zero-copy path until shared again.
     """
-    handle = getattr(csr, "_shm_handle", None)
-    if handle is None:
+    if getattr(csr, "_shm_handle", None) is None:
         return
     del csr._shm_handle
-    directory = os.path.dirname(handle.out[0].path)
-    _owned_dirs.discard(directory)
-    shutil.rmtree(directory, ignore_errors=True)
+    csr._shm_release()  # a finalizer runs at most once
+    del csr._shm_release
 
 
 def share_for_backend(csr: CSRGraph, backend) -> SharedCSRHandle | None:
@@ -203,7 +247,9 @@ def share_for_backend(csr: CSRGraph, backend) -> SharedCSRHandle | None:
     None).  For a live process pool the graph is exported once and an
     unlink callback registered on the backend: ``backend.close()``
     removes the files and detaches the handle, including when workers
-    died mid-flight (the parent owns the blocks throughout).
+    died mid-flight (the parent owns the blocks throughout).  The
+    callback holds the graph weakly, so a backend that outlives many
+    graphs does not keep them (or their files) alive.
     """
     if getattr(backend, "name", None) != "process":
         return None
@@ -214,7 +260,10 @@ def share_for_backend(csr: CSRGraph, backend) -> SharedCSRHandle | None:
     if not already_shared:
         register = getattr(backend, "add_cleanup", None)
         if register is not None:
-            register(lambda: release_csr(csr))
+            graph = weakref.ref(csr)
+            # ``graph()`` is None once collected; releasing None is a
+            # no-op (the finalizer already removed the files).
+            register(lambda: release_csr(graph()))
     return handle
 
 
@@ -230,9 +279,10 @@ def share_task_arrays(
     itself at scale.  Returns ``{name: handle}`` for the caller to
     substitute into the task (workers re-materialize the arrays with
     :func:`resolve_array`), or None for serial/thread backends, whose
-    tasks are never pickled.  The files live until ``backend.close()``
-    (or the atexit sweep); the parent owns them throughout, so a worker
-    crash leaks nothing past the backend's lifetime.
+    tasks are never pickled.  The caller releases the files with
+    :func:`release_task_arrays` once its dispatch returns;
+    ``backend.close()`` (or the atexit sweep) removes whatever is left,
+    so a worker crash leaks nothing past the backend's lifetime.
     """
     if getattr(backend, "name", None) != "process":
         return None
@@ -244,15 +294,20 @@ def share_task_arrays(
         name: _export_array(array, directory, name)
         for name, array in arrays.items()
     }
-
-    def release() -> None:
-        _owned_dirs.discard(directory)
-        shutil.rmtree(directory, ignore_errors=True)
-
     register = getattr(backend, "add_cleanup", None)
     if register is not None:
-        register(release)
+        register(lambda: release_task_arrays(handles))
     return handles
+
+
+def release_task_arrays(handles: dict[str, SharedArrayHandle]) -> None:
+    """Remove the files behind a :func:`share_task_arrays` export.
+
+    Idempotent.  Call it once no dispatch can ship the handles again;
+    workers that already attached them keep their mappings.
+    """
+    for directory in {os.path.dirname(h.path) for h in handles.values()}:
+        _remove_export(directory, os.getpid())
 
 
 def resolve_array(value) -> np.ndarray:

@@ -64,7 +64,11 @@ from repro.diffusion.models import DiffusionModel
 from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
 from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.cache import SigmaCache
-from repro.engine.shm import resolve_array, share_task_arrays
+from repro.engine.shm import (
+    release_task_arrays,
+    resolve_array,
+    share_task_arrays,
+)
 from repro.engine.replication import DEFAULT_CHUNK_SIZE, chunk_indices
 from repro.errors import SketchError
 from repro.sketch.bank import (
@@ -259,7 +263,8 @@ class RRSetIndex:
         self._backend = resolve_backend(backend, workers)
         # Process pools pickle the task per chunk; swap the skeleton-
         # sized arrays for shared-memory handles so each worker maps
-        # them once instead of receiving copies down a pipe.
+        # them once instead of receiving copies down a pipe.  Nothing
+        # ships them after sampling, so the export goes right then.
         task_arrays = {
             "rev_indptr": rev_indptr,
             "rev_src": rev_src,
@@ -282,15 +287,19 @@ class RRSetIndex:
         # substream keyed by i alone, and chunks reassemble in order.
         pool_workers = getattr(self._backend, "workers", 1) or 1
         block = max(int(chunk_size), -(-self.n_samples // pool_workers))
-        samples = list(
-            itertools.chain.from_iterable(
-                self._backend.map_chunks(
-                    sample_rrsets_chunk,
-                    task,
-                    chunk_indices(self.n_samples, block),
+        try:
+            samples = list(
+                itertools.chain.from_iterable(
+                    self._backend.map_chunks(
+                        sample_rrsets_chunk,
+                        task,
+                        chunk_indices(self.n_samples, block),
+                    )
                 )
             )
-        )
+        finally:
+            if shared is not None:
+                release_task_arrays(shared)
         #: Root pair of each sample (needed for restricted sigma).
         self.roots = np.array(
             [root for root, _ in samples], dtype=np.int64

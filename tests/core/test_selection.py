@@ -32,7 +32,7 @@ from repro.core.selection import (
     sigma_block,
 )
 from repro.diffusion.montecarlo import SigmaEstimator
-from repro.engine import SerialBackend, ThreadBackend
+from repro.engine import ProcessPoolBackend, SerialBackend, ThreadBackend
 from repro.errors import AlgorithmError
 from repro.sketch import CoverageEvaluator, RealizationBank
 from repro.utils.rng import RngFactory
@@ -468,6 +468,45 @@ class TestMonteCarloGainOracle:
             Seed(1, 1, 1)
         )
         assert list(trial) == list(manual)
+
+    def test_pool_prefetches_one_candidate_per_worker(self, frozen):
+        """Stale re-evaluations ask a pool for at most one candidate per
+        worker; the committed sequence is the serial one."""
+        universe = [
+            (user, item)
+            for user in range(frozen.n_users)
+            for item in range(frozen.n_items)
+        ]
+
+        def select(backend):
+            estimator = SigmaEstimator(
+                frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
+            )
+            oracle = MonteCarloGainOracle(estimator, until_promotion=1)
+            sizes = []
+            gains = oracle.gains
+
+            def recording(candidates):
+                sizes.append(len(candidates))
+                return gains(candidates)
+
+            oracle.gains = recording
+            result = mcp_lazy_greedy(
+                universe, oracle, cost=lambda element: 1.0, budget=4.0, batch_size=32
+            )
+            # One priming call covers the whole universe; every later
+            # call re-evaluates stale heap entries.
+            assert sizes[0] == len(universe)
+            return result.selected, sizes[1:], oracle.prefetch_limit
+
+        serial, serial_sizes, serial_limit = select(SerialBackend())
+        with ProcessPoolBackend(workers=2) as backend:
+            pooled, pooled_sizes, pooled_limit = select(backend)
+            workers = backend.workers
+        assert serial_limit == 1 and set(serial_sizes) == {1}
+        assert pooled_limit == workers <= 2
+        assert pooled_sizes and max(pooled_sizes) <= workers
+        assert pooled == serial
 
     def test_values_track_committed_value_exactly(self, frozen):
         estimator = SigmaEstimator(

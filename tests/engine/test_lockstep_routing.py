@@ -6,16 +6,20 @@ lockstep name and the recipe allows it; otherwise it silently replays
 the per-replication kernel.  Both paths are bit-identical by
 construction — these tests pin that, plus the surfaces around it: the
 ``lockstep_applicable`` gate, the backend chunk coarsening, the
-process-default plumbing and the numba-free ``lockstep-jit``
-degradation warning.
+process default (``lockstep``) and its plumbing, and the numba-free
+``lockstep-jit`` degradation warning.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.problem import Seed, SeedGroup
+from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import DiffusionModel
 from repro.diffusion.montecarlo import SigmaEstimator
 from repro.diffusion import repkernel
@@ -132,6 +136,31 @@ class TestRunChunkEquivalence:
         assert np.array_equal(reference.sigmas, fallback.sigmas)
         assert np.array_equal(reference.weights_sum, fallback.weights_sum)
 
+    def test_only_packable_recipes_skip_the_simulator(
+        self, frozen_instance, monkeypatch
+    ):
+        """Dynamic and likelihood recipes replay ``CampaignSimulator.run``
+        once per replication under the default kernel; a frozen sigma
+        recipe on ``lockstep`` never calls it."""
+        calls = []
+        original = CampaignSimulator.run
+
+        def counting_run(simulator, *args, **kwargs):
+            calls.append(1)
+            return original(simulator, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignSimulator, "run", counting_run)
+        for task in (
+            _task(build_tiny_instance()),
+            _task(frozen_instance, compute_likelihood=True),
+        ):
+            calls.clear()
+            run_chunk(task, [0, 1, 2])
+            assert len(calls) == 3
+        calls.clear()
+        run_chunk(_task(frozen_instance, step_kernel="lockstep"), [0, 1, 2])
+        assert not calls
+
     def test_backend_coarse_chunks_match_serial(self, frozen_instance):
         task = _task(frozen_instance, step_kernel="lockstep")
         reference = SerialBackend().run(
@@ -145,6 +174,32 @@ class TestRunChunkEquivalence:
 
 
 class TestEstimatorAndDefaults:
+    def test_default_is_lockstep(self):
+        """A fresh interpreter without ``REPRO_STEP_KERNEL`` packs."""
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key != "REPRO_STEP_KERNEL"
+        }
+        # Import the same package the suite runs against.
+        package_root = os.path.dirname(os.path.dirname(repkernel.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.dirname(package_root), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.diffusion import get_default_step_kernel;"
+                "print(get_default_step_kernel())",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "lockstep"
+
     def test_estimator_step_kernel_is_bit_identical(self, frozen_instance):
         estimates = [
             SigmaEstimator(
@@ -153,7 +208,7 @@ class TestEstimatorAndDefaults:
                 rng_factory=RngFactory(5),
                 step_kernel=kernel,
             ).estimate(GROUP)
-            for kernel in (None, "lockstep", "lockstep-jit")
+            for kernel in ("vectorized", None, "lockstep", "lockstep-jit")
         ]
         for estimate in estimates[1:]:
             assert estimate.sigma == estimates[0].sigma

@@ -3,13 +3,17 @@
 The shm layer's contract (``repro.engine.shm``) is lifecycle-shaped,
 so the tests are too: exported arrays must come back bit-identical
 through a real process-pool round trip, the exported files must live
-exactly as long as the backend that ships their handles (including
-after worker death — the parent owns the blocks), and serial / thread
-backends must bypass the machinery entirely.
+no longer than their owner (a shared graph, a sampling dispatch, at
+most the backend that ships their handles — including after worker
+death, because the parent owns the blocks), workers must forget what
+their owners released, and serial / thread backends must bypass the
+machinery entirely.
 """
 
+import gc
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,11 +23,13 @@ from repro.engine.backends import (
     SerialBackend,
     ThreadBackend,
 )
+from repro.engine import shm
 from repro.engine.shm import (
     SharedArrayHandle,
     attach_array,
     attach_csr,
     release_csr,
+    release_task_arrays,
     resolve_array,
     share_csr,
     share_for_backend,
@@ -42,6 +48,30 @@ def _csr_arrays(csr):
 
 def _shm_dir(csr) -> str:
     return os.path.dirname(csr._shm_handle.out[0].path)
+
+
+def _own_exports() -> set[str]:
+    """Export directories this process currently has on disk."""
+    prefix = f"repro-shm-{os.getpid()}-"
+    return {
+        name
+        for name in os.listdir(tempfile.gettempdir())
+        if name.startswith(prefix)
+    }
+
+
+def _attached_paths(graph, handles) -> tuple[set[str], set[str]]:
+    """Attach a graph and task arrays; report the worker's memos.
+
+    Runs in a pool worker: ``graph`` arrives as its shared handle and
+    unpickles through ``attach_csr``.
+    """
+    for handle in handles.values():
+        resolve_array(handle)
+    return (
+        {handle.out[0].path for handle in shm._attached_graphs},
+        {handle.path for handle in shm._attached_arrays},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +178,57 @@ def test_parent_owns_blocks_across_worker_crash():
     assert not os.path.exists(directory)
 
 
+def test_collected_graph_removes_its_export_before_close():
+    backend = ProcessPoolBackend(workers=1)
+    try:
+        csr = build_tiny_network().csr
+        share_for_backend(csr, backend)
+        directory = _shm_dir(csr)
+        del csr
+        gc.collect()
+        assert not os.path.exists(directory)
+        assert not backend.closed
+    finally:
+        backend.close()  # the weakly held graph is gone: a no-op
+
+
+def test_rrset_index_leaves_no_export_behind():
+    instance = build_tiny_instance().frozen()
+    with ProcessPoolBackend(workers=2, chunk_size=1) as backend:
+        before = _own_exports()
+        RRSetIndex.from_instance(
+            instance, n_samples=16, rng_seed=2, backend=backend, chunk_size=1
+        )
+        assert _own_exports() == before
+
+
+def test_worker_memo_does_not_grow_across_share_release_cycles():
+    """A worker forgets attachments whose owner released the files."""
+    backend = ProcessPoolBackend(workers=1)
+    released_graphs: set[str] = set()
+    released_arrays: set[str] = set()
+    try:
+        for cycle in range(3):
+            csr = build_tiny_network().csr
+            graph_path = share_for_backend(csr, backend).out[0].path
+            handles = share_task_arrays(
+                {"ramp": np.arange(4 + cycle), "ones": np.ones(3)}, backend
+            )
+            array_paths = {handle.path for handle in handles.values()}
+            graphs, arrays = backend.executor.submit(
+                _attached_paths, csr, handles
+            ).result()
+            assert graph_path in graphs and array_paths <= arrays
+            assert not graphs & released_graphs
+            assert not arrays & released_arrays
+            release_csr(csr)
+            release_task_arrays(handles)
+            released_graphs.add(graph_path)
+            released_arrays |= array_paths
+    finally:
+        backend.close()
+
+
 def test_closed_backend_refuses_new_shares():
     csr = build_tiny_network().csr
     backend = ProcessPoolBackend(workers=1)
@@ -195,6 +276,18 @@ def test_share_task_arrays_roundtrip_and_cleanup():
         assert not restored.flags.writeable
     backend.close()
     assert not os.path.exists(directory)
+
+
+def test_release_task_arrays_is_immediate_and_idempotent():
+    backend = ProcessPoolBackend(workers=1)
+    try:
+        handles = share_task_arrays({"x": np.arange(4)}, backend)
+        directory = os.path.dirname(handles["x"].path)
+        release_task_arrays(handles)
+        assert not os.path.exists(directory)
+        release_task_arrays(handles)
+    finally:
+        backend.close()  # the registered safety net finds nothing left
 
 
 def test_resolve_array_passes_plain_arrays_through():
