@@ -2,10 +2,12 @@
 
 Times the computation of packed reachability stacks for a nominee-pool
 candidate block on the yelp realization bank two ways: the per-world
-reference kernel (one Python BFS per ``ReachabilitySketch``, M runs
-per candidate — the pre-PR-5 path) and the world-packed kernel
-(``repro.sketch.reachkernel``: one bit-parallel multi-world BFS whose
-frontier state covers all M worlds at once, sparse-event inner loop).
+reference (``tests.reference.PerWorldBank``: one Python BFS per
+realized world, M runs per candidate — the pre-PR-5 path) and the
+world-packed kernel (``repro.sketch.reachkernel``: one bit-parallel
+multi-world BFS whose frontier state covers all M worlds at once,
+sparse-event inner loop; pinned to its numpy form for the ``packed``
+row).
 Stacks are bit-identical — reachability on fixed live-edge graphs is
 deterministic — so the benchmark compares pure wall-clock and records
 the series to ``benchmarks/results/bank_scaling.txt``.
@@ -26,20 +28,23 @@ smoke), ``REPRO_BENCH_BANK_POOL`` (default 96) and
 
 ``test_bank_scaling_m1024`` repeats the comparison at M=1024 (the
 ``bank_scaling_m1024`` tracked series) with the compiled worklist
-kernel (``packed-jit``) and the world-sharded process fill in the mix
+loop (``packed-jit``) and the world-sharded process fill in the mix
 when numba / multiple cores are available; knobs
 ``REPRO_BENCH_BANK1024_{WORLDS,POOL,ROUNDS}``.
 """
 
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 
 from repro.core.dysim.nominees import rank_candidates
-from repro.sketch import RealizationBank
+from repro.sketch import HAVE_NUMBA, RealizationBank, reachkernel
 from repro.eval.reporting import format_table
 
 from benchmarks.conftest import SMOKE, _env_int, record_bench, record_figure
+from tests.reference import PerWorldBank
 
 BANK_WORLDS = _env_int("REPRO_BENCH_BANK_WORLDS", 64 if SMOKE else 256)
 BANK_POOL = _env_int("REPRO_BENCH_BANK_POOL", 96)
@@ -47,16 +52,31 @@ BANK_ROUNDS = _env_int("REPRO_BENCH_BANK_ROUNDS", 2)
 MIN_SPEEDUP = 1.5 if SMOKE else 3.0
 
 
+#: The kernel a bank runs when nothing is pinned.
+DEFAULT_KERNEL = "packed-jit" if HAVE_NUMBA else "packed"
+
+
+def _pinned(kernel):
+    """Pin an in-process bank fill to the numpy (``packed``) or the
+    compiled (``packed-jit``) multi-world BFS; other names run the
+    bank as it is."""
+    if kernel not in ("packed", "packed-jit"):
+        return nullcontext()
+    return mock.patch.object(
+        reachkernel, "HAVE_NUMBA", kernel == "packed-jit"
+    )
+
+
 def _timed_stacks(frozen, kernel, pairs, worlds=None, rounds=None,
                   **bank_kwargs):
     """Best-of-rounds stack computation on fresh (cold-LRU) banks."""
     worlds = BANK_WORLDS if worlds is None else worlds
     rounds = BANK_ROUNDS if rounds is None else rounds
+    bank_class = PerWorldBank if kernel == "per-world" else RealizationBank
     best_seconds, stacks, build_seconds = np.inf, None, 0.0
     for _ in range(rounds):
-        bank = RealizationBank(
-            frozen, n_worlds=worlds, rng_seed=0, reach_kernel=kernel,
-            **bank_kwargs,
+        bank = bank_class(
+            frozen, n_worlds=worlds, rng_seed=0, **bank_kwargs
         )
         # Materialize the kernel's representation outside the timed
         # region (a bank answers many queries per construction).
@@ -66,9 +86,10 @@ def _timed_stacks(frozen, kernel, pairs, worlds=None, rounds=None,
         else:
             bank._reach_graph()
         build_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        stacks = bank.stacks_for(pairs)
-        elapsed = time.perf_counter() - started
+        with _pinned(kernel):
+            started = time.perf_counter()
+            stacks = bank.stacks_for(pairs)
+            elapsed = time.perf_counter() - started
         best_seconds = min(best_seconds, elapsed)
     return best_seconds, stacks, build_seconds
 
@@ -142,19 +163,6 @@ M1024_ROUNDS = _env_int("REPRO_BENCH_BANK1024_ROUNDS", 1 if SMOKE else 2)
 M1024_MIN_SPEEDUP = 1.5 if SMOKE else 2.0
 
 
-def _warm_jit_compile():
-    """Trigger numba compilation outside any timed region."""
-    from repro.sketch.reachkernel import WorldLayout, multi_world_visited_jit
-
-    multi_world_visited_jit(
-        np.zeros(2, dtype=np.int64),
-        np.zeros(0, dtype=np.int64),
-        np.zeros((0, 1), dtype=np.uint64),
-        np.array([0], dtype=np.int64),
-        WorldLayout(1),
-    )
-
-
 def test_bank_scaling_m1024(dataset_cache):
     """Large-M bank fills: best configured kernel vs the references.
 
@@ -170,8 +178,6 @@ def test_bank_scaling_m1024(dataset_cache):
     contributes to the best-kernel figure.
     """
     import os
-
-    from repro.sketch import HAVE_NUMBA
 
     instance = dataset_cache("yelp")
     frozen = instance.frozen()
@@ -200,7 +206,7 @@ def test_bank_scaling_m1024(dataset_cache):
     best_name, best_seconds = "packed", packed_seconds
 
     if HAVE_NUMBA:
-        _warm_jit_compile()
+        # compiled already, outside any timed region (conftest)
         jit_seconds, jit_stacks, _ = _timed_stacks(
             frozen, "packed-jit", pairs,
             worlds=M1024_WORLDS, rounds=M1024_ROUNDS,
@@ -219,21 +225,24 @@ def test_bank_scaling_m1024(dataset_cache):
     if cpu_count > 1:
         from repro.engine import ProcessPoolBackend
 
+        # Shard workers run the bank's default kernel (the compiled
+        # loop when numba imports there), so the row says which.
         shards = min(4, cpu_count)
         with ProcessPoolBackend(workers=shards) as pool:
             shard_seconds, shard_stacks, _ = _timed_stacks(
-                frozen, best_name, pairs,
+                frozen, "sharded", pairs,
                 worlds=M1024_WORLDS, rounds=M1024_ROUNDS,
                 backend=pool, world_shards=shards,
             )
         for ours, theirs in zip(shard_stacks, ref_stacks):
             assert np.array_equal(ours, theirs)
+        shard_name = f"{DEFAULT_KERNEL}+shard{shards}"
         rows.append(
-            [f"{best_name}+shard{shards}", f"{shard_seconds * 1e3:.1f}",
+            [shard_name, f"{shard_seconds * 1e3:.1f}",
              f"{ref_seconds / shard_seconds:.2f}"]
         )
         if shard_seconds < best_seconds:
-            best_name = f"{best_name}+shard{shards}"
+            best_name = shard_name
             best_seconds = shard_seconds
 
     speedup = ref_seconds / best_seconds if best_seconds > 0 else 0.0

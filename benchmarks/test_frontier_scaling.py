@@ -2,14 +2,16 @@
 
 Times one full campaign realization (the innermost unit of every
 Monte-Carlo sigma estimate) on a large synthetic community network
-under both step kernels and records the series to
-``benchmarks/results/frontier_scaling.txt``.  Two assertions:
+under ``CampaignSimulator``'s vectorized step and under the scalar
+per-arc reference step (``tests.reference.ScalarCampaignSimulator``),
+and records the series to ``benchmarks/results/frontier_scaling.txt``.
+Two assertions:
 
-* both kernels produce **bit-identical** realizations (spread and
+* both steps produce **bit-identical** realizations (spread and
   adoption matrix) from the same substream — the CSR refactor's core
   guarantee, also pinned draw-for-draw by
   ``tests/diffusion/test_step_equivalence.py``; and
-* the vectorized kernel is at least 2x faster per serial realization.
+* the vectorized step is at least 2x faster per serial realization.
   Under CI smoke (``REPRO_BENCH_SMOKE=1``) the floor relaxes to 1.3x —
   the measured margin is ~2.3-2.6x, but shared, saturated runners make
   wall-clock ratios noisy (cf. ``test_engine_scaling``, which skips
@@ -32,6 +34,7 @@ from repro.eval.reporting import format_table
 from repro.utils.rng import spawn_rng
 
 from benchmarks.conftest import SMOKE, _env_int, record_bench, record_figure
+from tests.reference import ScalarCampaignSimulator
 
 FRONTIER_SCALE = _env_int("REPRO_BENCH_FRONTIER_SCALE", 8 if SMOKE else 25)
 FRONTIER_SAMPLES = _env_int("REPRO_BENCH_FRONTIER_SAMPLES", 12)
@@ -47,7 +50,7 @@ def _seed_group(instance) -> SeedGroup:
     )
 
 
-def _run_kernel(instance, group, kernel, rounds=3):
+def _run_kernel(instance, group, simulator_class, rounds=3):
     """Best-of-rounds seconds per realization plus a fingerprint.
 
     Interference (GC pauses, suite load when tier-1 runs the full
@@ -56,7 +59,7 @@ def _run_kernel(instance, group, kernel, rounds=3):
     round replays the same substreams, so the fingerprint is
     round-independent.
     """
-    simulator = CampaignSimulator(instance, step_kernel=kernel)
+    simulator = simulator_class(instance)
     simulator.run(group, spawn_rng(0, "warm"))  # warm caches / freeze
     best_seconds = float("inf")
     for _ in range(rounds):
@@ -80,10 +83,10 @@ def test_frontier_scaling():
     group = _seed_group(instance)
 
     scalar_seconds, scalar_sigmas, scalar_adoptions = _run_kernel(
-        instance, group, "scalar"
+        instance, group, ScalarCampaignSimulator
     )
     fast_seconds, fast_sigmas, fast_adoptions = _run_kernel(
-        instance, group, "vectorized"
+        instance, group, CampaignSimulator
     )
     speedup = scalar_seconds / fast_seconds if fast_seconds > 0 else 0.0
 

@@ -2,12 +2,13 @@
 
 Times one *worker chunk* of campaign replications — the exact unit
 ``run_chunk`` executes for every sigma estimate — on a large Yelp
-community network, comparing the per-replication vectorized kernel
-against the replication-lockstep kernel that plays the whole chunk in
-one packed pass.  Both timings are **cold**: ``run_chunk`` constructs a
-fresh simulator (and hence a fresh complementary-relevance cache) per
-chunk in production, so each measured round replays that full cost on
-both sides.  Two assertions:
+community network, comparing the per-replication loop (one
+``CampaignSimulator.run`` per replication, the path dynamic recipes
+take; forced here with ``tests.reference.disable_packed_pass``)
+against the numpy replication-lockstep pass that plays the whole chunk
+at once.  Both timings are **cold**: every ``run_chunk`` call builds
+its simulator or packed state afresh, so each measured round replays
+that full cost on both sides.  Two assertions:
 
 * both kernels produce **bit-identical** per-replication sigmas from
   the same substreams (pinned draw-for-draw by
@@ -30,11 +31,13 @@ import numpy as np
 
 from repro.core.problem import Seed, SeedGroup
 from repro.data import load_dataset
+from repro.diffusion import repkernel
 from repro.diffusion.models import DiffusionModel
 from repro.engine import ReplicationTask, run_chunk
 from repro.eval.reporting import format_table
 
 from benchmarks.conftest import SMOKE, _env_int, record_bench, record_figure
+from tests.reference import disable_packed_pass
 
 MC_SCALE = _env_int("REPRO_BENCH_MC_SCALE", 25 if SMOKE else 90)
 MC_REPLICATIONS = _env_int("REPRO_BENCH_MC_REPLICATIONS", 32 if SMOKE else 64)
@@ -57,7 +60,7 @@ def _seed_group(instance) -> SeedGroup:
     )
 
 
-def _run_chunk_kernel(instance, group, kernel):
+def _run_chunk_timed(instance, group):
     """Best-of-rounds seconds per replication plus the chunk sigmas.
 
     Every round is one cold ``run_chunk`` call over the same substream
@@ -73,7 +76,6 @@ def _run_chunk_kernel(instance, group, kernel):
         rng_seed=0,
         rng_context=("mc-bench",),
         seed_group=group,
-        step_kernel=kernel,
     )
     indices = list(range(MC_REPLICATIONS))
     best_seconds = float("inf")
@@ -87,18 +89,18 @@ def _run_chunk_kernel(instance, group, kernel):
     return best_seconds, sigmas
 
 
-def test_mc_diffusion_scaling():
+def test_mc_diffusion_scaling(monkeypatch):
     # The final-evaluation regime: frozen perceptions, association
     # coins live, a whole chunk of replications per worker.
     instance = load_dataset("yelp", scale=float(MC_SCALE)).frozen()
     group = _seed_group(instance)
 
-    loop_seconds, loop_sigmas = _run_chunk_kernel(
-        instance, group, "vectorized"
-    )
-    packed_seconds, packed_sigmas = _run_chunk_kernel(
-        instance, group, "lockstep"
-    )
+    with monkeypatch.context() as patch:
+        disable_packed_pass(patch)
+        loop_seconds, loop_sigmas = _run_chunk_timed(instance, group)
+    # The numpy packed pass, whether or not numba is installed.
+    monkeypatch.setattr(repkernel, "HAVE_NUMBA", False)
+    packed_seconds, packed_sigmas = _run_chunk_timed(instance, group)
     speedup = loop_seconds / packed_seconds if packed_seconds > 0 else 0.0
 
     rows = [

@@ -2,7 +2,7 @@
 
 Runs the coverage gain evaluation at the heart of nominee selection on
 the yelp realization bank two ways: the boolean scalar reference
-(:class:`~repro.sketch.greedy.CoverageEvaluator`, one candidate per
+(``tests.reference.CoverageEvaluator``, one candidate per
 call against a ``(n_worlds, n_pairs)`` boolean mask) and the unified
 selection layer's packed kernel
 (:class:`~repro.core.selection.CoverageGainOracle`, whole candidate
@@ -28,10 +28,11 @@ import numpy as np
 
 from repro.core.dysim.nominees import rank_candidates
 from repro.core.selection import CoverageGainOracle
-from repro.sketch import CoverageEvaluator, RealizationBank
+from repro.sketch import RealizationBank
 from repro.eval.reporting import format_table
 
 from benchmarks.conftest import SMOKE, _env_int, record_bench, record_figure
+from tests.reference import CoverageEvaluator
 
 SELECTION_WORLDS = _env_int("REPRO_BENCH_SELECTION_WORLDS", 12)
 SELECTION_POOL = _env_int("REPRO_BENCH_SELECTION_POOL", 150)
@@ -70,7 +71,7 @@ def test_selection_scaling(dataset_cache):
     universe = rank_candidates(instance, SELECTION_POOL)
     pairs = [bank.pair_index(user, item) for user, item in universe]
 
-    # Warm the per-world reachability memos once so both paths time
+    # Warm the bank's reachability stacks once so both paths time
     # the gain evaluation, not the BFS.
     for pair in pairs:
         bank.stacked_reach_packed(pair)

@@ -87,11 +87,9 @@ from repro.kg import KnowledgeGraph, MetaGraph, RelevanceEngine, Relationship
 from repro.perception import DynamicsParams, PerceptionState
 from repro.sketch import (
     ORACLE_NAMES,
-    REACH_KERNEL_NAMES,
     RealizationBank,
     SketchSigmaEstimator,
     make_sigma_estimator,
-    set_default_reach_kernel,
 )
 from repro.social import SocialNetwork
 
@@ -113,7 +111,6 @@ __all__ = [
     "MetaGraph",
     "ORACLE_NAMES",
     "PerceptionState",
-    "REACH_KERNEL_NAMES",
     "ProcessPoolBackend",
     "RealizationBank",
     "Relationship",
@@ -130,7 +127,6 @@ __all__ = [
     "make_sigma_estimator",
     "resolve_backend",
     "set_default_backend",
-    "set_default_reach_kernel",
     "build_course_classes",
     "dataset_statistics",
     "load_dataset",

@@ -49,7 +49,6 @@ def make_estimators(
     backend: ExecutionBackend | str | None = None,
     workers: int | None = None,
     oracle: str = "mc",
-    reach_kernel: str | None = None,
 ) -> tuple[SigmaEstimator, SigmaEstimator]:
     """(frozen, dynamic) estimator pair with decorrelated streams.
 
@@ -58,9 +57,6 @@ def make_estimators(
     :class:`~repro.engine.SigmaCache`.  ``oracle`` selects the frozen
     estimator's kind (``"mc"`` or ``"sketch"``); the dynamic estimator
     is always Monte-Carlo — dynamics cannot be sketched.
-    ``reach_kernel`` picks the sketch bank's reachability kernel
-    (``None`` = the process-wide default, CLI ``--reach-kernel``);
-    results are bit-identical across kernels.
     """
     factory = RngFactory(seed)
     resolved = resolve_backend(backend, workers)
@@ -73,7 +69,6 @@ def make_estimators(
         rng_factory=factory.child("frozen"),
         backend=resolved,
         cache=cache,
-        reach_kernel=reach_kernel,
     )
     dynamic = SigmaEstimator(
         instance,

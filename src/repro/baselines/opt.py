@@ -18,8 +18,8 @@ from repro.baselines.common import BaselineResult, make_estimators, timer
 from repro.core.dysim.nominees import rank_candidates
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
 from repro.core.selection import (
+    DEFAULT_GAIN_BATCH,
     first_strict_argmax,
-    get_default_gain_batch,
     sigma_block,
 )
 from repro.diffusion.models import DiffusionModel
@@ -92,11 +92,10 @@ def run_opt(
         best_value = 0.0
         n_evaluated = 0
         # Feasible combinations stream through the batched sigma
-        # evaluator in gain-batch-sized blocks (backend-fanned for the
-        # mc oracle); the enumeration order and the strict running-max
-        # comparison are those of the scalar loop, so the argmax
-        # cannot move.
-        block_size = get_default_gain_batch()
+        # evaluator in DEFAULT_GAIN_BATCH-sized blocks (backend-fanned
+        # for the mc oracle); the enumeration order and the strict
+        # running-max comparison are those of the scalar loop, so the
+        # argmax cannot move.
         block: list[SeedGroup] = []
 
         def flush() -> None:
@@ -119,7 +118,7 @@ def run_opt(
                 if cost > instance.budget:
                     continue
                 block.append(SeedGroup(combo))
-                if len(block) >= block_size:
+                if len(block) >= DEFAULT_GAIN_BATCH:
                     flush()
         flush()
 

@@ -22,32 +22,11 @@ samples — selection cost independent of the graph once the samples
 exist, which is what scales sigma to 10^6 users.  Dynamic evaluations
 always use Monte-Carlo.
 
-``--gain-batch`` sets how many candidates every selection phase asks
-its gain oracle per call (the unified selection layer,
-``repro.core.selection``).  Batching is a prefetch: it trades oracle
-vectorization / backend fan-out against a few wasted evaluations and
-can never change which seeds are selected.
-
-``--reach-kernel`` selects how the sketch oracle's realization bank
-computes reachability stacks: ``packed`` (default) answers all sampled
-worlds in one bit-parallel multi-world BFS; ``packed-jit`` routes the
-same BFS through a numba-compiled worklist loop (optional ``[jit]``
-extra; degrades to ``packed`` with a warning when numba is missing);
-``per-world`` runs the original one-BFS-per-world loop, retained as
-the bit-identity reference.  Stacks, selections and sigma values are
-identical either way — only wall-clock differs.
-
-``--step-kernel`` selects the diffusion step kernel for Monte-Carlo
-replications (``repro.diffusion.repkernel``): ``lockstep`` (default)
-advances all of a worker chunk's replications in one packed pass over
-the shared CSR — the fast path for every frozen-dynamics sigma
-estimate; ``lockstep-jit`` adds a numba-compiled association scan
-(optional ``[jit]`` extra; degrades to ``lockstep`` with a warning
-when numba is missing); ``vectorized`` plays one replication at a
-time (the bit-identity reference, and what recipes lockstep cannot
-pack fall back to); ``scalar`` is the per-arc reference.  Draw
-streams, selections and sigma values are bit-identical across all
-four — only wall-clock differs.
+Kernels take no flag.  Frozen Monte-Carlo chunks play all their
+replications in one packed lockstep pass, and the diffusion and
+reachability kernels use their numba-compiled twins whenever the
+optional ``jit`` extra is installed.  Selections and sigma values are
+bit-identical either way; only wall-clock differs.
 
 ``--retries`` / ``--chunk-timeout`` tune the execution layer's fault
 supervisor (``repro.engine.resilience``): crashed workers, raising
@@ -79,16 +58,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.selection import set_default_gain_batch
 from repro.data import DATASET_NAMES, dataset_statistics, load_dataset
-from repro.diffusion import STEP_KERNEL_NAMES, set_default_step_kernel
 from repro.engine import BACKEND_NAMES, set_default_backend
 from repro.eval.harness import ALGORITHMS, evaluate_group, run_algorithm
-from repro.sketch import (
-    ORACLE_NAMES,
-    REACH_KERNEL_NAMES,
-    set_default_reach_kernel,
-)
+from repro.sketch import ORACLE_NAMES
 from repro.eval.metrics import campaign_report
 from repro.eval.reporting import format_table
 
@@ -145,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run tombstoned (failed) runs as well as missing ones",
     )
     _add_store_args(sweep_run)
-    # Only the fan-out knobs: per-run oracle/kernel/batch choices are
+    # Only the fan-out knobs: per-run choices such as the oracle are
     # part of each spec's config (they key the store rows).
     sweep_run.add_argument(
         "--backend", default="serial", choices=sorted(BACKEND_NAMES),
@@ -260,40 +233,6 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         "the graph once sampled — the million-node path); dynamic "
         "evaluations stay MC",
     )
-    parser.add_argument(
-        "--gain-batch",
-        type=_positive_int,
-        default=None,
-        help="candidates per gain-oracle block in the CELF engine and "
-        "OPT's enumeration (round-based baselines evaluate one full "
-        "round per call); prefetch only — selections are invariant "
-        "to it; default 32",
-    )
-    parser.add_argument(
-        "--reach-kernel",
-        default=None,
-        choices=sorted(REACH_KERNEL_NAMES),
-        help="reachability kernel of the sketch oracle's realization "
-        "bank: 'packed' computes all sampled worlds in one "
-        "bit-parallel multi-world BFS (default), 'packed-jit' adds "
-        "the numba-compiled worklist loop (optional [jit] extra), "
-        "'per-world' runs one BFS per world (the bit-identity "
-        "reference); stacks and sigma values are identical either way",
-    )
-    parser.add_argument(
-        "--step-kernel",
-        default=None,
-        choices=sorted(STEP_KERNEL_NAMES),
-        help="diffusion step kernel for Monte-Carlo replications: "
-        "'lockstep' advances all of a worker chunk's replications in "
-        "one packed pass over the shared CSR (default; the fast path "
-        "for frozen-dynamics sigma), 'lockstep-jit' adds a "
-        "numba-compiled association scan (optional [jit] extra), "
-        "'vectorized' plays one replication at a time (the reference "
-        "and the fallback for dynamic recipes), 'scalar' is the "
-        "per-arc reference; draws and sigma values are bit-identical "
-        "across all four",
-    )
 
 
 def _positive_int(value: str) -> int:
@@ -356,12 +295,6 @@ def _command_run(args) -> int:
         retries=args.retries,
         chunk_timeout=args.chunk_timeout,
     )
-    if args.gain_batch is not None:
-        set_default_gain_batch(args.gain_batch)
-    if args.reach_kernel is not None:
-        set_default_reach_kernel(args.reach_kernel)
-    if args.step_kernel is not None:
-        set_default_step_kernel(args.step_kernel)
     result = run_algorithm(
         args.algorithm,
         instance,
@@ -387,12 +320,6 @@ def _command_compare(args) -> int:
         retries=args.retries,
         chunk_timeout=args.chunk_timeout,
     )
-    if args.gain_batch is not None:
-        set_default_gain_batch(args.gain_batch)
-    if args.reach_kernel is not None:
-        set_default_reach_kernel(args.reach_kernel)
-    if args.step_kernel is not None:
-        set_default_step_kernel(args.step_kernel)
     names = [n for n in ALGORITHMS if n not in set(args.skip)]
     rows = []
     for name in names:

@@ -12,9 +12,8 @@ nominees wait.  The final round spends whatever budget remains.
 
 Adaptive planning is *dynamics-aware*: every candidate evaluation
 replays the observed perception state forward, which only Monte-Carlo
-simulation can do.  ``DysimConfig.oracle`` / ``reach_kernel`` (the
-frozen-phase sketch knobs, including the packed multi-world
-reachability kernel) therefore do not apply here — reseeding rounds
+simulation can do.  ``DysimConfig.oracle`` (the frozen-phase sketch
+and RR-set oracles) therefore does not apply here — reseeding rounds
 batch their Monte-Carlo candidate blocks over the execution backend
 via :func:`~repro.core.selection.replicated_sigma_stats` instead.
 """

@@ -47,6 +47,11 @@ __all__ = ["DysimConfig", "DysimResult", "Dysim"]
 class DysimConfig:
     """Tuning knobs for one Dysim run.
 
+    Only choices that can change a result are fields here.  How the
+    sigma oracles compute is not: frozen Monte-Carlo chunks pack into
+    one lockstep pass, compiled twins run whenever numba imports, and
+    CELF blocks use ``DEFAULT_GAIN_BATCH`` — all bit-identical.
+
     Attributes
     ----------
     n_samples_selection:
@@ -59,12 +64,6 @@ class DysimConfig:
         How many top-ranked candidates compete for the Theorem-5
         best-singleton fallback (None = the full nominee universe).
         Previously a silent hard-coded 50 inside nominee selection.
-    gain_batch:
-        Candidates evaluated per gain-oracle block in the nominee MCP
-        greedy (None = the process-wide default,
-        :func:`repro.core.selection.get_default_gain_batch`, which the
-        CLI's ``--gain-batch`` sets for every algorithm).  Batching is
-        a prefetch — it cannot change selections.
     theta:
         Common-user threshold for grouping markets (Fig. 14 sweeps it).
     theta_path:
@@ -98,32 +97,6 @@ class DysimConfig:
         then counts RR sets, typically hundreds+).  The dynamic
         DR / SI evaluations always use Monte-Carlo, which is the only
         oracle that can observe evolving perceptions.
-    reach_kernel:
-        Reachability kernel of the sketch oracle's realization bank:
-        ``"packed"`` (bit-parallel multi-world BFS, the default),
-        ``"packed-jit"`` (the same BFS through a numba-compiled
-        worklist loop; optional ``[jit]`` extra, degrades to
-        ``"packed"`` with a warning) or ``"per-world"`` (one BFS per
-        realized world — the bit-identity reference).  ``None``
-        resolves the process-wide
-        default (CLI ``--reach-kernel``).  Stacks and sigma values are
-        bit-identical across kernels, so this is a pure perf knob;
-        ignored under the mc oracle.
-    step_kernel:
-        Diffusion step kernel for Monte-Carlo replications (both
-        estimators): ``"lockstep"`` (the default: all of a worker
-        chunk's replications advanced in one packed pass — the fast
-        path for frozen selection/evaluation sigma),
-        ``"lockstep-jit"`` (the same pass with a numba-compiled
-        association scan; optional ``[jit]`` extra, degrades to
-        ``"lockstep"`` with a warning), ``"vectorized"`` (one
-        replication at a time — the bit-identity reference) or
-        ``"scalar"`` (the per-arc reference).  ``None`` resolves the
-        process-wide default (CLI ``--step-kernel``).  All kernels are
-        draw-for-draw bit-identical, so this too is a pure perf knob;
-        recipes lockstep cannot pack (dynamic perceptions, state
-        collection) transparently use the per-replication
-        ``"vectorized"`` kernel.
     seed:
         Root of every random substream Dysim uses.
     backend:
@@ -152,7 +125,6 @@ class DysimConfig:
     n_samples_inner: int = 12
     candidate_pool: int | None = 150
     singleton_pool: int | None = None
-    gain_batch: int | None = None
     theta: int = 3
     theta_path: float = 1.0 / 320.0
     market_order: str = "AE"
@@ -164,8 +136,6 @@ class DysimConfig:
     use_fallbacks: bool = True
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE
     oracle: str = "mc"
-    reach_kernel: str | None = None
-    step_kernel: str | None = None
     seed: int = 0
     backend: object | str | None = None
     workers: int | None = None
@@ -194,9 +164,6 @@ class DysimResult:
     bank_reach_hits: int = 0
     bank_reach_misses: int = 0
     bank_reach_evictions: int = 0
-    #: Which reachability kernel filled the bank's stack misses
-    #: (``""`` when no bank was built).
-    bank_reach_kernel: str = ""
     #: Wall-clock attribution of ``runtime_seconds``: ``"bank"`` (the
     #: selection oracle's one-off precomputation — realization bank or
     #: RR-set sampling; ~0 under the mc oracle), ``"selection"`` (TMI
@@ -248,8 +215,6 @@ class Dysim:
             rng_factory=factory.child("frozen"),
             backend=self._backend,
             cache=self._cache,
-            reach_kernel=self.config.reach_kernel,
-            step_kernel=self.config.step_kernel,
         )
         self._dynamic_estimator = make_sigma_estimator(
             "mc",
@@ -259,7 +224,6 @@ class Dysim:
             rng_factory=factory.child("dynamic"),
             backend=self._backend,
             cache=self._cache,
-            step_kernel=self.config.step_kernel,
         )
         self._rng = factory.stream("driver")
 
@@ -285,7 +249,6 @@ class Dysim:
             self._frozen_estimator,
             config.candidate_pool,
             singleton_pool=config.singleton_pool,
-            gain_batch=config.gain_batch,
         )
         nominees = selection.nominees
 
@@ -364,7 +327,6 @@ class Dysim:
             bank_reach_evictions=(
                 reach_stats.evictions if reach_stats else 0
             ),
-            bank_reach_kernel=reach_stats.kernel if reach_stats else "",
             phase_seconds=phase_seconds,
             fault_stats=fault_stats,
         )

@@ -19,11 +19,9 @@ fan out over the execution backend), the sketch fast path runs the
 packed-word :class:`~repro.core.selection.CoverageGainOracle` via
 :meth:`~repro.sketch.estimator.SketchSigmaEstimator.select_budgeted`.
 On the sketch path a candidate block's uncached reachability stacks
-are computed in one batch by the bank's configured kernel
-(``reach_kernel="packed"`` by default — the bit-parallel multi-world
-BFS of :mod:`repro.sketch.reachkernel` — with the per-world loop kept
-as the bit-identity reference), so nominee selection never pays the
-one-Python-BFS-per-world cost at production world counts.
+are computed in one batch by the bit-parallel multi-world BFS of
+:mod:`repro.sketch.reachkernel`, so nominee selection never pays a
+Python BFS per realized world at production world counts.
 
 A candidate-pool cap keeps the ground set tractable on larger
 instances: candidates are pre-ranked by the cheap *quality* heuristic
@@ -122,7 +120,6 @@ def select_nominees(
     estimator: SigmaEstimator,
     pool_size: int | None = 200,
     singleton_pool: int | None = None,
-    gain_batch: int | None = None,
 ) -> NomineeSelection:
     """Run the MCP greedy and return the nominee set ``N``.
 
@@ -142,8 +139,6 @@ def select_nominees(
         to be a silent hard-coded 50 — capping it can change which
         singleton backs the approximation bound, so it is an explicit
         knob now (``DysimConfig.singleton_pool``).
-    gain_batch:
-        Candidates per gain-oracle block (None = process default).
     """
     universe = rank_candidates(instance, pool_size)
 
@@ -161,9 +156,7 @@ def select_nominees(
         # index — instead of per-call re-unions; the speedups
         # benchmarks/test_sketch_scaling.py and
         # benchmarks/test_rrset_scaling.py assert.
-        result = estimator.select_budgeted(
-            universe, cost, instance.budget, gain_batch=gain_batch
-        )
+        result = estimator.select_budgeted(universe, cost, instance.budget)
     else:
         result = mcp_lazy_greedy(
             universe,
@@ -171,7 +164,6 @@ def select_nominees(
             cost,
             instance.budget,
             stop_on_negative_gain=False,
-            batch_size=gain_batch,
         )
 
     cap = len(universe) if singleton_pool is None else singleton_pool

@@ -45,21 +45,18 @@ Packed-word layout
 item-major with each item's users padded to a multiple of 64, so every
 ``uint64`` word holds pairs of a single item.  A weighted coverage sum
 is then ``per-item popcounts @ importance`` — and the boolean scalar
-reference (:class:`~repro.sketch.greedy.CoverageEvaluator`) computes
-the same ``(counts per item) @ importance`` contraction, which is what
-makes batched packed gains *bit-identical* to the scalar reference,
-not merely approximately equal.
+reference of ``tests/reference`` computes the same ``(counts per item)
+@ importance`` contraction, which is what makes batched packed gains
+*bit-identical* to the scalar reference, not merely approximately
+equal.
 
-Public knobs
-------------
-``gain_batch``
+Batching
+--------
+``DEFAULT_GAIN_BATCH``
     How many stale CELF heap entries :func:`mcp_lazy_greedy`
-    re-evaluates per oracle call (default ``DEFAULT_GAIN_BATCH``).
-    Purely a throughput knob — batching is a prefetch, so any value
-    produces the identical selection.  Set per call (the ``gain_batch``
-    keyword on ``run_dysim`` / ``DysimConfig`` / sweep
-    ``algorithm_kwargs``) or process-wide via
-    :func:`set_default_gain_batch` (CLI ``--gain-batch``).
+    re-evaluates per oracle call.  Batching is a prefetch, so any
+    value produces the identical selection; ``mcp_lazy_greedy``'s
+    ``batch_size`` argument lets tests drive other sizes.
 ``prefetch_limit``
     Oracle *attribute* capping how many entries a batch may prefetch:
     ``None`` means "no cap" (cheap oracles — coverage over a bank),
@@ -103,11 +100,9 @@ __all__ = [
     "SigmaBatchTask",
     "evaluate_sigma_chunk",
     "first_strict_argmax",
-    "get_default_gain_batch",
     "mcp_lazy_greedy",
     "popcount_words",
     "replicated_sigma_stats",
-    "set_default_gain_batch",
     "sigma_block",
 ]
 
@@ -117,22 +112,6 @@ __all__ = [
 #: vectorization against wasted evaluations near the end of a round;
 #: it can never change the selection.
 DEFAULT_GAIN_BATCH = 32
-
-_default_gain_batch = DEFAULT_GAIN_BATCH
-
-
-def set_default_gain_batch(batch: int) -> int:
-    """Install the process-wide gain batch size (CLI ``--gain-batch``)."""
-    global _default_gain_batch
-    if batch < 1:
-        raise ValueError(f"gain batch must be >= 1, got {batch}")
-    _default_gain_batch = int(batch)
-    return _default_gain_batch
-
-
-def get_default_gain_batch() -> int:
-    """The process-wide gain batch size."""
-    return _default_gain_batch
 
 
 @dataclass
@@ -367,9 +346,8 @@ class CoverageGainOracle:
     the importance vector, and averaged over worlds: no
     ``(n_worlds, n_pairs)`` boolean temporary per candidate, no
     per-world Python BFS per miss.  Gains are bit-identical to the
-    boolean scalar reference (:class:`~repro.sketch.greedy.
-    CoverageEvaluator`) because both reduce through
-    :meth:`PairLayout.weighted_sum`.
+    boolean scalar reference of ``tests/reference`` because both
+    reduce through :meth:`PairLayout.weighted_sum`.
     """
 
     #: Unlimited prefetch: a block of packed gains costs barely more
@@ -625,18 +603,17 @@ def mcp_lazy_greedy(
     *,
     allow_budget_violation_by_last: bool = False,
     stop_on_negative_gain: bool = True,
-    batch_size: int | None = None,
+    batch_size: int = DEFAULT_GAIN_BATCH,
 ) -> GreedyResult:
     """Greedy by marginal gain per cost under a knapsack budget.
 
     The paper's MCP rule (Procedure 2) with CELF-style lazy
     re-evaluation, shared by every selection phase in the repo.  Gains
-    are fetched from the oracle in blocks of ``batch_size`` (default:
-    the process-wide gain batch): the heap is primed blockwise, and
-    when a stale entry reaches the top the next stale entries below it
-    are prefetched in the same oracle call.  Prefetching never changes
-    the committed sequence — see the module docstring's bit-identity
-    contract.
+    are fetched from the oracle in blocks of ``batch_size``: the heap
+    is primed blockwise, and when a stale entry reaches the top the
+    next stale entries below it are prefetched in the same oracle
+    call.  Prefetching never changes the committed sequence — see the
+    module docstring's bit-identity contract.
 
     Parameters
     ----------
@@ -653,14 +630,9 @@ def mcp_lazy_greedy(
     """
     if budget <= 0:
         raise AlgorithmError(f"budget must be positive, got {budget}")
-    if batch_size is None:
-        batch = get_default_gain_batch()
-    elif batch_size < 1:
-        raise AlgorithmError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
-    else:
-        batch = int(batch_size)
+    if batch_size < 1:
+        raise AlgorithmError(f"batch_size must be >= 1, got {batch_size}")
+    batch = int(batch_size)
     # Stale-entry prefetching may evaluate candidates the scalar loop
     # never would; oracles whose evaluations are expensive and
     # unvectorized cap it.  Heap priming below is exempt — every

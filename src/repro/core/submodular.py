@@ -49,7 +49,6 @@ def budgeted_lazy_greedy(
     budget: float,
     allow_budget_violation_by_last: bool = False,
     stop_on_negative_gain: bool = True,
-    batch_size: int | None = None,
 ) -> GreedyResult:
     """Greedy by marginal gain per cost under a knapsack budget.
 
@@ -72,8 +71,6 @@ def budgeted_lazy_greedy(
         Stop when the best available marginal gain is not strictly
         positive (case 2 of Lemma 3 covers the negative case; zero
         gains are also skipped because they only burn budget).
-    batch_size:
-        Candidates per gain-oracle block (None = process default).
     """
     return mcp_lazy_greedy(
         universe,
@@ -82,7 +79,6 @@ def budgeted_lazy_greedy(
         budget,
         allow_budget_violation_by_last=allow_budget_violation_by_last,
         stop_on_negative_gain=stop_on_negative_gain,
-        batch_size=batch_size,
     )
 
 

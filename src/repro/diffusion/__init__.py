@@ -8,15 +8,9 @@ from repro.diffusion.models import (
 from repro.diffusion.campaign import CampaignOutcome, CampaignSimulator
 from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
 from repro.diffusion.repkernel import (
-    LOCKSTEP_KERNELS,
-    STEP_KERNEL_NAMES,
     LockstepOutcome,
     ReplicationLayout,
-    get_default_step_kernel,
-    lockstep_supported,
-    resolve_step_kernel,
     run_campaigns_lockstep,
-    set_default_step_kernel,
 )
 
 __all__ = [
@@ -27,13 +21,7 @@ __all__ = [
     "CampaignSimulator",
     "MonteCarloEstimate",
     "SigmaEstimator",
-    "LOCKSTEP_KERNELS",
-    "STEP_KERNEL_NAMES",
     "LockstepOutcome",
     "ReplicationLayout",
-    "get_default_step_kernel",
-    "lockstep_supported",
-    "resolve_step_kernel",
     "run_campaigns_lockstep",
-    "set_default_step_kernel",
 ]

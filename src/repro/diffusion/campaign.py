@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.models import DiffusionModel, aggregated_influence
-from repro.diffusion.repkernel import STEP_KERNEL_NAMES
 from repro.errors import SimulationError
 from repro.perception.state import PerceptionState
 from repro.social.csr import row_gather
@@ -84,6 +83,11 @@ class CampaignOutcome:
 class CampaignSimulator:
     """Plays campaign realizations for one IMDPP instance.
 
+    Monte-Carlo chunks whose recipe is frozen (no resumed state, no
+    state collectors) never construct one: they play through the
+    bit-identical packed pass of :mod:`repro.diffusion.repkernel`
+    instead (see :func:`repro.engine.replication.run_chunk`).
+
     Parameters
     ----------
     instance:
@@ -96,18 +100,6 @@ class CampaignSimulator:
     extra_adoption_floor:
         ``Pext`` values below this are skipped without drawing, which
         prunes the O(items) inner loop where relevance is ~0.
-    step_kernel:
-        ``"vectorized"`` (default) or ``"scalar"`` pick the per-event
-        implementation of a diffusion step; both are bit-identical.
-        The lockstep names (``"lockstep"`` / ``"lockstep-jit"``, see
-        :mod:`repro.diffusion.repkernel`) are accepted and behave as
-        ``"vectorized"`` here — lockstep batches *across replications*
-        and therefore engages at the Monte-Carlo chunk level
-        (:func:`repro.engine.replication.run_chunk`, where
-        ``"lockstep"`` is the process default), not in a single
-        :meth:`run`.  Under that default, Monte-Carlo chunks construct
-        a simulator only for the recipes lockstep cannot pack (dynamic
-        perceptions, state collection).
     """
 
     def __init__(
@@ -116,18 +108,11 @@ class CampaignSimulator:
         model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
         max_steps_per_promotion: int = 200,
         extra_adoption_floor: float = 1e-6,
-        step_kernel: str = "vectorized",
     ):
-        if step_kernel not in STEP_KERNEL_NAMES:
-            raise SimulationError(
-                f"unknown step_kernel {step_kernel!r}; "
-                f"expected one of {STEP_KERNEL_NAMES}"
-            )
         self.instance = instance
         self.model = model
         self.max_steps_per_promotion = int(max_steps_per_promotion)
         self.extra_adoption_floor = float(extra_adoption_floor)
-        self.step_kernel = step_kernel
         self._base_state: PerceptionState | None = None
 
     # ------------------------------------------------------------------
@@ -231,96 +216,6 @@ class CampaignSimulator:
         state.apply_step_adoptions(step_adoptions)
         return frontier
 
-    def _diffusion_step(
-        self,
-        frontier: list[tuple[int, int]],
-        state: PerceptionState,
-        new_adoptions: np.ndarray,
-        rng: np.random.Generator,
-        lt_thresholds: dict[tuple[int, int], float],
-    ) -> list[tuple[int, int]]:
-        """One influence-propagation step; returns the new frontier.
-
-        Two kernels compute the identical step: the vectorized frontier
-        kernel (default) and the retained scalar reference.  Both flip
-        coins in the canonical event order — frontier entries in
-        commit order, each entry's out-arcs in CSR row order, per arc
-        the influence (or LT-threshold) draw first and then the
-        association draws by item ascending — so they consume the same
-        RNG substream draw for draw and produce bit-identical
-        realizations (pinned by ``tests/diffusion/test_step_equivalence``).
-        """
-        if self.step_kernel == "scalar":
-            return self._diffusion_step_scalar(
-                frontier, state, new_adoptions, rng, lt_thresholds
-            )
-        return self._diffusion_step_vectorized(
-            frontier, state, new_adoptions, rng, lt_thresholds
-        )
-
-    def _diffusion_step_scalar(
-        self,
-        frontier: list[tuple[int, int]],
-        state: PerceptionState,
-        new_adoptions: np.ndarray,
-        rng: np.random.Generator,
-        lt_thresholds: dict[tuple[int, int], float],
-    ) -> list[tuple[int, int]]:
-        """Scalar reference step (the pre-CSR per-arc loop).
-
-        Kept as the executable specification of the event order: the
-        equivalence suite asserts the vectorized kernel reproduces it
-        bit for bit, adoptions and RNG stream position alike.
-        """
-        step_adoptions: dict[int, set[int]] = defaultdict(set)
-        use_lt = self.model is DiffusionModel.LINEAR_THRESHOLD
-
-        for promoter, item in frontier:
-            for target in state.network.out_neighbors(promoter):
-                strength = state.influence(promoter, target)
-                if strength <= 0.0:
-                    continue
-                if not state.has_adopted(target, item):
-                    adopted_item = False
-                    if use_lt:
-                        adopted_item = self._lt_decision(
-                            target, item, state, rng, lt_thresholds
-                        )
-                    else:
-                        preference = state.preference_of(target, item)
-                        adopted_item = rng.random() < strength * preference
-                    if adopted_item:
-                        step_adoptions[target].add(item)
-                # Item associations: being *promoted* item may trigger
-                # extra adoptions of relevant items regardless of the
-                # decision on the promoted item itself (footnote 9) —
-                # and regardless of whether the target had already
-                # adopted it: the association coin belongs to the
-                # promotion event, not to the influence decision.
-                # (Lemma 1 realizes exactly one such coin per
-                # (arc, item, item); gating it on adoption history
-                # would make the frozen spread order-dependent and
-                # break the submodularity the guarantee rests on.)
-                # The candidate filter and the coin flips are batched;
-                # ``rng.random(k)`` consumes the identical substream as
-                # ``k`` scalar draws, so realizations match the former
-                # per-item loop bit for bit.
-                extra = state.extra_adoption_probs(target, promoter, item)
-                candidates = np.flatnonzero(
-                    extra > self.extra_adoption_floor
-                )
-                if candidates.size:
-                    adopted_mask = state.adopted_row(target)
-                    eligible = candidates[
-                        (candidates != item) & ~adopted_mask[candidates]
-                    ]
-                    if eligible.size:
-                        draws = rng.random(eligible.size)
-                        for other in eligible[draws < extra[eligible]]:
-                            step_adoptions[target].add(int(other))
-
-        return self._commit_step(step_adoptions, state, new_adoptions)
-
     def _commit_step(
         self,
         step_adoptions: dict[int, set[int]],
@@ -345,7 +240,7 @@ class CampaignSimulator:
         state.apply_step_adoptions(commit_lists)
         return committed
 
-    def _diffusion_step_vectorized(
+    def _diffusion_step(
         self,
         frontier: list[tuple[int, int]],
         state: PerceptionState,
@@ -353,16 +248,19 @@ class CampaignSimulator:
         rng: np.random.Generator,
         lt_thresholds: dict[tuple[int, int], float],
     ) -> list[tuple[int, int]]:
-        """Vectorized frontier kernel.
+        """One influence-propagation step; returns the new frontier.
 
         Gathers every frontier out-arc as index arrays via the CSR
         core, computes all event probabilities in batched NumPy
         expressions against the previous step's state, and flips the
         whole step's coins with a single ``rng.random(k)`` laid out in
-        the canonical event order (see :meth:`_diffusion_step`).  A
-        ``Generator.random(k)`` call consumes the identical substream
-        as ``k`` scalar draws, so the stream position after the step
-        matches the scalar reference exactly.
+        the canonical event order — frontier entries in commit order,
+        each entry's out-arcs in CSR row order, per arc the influence
+        (or LT-threshold) draw first and then the association draws by
+        item ascending.  A ``Generator.random(k)`` call consumes the
+        identical substream as ``k`` scalar draws, so the step matches
+        the per-arc scalar loop of ``tests/reference`` draw for draw
+        (pinned by ``tests/diffusion/test_step_equivalence``).
         """
         use_lt = self.model is DiffusionModel.LINEAR_THRESHOLD
         n_items = state.n_items
@@ -526,27 +424,3 @@ class CampaignSimulator:
             state, DiffusionModel.LINEAR_THRESHOLD, user, item
         )
         return ais * state.preference_of(user, item)
-
-    def _lt_decision(
-        self,
-        user: int,
-        item: int,
-        state: PerceptionState,
-        rng: np.random.Generator,
-        thresholds: dict[tuple[int, int], float],
-    ) -> bool:
-        """LT rule: accumulated weighted influence crosses a threshold.
-
-        Thresholds are drawn once per (user, item) per realization, as
-        in the classical LT model; the preference gates the accumulated
-        mass so low-preference users need more adopting friends.
-        """
-        key = (user, item)
-        if key not in thresholds:
-            thresholds[key] = float(rng.random())
-        total = 0.0
-        for neighbour in state.network.in_neighbors(user):
-            if item in state.adopted[neighbour]:
-                total += state.influence(neighbour, user)
-        total = min(1.0, total) * state.preference_of(user, item)
-        return total >= thresholds[key]

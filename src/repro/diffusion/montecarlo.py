@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
-from repro.diffusion.repkernel import resolve_step_kernel
 from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.cache import SigmaCache
 from repro.engine.replication import (
@@ -155,16 +154,11 @@ class SigmaEstimator:
     cache:
         Estimate memoization; pass a shared :class:`SigmaCache` to pool
         memoization across estimators, or ``None`` for a private one.
-    step_kernel:
-        Diffusion step implementation
-        (:data:`repro.diffusion.repkernel.STEP_KERNEL_NAMES`; ``None``
-        = the process default — ``lockstep`` unless the CLI's
-        ``--step-kernel`` or ``REPRO_STEP_KERNEL`` says otherwise).
-        All kernels are bit-identical, so this is a pure performance
-        knob and is deliberately *not* part of the cache key; the
-        lockstep names run each worker chunk as one packed pass when
-        the recipe allows (frozen dynamics, no state collectors) and
-        replay the per-replication ``vectorized`` kernel otherwise.
+
+    Frozen plain-sigma recipes run each worker chunk as one packed
+    lockstep pass; dynamic perceptions and the state collectors
+    (likelihood, weights, adoptions) replay the per-replication step.
+    The two are bit-identical (:func:`repro.engine.replication.run_chunk`).
     """
 
     #: Distinguishes estimator families in cache keys: a cache shared
@@ -183,7 +177,6 @@ class SigmaEstimator:
         backend: ExecutionBackend | str | None = None,
         workers: int | None = None,
         cache: SigmaCache | None = None,
-        step_kernel: str | None = None,
     ):
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -191,9 +184,6 @@ class SigmaEstimator:
         self.model = model
         self.n_samples = int(n_samples)
         self.rng_factory = rng_factory or RngFactory(0)
-        # Resolve once at construction: worker processes must replay
-        # the estimator's kernel choice, not their own process default.
-        self.step_kernel = resolve_step_kernel(step_kernel)
         self.backend = resolve_backend(backend, workers)
         # On a process pool, export the instance's CSR arrays to
         # shared-memory blocks so every task pickle ships a handle
@@ -297,7 +287,6 @@ class SigmaEstimator:
             compute_likelihood=compute_likelihood,
             collect_weights=collect_weights,
             collect_adoptions=collect_adoptions,
-            step_kernel=self.step_kernel,
         )
         result = self.backend.run(task, self.n_samples)
         self.n_evaluations += result.n_samples
@@ -389,7 +378,6 @@ class SigmaEstimator:
                 rng_context=("mc",),
                 seed_group=miss_groups[miss_order[0]],
                 until_promotion=until_promotion,
-                step_kernel=self.step_kernel,
             )
             stats = replicated_sigma_stats(
                 self.backend,

@@ -1,4 +1,4 @@
-"""Replication-lockstep campaign kernel (``step_kernel="lockstep"``).
+"""Replication-lockstep campaign kernel: the packed Monte-Carlo pass.
 
 :class:`~repro.diffusion.campaign.CampaignSimulator` plays one
 realization at a time; a Monte-Carlo sigma estimate plays dozens.  At
@@ -14,40 +14,31 @@ array gathered once per step over the shared CSR, and each
 replication's coins still come from its own generator — one
 ``rng.random(k)`` per replication per step, laid out in the canonical
 event order of DESIGN.md §3.  Draw streams are therefore bit-identical
-to the per-replication reference, draw for draw: same adoptions, same
+to the per-replication step, draw for draw: same adoptions, same
 sigmas, same final ``bit_generator.state`` (pinned by
 ``tests/diffusion/test_step_equivalence.py``).
 
-The lockstep pass applies when the perception dynamics are frozen
-(``eta == beta == gamma == 0`` — the regime of every selection-phase
-sigma estimate; ``association_scale`` may be nonzero, extra adoptions
-are part of the diffusion itself).  Under learning dynamics the
-per-event probabilities depend on each replication's own perception
-state and nothing can be shared across the replication axis, so
-:func:`repro.engine.replication.run_chunk` transparently falls back to
-the per-replication vectorized kernel — which is bit-identical anyway,
-making ``step_kernel`` a pure performance knob.  ``lockstep`` is the
-process default, so every frozen recipe (the nominee MCP's gain
-blocks, fair re-scores) takes the packed pass unless a caller names
-``vectorized``, which stays selectable as the bit-identity reference.
+The packed pass needs frozen perception dynamics (``eta == beta ==
+gamma == 0`` — the regime of every selection-phase sigma estimate;
+``association_scale`` may be nonzero, extra adoptions are part of the
+diffusion itself).  Under learning dynamics the per-event
+probabilities depend on each replication's own perception state and
+nothing can be shared across the replication axis.
+:func:`repro.engine.replication.run_chunk` decides per chunk from the
+recipe alone (:func:`~repro.engine.replication.lockstep_applicable`):
+frozen recipes without resumed states or collectors take this pass,
+everything else replays ``CampaignSimulator.run`` per replication.
 
-``lockstep-jit`` swaps the association scan (the O(events × items)
-inner loop) for a numba-compiled two-pass kernel that reads the packed
-adoption bits directly instead of materializing the dense eligibility
-matrices.  It follows the established optional-dependency pattern of
-:mod:`repro.sketch.reachkernel`: without numba the name degrades to
-``lockstep`` with a one-time warning, and the undecorated Python loops
-remain importable as the bit-identity test shadow.  Select a kernel
-per estimator (``SigmaEstimator(..., step_kernel=...)``), per run
-(``DysimConfig.step_kernel`` / the ``step_kernel`` entry of a sweep
-config) or process-wide via :func:`set_default_step_kernel` (CLI
-``--step-kernel``, env ``REPRO_STEP_KERNEL``).
+The association scan (the O(events × items) inner loop) has a
+numba-compiled two-pass twin that reads the packed adoption bits
+directly instead of materializing the dense eligibility matrices.  It
+runs whenever numba imports (``HAVE_NUMBA``, the optional ``jit``
+extra); the undecorated Python loops stay importable as the
+bit-identity test shadows.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -67,99 +58,10 @@ except Exception:  # pragma: no cover - the default environment
 
 __all__ = [
     "HAVE_NUMBA",
-    "LOCKSTEP_KERNELS",
-    "STEP_KERNEL_NAMES",
     "LockstepOutcome",
     "ReplicationLayout",
-    "get_default_step_kernel",
-    "lockstep_supported",
-    "resolve_step_kernel",
     "run_campaigns_lockstep",
-    "set_default_step_kernel",
 ]
-
-#: Spelled-out diffusion step kernels (CLI ``--step-kernel``).
-#: ``lockstep`` is the packed all-replications pass of this module
-#: (the default), ``lockstep-jit`` its numba-assisted twin (optional
-#: ``jit`` extra), ``vectorized`` the per-replication frontier kernel
-#: (the lockstep fallback and bit-identity reference) and ``scalar``
-#: the retained per-arc reference.  All four are bit-identical
-#: realization for realization.
-STEP_KERNEL_NAMES = ("vectorized", "scalar", "lockstep", "lockstep-jit")
-
-#: The kernels handled by this module (chunk-level, not per-run).
-LOCKSTEP_KERNELS = ("lockstep", "lockstep-jit")
-
-_default_step_kernel = os.environ.get("REPRO_STEP_KERNEL") or "lockstep"
-
-_warned_no_numba = False
-
-
-def _degrade_jit(kernel: str) -> str:
-    """``lockstep-jit`` without numba degrades to ``lockstep`` (one-time
-    warning) instead of raising — the extra is optional."""
-    global _warned_no_numba
-    if kernel == "lockstep-jit" and not HAVE_NUMBA:
-        if not _warned_no_numba:
-            _warned_no_numba = True
-            warnings.warn(
-                "step kernel 'lockstep-jit' requested but numba is not "
-                "installed (pip install 'imdpp-repro[jit]'); falling "
-                "back to the 'lockstep' numpy kernel",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return "lockstep"
-    return kernel
-
-
-def set_default_step_kernel(kernel: str) -> str:
-    """Install the process-wide diffusion step kernel (CLI flag)."""
-    global _default_step_kernel
-    _default_step_kernel = resolve_step_kernel(kernel)
-    return _default_step_kernel
-
-
-def get_default_step_kernel() -> str:
-    """The process-wide step kernel (``lockstep`` by default)."""
-    return resolve_step_kernel(_default_step_kernel)
-
-
-def resolve_step_kernel(kernel: str | None) -> str:
-    """Validate a kernel name (``None`` = the process-wide default)."""
-    if kernel is None:
-        kernel = _default_step_kernel
-    if kernel not in STEP_KERNEL_NAMES:
-        raise ValueError(
-            f"unknown step kernel {kernel!r}; "
-            f"expected one of {STEP_KERNEL_NAMES}"
-        )
-    return _degrade_jit(kernel)
-
-
-def lockstep_supported(
-    instance: IMDPPInstance,
-    initial_state: object | None = None,
-    compute_likelihood: bool = False,
-    collect_weights: bool = False,
-    collect_adoptions: bool = False,
-) -> bool:
-    """Can the lockstep kernel run this replication recipe natively?
-
-    Frozen dynamics are required (per-event probabilities must not
-    depend on per-replication perception state); resumed states and
-    the state-carrying extras (likelihood, mean weights, adoption
-    frequencies) route through the per-replication kernels, which are
-    the only consumers of a materialized final
-    :class:`~repro.perception.state.PerceptionState`.
-    """
-    return (
-        instance.dynamics.is_frozen
-        and initial_state is None
-        and not compute_likelihood
-        and not collect_weights
-        and not collect_adoptions
-    )
 
 
 class ReplicationLayout:
@@ -292,7 +194,7 @@ class LockstepOutcome:
 
 
 # ----------------------------------------------------------------------
-# The numba-assisted association scan (``lockstep-jit``).
+# The numba-compiled association scan (used when ``HAVE_NUMBA``).
 #
 # Two passes over the step's event array replace the dense
 # (n_events, n_items) eligibility/probability matrices of the numpy
@@ -458,27 +360,26 @@ def run_campaigns_lockstep(
     start_promotion: int = 1,
     max_steps_per_promotion: int = 200,
     extra_adoption_floor: float = 1e-6,
-    jit: bool = False,
+    jit: bool | None = None,
     count_impl: Callable[..., None] | None = None,
     decide_impl: Callable[..., int] | None = None,
 ) -> list[LockstepOutcome]:
     """Play one campaign realization per generator, all in lockstep.
 
     Replication ``r`` consumes ``rngs[r]`` exactly as a
-    :meth:`CampaignSimulator.run` call with the per-replication
-    vectorized kernel would — one ``random(k)`` per step whose ``k``
-    counts that replication's own events in the canonical order — so
-    outcomes and final generator states are bit-identical to R
-    independent runs.  Requires frozen dynamics (see
-    :func:`lockstep_supported`); raises
-    :class:`~repro.errors.SimulationError` otherwise.
+    :meth:`CampaignSimulator.run` call would — one ``random(k)`` per
+    step whose ``k`` counts that replication's own events in the
+    canonical order — so outcomes and final generator states are
+    bit-identical to R independent runs.  Requires frozen dynamics;
+    raises :class:`~repro.errors.SimulationError` otherwise.
 
-    ``jit`` routes the association scan through the numba-compiled
-    two-pass kernel under IC (``lockstep-jit``); ``count_impl`` /
-    ``decide_impl`` override the loop implementations — tests pass the
-    undecorated shadows to pin bit-identity on numba-free
-    environments.  Under LT the influence decisions are inherently
-    threshold-stateful, so both kernel names run the numpy path.
+    ``jit`` routes the association scan through the two-pass loops
+    under IC (``None`` = whenever numba imports, ``HAVE_NUMBA``; the
+    compiled twins when available, the undecorated shadows otherwise);
+    ``count_impl`` / ``decide_impl`` override the loop implementations
+    — tests pass the undecorated shadows to pin bit-identity on
+    numba-free environments.  Under LT the influence decisions are
+    inherently threshold-stateful, so LT always runs the numpy path.
     """
     n_replications = len(rngs)
     if n_replications == 0:
@@ -486,9 +387,9 @@ def run_campaigns_lockstep(
     params = instance.dynamics
     if not params.is_frozen:
         raise SimulationError(
-            "the lockstep step kernel requires frozen dynamics "
-            "(eta == beta == gamma == 0); use the per-replication "
-            "kernels for the dynamic regime"
+            "the lockstep pass requires frozen dynamics "
+            "(eta == beta == gamma == 0); use CampaignSimulator.run "
+            "for the dynamic regime"
         )
     last = until_promotion or instance.n_promotions
     if last > instance.n_promotions:
@@ -502,7 +403,7 @@ def run_campaigns_lockstep(
     # One shared pristine state supplies the campaign-constant
     # probability ingredients (clipped preferences, frozen influence
     # pipeline, complementary rows) through the same code paths the
-    # per-replication kernels call — identical floats by construction.
+    # per-replication step calls — identical floats by construction.
     base_state = instance.new_state()
     scale = params.association_scale
     floor = float(extra_adoption_floor)
@@ -661,7 +562,7 @@ def run_campaigns_lockstep(
         preferences = base_state.preference_gather(targets, items)
         # One product reused by the influence coins and the
         # association probabilities — the same elementwise floats the
-        # per-replication kernel computes from its own event arrays.
+        # per-replication step computes from its own event arrays.
         sp = strengths * preferences
 
         if scale != 0.0:
@@ -674,7 +575,7 @@ def run_campaigns_lockstep(
             unique_rows = np.zeros((1, n_items))
             inverse = np.zeros(n_events, dtype=np.int64)
 
-        use_jit = jit and not use_lt
+        use_jit = (HAVE_NUMBA if jit is None else jit) and not use_lt
         count_fn = count_impl
         decide_fn = decide_impl
         if use_jit:

@@ -26,12 +26,7 @@ from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.campaign import CampaignSimulator
 from repro.engine.resilience import FaultStats
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
-from repro.diffusion.repkernel import (
-    LOCKSTEP_KERNELS,
-    lockstep_supported,
-    resolve_step_kernel,
-    run_campaigns_lockstep,
-)
+from repro.diffusion.repkernel import run_campaigns_lockstep
 from repro.perception.state import PerceptionState
 from repro.utils.rng import spawn_rng
 
@@ -63,13 +58,6 @@ class ReplicationTask:
     chunk.  ``rng_seed``/``rng_context`` identify the common-random-
     numbers substream family; sample ``i`` draws from
     ``spawn_rng(rng_seed, *rng_context, i)``.
-
-    ``step_kernel`` picks the diffusion implementation
-    (:data:`repro.diffusion.repkernel.STEP_KERNEL_NAMES`; ``None`` =
-    the process default).  Kernels are bit-identical, so the field
-    never changes results — the lockstep names make ``run_chunk`` play
-    all of a chunk's replications in one packed pass when the recipe
-    allows it (:func:`lockstep_applicable`).
     """
 
     instance: IMDPPInstance
@@ -84,7 +72,6 @@ class ReplicationTask:
     collect_adoptions: bool = False
     initial_state: PerceptionState | None = None
     start_promotion: int = 1
-    step_kernel: str | None = None
 
 
 @dataclass
@@ -177,29 +164,28 @@ def chunk_indices(
 
 
 def lockstep_applicable(task: ReplicationTask) -> bool:
-    """Will ``run_chunk`` take the lockstep fast path for this task?
+    """Will ``run_chunk`` play this task in one packed lockstep pass?
 
-    True iff the task's (resolved) step kernel is a lockstep name and
-    the replication recipe fits the packed pass — frozen dynamics, no
-    resumed state, none of the state-materializing collectors.
-    Backends consult this to coarsen the chunk partition: the lockstep
-    outputs (per-sample sigmas, in index order) are partition-
-    invariant, so one chunk per worker is safe and amortizes best.
+    True iff the recipe fits the packed pass: frozen dynamics (per-event
+    probabilities must not depend on per-replication perception state),
+    no resumed state, and none of the state-materializing collectors
+    (likelihood, mean weights, adoption frequencies) — only the
+    per-replication step materializes a final
+    :class:`~repro.perception.state.PerceptionState`.  Backends consult
+    this to coarsen the chunk partition: the lockstep outputs
+    (per-sample sigmas, in index order) are partition-invariant, so one
+    chunk per worker is safe and amortizes best.
     """
-    return resolve_step_kernel(task.step_kernel) in LOCKSTEP_KERNELS and (
-        lockstep_supported(
-            task.instance,
-            initial_state=task.initial_state,
-            compute_likelihood=task.compute_likelihood,
-            collect_weights=task.collect_weights,
-            collect_adoptions=task.collect_adoptions,
-        )
+    return (
+        task.instance.dynamics.is_frozen
+        and task.initial_state is None
+        and not task.compute_likelihood
+        and not task.collect_weights
+        and not task.collect_adoptions
     )
 
 
-def _run_chunk_lockstep(
-    task: ReplicationTask, indices: Sequence[int], kernel: str
-) -> ChunkResult:
+def _run_chunk_lockstep(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     """One packed kernel call covering every replication of the chunk."""
     rngs = [
         spawn_rng(task.rng_seed, *task.rng_context, i) for i in indices
@@ -211,7 +197,6 @@ def _run_chunk_lockstep(
         model=task.model,
         until_promotion=task.until_promotion,
         start_promotion=task.start_promotion,
-        jit=kernel == "lockstep-jit",
     )
     n = len(indices)
     sigmas = np.zeros(n)
@@ -233,21 +218,16 @@ def _run_chunk_lockstep(
 def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     """Run the replications ``indices`` of ``task`` sequentially.
 
-    This is the single entry point every backend dispatches — it must
-    stay a module-level function so process pools can pickle it by
-    qualified name.
+    Frozen recipes play in one packed lockstep pass
+    (:func:`lockstep_applicable`); dynamic perceptions, resumed states
+    and state collectors replay :meth:`CampaignSimulator.run` per
+    replication.  Both are bit-identical per sample.  This is the single
+    entry point every backend dispatches — it must stay a module-level
+    function so process pools can pickle it by qualified name.
     """
-    kernel = resolve_step_kernel(task.step_kernel)
-    if kernel in LOCKSTEP_KERNELS:
-        if lockstep_applicable(task):
-            return _run_chunk_lockstep(task, indices, kernel)
-        # Dynamic perceptions / state-collecting recipes replay the
-        # per-replication kernel — bit-identical, so the fallback is
-        # silent by design.
-        kernel = "vectorized"
-    simulator = CampaignSimulator(
-        task.instance, model=task.model, step_kernel=kernel
-    )
+    if lockstep_applicable(task):
+        return _run_chunk_lockstep(task, indices)
+    simulator = CampaignSimulator(task.instance, model=task.model)
     n = len(indices)
     sigmas = np.zeros(n)
     restricted = np.zeros(n)

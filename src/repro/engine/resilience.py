@@ -28,8 +28,7 @@ unpickle; unlinking still happens only at ``backend.close()``.
 When a chunk exhausts its retries at the pool level, execution
 degrades down a ladder — process pool -> in-parent thread (still
 deadline-supervised) -> plain serial call — with a one-time
-``RuntimeWarning`` per backend, mirroring the ``packed-jit`` ->
-``packed`` kernel degradation precedent.  Only the serial rung lets
+``RuntimeWarning`` per backend.  Only the serial rung lets
 exceptions propagate: a fault that survives every level is a real bug,
 not an infrastructure hiccup.
 
@@ -262,8 +261,7 @@ def default_retry_policy(
     """Build a policy from explicit knobs with environment fallbacks.
 
     ``REPRO_RETRIES`` / ``REPRO_CHUNK_TIMEOUT`` fill whichever knob the
-    caller left as ``None`` — the same precedence the kernel-selection
-    env defaults use.
+    caller left as ``None``.
     """
     if retries is None:
         env = os.environ.get("REPRO_RETRIES")

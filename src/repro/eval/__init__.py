@@ -1,6 +1,6 @@
 """Experiment harness and reporting for the paper's tables/figures."""
 
-from repro.eval.harness import ALGORITHMS, evaluate_group, run_algorithm, sweep
+from repro.eval.harness import ALGORITHMS, evaluate_group, run_algorithm
 from repro.eval.metrics import CampaignReport, campaign_report
 from repro.eval.reporting import format_series, format_table
 
@@ -10,7 +10,6 @@ __all__ = [
     "campaign_report",
     "evaluate_group",
     "run_algorithm",
-    "sweep",
     "format_series",
     "format_table",
 ]

@@ -7,9 +7,8 @@ random numbers, paper-style M samples) regardless of what each
 algorithm used internally.
 
 Every registered algorithm selects through the unified gain-oracle
-layer (:mod:`repro.core.selection`): pass selection knobs such as
-``gain_batch`` or ``singleton_pool`` to :func:`run_dysim` via keyword
-overrides — batching is a prefetch, so results are invariant to it.
+layer (:mod:`repro.core.selection`): pass Dysim knobs such as
+``singleton_pool`` to :func:`run_dysim` via keyword overrides.
 
 The sweep layer (:mod:`repro.sweep`) drives :func:`run_algorithm` /
 :func:`evaluate_group` for every declared (config, seed) run and
@@ -44,7 +43,6 @@ __all__ = [
     "ALGORITHMS",
     "run_algorithm",
     "evaluate_group",
-    "sweep",
     "SweepRow",
 ]
 
@@ -86,13 +84,11 @@ def run_dysim(
             "oracle": result.oracle,
             "cache_hits": result.cache_hits,
             "cache_misses": result.cache_misses,
-            # Stacked-reach LRU counters + active reachability kernel
-            # of the sketch oracle's bank (zero / "" under the mc
-            # oracle, which builds no bank).
+            # Stacked-reach LRU counters of the sketch oracle's bank
+            # (zero under the mc oracle, which builds no bank).
             "bank_reach_hits": result.bank_reach_hits,
             "bank_reach_misses": result.bank_reach_misses,
             "bank_reach_evictions": result.bank_reach_evictions,
-            "bank_reach_kernel": result.bank_reach_kernel,
             # Wall-clock attribution (bank / selection / final_mc) —
             # what lets a 269-second e2e run say *where* it went.
             "phase_seconds": dict(result.phase_seconds),
@@ -114,8 +110,6 @@ def run_dysim_select(
     oracle: str = "rrset",
     candidate_pool: int | None = 150,
     singleton_pool: int | None = 1,
-    gain_batch: int | None = None,
-    step_kernel: str | None = None,
 ) -> BaselineResult:
     """Selection-only Dysim: the frozen-phase MCP greedy alone.
 
@@ -135,7 +129,6 @@ def run_dysim_select(
         rng_factory=RngFactory(seed),
         backend=backend,
         workers=workers,
-        step_kernel=step_kernel,
     )
     backend_stats = estimator.fault_stats
     stats_before = (
@@ -149,7 +142,6 @@ def run_dysim_select(
         estimator,
         candidate_pool,
         singleton_pool=singleton_pool,
-        gain_batch=gain_batch,
     )
     seed_group = SeedGroup(
         Seed(user, item, 1) for user, item in sorted(selection.nominees)
@@ -238,44 +230,3 @@ class SweepRow:
     sigma: float
     runtime_seconds: float
     n_seeds: int
-
-
-def sweep(
-    instances: dict[object, IMDPPInstance],
-    algorithms: list[str],
-    n_samples: int = 10,
-    eval_samples: int = 40,
-    seed: int = 0,
-    algorithm_kwargs: dict[str, dict] | None = None,
-) -> list[SweepRow]:
-    """Run algorithms across a parameter sweep and re-evaluate fairly.
-
-    ``instances`` maps the x-axis value (budget, T, ...) to the
-    instance built for it; the returned rows are exactly one figure's
-    series.
-    """
-    algorithm_kwargs = algorithm_kwargs or {}
-    rows: list[SweepRow] = []
-    for x, instance in instances.items():
-        for name in algorithms:
-            # Per-algorithm kwargs may override the shared defaults
-            # (e.g. OPT wants more Monte-Carlo samples than the rest).
-            kwargs = {
-                "n_samples": n_samples,
-                "seed": seed,
-                **algorithm_kwargs.get(name, {}),
-            }
-            result = run_algorithm(name, instance, **kwargs)
-            sigma = evaluate_group(
-                instance, result.seed_group, n_samples=eval_samples
-            )
-            rows.append(
-                SweepRow(
-                    algorithm=name,
-                    x=x,
-                    sigma=sigma,
-                    runtime_seconds=result.runtime_seconds,
-                    n_seeds=len(result.seed_group),
-                )
-            )
-    return rows

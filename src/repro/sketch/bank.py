@@ -17,16 +17,14 @@ world count):
   outcomes are then transposed into **world-major** liveness words
   (:class:`~repro.sketch.reachkernel.WorldLayout`, ``ceil(M/64)``
   ``uint64`` words per skeleton entry) feeding the bit-parallel
-  multi-world BFS (``reach_kernel="packed"``, the default, or its
-  numba-compiled twin ``"packed-jit"``); miss blocks can additionally
-  shard the *worlds* axis across process workers over shared-memory
-  blocks (``world_shards``), reassembling bit-identically;
-* on demand, per-world :class:`ReachabilitySketch` objects (CSR
-  adjacency + memoized per-source reachability masks) — the
-  ``reach_kernel="per-world"`` reference path and the per-world query
-  API.  All kernels produce bit-identical stacks (reachability on a
-  fixed live-edge graph is deterministic), pinned by
-  ``tests/property/test_reach_kernel.py``.
+  multi-world BFS of :mod:`repro.sketch.reachkernel` (its
+  numba-compiled twin when numba imports); miss blocks can
+  additionally shard the *worlds* axis across process workers over
+  shared-memory blocks (``world_shards``), reassembling
+  bit-identically.  The stacks equal those of one BFS per realized
+  world (reachability on a fixed live-edge graph is deterministic),
+  pinned by the property suite against the per-world reference of
+  ``tests/reference``.
 
 Every ``sigma`` / ``sigma_tau`` / marginal-gain query is then answered
 by bitmask lookups instead of re-simulation.  World ``i`` flips its
@@ -67,7 +65,6 @@ from repro.sketch.reachkernel import (
     WorldShardTask,
     reach_stacks,
     reach_stacks_chunk,
-    resolve_reach_kernel,
     world_shard_chunk,
 )
 from repro.utils.rng import spawn_rng
@@ -77,7 +74,6 @@ __all__ = [
     "ProbabilitySkeleton",
     "ReachCacheStats",
     "SketchBuildTask",
-    "ReachabilitySketch",
     "RealizationBank",
     "build_skeleton",
     "build_worlds_chunk",
@@ -99,15 +95,13 @@ DEFAULT_EXTRA_ADOPTION_FLOOR = 1e-6
 @dataclass(frozen=True)
 class ReachCacheStats:
     """Counters of the bank's stacked-reach LRU (see
-    :meth:`RealizationBank.stacked_reach_packed`), plus which
-    reachability kernel fills misses."""
+    :meth:`RealizationBank.stacked_reach_packed`)."""
 
     hits: int
     misses: int
     evictions: int
     bytes_in_use: int
     budget_bytes: int | None
-    kernel: str = "packed"
 
 
 @dataclass
@@ -299,86 +293,6 @@ def build_worlds_chunk(
     return packed
 
 
-class ReachabilitySketch:
-    """One realized world: live-edge CSR adjacency over (user, item)
-    pairs plus memoized per-source forward-reachability masks.
-
-    Reachability is memoized in the **packed word layout** of
-    :class:`~repro.core.selection.PairLayout` — one bit per pair
-    instead of one byte — which is what keeps bank memory from growing
-    unboundedly during selection (the memo is further deduplicated
-    against the bank's stacked LRU, see
-    :meth:`RealizationBank.stacked_reach_packed`).
-    """
-
-    def __init__(
-        self,
-        n_pairs: int,
-        src: np.ndarray,
-        dst: np.ndarray,
-        layout: PairLayout,
-    ):
-        self.n_pairs = int(n_pairs)
-        self.layout = layout
-        order = np.argsort(src, kind="stable")
-        self._indices = np.asarray(dst)[order]
-        counts = np.bincount(
-            np.asarray(src), minlength=self.n_pairs
-        )
-        self._indptr = np.zeros(self.n_pairs + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._reach: dict[int, np.ndarray] = {}  # pair -> packed words
-
-    @property
-    def n_live_edges(self) -> int:
-        return int(self._indices.size)
-
-    def reach_packed(self, pair: int) -> np.ndarray:
-        """Packed words of the pairs reachable from ``pair`` (memoized).
-
-        The returned array is shared — treat it as read-only.
-        """
-        cached = self._reach.get(pair)
-        if cached is not None:
-            return cached
-        visited = np.zeros(self.n_pairs, dtype=bool)
-        visited[pair] = True
-        stack = [pair]
-        indptr, indices = self._indptr, self._indices
-        while stack:
-            node = stack.pop()
-            for neighbor in indices[indptr[node]:indptr[node + 1]]:
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    stack.append(int(neighbor))
-        packed = self.layout.pack(visited)
-        self._reach[pair] = packed
-        return packed
-
-    def reach_mask(self, pair: int) -> np.ndarray:
-        """Boolean mask of pairs reachable from ``pair`` (a fresh
-        array, unpacked from the memoized words)."""
-        return self.layout.unpack(self.reach_packed(pair))
-
-    def group_packed(self, pairs: Iterable[int]) -> np.ndarray:
-        """Packed-word union of the sources' reachability masks.
-
-        Stays in packed space end-to-end — no ``layout.unpack``
-        allocation — so callers that only need the union (coverage
-        sums, membership words) should prefer this over
-        :meth:`group_mask`.
-        """
-        union = np.zeros(self.layout.n_words, dtype=np.uint64)
-        for pair in pairs:
-            union |= self.reach_packed(pair)
-        return union
-
-    def group_mask(self, pairs: Iterable[int]) -> np.ndarray:
-        """Boolean union of the sources' reachability masks (a fresh
-        array, unpacked from :meth:`group_packed`)."""
-        return self.layout.unpack(self.group_packed(pairs))
-
-
 class RealizationBank:
     """A fixed family of realized worlds answering sigma queries.
 
@@ -397,7 +311,7 @@ class RealizationBank:
         Association probabilities at or below this are dropped from the
         skeleton (mirrors the simulator's pruning floor).
     backend / workers:
-        Where world construction and packed-kernel stack misses run;
+        Where world construction and stack misses run;
         any :class:`~repro.engine.backends.ExecutionBackend` (or name)
         — coin flipping fans out over the canonical world chunks, and
         :meth:`stacks_for` fans miss blocks out over canonical source
@@ -407,18 +321,8 @@ class RealizationBank:
         Byte budget of the stacked-reach LRU (None = unbounded).
         Eviction only trades recomputation for memory — query results
         are unaffected.
-    reach_kernel:
-        ``"packed"`` (default) answers stack misses with the
-        bit-parallel multi-world BFS of
-        :mod:`repro.sketch.reachkernel`; ``"packed-jit"`` routes the
-        same BFS through the numba-compiled worklist loop (degrades to
-        ``"packed"`` when numba is missing); ``"per-world"`` runs one
-        Python BFS per :class:`ReachabilitySketch` — the bit-identity
-        reference.  ``None`` resolves the process-wide default (CLI
-        ``--reach-kernel``).  Stacks, sigma values and LRU accounting
-        are bit-identical across kernels.
     world_shards:
-        Split the *worlds* axis of a packed-kernel miss block into
+        Split the *worlds* axis of a miss block into
         this many word-aligned shards, each computed independently
         (fanned over the backend) and concatenated back — bit-identical
         to the unsharded kernel (DESIGN.md §6b).  ``None`` (default)
@@ -440,7 +344,6 @@ class RealizationBank:
         workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         reach_budget_bytes: int | None = DEFAULT_REACH_BUDGET_BYTES,
-        reach_kernel: str | None = None,
         world_shards: int | None = None,
     ):
         if n_worlds < 1:
@@ -453,13 +356,12 @@ class RealizationBank:
         self.n_worlds = int(n_worlds)
         self.rng_seed = int(rng_seed)
         self.rng_context = tuple(rng_context)
-        self.reach_kernel = resolve_reach_kernel(reach_kernel)
         self.world_shards = (
             None if world_shards is None else int(world_shards)
         )
         self.skeleton = build_skeleton(instance, extra_adoption_floor)
-        #: Packed-word layout shared by every world's reachability memo
-        #: and the coverage gain kernel.
+        #: Packed-word layout of the pair universe (the stacks and the
+        #: coverage gain kernel).
         self.layout = PairLayout(
             instance.n_users,
             instance.n_items,
@@ -481,15 +383,13 @@ class RealizationBank:
             chunk_indices(self.n_worlds, self._chunk_size),
         )
         #: Per-world packed coin outcomes in canonical world order —
-        #: the single source both representations derive from, so the
-        #: pinned draw order cannot drift between kernels.
+        #: the single source every derived view is built from, so the
+        #: pinned draw order cannot drift.
         self._world_coins: list[np.ndarray] = list(
             itertools.chain.from_iterable(packed_chunks)
         )
-        # Both derived views are lazy: per-world sketches argsort one
-        # adjacency per world, the world-major arc liveness transposes
-        # all coins once — each kernel only pays for the view it uses.
-        self._worlds: list[ReachabilitySketch] | None = None
+        # The world-major arc liveness is lazy: it transposes all coins
+        # once, on the first stack miss.
         self._packed_graph: (
             tuple[np.ndarray, np.ndarray, np.ndarray] | None
         ) = None
@@ -524,38 +424,6 @@ class RealizationBank:
         record shows.
         """
         return getattr(self._backend, "fault_stats", None)
-
-    @property
-    def worlds(self) -> list[ReachabilitySketch]:
-        """Per-world reachability sketches (materialized on demand).
-
-        The packed kernel never needs them; the per-world reference
-        kernel and the per-world query API (``reach_mask`` /
-        ``group_packed``) build them here on first access.  Worlds are
-        derived deterministically from the stored coin outcomes, so
-        lazy materialization cannot change any result (a concurrent
-        first access at worst duplicates the build).
-        """
-        if self._worlds is None:
-            n_entries = self.skeleton.n_entries
-            worlds = []
-            for packed in self._world_coins:
-                if n_entries:
-                    live = np.unpackbits(packed, count=n_entries).astype(
-                        bool
-                    )
-                else:
-                    live = np.zeros(0, dtype=bool)
-                worlds.append(
-                    ReachabilitySketch(
-                        self.skeleton.n_pairs,
-                        self.skeleton.src[live],
-                        self.skeleton.dst[live],
-                        self.layout,
-                    )
-                )
-            self._worlds = worlds
-        return self._worlds
 
     def _reach_graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shared skeleton CSR + world-major arc liveness (lazy).
@@ -652,9 +520,9 @@ class RealizationBank:
         Reachability goes through :meth:`stacks_for`, so the sigma
         path shares the byte-budget LRU with selection (query
         workloads cannot grow the bank's memoization without bound)
-        and miss blocks run through the configured reach kernel in one
-        batch.  The per-world union reuses one scratch buffer across
-        the loop instead of allocating a copy per world.
+        and miss blocks run through the multi-world BFS in one batch.
+        The per-world union reuses one scratch buffer across the loop
+        instead of allocating a copy per world.
         """
         spreads = np.zeros(self.n_worlds)
         restricted = (
@@ -689,23 +557,22 @@ class RealizationBank:
         Memoized in a byte-budget LRU — the coverage greedy evaluates
         the same candidates against an evolving covered set many
         times, but the memo must not grow without bound during
-        selection.  Eviction drops the stack *and* the per-world rows
-        deduplicated into it; a later query recomputes the identical
-        masks.  Read-only.
+        selection.  Eviction drops the stack; a later query recomputes
+        the identical one.  Read-only.
         """
         return self.stacks_for((pair,))[0]
 
     def stacks_for(self, pairs: Sequence[int]) -> list[np.ndarray]:
         """Packed reachability stacks of a candidate block (batched).
 
-        Misses are computed up-front in one batch — under the packed
-        kernel the sources fan out in canonical chunks over the bank's
-        execution backend — and then the per-pair LRU access sequence
+        Misses are computed up-front in one batch — the sources fan
+        out in canonical chunks over the bank's execution backend —
+        and then the per-pair LRU access sequence
         is replayed exactly as sequential
         :meth:`stacked_reach_packed` calls would run it, so hit / miss
         / eviction counters, byte accounting and recency order are
-        bit-identical to the unbatched path whatever the kernel or
-        backend.  Returned arrays are the cached objects — read-only.
+        bit-identical to the unbatched path whatever the backend.
+        Returned arrays are the cached objects — read-only.
         """
         cache = self._stacked_packed
         missing = [
@@ -757,7 +624,7 @@ class RealizationBank:
         return indptr, indices, arc_live
 
     def _world_shard_count(self, n_missing: int) -> int:
-        """How many world shards a packed miss block should use.
+        """How many world shards a miss block should use.
 
         Explicit ``world_shards`` always wins (and is the test hook
         for forced sharding on any backend).  Auto mode shards only
@@ -811,7 +678,6 @@ class RealizationBank:
             n_worlds=self.n_worlds,
             sources=tuple(missing),
             word_bounds=word_bounds,
-            kernel=self.reach_kernel,
         )
         backend = self._backend
         if getattr(backend, "closed", False):
@@ -843,17 +709,9 @@ class RealizationBank:
     def _compute_stacks(
         self, missing: Sequence[int]
     ) -> dict[int, np.ndarray]:
-        """Reachability stacks of uncached pairs via the active kernel."""
+        """Reachability stacks of uncached pairs (multi-world BFS)."""
         if not missing:
             return {}
-        if self.reach_kernel == "per-world":
-            worlds = self.worlds
-            return {
-                pair: np.stack(
-                    [world.reach_packed(pair) for world in worlds]
-                )
-                for pair in missing
-            }
         if self._world_shard_count(len(missing)) > 1:
             return self._world_sharded_stacks(missing)
         indptr, indices, arc_live = self._reach_graph()
@@ -878,7 +736,6 @@ class RealizationBank:
                 list(missing),
                 self.layout,
                 self.world_layout,
-                self.reach_kernel,
             )
             return dict(zip(missing, stacks))
         indptr, indices, arc_live = self._shared_reach_graph()
@@ -889,7 +746,6 @@ class RealizationBank:
             pair_layout=self.layout,
             world_layout=self.world_layout,
             sources=tuple(missing),
-            kernel=self.reach_kernel,
         )
         # One chunk per worker (not the replication chunk size): each
         # chunk is one multi-source BFS, so bigger chunks amortize the
@@ -913,13 +769,6 @@ class RealizationBank:
         self.reach_misses += 1
         self._stacked_packed[pair] = stacked
         self._stacked_bytes += stacked.nbytes
-        # Deduplicate: point each world's memoized mask at its row of
-        # the stack, so the bank holds one copy per candidate instead
-        # of stack + per-world masks.  Only when the per-world
-        # sketches exist — the packed kernel never materializes them.
-        if self._worlds is not None:
-            for world, row in zip(self._worlds, stacked):
-                world._reach[pair] = row
         if self.reach_budget_bytes is not None:
             # Never evict the entry just inserted (len > 1): a budget
             # smaller than one stack would otherwise thrash — insert,
@@ -928,23 +777,9 @@ class RealizationBank:
                 self._stacked_bytes > self.reach_budget_bytes
                 and len(self._stacked_packed) > 1
             ):
-                evicted_pair, evicted = self._stacked_packed.popitem(
-                    last=False
-                )
+                _, evicted = self._stacked_packed.popitem(last=False)
                 self._stacked_bytes -= evicted.nbytes
                 self.reach_evictions += 1
-                if self._worlds is not None:
-                    for world in self._worlds:
-                        world._reach.pop(evicted_pair, None)
-
-    def stacked_reach(self, pair: int) -> np.ndarray:
-        """(n_worlds, n_pairs) boolean reachability stack (compat).
-
-        Unpacked fresh from :meth:`stacked_reach_packed` on every call
-        — the boolean form is the scalar reference path; the packed
-        form is what selection runs on.
-        """
-        return self.layout.unpack(self.stacked_reach_packed(pair))
 
     def reach_stats(self) -> "ReachCacheStats":
         """Point-in-time counters of the stacked-reach LRU."""
@@ -954,7 +789,6 @@ class RealizationBank:
             evictions=self.reach_evictions,
             bytes_in_use=self._stacked_bytes,
             budget_bytes=self.reach_budget_bytes,
-            kernel=self.reach_kernel,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -62,8 +62,6 @@ class SketchSigmaEstimator(SigmaEstimator):
         cache: SigmaCache | None = None,
         extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
         reach_budget_bytes: int | None = DEFAULT_REACH_BUDGET_BYTES,
-        reach_kernel: str | None = None,
-        step_kernel: str | None = None,
     ):
         super().__init__(
             instance,
@@ -73,14 +71,9 @@ class SketchSigmaEstimator(SigmaEstimator):
             backend=backend,
             workers=workers,
             cache=cache,
-            step_kernel=step_kernel,
         )
         self.extra_adoption_floor = float(extra_adoption_floor)
         self.reach_budget_bytes = reach_budget_bytes
-        #: Reachability kernel for the bank (``packed`` / ``per-world``
-        #: / None = process default) — stacks and sigma values are
-        #: bit-identical across kernels, so this is a pure perf knob.
-        self.reach_kernel = reach_kernel
         self._bank: RealizationBank | None = None
         # Unsupported queries delegate here; sharing the cache is safe
         # because cache keys embed each estimator's oracle_kind, and
@@ -93,7 +86,6 @@ class SketchSigmaEstimator(SigmaEstimator):
             rng_factory=self.rng_factory,
             backend=self.backend,
             cache=self.cache,
-            step_kernel=self.step_kernel,
         )
         self._sketch_evaluations = 0
         #: Queries answered from sketches / delegated to Monte-Carlo.
@@ -137,7 +129,6 @@ class SketchSigmaEstimator(SigmaEstimator):
                 extra_adoption_floor=self.extra_adoption_floor,
                 backend=self.backend,
                 reach_budget_bytes=self.reach_budget_bytes,
-                reach_kernel=self.reach_kernel,
             )
         return self._bank
 
@@ -231,7 +222,6 @@ class SketchSigmaEstimator(SigmaEstimator):
         universe,
         cost,
         budget: float,
-        gain_batch: int | None = None,
     ) -> GreedyResult:
         """CELF coverage greedy over (user, item) candidates.
 
@@ -249,9 +239,7 @@ class SketchSigmaEstimator(SigmaEstimator):
                 "select_budgeted needs a sketchable configuration "
                 "(frozen dynamics, IC model)"
             )
-        result = budgeted_coverage_greedy(
-            self.bank, universe, cost, budget, batch_size=gain_batch
-        )
+        result = budgeted_coverage_greedy(self.bank, universe, cost, budget)
         self.sketch_queries += result.n_oracle_calls
         self._sketch_evaluations += result.n_oracle_calls * self.n_samples
         self._sync_evaluations()

@@ -11,78 +11,23 @@ re-comparisons, no Monte-Carlo variance.
 :func:`repro.core.selection.mcp_lazy_greedy` driven by a
 :class:`~repro.core.selection.CoverageGainOracle` — the packed-word
 batched kernel, whose uncached reachability stacks come from the
-bank's configured reach kernel (the bit-parallel multi-world BFS by
-default; selections are kernel-invariant because the stacks are
-bit-identical).  :class:`CoverageEvaluator` is kept as the **boolean
-scalar reference**: it evaluates one candidate at a time against a
-boolean covered mask, reducing through the same per-item-count
-contraction (:meth:`~repro.core.selection.PairLayout.weighted_sum`),
-so the property suite can assert the packed batched gains are
-bit-identical to it.
+bank's multi-world BFS.  The property suite pins its gains bit for
+bit against the boolean scalar reference of ``tests/reference``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.core.selection import (
+    DEFAULT_GAIN_BATCH,
     CoverageGainOracle,
     GreedyResult,
     mcp_lazy_greedy,
 )
 from repro.sketch.bank import RealizationBank
 
-__all__ = ["CoverageEvaluator", "budgeted_coverage_greedy"]
-
-
-class CoverageEvaluator:
-    """Scalar boolean reference for marginal coverage gains.
-
-    Maintains the (n_worlds, n_pairs) covered bitmask of the current
-    selection; ``gain`` answers one candidate via a boolean
-    mask-and-count, ``add`` commits a candidate by OR-ing its stack
-    in.  Reachability stacks are memoized locally in boolean form —
-    this is deliberately the pre-packing implementation, the ground
-    truth the packed kernel is verified against bit for bit.
-    """
-
-    def __init__(self, bank: RealizationBank):
-        self.bank = bank
-        self.covered = np.zeros(
-            (bank.n_worlds, bank.skeleton.n_pairs), dtype=bool
-        )
-        self.value = 0.0
-        self.n_gain_evaluations = 0
-        self._stacked: dict[int, np.ndarray] = {}
-
-    def _stacked_bool(self, pair: int) -> np.ndarray:
-        cached = self._stacked.get(pair)
-        if cached is None:
-            cached = self.bank.stacked_reach(pair)
-            self._stacked[pair] = cached
-        return cached
-
-    def _weighted_mean(self, fresh: np.ndarray) -> float:
-        layout = self.bank.layout
-        weighted = layout.weighted_sum(layout.item_counts_bool(fresh))
-        return float(weighted.mean())
-
-    def gain(self, pair: int) -> float:
-        """Mean importance mass ``pair`` adds beyond the covered set."""
-        self.n_gain_evaluations += 1
-        fresh = self._stacked_bool(pair) & ~self.covered
-        return self._weighted_mean(fresh)
-
-    def add(self, pair: int) -> float:
-        """Commit ``pair``; returns its (exact) marginal gain."""
-        reach = self._stacked_bool(pair)
-        fresh = reach & ~self.covered
-        gained = self._weighted_mean(fresh)
-        self.covered |= reach
-        self.value += gained
-        return gained
+__all__ = ["budgeted_coverage_greedy"]
 
 
 def budgeted_coverage_greedy(
@@ -90,7 +35,7 @@ def budgeted_coverage_greedy(
     universe: Sequence[tuple[int, int]],
     cost: Callable[[tuple[int, int]], float],
     budget: float,
-    batch_size: int | None = None,
+    batch_size: int = DEFAULT_GAIN_BATCH,
 ) -> GreedyResult:
     """MCP lazy greedy over (user, item) candidates, coverage gains.
 

@@ -36,19 +36,8 @@ def make_sigma_estimator(
     backend: ExecutionBackend | str | None = None,
     workers: int | None = None,
     cache: SigmaCache | None = None,
-    reach_kernel: str | None = None,
-    step_kernel: str | None = None,
 ) -> SigmaEstimator:
-    """Build the sigma estimator for an oracle kind (``None`` = mc).
-
-    ``reach_kernel`` selects the sketch oracle's reachability kernel
-    (``"packed"`` / ``"per-world"``; ``None`` = the process-wide
-    default, which the CLI's ``--reach-kernel`` sets) and is ignored
-    by the Monte-Carlo oracle, which holds no realization bank.
-    ``step_kernel`` selects the diffusion step implementation for
-    Monte-Carlo replications (``--step-kernel``; every oracle runs
-    them — the sketch/RR-set oracles via their MC fallback paths).
-    """
+    """Build the sigma estimator for an oracle kind (``None`` = mc)."""
     kind = oracle or "mc"
     if kind not in ORACLE_NAMES:
         raise ValueError(
@@ -61,12 +50,9 @@ def make_sigma_estimator(
         backend=backend,
         workers=workers,
         cache=cache,
-        step_kernel=step_kernel,
     )
     if kind == "sketch":
-        return SketchSigmaEstimator(
-            instance, reach_kernel=reach_kernel, **kwargs
-        )
+        return SketchSigmaEstimator(instance, **kwargs)
     if kind == "rrset":
         return RRSetSigmaEstimator(instance, **kwargs)
     return SigmaEstimator(instance, **kwargs)

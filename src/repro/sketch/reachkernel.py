@@ -1,10 +1,10 @@
 """World-packed reachability: one bit-parallel multi-world BFS kernel.
 
 Under frozen dynamics every sigma / gain query is a reachability union
-over the bank's M realized worlds.  The per-world kernel answers it
-with M independent Python BFS traversals — one ``ReachabilitySketch``
-at a time — which makes the per-world loop the dominant cost of
-bank-backed selection at production world counts.  This module
+over the bank's M realized worlds.  Answering it with M independent
+Python BFS traversals, one per realized world, makes the per-world
+loop the dominant cost of bank-backed selection at production world
+counts.  This module
 transposes the problem: each skeleton entry's live/dead outcome is
 re-packed *across worlds* into ``uint64`` words (:class:`WorldLayout`,
 ``ceil(M / 64)`` words per candidate edge), and one frontier BFS whose
@@ -15,10 +15,11 @@ with the edge-liveness words, OR into the visited matrix.
 
 Reachability on a fixed live-edge graph is deterministic, so the stack
 this kernel produces for a source pair is *bit-identical* to stacking
-the M per-world BFS masks (``tests/property/test_reach_kernel.py``
-pins this on hypothesis-generated skeletons, including M not divisible
-by 64 and worlds with zero live edges).  The canonical per-world coin
-flips are untouched — world ``i`` still consumes exactly one
+the M per-world BFS masks (the property suite pins this on
+hypothesis-generated skeletons against the per-world reference of
+``tests/reference``, including M not divisible by 64 and worlds with
+zero live edges).  The canonical per-world coin flips are
+untouched — world ``i`` still consumes exactly one
 ``rng.random(n_entries)`` call of its pinned substream; only *after*
 the draws are the outcomes transposed into world-major words.
 
@@ -29,27 +30,17 @@ zero in the source row (:attr:`WorldLayout.full_mask`), zero in every
 edge-liveness word (packing zero-pads), and AND-propagation can never
 set them — so popcount-style consumers never see phantom worlds.
 
-Public knobs
-------------
-``reach_kernel``
-    Which kernel banks use to answer reachability queries: ``packed``
-    (default, this module), ``packed-jit`` (the same semantics through
-    a numba-compiled worklist loop — requires the optional ``jit``
-    extra, degrades to ``packed`` with a one-time warning when numba
-    is unimportable) or ``per-world`` (the reference loop).  All three
-    are bit-identical; ``per-world`` exists as the test oracle and as
-    an escape hatch on exotic numpy builds.  Select it per bank
-    (``RealizationBank(..., reach_kernel=...)``), per run (the
-    ``reach_kernel`` entry of a sweep config — the runner swaps the
-    default around the run so baselines inherit it too), or
-    process-wide via :func:`set_default_reach_kernel` (CLI
-    ``--reach-kernel``, env ``REPRO_REACH_KERNEL``).
+Compiled twin
+-------------
+:func:`multi_world_visited_jit` answers the same query through a
+numba-compiled worklist loop.  :func:`reach_stacks` takes it whenever
+numba imports (``HAVE_NUMBA``, the optional ``jit`` extra) and the
+numpy event kernel otherwise; both are bit-identical, and the
+undecorated loop stays callable as the numba-free test shadow.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -67,72 +58,15 @@ except ImportError:  # pragma: no cover - default container path
 
 __all__ = [
     "HAVE_NUMBA",
-    "REACH_KERNEL_NAMES",
     "WorldLayout",
     "ReachStacksTask",
     "WorldShardTask",
-    "get_default_reach_kernel",
     "multi_world_visited",
     "multi_world_visited_jit",
     "reach_stacks",
     "reach_stacks_chunk",
-    "resolve_reach_kernel",
-    "set_default_reach_kernel",
     "world_shard_chunk",
 ]
-
-#: Spelled-out reachability kernels (CLI ``--reach-kernel``).
-#: ``packed`` is the bit-parallel multi-world BFS; ``packed-jit`` is
-#: its numba-compiled worklist twin (optional ``jit`` extra);
-#: ``per-world`` is the original one-BFS-per-``ReachabilitySketch``
-#: loop, retained as the bit-identity reference and test oracle.
-REACH_KERNEL_NAMES = ("packed", "packed-jit", "per-world")
-
-_default_reach_kernel = os.environ.get("REPRO_REACH_KERNEL") or "packed"
-
-_warned_no_numba = False
-
-
-def _degrade_jit(kernel: str) -> str:
-    """``packed-jit`` without numba degrades to ``packed`` (one-time
-    warning) instead of raising — the extra is optional."""
-    global _warned_no_numba
-    if kernel == "packed-jit" and not HAVE_NUMBA:
-        if not _warned_no_numba:
-            _warned_no_numba = True
-            warnings.warn(
-                "reach kernel 'packed-jit' requested but numba is not "
-                "installed (pip install 'imdpp-repro[jit]'); falling "
-                "back to the 'packed' numpy kernel",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return "packed"
-    return kernel
-
-
-def set_default_reach_kernel(kernel: str) -> str:
-    """Install the process-wide reachability kernel (CLI flag)."""
-    global _default_reach_kernel
-    _default_reach_kernel = resolve_reach_kernel(kernel)
-    return _default_reach_kernel
-
-
-def get_default_reach_kernel() -> str:
-    """The process-wide reachability kernel (``packed`` by default)."""
-    return resolve_reach_kernel(_default_reach_kernel)
-
-
-def resolve_reach_kernel(kernel: str | None) -> str:
-    """Validate a kernel name (``None`` = the process-wide default)."""
-    if kernel is None:
-        kernel = _default_reach_kernel
-    if kernel not in REACH_KERNEL_NAMES:
-        raise ValueError(
-            f"unknown reach kernel {kernel!r}; "
-            f"expected one of {REACH_KERNEL_NAMES}"
-        )
-    return _degrade_jit(kernel)
 
 
 class WorldLayout:
@@ -337,8 +271,8 @@ def _jit_visited_loop(
     full_mask: np.ndarray,
     visited: np.ndarray,
 ) -> None:
-    """Worklist BFS twin of :func:`multi_world_visited` — the
-    ``packed-jit`` hot loop, written in the numba ``nopython`` subset.
+    """Worklist BFS twin of :func:`multi_world_visited` — the compiled
+    hot loop, written in the numba ``nopython`` subset.
 
     One worklist run per source: ``pending`` accumulates each pair's
     not-yet-propagated world words, pairs with pending bits sit on an
@@ -495,24 +429,23 @@ def reach_stacks(
     sources: Sequence[int],
     pair_layout: PairLayout,
     world_layout: WorldLayout,
-    kernel: str = "packed",
+    jit: bool | None = None,
 ) -> list[np.ndarray]:
     """One ``(n_worlds, n_words)`` PairLayout stack per source.
 
     Runs the block (chunked to :data:`MAX_SOURCE_BLOCK` sources)
-    through the multi-world BFS — the numpy event-sparse kernel for
-    ``packed``, the compiled worklist loop for ``packed-jit`` — and
-    scatters the world-major visited matrix into the pair-major packed
-    stacks :class:`~repro.core.selection.CoverageGainOracle` consumes
-    — bit-identical to stacking M per-world BFS masks.  Each returned
+    through the multi-world BFS — the compiled worklist loop when
+    ``jit`` (``None`` = whenever numba imports, ``HAVE_NUMBA``), the
+    numpy event-sparse kernel otherwise — and scatters the world-major
+    visited matrix into the pair-major packed stacks
+    :class:`~repro.core.selection.CoverageGainOracle` consumes —
+    bit-identical to stacking M per-world BFS masks.  Each returned
     stack is an owning copy, so the bank's LRU can drop them
     individually.
     """
-    visit = (
-        multi_world_visited_jit
-        if kernel == "packed-jit"
-        else multi_world_visited
-    )
+    if jit is None:
+        jit = HAVE_NUMBA
+    visit = multi_world_visited_jit if jit else multi_world_visited
     stacks: list[np.ndarray] = []
     for start in range(0, len(sources), MAX_SOURCE_BLOCK):
         block = list(sources[start : start + MAX_SOURCE_BLOCK])
@@ -538,7 +471,7 @@ class ReachStacksTask:
     """Everything a worker needs to compute a block of source stacks.
 
     Ships the skeleton CSR plus the world-packed arc liveness (not the
-    instance or the per-world sketches), so
+    instance), so
     :meth:`~repro.engine.backends.ExecutionBackend.map_chunks` can fan
     a miss block's source chunks out to thread or process pools; each
     chunk runs as one multi-source BFS and results come back in chunk
@@ -554,7 +487,6 @@ class ReachStacksTask:
     pair_layout: PairLayout
     world_layout: WorldLayout
     sources: tuple[int, ...]
-    kernel: str = "packed"
 
 
 def reach_stacks_chunk(
@@ -571,7 +503,6 @@ def reach_stacks_chunk(
         block,
         task.pair_layout,
         task.world_layout,
-        task.kernel,
     )
 
 
@@ -601,7 +532,6 @@ class WorldShardTask:
     n_worlds: int
     sources: tuple[int, ...]
     word_bounds: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-    kernel: str = "packed"
 
 
 def world_shard_chunk(
@@ -629,7 +559,6 @@ def world_shard_chunk(
                 list(task.sources),
                 task.pair_layout,
                 layout,
-                task.kernel,
             )
         )
     return results

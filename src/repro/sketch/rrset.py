@@ -480,7 +480,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
         workers: int | None = None,
         cache: SigmaCache | None = None,
         extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
-        step_kernel: str | None = None,
     ):
         super().__init__(
             instance,
@@ -490,7 +489,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
             backend=backend,
             workers=workers,
             cache=cache,
-            step_kernel=step_kernel,
         )
         self.extra_adoption_floor = float(extra_adoption_floor)
         self._index: RRSetIndex | None = None
@@ -505,7 +503,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
             rng_factory=self.rng_factory,
             backend=self.backend,
             cache=self.cache,
-            step_kernel=self.step_kernel,
         )
         self._rr_evaluations = 0
         #: Queries answered from RR sets / delegated to Monte-Carlo.
@@ -622,7 +619,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
         universe,
         cost,
         budget: float,
-        gain_batch: int | None = None,
     ) -> GreedyResult:
         """CELF coverage greedy over (user, item) candidates.
 
@@ -646,7 +642,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
             cost,
             budget,
             stop_on_negative_gain=False,
-            batch_size=gain_batch,
         )
         self.rr_queries += result.n_oracle_calls
         self._rr_evaluations += result.n_oracle_calls * self.n_samples

@@ -2,7 +2,7 @@
 
 The SEM-style sweep layer (ROADMAP item 3): declare a parameter space
 once (:class:`SweepSpec` — dataset x budget x promotions x theta x
-oracle x reach-kernel x backend axes with filters and pinned
+oracle x backend axes with filters and pinned
 seed-streams), expand it into content-hashed :class:`RunConfig` runs,
 fan the pending ones out through
 :meth:`~repro.engine.backends.ExecutionBackend.map_chunks`

@@ -148,15 +148,7 @@ def _stats_payload(instance) -> dict:
 
 
 def _algorithm_payload(params: dict, seed: int) -> dict:
-    from repro.diffusion import (
-        get_default_step_kernel,
-        set_default_step_kernel,
-    )
     from repro.eval.harness import evaluate_group, run_algorithm
-    from repro.sketch import (
-        get_default_reach_kernel,
-        set_default_reach_kernel,
-    )
 
     instance = _instance_for(params)
     algorithm = params["algorithm"]
@@ -167,33 +159,15 @@ def _algorithm_payload(params: dict, seed: int) -> dict:
     n_samples = params.get("n_samples", 10)
     eval_samples = params.get("eval_samples", 0)
 
-    # ``reach_kernel`` / ``step_kernel`` are honored for every
-    # algorithm by swapping the process default around the run (Dysim
-    # also accepts them directly, but baselines reach their banks and
-    # replications through the defaults).
-    reach_kernel = params.get("reach_kernel")
-    previous_kernel = get_default_reach_kernel()
-    if reach_kernel is not None:
-        set_default_reach_kernel(reach_kernel)
-    step_kernel = params.get("step_kernel")
-    previous_step = get_default_step_kernel()
-    if step_kernel is not None:
-        set_default_step_kernel(step_kernel)
-    try:
-        result = run_algorithm(
-            algorithm, instance, n_samples=n_samples, seed=seed, **kwargs
+    result = run_algorithm(
+        algorithm, instance, n_samples=n_samples, seed=seed, **kwargs
+    )
+    if eval_samples:
+        sigma = evaluate_group(
+            instance, result.seed_group, n_samples=eval_samples
         )
-        if eval_samples:
-            sigma = evaluate_group(
-                instance, result.seed_group, n_samples=eval_samples
-            )
-        else:
-            sigma = result.sigma
-    finally:
-        if reach_kernel is not None:
-            set_default_reach_kernel(previous_kernel)
-        if step_kernel is not None:
-            set_default_step_kernel(previous_step)
+    else:
+        sigma = result.sigma
     return {
         "sigma": float(sigma),
         "sigma_internal": float(result.sigma),

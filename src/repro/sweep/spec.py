@@ -1,7 +1,7 @@
 """Declarative sweep specifications and canonical config hashing.
 
 A :class:`SweepSpec` declares a parameter space — axes (dataset,
-budget, promotions, theta, oracle, reach kernel, backend, ...) crossed
+budget, promotions, theta, oracle, backend, ...) crossed
 into a cartesian product, a ``base`` of pinned parameters shared by
 every point, an optional ``refine`` hook that filters/augments points,
 and a pinned tuple of seed-streams.  :meth:`SweepSpec.expand` turns

@@ -34,10 +34,11 @@ from repro.core.selection import (
 from repro.diffusion.montecarlo import SigmaEstimator
 from repro.engine import ProcessPoolBackend, SerialBackend, ThreadBackend
 from repro.errors import AlgorithmError
-from repro.sketch import CoverageEvaluator, RealizationBank
+from repro.sketch import RealizationBank
 from repro.utils.rng import RngFactory
 
 from tests.conftest import build_tiny_instance
+from tests.reference import CoverageEvaluator
 
 
 # ---------------------------------------------------------------------------

@@ -1,46 +1,43 @@
-"""Lockstep chunk routing: fast path, fallback, coarsening, defaults.
+"""Lockstep chunk routing: the recipe decides, nothing else does.
 
 ``run_chunk`` plays a whole chunk of replications in one packed
-``run_campaigns_lockstep`` call when the task's step kernel is a
-lockstep name and the recipe allows it; otherwise it silently replays
-the per-replication kernel.  Both paths are bit-identical by
-construction — these tests pin that, plus the surfaces around it: the
-``lockstep_applicable`` gate, the backend chunk coarsening, the
-process default (``lockstep``) and its plumbing, and the numba-free
-``lockstep-jit`` degradation warning.
+``run_campaigns_lockstep`` call when the recipe is frozen and carries
+no resumed state and no collectors; every other recipe replays
+``CampaignSimulator.run`` once per replication.  Both paths are
+bit-identical by construction — these tests pin that, plus the
+surfaces around it: the ``lockstep_applicable`` rule, the backend chunk
+coarsening, the compiled twin following ``HAVE_NUMBA``, and that no
+environment variable can steer the choice.
 """
 
 import os
+import pathlib
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.problem import Seed, SeedGroup
+from repro.diffusion import repkernel
 from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import DiffusionModel
-from repro.diffusion.montecarlo import SigmaEstimator
-from repro.diffusion import repkernel
-from repro.diffusion.repkernel import (
-    HAVE_NUMBA,
-    get_default_step_kernel,
-    resolve_step_kernel,
-    set_default_step_kernel,
-)
 from repro.engine import (
     ReplicationTask,
     SerialBackend,
     ThreadBackend,
     run_chunk,
 )
-from repro.engine.replication import lockstep_applicable
-from repro.utils.rng import RngFactory
+from repro.engine import replication
+from repro.engine.backends import _replication_chunks
+from repro.engine.replication import chunk_indices, lockstep_applicable
 
 from tests.conftest import build_tiny_instance
+from tests.reference import disable_packed_pass
 
 GROUP = SeedGroup([Seed(0, 0, 1), Seed(2, 1, 2)])
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _task(instance, **overrides):
@@ -60,185 +57,156 @@ def frozen_instance():
     return build_tiny_instance().frozen()
 
 
-class TestApplicability:
-    def test_frozen_lockstep_task_is_applicable(self, frozen_instance):
-        assert lockstep_applicable(
-            _task(frozen_instance, step_kernel="lockstep")
-        )
-        assert lockstep_applicable(
-            _task(frozen_instance, step_kernel="lockstep-jit")
-        )
+@pytest.fixture()
+def route_counter(monkeypatch):
+    """Counts packed-pass calls and per-replication simulator runs."""
+    calls = {"packed": 0, "per_replication": 0}
+    packed = replication.run_campaigns_lockstep
+    run = CampaignSimulator.run
 
-    def test_per_replication_kernels_are_not(self, frozen_instance):
-        assert not lockstep_applicable(
-            _task(frozen_instance, step_kernel="vectorized")
-        )
-        assert not lockstep_applicable(
-            _task(frozen_instance, step_kernel="scalar")
-        )
+    def counting_packed(*args, **kwargs):
+        calls["packed"] += 1
+        return packed(*args, **kwargs)
 
-    def test_dynamic_instance_is_not(self):
-        instance = build_tiny_instance()
-        assert not instance.dynamics.is_frozen
-        assert not lockstep_applicable(
-            _task(instance, step_kernel="lockstep")
-        )
+    def counting_run(simulator, *args, **kwargs):
+        calls["per_replication"] += 1
+        return run(simulator, *args, **kwargs)
 
-    def test_state_collectors_disqualify(self, frozen_instance):
-        for disqualifier in (
-            dict(compute_likelihood=True),
-            dict(collect_weights=True),
-            dict(collect_adoptions=True),
+    monkeypatch.setattr(replication, "run_campaigns_lockstep", counting_packed)
+    monkeypatch.setattr(CampaignSimulator, "run", counting_run)
+    return calls
+
+
+def _per_replication_recipes(frozen_instance):
+    """Every recipe the packed pass cannot play, by name."""
+    return {
+        "dynamic": _task(build_tiny_instance()),
+        "likelihood": _task(frozen_instance, compute_likelihood=True),
+        "weights": _task(frozen_instance, collect_weights=True),
+        "adoptions": _task(frozen_instance, collect_adoptions=True),
+        "initial_state": _task(
+            frozen_instance, initial_state=frozen_instance.new_state()
+        ),
+    }
+
+
+class TestRecipeRule:
+    def test_frozen_recipe_without_collectors_packs(
+        self, frozen_instance, route_counter
+    ):
+        restrict = frozenset(range(0, frozen_instance.n_users, 2))
+        for task in (
+            _task(frozen_instance),
+            _task(frozen_instance, restrict_users=restrict),
+            _task(frozen_instance, until_promotion=1),
+            _task(frozen_instance, start_promotion=2),
         ):
-            task = _task(
-                frozen_instance, step_kernel="lockstep", **disqualifier
-            )
-            assert not lockstep_applicable(task), disqualifier
+            assert lockstep_applicable(task)
+            route_counter.update(packed=0, per_replication=0)
+            run_chunk(task, [0, 1, 2])
+            assert route_counter == {"packed": 1, "per_replication": 0}
+
+    def test_other_recipes_run_per_replication(self, frozen_instance, route_counter):
+        recipes = _per_replication_recipes(frozen_instance)
+        for name, task in recipes.items():
+            assert not lockstep_applicable(task), name
+            route_counter.update(packed=0, per_replication=0)
+            run_chunk(task, [0, 1, 2])
+            assert route_counter == {"packed": 0, "per_replication": 3}, name
+
+    def test_only_packed_recipes_coarsen(self, frozen_instance):
+        """Packed recipes get one chunk per worker; the rest keep the
+        canonical partition that pins their reduction tree."""
+        pool = ThreadBackend(workers=2)
+        packed = _replication_chunks(_task(frozen_instance), 9, pool, 4)
+        assert packed == [list(range(5)), list(range(5, 9))]
+        for name, task in _per_replication_recipes(frozen_instance).items():
+            chunks = _replication_chunks(task, 9, pool, 4)
+            assert chunks == chunk_indices(9, 4), name
 
 
 class TestRunChunkEquivalence:
-    def test_lockstep_chunk_matches_replication_loop(self, frozen_instance):
+    def test_packed_chunk_matches_per_replication(self, frozen_instance, monkeypatch):
         restrict = frozenset(range(0, frozen_instance.n_users, 2))
-        reference = run_chunk(
-            _task(
-                frozen_instance,
-                step_kernel="vectorized",
-                restrict_users=restrict,
-            ),
-            list(range(6)),
-        )
-        for kernel in ("lockstep", "lockstep-jit"):
-            packed = run_chunk(
-                _task(
-                    frozen_instance,
-                    step_kernel=kernel,
-                    restrict_users=restrict,
-                ),
-                list(range(6)),
-            )
-            assert np.array_equal(reference.sigmas, packed.sigmas), kernel
-            assert np.array_equal(
-                reference.restricted, packed.restricted
-            ), kernel
+        task = _task(frozen_instance, restrict_users=restrict)
+        packed = run_chunk(task, list(range(6)))
+        packed_calls = disable_packed_pass(monkeypatch)
+        reference = run_chunk(task, list(range(6)))
+        assert not packed_calls
+        assert np.array_equal(reference.sigmas, packed.sigmas)
+        assert np.array_equal(reference.restricted, packed.restricted)
 
-    def test_dynamic_fallback_is_silent_and_identical(self):
-        instance = build_tiny_instance()
-        reference = run_chunk(
-            _task(instance, step_kernel="vectorized", collect_weights=True),
-            [0, 1, 2],
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fallback = run_chunk(
-                _task(instance, step_kernel="lockstep", collect_weights=True),
-                [0, 1, 2],
-            )
-        assert np.array_equal(reference.sigmas, fallback.sigmas)
-        assert np.array_equal(reference.weights_sum, fallback.weights_sum)
-
-    def test_only_packable_recipes_skip_the_simulator(
-        self, frozen_instance, monkeypatch
-    ):
-        """Dynamic and likelihood recipes replay ``CampaignSimulator.run``
-        once per replication under the default kernel; a frozen sigma
-        recipe on ``lockstep`` never calls it."""
-        calls = []
-        original = CampaignSimulator.run
-
-        def counting_run(simulator, *args, **kwargs):
-            calls.append(1)
-            return original(simulator, *args, **kwargs)
-
-        monkeypatch.setattr(CampaignSimulator, "run", counting_run)
-        for task in (
-            _task(build_tiny_instance()),
-            _task(frozen_instance, compute_likelihood=True),
-        ):
-            calls.clear()
-            run_chunk(task, [0, 1, 2])
-            assert len(calls) == 3
-        calls.clear()
-        run_chunk(_task(frozen_instance, step_kernel="lockstep"), [0, 1, 2])
-        assert not calls
-
-    def test_backend_coarse_chunks_match_serial(self, frozen_instance):
-        task = _task(frozen_instance, step_kernel="lockstep")
-        reference = SerialBackend().run(
-            _task(frozen_instance, step_kernel="vectorized"), 9
-        )
+    def test_backend_coarse_chunks_match_serial(self, frozen_instance, monkeypatch):
+        task = _task(frozen_instance)
         serial = SerialBackend().run(task, 9)
         with ThreadBackend(workers=3) as pool:
             pooled = pool.run(task, 9)
+        disable_packed_pass(monkeypatch)
+        reference = SerialBackend().run(task, 9)
         assert np.array_equal(reference.sigmas, serial.sigmas)
         assert np.array_equal(reference.sigmas, pooled.sigmas)
 
 
-class TestEstimatorAndDefaults:
-    def test_default_is_lockstep(self):
-        """A fresh interpreter without ``REPRO_STEP_KERNEL`` packs."""
-        env = {
-            key: value
-            for key, value in os.environ.items()
-            if key != "REPRO_STEP_KERNEL"
-        }
-        # Import the same package the suite runs against.
-        package_root = os.path.dirname(os.path.dirname(repkernel.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.dirname(package_root), env.get("PYTHONPATH")])
-        )
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.diffusion import get_default_step_kernel;"
-                "print(get_default_step_kernel())",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "lockstep"
+def test_compiled_twin_follows_have_numba(frozen_instance, monkeypatch):
+    """The packed pass takes the compiled association scan exactly when
+    numba imports; here the undecorated shadows stand in for the
+    compiled functions, so the choice is observable without numba."""
+    calls = []
 
-    def test_estimator_step_kernel_is_bit_identical(self, frozen_instance):
-        estimates = [
-            SigmaEstimator(
-                frozen_instance,
-                n_samples=8,
-                rng_factory=RngFactory(5),
-                step_kernel=kernel,
-            ).estimate(GROUP)
-            for kernel in ("vectorized", None, "lockstep", "lockstep-jit")
-        ]
-        for estimate in estimates[1:]:
-            assert estimate.sigma == estimates[0].sigma
-            assert estimate.sigma_std == estimates[0].sigma_std
+    def spy(shadow):
+        def compiled(*args):
+            calls.append(shadow.__name__)
+            return shadow(*args)
 
-    def test_process_default_reaches_run_chunk(self, frozen_instance):
-        previous = get_default_step_kernel()
-        set_default_step_kernel("lockstep")
-        try:
-            assert lockstep_applicable(_task(frozen_instance))
-        finally:
-            set_default_step_kernel(previous)
+        return compiled
 
-    def test_estimator_resolves_default_at_construction(self, frozen_instance):
-        previous = get_default_step_kernel()
-        set_default_step_kernel("lockstep")
-        try:
-            estimator = SigmaEstimator(
-                frozen_instance, n_samples=4, rng_factory=RngFactory(5)
-            )
-        finally:
-            set_default_step_kernel(previous)
-        assert estimator.step_kernel == "lockstep"
+    monkeypatch.setattr(
+        repkernel,
+        "_count_extras_compiled",
+        spy(repkernel._lockstep_count_extras),
+    )
+    monkeypatch.setattr(
+        repkernel, "_decide_ic_compiled", spy(repkernel._lockstep_decide_ic)
+    )
+    task = _task(frozen_instance)
+    monkeypatch.setattr(repkernel, "HAVE_NUMBA", False)
+    numpy_path = run_chunk(task, list(range(6)))
+    assert calls == []
+    monkeypatch.setattr(repkernel, "HAVE_NUMBA", True)
+    twin = run_chunk(task, list(range(6)))
+    assert "_lockstep_count_extras" in calls
+    assert "_lockstep_decide_ic" in calls
+    assert np.array_equal(numpy_path.sigmas, twin.sigmas)
 
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="degradation only without numba")
-def test_jit_degrades_once_with_warning(monkeypatch):
-    monkeypatch.setattr(repkernel, "_warned_no_numba", False)
-    with pytest.warns(RuntimeWarning, match="numba is not installed"):
-        assert resolve_step_kernel("lockstep-jit") == "lockstep"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second resolve stays quiet
-        assert resolve_step_kernel("lockstep-jit") == "lockstep"
+def test_kernel_environment_variables_are_not_read():
+    """Names that once selected kernels steer nothing: a frozen sigma
+    estimate and a bank fill succeed with them set to garbage."""
+    src = pathlib.Path(repkernel.__file__).resolve().parents[2]
+    env = dict(
+        os.environ,
+        REPRO_STEP_KERNEL="bogus",
+        REPRO_REACH_KERNEL="bogus",
+        PYTHONPATH=os.pathsep.join([str(src), str(REPO_ROOT)]),
+    )
+    script = (
+        "from repro.core.problem import Seed, SeedGroup\n"
+        "from repro.diffusion.montecarlo import SigmaEstimator\n"
+        "from repro.sketch import RealizationBank\n"
+        "from tests.conftest import build_tiny_instance\n"
+        "frozen = build_tiny_instance().frozen()\n"
+        "group = SeedGroup([Seed(0, 0, 1)])\n"
+        "print(SigmaEstimator(frozen, n_samples=4).estimate(group).sigma)\n"
+        "print(RealizationBank(frozen, n_worlds=4).stacked_reach_packed(0).shape)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    sigma, shape = out.stdout.split("\n")[:2]
+    assert float(sigma) > 0.0
+    assert shape.startswith("(4, ")

@@ -6,7 +6,6 @@ from repro.eval.harness import (
     SweepRow,
     evaluate_group,
     run_algorithm,
-    sweep,
 )
 from repro.eval.reporting import format_series, format_table
 from repro.core.problem import Seed, SeedGroup
@@ -30,21 +29,6 @@ class TestHarness:
         assert evaluate_group(instance, group, n_samples=10) == (
             evaluate_group(instance, group, n_samples=10)
         )
-
-    def test_sweep_produces_full_grid(self):
-        instances = {
-            10.0: build_tiny_instance(budget=10.0),
-            20.0: build_tiny_instance(budget=20.0),
-        }
-        rows = sweep(
-            instances, ["PS", "Degree"] if "Degree" in ALGORITHMS else ["PS"],
-            n_samples=4, eval_samples=6,
-        )
-        xs = {row.x for row in rows}
-        assert xs == {10.0, 20.0}
-        for row in rows:
-            assert row.sigma >= 0.0
-            assert row.n_seeds >= 0
 
 
 class TestReporting:

@@ -26,6 +26,8 @@ from repro.baselines import run_bgrd, run_hag
 from repro.core.dysim import AdaptiveDysim, Dysim, DysimConfig
 from repro.data import load_dataset
 
+from tests.reference import disable_packed_pass
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 REGEN = os.environ.get("REPRO_GOLDEN_REGEN", "") not in ("", "0")
 
@@ -104,6 +106,23 @@ def test_golden(name):
     assert actual["sigma"] == pytest.approx(
         expected["sigma"], rel=1e-9, abs=1e-9
     ), f"{name}: sigma drifted"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_per_replication(name, monkeypatch):
+    """The goldens hold with the packed lockstep pass switched off.
+
+    Every Monte-Carlo chunk then replays ``CampaignSimulator.run`` once
+    per replication, which keeps that path pinned to the committed
+    fixtures as exactly as the default (packed) one.
+    """
+    if REGEN:
+        pytest.skip("fixtures are regenerated by test_golden")
+    packed_calls = disable_packed_pass(monkeypatch)
+    actual = _serialize(*SCENARIOS[name]())
+    assert not packed_calls
+    expected = json.loads((FIXTURES / f"{name}.json").read_text())
+    assert actual == expected, f"{name}: per-replication replay drifted"
 
 
 #: Per-oracle sample counts at which the three selection oracles agree

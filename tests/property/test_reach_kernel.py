@@ -1,17 +1,16 @@
 """Property tests: world-packed BFS == per-world BFS, bit for bit.
 
-The packed kernel (``repro.sketch.reachkernel``) computes all M
+The production kernel (``repro.sketch.reachkernel``) computes all M
 worlds' reachability in one bit-parallel frontier BFS; the per-world
-kernel runs one Python BFS per ``ReachabilitySketch``.  Reachability
-on a fixed live-edge graph is deterministic, so the two must agree
-*exactly* — stacks, LRU byte accounting and sigma values — on any
-skeleton, any world count (including M not divisible by 64) and any
-liveness pattern (including worlds with zero live edges).  These
-properties are what lets the repo keep the per-world loop purely as a
-test oracle.
+reference (``tests.reference.PerWorldBank``) runs one Python BFS per
+realized world.  Reachability on a fixed live-edge graph is
+deterministic, so the two must agree *exactly* — stacks, LRU byte
+accounting and sigma values — on any skeleton, any world count
+(including M not divisible by 64) and any liveness pattern (including
+worlds with zero live edges).
 """
 
-import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,11 +21,12 @@ from repro.sketch.reachkernel import (
     _jit_visited_loop,
     multi_world_visited,
     multi_world_visited_jit,
-    resolve_reach_kernel,
 )
 import pytest
 
+from tests.conftest import build_tiny_instance
 from tests.property.test_sketch_oracle import frozen_instances
+from tests.reference import PerWorldBank
 
 #: Loop implementations the jit twin must match the numpy kernel
 #: under.  The undecorated Python definition always runs (it is the
@@ -129,7 +129,7 @@ def test_multi_world_visited_matches_python_bfs(data):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_jit_worklist_matches_packed_kernel(impl_name, impl, data):
-    """The ``packed-jit`` worklist loop is bit-identical to the numpy
+    """The compiled worklist loop is bit-identical to the numpy
     event-sparse kernel on any graph, world count and liveness pattern
     (the closure of a fixed live-edge graph is traversal-independent).
     """
@@ -177,7 +177,7 @@ def test_world_layout_roundtrip(n_worlds, seed):
 
 
 # ---------------------------------------------------------------------------
-# bank level: both kernels, same API, bit-identical everything
+# bank level: production vs per-world reference, bit-identical everything
 # ---------------------------------------------------------------------------
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
@@ -186,12 +186,8 @@ def test_bank_kernels_bit_identical(data):
     # straddle the word boundary so tail-word handling is exercised;
     # 1 and 3 keep tiny banks in the mix
     n_worlds = data.draw(st.sampled_from([1, 3, 64, 67]))
-    packed = RealizationBank(
-        instance, n_worlds=n_worlds, rng_seed=7, reach_kernel="packed"
-    )
-    reference = RealizationBank(
-        instance, n_worlds=n_worlds, rng_seed=7, reach_kernel="per-world"
-    )
+    packed = RealizationBank(instance, n_worlds=n_worlds, rng_seed=7)
+    reference = PerWorldBank(instance, n_worlds=n_worlds, rng_seed=7)
     pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
     pairs = data.draw(
         st.lists(pair_ids, min_size=1, max_size=5)
@@ -210,7 +206,6 @@ def test_bank_kernels_bit_identical(data):
     assert np.array_equal(spreads_p, spreads_r)
 
     ours, theirs = packed.reach_stats(), reference.reach_stats()
-    assert ours.kernel == "packed" and theirs.kernel == "per-world"
     assert (ours.hits, ours.misses, ours.evictions) == (
         theirs.hits,
         theirs.misses,
@@ -226,19 +221,16 @@ def test_bank_kernels_identical_under_eviction(data):
     LRU replay (hits, misses, evictions, bytes) must not depend on the
     kernel filling the misses."""
     instance = data.draw(frozen_instances())
-    probe = RealizationBank(
-        instance, n_worlds=5, rng_seed=11, reach_kernel="packed"
-    )
+    probe = RealizationBank(instance, n_worlds=5, rng_seed=11)
     budget = probe.stacked_reach_packed(0).nbytes
     banks = [
-        RealizationBank(
+        bank_class(
             instance,
             n_worlds=5,
             rng_seed=11,
             reach_budget_bytes=budget,
-            reach_kernel=kernel,
         )
-        for kernel in ("packed", "per-world")
+        for bank_class in (RealizationBank, PerWorldBank)
     ]
     pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
     pairs = data.draw(st.lists(pair_ids, min_size=2, max_size=6))
@@ -320,53 +312,50 @@ def test_bank_world_shards_identical_under_eviction(data):
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
 def test_bank_jit_kernel_bit_identical(data):
-    """With numba installed, a packed-jit bank answers every query
-    bit-identically to the packed bank (jit CI leg)."""
+    """With numba installed, a bank filled by the compiled loop answers
+    every query bit-identically to one filled by the numpy kernel (jit
+    CI leg)."""
     instance = data.draw(frozen_instances())
     n_worlds = data.draw(st.sampled_from([1, 65, 130]))
-    banks = [
-        RealizationBank(
-            instance, n_worlds=n_worlds, rng_seed=7, reach_kernel=kernel
-        )
-        for kernel in ("packed", "packed-jit")
-    ]
+    compiled, numpy_bank = (
+        RealizationBank(instance, n_worlds=n_worlds, rng_seed=7)
+        for _ in range(2)
+    )
     pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
     pairs = data.draw(st.lists(pair_ids, min_size=1, max_size=5))
-    stacks = [bank.stacks_for(pairs) for bank in banks]
-    for ours, theirs in zip(*stacks):
+    with mock.patch.object(rk, "HAVE_NUMBA", False):
+        numpy_stacks = numpy_bank.stacks_for(pairs)
+    for ours, theirs in zip(compiled.stacks_for(pairs), numpy_stacks):
         assert np.array_equal(ours, theirs)
-    packed, jit = (bank.reach_stats() for bank in banks)
-    assert jit.kernel == "packed-jit"
-    assert (packed.hits, packed.misses, packed.bytes_in_use) == (
-        jit.hits,
-        jit.misses,
-        jit.bytes_in_use,
+    ours, theirs = compiled.reach_stats(), numpy_bank.reach_stats()
+    assert (ours.hits, ours.misses, ours.bytes_in_use) == (
+        theirs.hits,
+        theirs.misses,
+        theirs.bytes_in_use,
     )
 
 
-def test_resolve_reach_kernel_rejects_unknown():
-    with pytest.raises(ValueError):
-        resolve_reach_kernel("warp")
-    assert resolve_reach_kernel(None) in (
-        "packed",
-        "packed-jit",
-        "per-world",
+def test_compiled_twin_follows_have_numba(monkeypatch):
+    """Bank misses take the compiled worklist loop exactly when numba
+    imports; the undecorated loop stands in for the compiled function
+    here, so the choice is observable (and bit-identical) without
+    numba."""
+    calls = []
+
+    def compiled(*args):
+        calls.append(1)
+        return _jit_visited_loop(*args)
+
+    monkeypatch.setattr(rk, "_jit_visited_compiled", compiled)
+    instance = build_tiny_instance().frozen()
+    pairs = list(range(instance.n_users * N_ITEMS))
+    monkeypatch.setattr(rk, "HAVE_NUMBA", False)
+    expected = RealizationBank(instance, n_worlds=70, rng_seed=5).stacks_for(
+        pairs
     )
-
-
-def test_packed_jit_degrades_without_numba():
-    """Requesting packed-jit on a numba-free build warns once and
-    falls back to the numpy packed kernel; with numba installed it
-    resolves verbatim."""
-    if HAVE_NUMBA:
-        assert resolve_reach_kernel("packed-jit") == "packed-jit"
-        return
-    rk._warned_no_numba = False
-    try:
-        with pytest.warns(RuntimeWarning, match="packed-jit"):
-            assert resolve_reach_kernel("packed-jit") == "packed"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second resolve is silent
-            assert resolve_reach_kernel("packed-jit") == "packed"
-    finally:
-        rk._warned_no_numba = True
+    assert not calls
+    monkeypatch.setattr(rk, "HAVE_NUMBA", True)
+    twin = RealizationBank(instance, n_worlds=70, rng_seed=5).stacks_for(pairs)
+    assert calls
+    for ours, theirs in zip(twin, expected):
+        assert np.array_equal(ours, theirs)

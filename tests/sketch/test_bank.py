@@ -10,6 +10,7 @@ from repro.sketch import RealizationBank, build_skeleton
 from repro.utils.rng import spawn_rng
 
 from tests.conftest import build_tiny_instance
+from tests.reference import PerWorldBank, stacked_reach
 
 
 @pytest.fixture(scope="module")
@@ -76,11 +77,11 @@ class TestDeterminism:
     )
     def test_parallel_build_bit_identical(self, frozen, backend_factory):
         """World construction fans out yet reassembles canonically."""
-        serial = RealizationBank(
+        serial = PerWorldBank(
             frozen, n_worlds=7, rng_seed=5, backend=SerialBackend()
         )
         with backend_factory() as backend:
-            parallel = RealizationBank(
+            parallel = PerWorldBank(
                 frozen, n_worlds=7, rng_seed=5, backend=backend
             )
         pairs = tuple(serial.pair_index(u, 0) for u in range(6))
@@ -93,7 +94,7 @@ class TestDeterminism:
 
     def test_world_draws_follow_substream(self, frozen):
         """World i consumes spawn_rng(seed, *context, i) canonically."""
-        bank = RealizationBank(frozen, n_worlds=3, rng_seed=21)
+        bank = PerWorldBank(frozen, n_worlds=3, rng_seed=21)
         skeleton = bank.skeleton
         for i, world in enumerate(bank.worlds):
             rng = spawn_rng(21, "sketch", i)
@@ -117,8 +118,9 @@ class TestQueries:
         large = (bank.pair_index(0, 0), bank.pair_index(3, 2))
         assert bank.sigma(large) >= bank.sigma(small)
 
-    def test_union_decomposition(self, bank):
+    def test_union_decomposition(self, frozen):
         """Group spread per world is the union of singleton reaches."""
+        bank = PerWorldBank(frozen, n_worlds=8, rng_seed=3)
         pairs = (bank.pair_index(1, 0), bank.pair_index(4, 3))
         for world in bank.worlds:
             union = world.reach_mask(pairs[0]) | world.reach_mask(pairs[1])
@@ -153,17 +155,19 @@ class TestQueries:
         with pytest.raises(ValueError):
             RealizationBank(frozen, n_worlds=0)
 
-    def test_stacked_reach_cached_and_consistent(self, bank):
+    def test_stacked_reach_cached_and_consistent(self, bank, frozen):
         pair = bank.pair_index(5, 3)
         packed = bank.stacked_reach_packed(pair)
         # the packed stack is the memoized object; the boolean view is
         # unpacked fresh per call
         assert packed is bank.stacked_reach_packed(pair)
         assert packed.shape == (bank.n_worlds, bank.layout.n_words)
-        stacked = bank.stacked_reach(pair)
+        stacked = stacked_reach(bank, pair)
         assert stacked.shape == (bank.n_worlds, bank.skeleton.n_pairs)
-        assert np.array_equal(stacked, bank.stacked_reach(pair))
-        for world, row in zip(bank.worlds, stacked):
+        assert np.array_equal(stacked, stacked_reach(bank, pair))
+        # row w is world w's own BFS (same stream, same worlds)
+        reference = PerWorldBank(frozen, n_worlds=8, rng_seed=3)
+        for world, row in zip(reference.worlds, stacked):
             assert np.array_equal(world.reach_mask(pair), row)
 
     def test_stacks_for_batched_equals_sequential(self, frozen):
@@ -197,7 +201,7 @@ class TestQueries:
     def test_stacks_fan_out_backend_independent(
         self, frozen, backend_factory
     ):
-        """Packed-kernel miss blocks fan out over pool backends yet
+        """Miss blocks fan out over pool backends yet
         reassemble in canonical order — stacks and LRU accounting
         match the serial bank exactly."""
         serial = RealizationBank(
@@ -223,35 +227,14 @@ class TestQueries:
             pooled.stacked_reach_packed(15), serial.stacked_reach_packed(15)
         )
 
-    def test_per_world_kernel_is_bit_identical(self, frozen):
-        packed = RealizationBank(
-            frozen, n_worlds=6, rng_seed=17, reach_kernel="packed"
-        )
-        reference = RealizationBank(
-            frozen, n_worlds=6, rng_seed=17, reach_kernel="per-world"
-        )
-        assert packed.reach_stats().kernel == "packed"
-        assert reference.reach_stats().kernel == "per-world"
+    def test_per_world_reference_is_bit_identical(self, frozen):
+        packed = RealizationBank(frozen, n_worlds=6, rng_seed=17)
+        reference = PerWorldBank(frozen, n_worlds=6, rng_seed=17)
         for pair in range(frozen.n_users * frozen.n_items):
             assert np.array_equal(
                 packed.stacked_reach_packed(pair),
                 reference.stacked_reach_packed(pair),
             )
-
-    def test_packed_kernel_never_materializes_worlds(self, frozen):
-        """The packed kernel answers stacks off the shared world-major
-        graph; per-world sketches stay unbuilt until the per-world
-        API asks for them."""
-        bank = RealizationBank(
-            frozen, n_worlds=4, rng_seed=19, reach_kernel="packed"
-        )
-        bank.stacks_for(range(8))
-        assert bank._worlds is None
-        assert len(bank.worlds) == 4  # materialized on demand
-
-    def test_unknown_kernel_rejected(self, frozen):
-        with pytest.raises(ValueError):
-            RealizationBank(frozen, n_worlds=2, reach_kernel="warp")
 
     def test_reach_lru_counts_hits_and_evictions(self, frozen):
         unbounded = RealizationBank(frozen, n_worlds=4, rng_seed=9)

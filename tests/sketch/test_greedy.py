@@ -8,7 +8,6 @@ from repro.core.problem import Seed, SeedGroup
 from repro.core.submodular import budgeted_lazy_greedy
 from repro.errors import AlgorithmError
 from repro.sketch import (
-    CoverageEvaluator,
     RealizationBank,
     SketchSigmaEstimator,
     budgeted_coverage_greedy,
@@ -16,6 +15,7 @@ from repro.sketch import (
 from repro.utils.rng import RngFactory
 
 from tests.conftest import build_tiny_instance
+from tests.reference import CoverageEvaluator
 
 
 @pytest.fixture(scope="module")
