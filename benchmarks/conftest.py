@@ -132,30 +132,6 @@ def record_bench(series_name: str, value_ms: float, speedup: float,
     )
 
 
-@pytest.fixture(scope="session", autouse=True)
-def compiled_kernels_warm():
-    """Compile the numba twins before any timed region.
-
-    With the optional ``jit`` extra installed, the bank's multi-world
-    BFS and the lockstep association scan run compiled, and a fresh
-    environment pays numba's compilation on the first call.  One tiny
-    frozen estimate and one tiny bank fill take that cost here, once
-    per session; without numba this is a no-op.
-    """
-    from repro.sketch import HAVE_NUMBA
-
-    if not HAVE_NUMBA:
-        return
-    from repro.core.problem import Seed, SeedGroup
-    from repro.diffusion.montecarlo import SigmaEstimator
-    from repro.sketch import RealizationBank
-    from tests.conftest import build_tiny_instance
-
-    frozen = build_tiny_instance().frozen()
-    SigmaEstimator(frozen, n_samples=2).estimate(SeedGroup([Seed(0, 0, 1)]))
-    RealizationBank(frozen, n_worlds=2).stacked_reach_packed(0)
-
-
 @pytest.fixture(scope="session")
 def dataset_cache():
     """Memoized dataset builds shared across benchmark modules."""

@@ -6,8 +6,7 @@ reference (``tests.reference.PerWorldBank``: one Python BFS per
 realized world, M runs per candidate — the pre-PR-5 path) and the
 world-packed kernel (``repro.sketch.reachkernel``: one bit-parallel
 multi-world BFS whose frontier state covers all M worlds at once,
-sparse-event inner loop; pinned to its numpy form for the ``packed``
-row).
+sparse-event inner loop).
 Stacks are bit-identical — reachability on fixed live-edge graphs is
 deterministic — so the benchmark compares pure wall-clock and records
 the series to ``benchmarks/results/bank_scaling.txt``.
@@ -28,9 +27,10 @@ smoke), ``REPRO_BENCH_BANK_POOL`` (default 96) and
 
 ``test_bank_scaling_m1024`` repeats the comparison at M=1024 (the
 ``bank_scaling_m1024`` tracked series) with the compiled worklist
-loop (``packed-jit``) and the world-sharded process fill in the mix
-when numba / multiple cores are available; knobs
-``REPRO_BENCH_BANK1024_{WORLDS,POOL,ROUNDS}``.
+loop (``packed-jit``: bank misses routed through
+``multi_world_visited_jit``, which production banks do not select)
+and the world-sharded process fill in the mix when numba / multiple
+cores are available; knobs ``REPRO_BENCH_BANK1024_{WORLDS,POOL,ROUNDS}``.
 """
 
 import time
@@ -52,18 +52,14 @@ BANK_ROUNDS = _env_int("REPRO_BENCH_BANK_ROUNDS", 2)
 MIN_SPEEDUP = 1.5 if SMOKE else 3.0
 
 
-#: The kernel a bank runs when nothing is pinned.
-DEFAULT_KERNEL = "packed-jit" if HAVE_NUMBA else "packed"
-
-
 def _pinned(kernel):
-    """Pin an in-process bank fill to the numpy (``packed``) or the
-    compiled (``packed-jit``) multi-world BFS; other names run the
-    bank as it is."""
-    if kernel not in ("packed", "packed-jit"):
+    """Route an in-process bank fill's misses through the compiled
+    worklist loop for ``packed-jit``; other names run the bank as it
+    is (the numpy multi-world BFS)."""
+    if kernel != "packed-jit":
         return nullcontext()
     return mock.patch.object(
-        reachkernel, "HAVE_NUMBA", kernel == "packed-jit"
+        reachkernel, "multi_world_visited", reachkernel.multi_world_visited_jit
     )
 
 
@@ -163,6 +159,17 @@ M1024_ROUNDS = _env_int("REPRO_BENCH_BANK1024_ROUNDS", 1 if SMOKE else 2)
 M1024_MIN_SPEEDUP = 1.5 if SMOKE else 2.0
 
 
+def _warm_jit_compile():
+    """Trigger numba compilation outside any timed region."""
+    reachkernel.multi_world_visited_jit(
+        np.zeros(2, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+        np.zeros((0, 1), dtype=np.uint64),
+        np.array([0], dtype=np.int64),
+        reachkernel.WorldLayout(1),
+    )
+
+
 def test_bank_scaling_m1024(dataset_cache):
     """Large-M bank fills: best configured kernel vs the references.
 
@@ -206,7 +213,7 @@ def test_bank_scaling_m1024(dataset_cache):
     best_name, best_seconds = "packed", packed_seconds
 
     if HAVE_NUMBA:
-        # compiled already, outside any timed region (conftest)
+        _warm_jit_compile()
         jit_seconds, jit_stacks, _ = _timed_stacks(
             frozen, "packed-jit", pairs,
             worlds=M1024_WORLDS, rounds=M1024_ROUNDS,
@@ -225,8 +232,7 @@ def test_bank_scaling_m1024(dataset_cache):
     if cpu_count > 1:
         from repro.engine import ProcessPoolBackend
 
-        # Shard workers run the bank's default kernel (the compiled
-        # loop when numba imports there), so the row says which.
+        # Shard workers run the bank's numpy multi-world BFS.
         shards = min(4, cpu_count)
         with ProcessPoolBackend(workers=shards) as pool:
             shard_seconds, shard_stacks, _ = _timed_stacks(
@@ -236,7 +242,7 @@ def test_bank_scaling_m1024(dataset_cache):
             )
         for ours, theirs in zip(shard_stacks, ref_stacks):
             assert np.array_equal(ours, theirs)
-        shard_name = f"{DEFAULT_KERNEL}+shard{shards}"
+        shard_name = f"packed+shard{shards}"
         rows.append(
             [shard_name, f"{shard_seconds * 1e3:.1f}",
              f"{ref_seconds / shard_seconds:.2f}"]

@@ -5,8 +5,8 @@ Times one *worker chunk* of campaign replications — the exact unit
 community network, comparing the per-replication loop (one
 ``CampaignSimulator.run`` per replication, the path dynamic recipes
 take; forced here with ``tests.reference.disable_packed_pass``)
-against the numpy replication-lockstep pass that plays the whole chunk
-at once.  Both timings are **cold**: every ``run_chunk`` call builds
+against the replication-lockstep pass that plays the whole chunk at
+once.  Both timings are **cold**: every ``run_chunk`` call builds
 its simulator or packed state afresh, so each measured round replays
 that full cost on both sides.  Two assertions:
 
@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core.problem import Seed, SeedGroup
 from repro.data import load_dataset
-from repro.diffusion import repkernel
 from repro.diffusion.models import DiffusionModel
 from repro.engine import ReplicationTask, run_chunk
 from repro.eval.reporting import format_table
@@ -98,8 +97,6 @@ def test_mc_diffusion_scaling(monkeypatch):
     with monkeypatch.context() as patch:
         disable_packed_pass(patch)
         loop_seconds, loop_sigmas = _run_chunk_timed(instance, group)
-    # The numpy packed pass, whether or not numba is installed.
-    monkeypatch.setattr(repkernel, "HAVE_NUMBA", False)
     packed_seconds, packed_sigmas = _run_chunk_timed(instance, group)
     speedup = loop_seconds / packed_seconds if packed_seconds > 0 else 0.0
 

@@ -23,10 +23,9 @@ exist, which is what scales sigma to 10^6 users.  Dynamic evaluations
 always use Monte-Carlo.
 
 Kernels take no flag.  Frozen Monte-Carlo chunks play all their
-replications in one packed lockstep pass, and the diffusion and
-reachability kernels use their numba-compiled twins whenever the
-optional ``jit`` extra is installed.  Selections and sigma values are
-bit-identical either way; only wall-clock differs.
+replications in one packed lockstep pass; every other recipe runs one
+replication at a time.  Selections and sigma values are bit-identical
+either way; only wall-clock differs.
 
 ``--retries`` / ``--chunk-timeout`` tune the execution layer's fault
 supervisor (``repro.engine.resilience``): crashed workers, raising

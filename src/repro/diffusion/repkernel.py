@@ -28,18 +28,11 @@ nothing can be shared across the replication axis.
 recipe alone (:func:`~repro.engine.replication.lockstep_applicable`):
 frozen recipes without resumed states or collectors take this pass,
 everything else replays ``CampaignSimulator.run`` per replication.
-
-The association scan (the O(events × items) inner loop) has a
-numba-compiled two-pass twin that reads the packed adoption bits
-directly instead of materializing the dense eligibility matrices.  It
-runs whenever numba imports (``HAVE_NUMBA``, the optional ``jit``
-extra); the undecorated Python loops stay importable as the
-bit-identity test shadows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,16 +41,7 @@ from repro.diffusion.models import DiffusionModel
 from repro.errors import SimulationError
 from repro.social.csr import row_gather
 
-try:  # pragma: no cover - exercised on the CI jit leg
-    import numba
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - the default environment
-    numba = None
-    HAVE_NUMBA = False
-
 __all__ = [
-    "HAVE_NUMBA",
     "LockstepOutcome",
     "ReplicationLayout",
     "run_campaigns_lockstep",
@@ -193,132 +177,6 @@ class LockstepOutcome:
         return self._state
 
 
-# ----------------------------------------------------------------------
-# The numba-compiled association scan (used when ``HAVE_NUMBA``).
-#
-# Two passes over the step's event array replace the dense
-# (n_events, n_items) eligibility/probability matrices of the numpy
-# path: pass one counts each event's eligible association draws (to
-# lay out the draw buffer), pass two consumes the draws and emits the
-# adoption events already in canonical order (event ascending,
-# influence decision before that event's association wins, items
-# ascending).  Probability arithmetic matches the numpy expressions
-# operation for operation — multiply, clip to [0, 1], scale — so
-# decisions are bit-identical.  The undecorated functions double as
-# the pure-python test shadow on numba-free environments.
-# ----------------------------------------------------------------------
-
-
-def _lockstep_count_extras(
-    sp,  # float64[:]  strengths * preferences per event
-    items,  # int64[:]  promoted item per event
-    targets,  # int64[:]
-    inverse,  # int64[:]  event -> row of ``rows``
-    rows,  # float64[:, :]  unique complementary rows
-    scale,  # float64  association_scale
-    floor,  # float64  extra_adoption_floor
-    adopted,  # uint64[:, :]  packed (n_pairs, n_words) adoption bits
-    words,  # int64[:]  replication word per event
-    masks,  # uint64[:]  replication bit per event
-    n_items,  # int64
-    n_extra,  # int64[:]  out: eligible association draws per event
-):
-    for e in range(sp.size):
-        base = targets[e] * n_items
-        w = words[e]
-        m = masks[e]
-        promoted = items[e]
-        spe = sp[e]
-        row = inverse[e]
-        count = 0
-        for y in range(n_items):
-            u = spe * rows[row, y]
-            if u < 0.0:
-                u = 0.0
-            elif u > 1.0:
-                u = 1.0
-            if not (scale * u > floor):
-                continue
-            if y == promoted:
-                continue
-            if adopted[base + y, w] & m:
-                continue
-            count += 1
-        n_extra[e] = count
-
-
-def _lockstep_decide_ic(
-    sp,
-    items,
-    targets,
-    inverse,
-    rows,
-    scale,
-    floor,
-    adopted,
-    words,
-    masks,
-    n_items,
-    rep_of,  # int64[:]  replication id per event
-    needs_draw,  # bool[:]  event opens with an influence coin
-    offsets,  # int64[:]  draw-buffer offset per event (n_events + 1)
-    draws,  # float64[:]  the step's draws, canonical order
-    out_reps,  # int64[:]  out buffers (capacity >= total draws)
-    out_users,
-    out_items,
-):
-    emitted = 0
-    for e in range(sp.size):
-        position = offsets[e]
-        if needs_draw[e]:
-            if draws[position] < sp[e]:
-                out_reps[emitted] = rep_of[e]
-                out_users[emitted] = targets[e]
-                out_items[emitted] = items[e]
-                emitted += 1
-            position += 1
-        if scale == 0.0:
-            continue
-        base = targets[e] * n_items
-        w = words[e]
-        m = masks[e]
-        promoted = items[e]
-        spe = sp[e]
-        row = inverse[e]
-        for y in range(n_items):
-            u = spe * rows[row, y]
-            if u < 0.0:
-                u = 0.0
-            elif u > 1.0:
-                u = 1.0
-            probability = scale * u
-            if not (probability > floor):
-                continue
-            if y == promoted:
-                continue
-            if adopted[base + y, w] & m:
-                continue
-            if draws[position] < probability:
-                out_reps[emitted] = rep_of[e]
-                out_users[emitted] = targets[e]
-                out_items[emitted] = y
-                emitted += 1
-            position += 1
-    return emitted
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised on the CI jit leg
-    _count_extras_compiled = numba.njit(cache=True, nogil=True)(
-        _lockstep_count_extras
-    )
-    _decide_ic_compiled = numba.njit(cache=True, nogil=True)(
-        _lockstep_decide_ic
-    )
-else:
-    _count_extras_compiled = None
-    _decide_ic_compiled = None
-
-
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
@@ -360,9 +218,6 @@ def run_campaigns_lockstep(
     start_promotion: int = 1,
     max_steps_per_promotion: int = 200,
     extra_adoption_floor: float = 1e-6,
-    jit: bool | None = None,
-    count_impl: Callable[..., None] | None = None,
-    decide_impl: Callable[..., int] | None = None,
 ) -> list[LockstepOutcome]:
     """Play one campaign realization per generator, all in lockstep.
 
@@ -372,14 +227,6 @@ def run_campaigns_lockstep(
     canonical order — so outcomes and final generator states are
     bit-identical to R independent runs.  Requires frozen dynamics;
     raises :class:`~repro.errors.SimulationError` otherwise.
-
-    ``jit`` routes the association scan through the two-pass loops
-    under IC (``None`` = whenever numba imports, ``HAVE_NUMBA``; the
-    compiled twins when available, the undecorated shadows otherwise);
-    ``count_impl`` / ``decide_impl`` override the loop implementations
-    — tests pass the undecorated shadows to pin bit-identity on
-    numba-free environments.  Under LT the influence decisions are
-    inherently threshold-stateful, so LT always runs the numpy path.
     """
     n_replications = len(rngs)
     if n_replications == 0:
@@ -575,14 +422,6 @@ def run_campaigns_lockstep(
             unique_rows = np.zeros((1, n_items))
             inverse = np.zeros(n_events, dtype=np.int64)
 
-        use_jit = (HAVE_NUMBA if jit is None else jit) and not use_lt
-        count_fn = count_impl
-        decide_fn = decide_impl
-        if use_jit:
-            if count_fn is None:
-                count_fn = _count_extras_compiled or _lockstep_count_extras
-            if decide_fn is None:
-                decide_fn = _decide_ic_compiled or _lockstep_decide_ic
 
         # Which events open with a draw: IC flips an influence coin
         # for every not-yet-adopted (target, item); LT draws a
@@ -604,33 +443,16 @@ def run_campaigns_lockstep(
 
         eligible = None
         if scale != 0.0:
-            if use_jit:
-                n_extra = np.zeros(n_events, dtype=np.int64)
-                count_fn(
-                    sp,
-                    items,
-                    targets,
-                    inverse,
-                    unique_rows,
-                    scale,
-                    floor,
-                    adopted,
-                    words,
-                    masks,
-                    n_items,
-                    n_extra,
-                )
-            else:
-                extra_probs = scale * np.clip(
-                    sp[:, None] * unique_rows[inverse], 0.0, 1.0
-                )
-                eligible = extra_probs > floor
-                eligible[np.arange(n_events), items] = False
-                adopted_rows = adopted3[
-                    targets[:, None], item_axis[None, :], words[:, None]
-                ]
-                eligible &= (adopted_rows & masks[:, None]) == 0
-                n_extra = eligible.sum(axis=1)
+            extra_probs = scale * np.clip(
+                sp[:, None] * unique_rows[inverse], 0.0, 1.0
+            )
+            eligible = extra_probs > floor
+            eligible[np.arange(n_events), items] = False
+            adopted_rows = adopted3[
+                targets[:, None], item_axis[None, :], words[:, None]
+            ]
+            eligible &= (adopted_rows & masks[:, None]) == 0
+            n_extra = eligible.sum(axis=1)
         else:
             n_extra = np.zeros(n_events, dtype=np.int64)
 
@@ -653,109 +475,81 @@ def run_campaigns_lockstep(
             if hi > lo:
                 draws[lo:hi] = rngs[r].random(hi - lo)
 
-        if use_jit:
-            out_reps = np.empty(total_draws, dtype=np.int64)
-            out_users = np.empty(total_draws, dtype=np.int64)
-            out_items = np.empty(total_draws, dtype=np.int64)
-            emitted = decide_fn(
-                sp,
-                items,
-                targets,
-                inverse,
-                unique_rows,
-                scale,
-                floor,
-                adopted,
-                words,
-                masks,
-                n_items,
-                rep_of,
-                needs_draw,
-                offsets,
-                draws,
-                out_reps,
-                out_users,
-                out_items,
-            )
-            ordered_reps = out_reps[:emitted]
-            ordered_users = out_users[:emitted]
-            ordered_items = out_items[:emitted]
+        adopted_events: list[np.ndarray] = []
+        adopted_users: list[np.ndarray] = []
+        adopted_items: list[np.ndarray] = []
+        adopted_phase: list[np.ndarray] = []
+
+        if use_lt:
+            for event in np.flatnonzero(needs_draw).tolist():
+                thresholds = reps[int(rep_of[event])].lt_thresholds
+                key = (int(targets[event]), int(items[event]))
+                thresholds[key] = float(draws[offsets[event]])
+            decided = np.flatnonzero(undecided)
+            if decided.size:
+                totals: dict[tuple[int, int, int], float] = {}
+                success = np.zeros(decided.size, dtype=bool)
+                for position, event in enumerate(decided.tolist()):
+                    r = int(rep_of[event])
+                    key = (r, int(targets[event]), int(items[event]))
+                    total = totals.get(key)
+                    if total is None:
+                        total = _lt_total(r, key[1], key[2])
+                        totals[key] = total
+                    success[position] = (
+                        total >= reps[r].lt_thresholds[key[1:]]
+                    )
+                winners = decided[success]
+                adopted_events.append(winners)
+                adopted_users.append(targets[winners])
+                adopted_items.append(items[winners])
+                adopted_phase.append(
+                    np.zeros(winners.size, dtype=np.int64)
+                )
         else:
-            adopted_events: list[np.ndarray] = []
-            adopted_users: list[np.ndarray] = []
-            adopted_items: list[np.ndarray] = []
-            adopted_phase: list[np.ndarray] = []
-
-            if use_lt:
-                for event in np.flatnonzero(needs_draw).tolist():
-                    thresholds = reps[int(rep_of[event])].lt_thresholds
-                    key = (int(targets[event]), int(items[event]))
-                    thresholds[key] = float(draws[offsets[event]])
-                decided = np.flatnonzero(undecided)
-                if decided.size:
-                    totals: dict[tuple[int, int, int], float] = {}
-                    success = np.zeros(decided.size, dtype=bool)
-                    for position, event in enumerate(decided.tolist()):
-                        r = int(rep_of[event])
-                        key = (r, int(targets[event]), int(items[event]))
-                        total = totals.get(key)
-                        if total is None:
-                            total = _lt_total(r, key[1], key[2])
-                            totals[key] = total
-                        success[position] = (
-                            total >= reps[r].lt_thresholds[key[1:]]
-                        )
-                    winners = decided[success]
-                    adopted_events.append(winners)
-                    adopted_users.append(targets[winners])
-                    adopted_items.append(items[winners])
-                    adopted_phase.append(
-                        np.zeros(winners.size, dtype=np.int64)
-                    )
-            else:
-                decided = np.flatnonzero(needs_draw)
-                if decided.size:
-                    success = draws[offsets[decided]] < sp[decided]
-                    winners = decided[success]
-                    adopted_events.append(winners)
-                    adopted_users.append(targets[winners])
-                    adopted_items.append(items[winners])
-                    adopted_phase.append(
-                        np.zeros(winners.size, dtype=np.int64)
-                    )
-
-            if eligible is not None and n_extra.sum():
-                event_index, item_index = np.nonzero(eligible)
-                extra_before = np.zeros(n_events + 1, dtype=np.int64)
-                np.cumsum(n_extra, out=extra_before[1:])
-                rank = np.arange(event_index.size) - extra_before[event_index]
-                positions = (
-                    offsets[event_index] + needs_draw[event_index] + rank
+            decided = np.flatnonzero(needs_draw)
+            if decided.size:
+                success = draws[offsets[decided]] < sp[decided]
+                winners = decided[success]
+                adopted_events.append(winners)
+                adopted_users.append(targets[winners])
+                adopted_items.append(items[winners])
+                adopted_phase.append(
+                    np.zeros(winners.size, dtype=np.int64)
                 )
-                success = (
-                    draws[positions] < extra_probs[event_index, item_index]
-                )
-                adopted_events.append(event_index[success])
-                adopted_users.append(targets[event_index[success]])
-                adopted_items.append(item_index[success])
-                adopted_phase.append(1 + rank[success])
 
-            if not adopted_events:
-                return
-            events = np.concatenate(adopted_events)
-            users = np.concatenate(adopted_users)
-            new_items = np.concatenate(adopted_items)
-            phases = np.concatenate(adopted_phase)
-            # Canonical insertion order (events ascending, influence
-            # decision before that event's association wins) — events
-            # are replication-contiguous, so the global sort preserves
-            # each replication's reference order.
-            order = np.argsort(
-                events * (n_items + 1) + phases, kind="stable"
+        if eligible is not None and n_extra.sum():
+            event_index, item_index = np.nonzero(eligible)
+            extra_before = np.zeros(n_events + 1, dtype=np.int64)
+            np.cumsum(n_extra, out=extra_before[1:])
+            rank = np.arange(event_index.size) - extra_before[event_index]
+            positions = (
+                offsets[event_index] + needs_draw[event_index] + rank
             )
-            ordered_reps = rep_of[events[order]]
-            ordered_users = users[order]
-            ordered_items = new_items[order]
+            success = (
+                draws[positions] < extra_probs[event_index, item_index]
+            )
+            adopted_events.append(event_index[success])
+            adopted_users.append(targets[event_index[success]])
+            adopted_items.append(item_index[success])
+            adopted_phase.append(1 + rank[success])
+
+        if not adopted_events:
+            return
+        events = np.concatenate(adopted_events)
+        users = np.concatenate(adopted_users)
+        new_items = np.concatenate(adopted_items)
+        phases = np.concatenate(adopted_phase)
+        # Canonical insertion order (events ascending, influence
+        # decision before that event's association wins) — events
+        # are replication-contiguous, so the global sort preserves
+        # each replication's reference order.
+        order = np.argsort(
+            events * (n_items + 1) + phases, kind="stable"
+        )
+        ordered_reps = rep_of[events[order]]
+        ordered_users = users[order]
+        ordered_items = new_items[order]
 
         if ordered_users.size == 0:
             return

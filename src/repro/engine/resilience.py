@@ -471,7 +471,7 @@ class _ChunkState:
 
 
 def _warn_degraded(backend, level: str, reason: str) -> None:
-    """One-time RuntimeWarning per backend, per the jit precedent."""
+    """One-time RuntimeWarning per backend."""
     if getattr(backend, "_degrade_warned", False):
         return
     backend._degrade_warned = True

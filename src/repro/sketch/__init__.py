@@ -16,9 +16,7 @@ the same worlds.  This package provides:
   marginal gains are incremental bitmask lookups (nominee selection's
   fast path);
 * :mod:`repro.sketch.reachkernel` — the bit-parallel multi-world BFS
-  computing all M worlds' reachability in one vectorized pass (through
-  a numba-compiled worklist loop when the optional ``jit`` extra is
-  installed);
+  computing all M worlds' reachability in one vectorized pass;
 * :mod:`repro.sketch.rrset` — the RIS/IMM-style reverse-reachable-set
   oracle (:class:`RRSetIndex` + :class:`RRSetSigmaEstimator`): sample
   RR sets once per (instance, seed-stream, R), then sigma of *any*

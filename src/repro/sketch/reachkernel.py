@@ -33,10 +33,13 @@ set them — so popcount-style consumers never see phantom worlds.
 Compiled twin
 -------------
 :func:`multi_world_visited_jit` answers the same query through a
-numba-compiled worklist loop.  :func:`reach_stacks` takes it whenever
-numba imports (``HAVE_NUMBA``, the optional ``jit`` extra) and the
-numpy event kernel otherwise; both are bit-identical, and the
-undecorated loop stays callable as the numba-free test shadow.
+numba-compiled worklist loop (the optional ``jit`` extra;
+``HAVE_NUMBA`` says whether it imports).  Bank fills do not select it:
+:func:`reach_stacks` always runs the numpy event kernel, because the
+compiled loop has been timed only at M=1024
+(``benchmarks/test_bank_scaling.py``), not at the bank's default world
+counts.  Both forms are bit-identical, and the undecorated loop stays
+callable as the numba-free test shadow.
 """
 
 from __future__ import annotations
@@ -429,27 +432,23 @@ def reach_stacks(
     sources: Sequence[int],
     pair_layout: PairLayout,
     world_layout: WorldLayout,
-    jit: bool | None = None,
 ) -> list[np.ndarray]:
     """One ``(n_worlds, n_words)`` PairLayout stack per source.
 
     Runs the block (chunked to :data:`MAX_SOURCE_BLOCK` sources)
-    through the multi-world BFS — the compiled worklist loop when
-    ``jit`` (``None`` = whenever numba imports, ``HAVE_NUMBA``), the
-    numpy event-sparse kernel otherwise — and scatters the world-major
+    through the numpy multi-world BFS and scatters the world-major
     visited matrix into the pair-major packed stacks
     :class:`~repro.core.selection.CoverageGainOracle` consumes —
     bit-identical to stacking M per-world BFS masks.  Each returned
     stack is an owning copy, so the bank's LRU can drop them
     individually.
     """
-    if jit is None:
-        jit = HAVE_NUMBA
-    visit = multi_world_visited_jit if jit else multi_world_visited
     stacks: list[np.ndarray] = []
     for start in range(0, len(sources), MAX_SOURCE_BLOCK):
         block = list(sources[start : start + MAX_SOURCE_BLOCK])
-        visited = visit(indptr, indices, arc_live, block, world_layout)
+        visited = multi_world_visited(
+            indptr, indices, arc_live, block, world_layout
+        )
         stacks.extend(
             _stacks_from_visited(visited, pair_layout, world_layout)
         )

@@ -14,10 +14,8 @@ These tests run full campaigns on hypothesis-generated instances
 (random topology, insertion order, strengths, preferences, seeds and
 dynamics) for both IC and LT and assert bit identity of every output
 *and* of the final RNG stream position (``bit_generator.state``).  The
-lockstep pass is pinned at the replication-word boundaries (R in {1,
-63, 64, 65, 130}) and in both its numpy decision path and the
-pure-python shadow of the compiled loops, so the compiled twin's logic
-is covered even where numba is not installed.
+lockstep pass is also pinned at the replication-word boundaries (R in
+{1, 63, 64, 65, 130}).
 """
 
 from __future__ import annotations
@@ -28,11 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
 from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import DiffusionModel
-from repro.diffusion.repkernel import (
-    _lockstep_count_extras,
-    _lockstep_decide_ic,
-    run_campaigns_lockstep,
-)
+from repro.diffusion.repkernel import run_campaigns_lockstep
 from repro.kg.relevance import RelevanceEngine
 from repro.perception.params import DynamicsParams
 
@@ -165,15 +159,6 @@ def test_lt_step_bit_identical(case):
 #: Replication counts straddling the packed uint64 word boundaries.
 WORD_BOUNDARY_RS = (1, 63, 64, 65, 130)
 
-#: The pure-python shadows of the compiled inner loops — same
-#: callables numba compiles, so passing them as overrides covers the
-#: compiled twin's decision logic without requiring numba.
-JIT_SHADOW = dict(
-    jit=True,
-    count_impl=_lockstep_count_extras,
-    decide_impl=_lockstep_decide_ic,
-)
-
 
 def _replication_rngs(run_seed, n_replications):
     return [
@@ -186,36 +171,30 @@ def _assert_lockstep_matches(instance, group, run_seed, model, n_replications):
     simulator = CampaignSimulator(instance, model=model)
     reference_rngs = _replication_rngs(run_seed, n_replications)
     references = [simulator.run(group, rng) for rng in reference_rngs]
-    for label, kwargs in (("numpy", dict(jit=False)), ("jit", JIT_SHADOW)):
-        rngs = _replication_rngs(run_seed, n_replications)
-        outcomes = run_campaigns_lockstep(
-            instance, group, rngs, model=model, **kwargs
-        )
-        assert len(outcomes) == n_replications
-        for r, (reference, outcome) in enumerate(zip(references, outcomes)):
-            context = (label, r)
-            assert np.array_equal(
-                reference.new_adoptions, outcome.new_adoptions
-            ), context
-            assert reference.sigma == outcome.sigma, context
-            assert (
-                reference.sigma_by_promotion == outcome.sigma_by_promotion
-            ), context
-            assert reference.steps_run == outcome.steps_run, context
-            some_users = set(range(0, instance.n_users, 2))
-            assert reference.sigma_restricted(
-                some_users
-            ) == outcome.sigma_restricted(some_users), context
-            # Final perception state is reconstructible (frozen run).
-            assert np.array_equal(
-                reference.state.weights, outcome.state.weights
-            ), context
-            # The decisive check: replication r consumed exactly the
-            # draws its own per-replication run would have.
-            assert (
-                reference_rngs[r].bit_generator.state
-                == rngs[r].bit_generator.state
-            ), context
+    rngs = _replication_rngs(run_seed, n_replications)
+    outcomes = run_campaigns_lockstep(instance, group, rngs, model=model)
+    assert len(outcomes) == n_replications
+    for r, (reference, outcome) in enumerate(zip(references, outcomes)):
+        assert np.array_equal(
+            reference.new_adoptions, outcome.new_adoptions
+        ), r
+        assert reference.sigma == outcome.sigma, r
+        assert reference.sigma_by_promotion == outcome.sigma_by_promotion, r
+        assert reference.steps_run == outcome.steps_run, r
+        some_users = set(range(0, instance.n_users, 2))
+        assert reference.sigma_restricted(
+            some_users
+        ) == outcome.sigma_restricted(some_users), r
+        # Final perception state is reconstructible (frozen run).
+        assert np.array_equal(
+            reference.state.weights, outcome.state.weights
+        ), r
+        # The decisive check: replication r consumed exactly the
+        # draws its own per-replication run would have.
+        assert (
+            reference_rngs[r].bit_generator.state
+            == rngs[r].bit_generator.state
+        ), r
 
 
 @given(instances(force_frozen=True), st.sampled_from((1, 2, 5)))

@@ -6,8 +6,7 @@ no resumed state and no collectors; every other recipe replays
 ``CampaignSimulator.run`` once per replication.  Both paths are
 bit-identical by construction — these tests pin that, plus the
 surfaces around it: the ``lockstep_applicable`` rule, the backend chunk
-coarsening, the compiled twin following ``HAVE_NUMBA``, and that no
-environment variable can steer the choice.
+coarsening, and that no environment variable can steer the choice.
 """
 
 import os
@@ -145,38 +144,6 @@ class TestRunChunkEquivalence:
         reference = SerialBackend().run(task, 9)
         assert np.array_equal(reference.sigmas, serial.sigmas)
         assert np.array_equal(reference.sigmas, pooled.sigmas)
-
-
-def test_compiled_twin_follows_have_numba(frozen_instance, monkeypatch):
-    """The packed pass takes the compiled association scan exactly when
-    numba imports; here the undecorated shadows stand in for the
-    compiled functions, so the choice is observable without numba."""
-    calls = []
-
-    def spy(shadow):
-        def compiled(*args):
-            calls.append(shadow.__name__)
-            return shadow(*args)
-
-        return compiled
-
-    monkeypatch.setattr(
-        repkernel,
-        "_count_extras_compiled",
-        spy(repkernel._lockstep_count_extras),
-    )
-    monkeypatch.setattr(
-        repkernel, "_decide_ic_compiled", spy(repkernel._lockstep_decide_ic)
-    )
-    task = _task(frozen_instance)
-    monkeypatch.setattr(repkernel, "HAVE_NUMBA", False)
-    numpy_path = run_chunk(task, list(range(6)))
-    assert calls == []
-    monkeypatch.setattr(repkernel, "HAVE_NUMBA", True)
-    twin = run_chunk(task, list(range(6)))
-    assert "_lockstep_count_extras" in calls
-    assert "_lockstep_decide_ic" in calls
-    assert np.array_equal(numpy_path.sigmas, twin.sigmas)
 
 
 def test_kernel_environment_variables_are_not_read():

@@ -315,7 +315,7 @@ class TestDegradationLadder:
                 )
             assert backend.fault_stats.degraded_to == "thread"
             # The warning is once per backend — a second degradation
-            # stays silent (mirrors the packed-jit precedent).
+            # stays silent.
             plan2_results = None
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

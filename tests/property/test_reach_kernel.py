@@ -24,7 +24,6 @@ from repro.sketch.reachkernel import (
 )
 import pytest
 
-from tests.conftest import build_tiny_instance
 from tests.property.test_sketch_oracle import frozen_instances
 from tests.reference import PerWorldBank
 
@@ -308,54 +307,32 @@ def test_bank_world_shards_identical_under_eviction(data):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
+@pytest.mark.parametrize("impl_name,impl", JIT_IMPLS)
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
-def test_bank_jit_kernel_bit_identical(data):
-    """With numba installed, a bank filled by the compiled loop answers
-    every query bit-identically to one filled by the numpy kernel (jit
-    CI leg)."""
+def test_bank_jit_kernel_bit_identical(impl_name, impl, data):
+    """A bank whose misses run the worklist twin answers every query
+    bit-identically to the production bank, which runs the numpy
+    kernel — stacks and LRU counters alike."""
+
+    def twin(*args):
+        return multi_world_visited_jit(*args, impl=impl)
+
     instance = data.draw(frozen_instances())
     n_worlds = data.draw(st.sampled_from([1, 65, 130]))
-    compiled, numpy_bank = (
+    twin_bank, numpy_bank = (
         RealizationBank(instance, n_worlds=n_worlds, rng_seed=7)
         for _ in range(2)
     )
     pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
     pairs = data.draw(st.lists(pair_ids, min_size=1, max_size=5))
-    with mock.patch.object(rk, "HAVE_NUMBA", False):
-        numpy_stacks = numpy_bank.stacks_for(pairs)
-    for ours, theirs in zip(compiled.stacks_for(pairs), numpy_stacks):
-        assert np.array_equal(ours, theirs)
-    ours, theirs = compiled.reach_stats(), numpy_bank.reach_stats()
+    with mock.patch.object(rk, "multi_world_visited", twin):
+        twin_stacks = twin_bank.stacks_for(pairs)
+    for ours, theirs in zip(twin_stacks, numpy_bank.stacks_for(pairs)):
+        assert np.array_equal(ours, theirs), impl_name
+    ours, theirs = twin_bank.reach_stats(), numpy_bank.reach_stats()
     assert (ours.hits, ours.misses, ours.bytes_in_use) == (
         theirs.hits,
         theirs.misses,
         theirs.bytes_in_use,
     )
-
-
-def test_compiled_twin_follows_have_numba(monkeypatch):
-    """Bank misses take the compiled worklist loop exactly when numba
-    imports; the undecorated loop stands in for the compiled function
-    here, so the choice is observable (and bit-identical) without
-    numba."""
-    calls = []
-
-    def compiled(*args):
-        calls.append(1)
-        return _jit_visited_loop(*args)
-
-    monkeypatch.setattr(rk, "_jit_visited_compiled", compiled)
-    instance = build_tiny_instance().frozen()
-    pairs = list(range(instance.n_users * N_ITEMS))
-    monkeypatch.setattr(rk, "HAVE_NUMBA", False)
-    expected = RealizationBank(instance, n_worlds=70, rng_seed=5).stacks_for(
-        pairs
-    )
-    assert not calls
-    monkeypatch.setattr(rk, "HAVE_NUMBA", True)
-    twin = RealizationBank(instance, n_worlds=70, rng_seed=5).stacks_for(pairs)
-    assert calls
-    for ours, theirs in zip(twin, expected):
-        assert np.array_equal(ours, theirs)

@@ -1,10 +1,9 @@
 """Bit-identity references: the slow, obviously-correct kernels.
 
-Production (``src/repro``) keeps one implementation per kernel plus
-its optional numba twin.  The straightforward implementations those
-kernels were derived from live here instead, where the property
-suites, the goldens and the scaling benchmarks (``benchmarks/``)
-compare against them bit for bit:
+Production (``src/repro``) runs one implementation per kernel.  The
+straightforward implementations those kernels were derived from live
+here instead, where the property suites, the goldens and the scaling
+benchmarks (``benchmarks/``) compare against them bit for bit:
 
 * :class:`ScalarCampaignSimulator` — the per-arc scalar diffusion step
   (one Python loop over frontier out-arcs, LT decisions by explicit
@@ -13,9 +12,8 @@ compare against them bit for bit:
   the per-replication step, so whole pipelines can be replayed without
   the packed lockstep pass;
 * :class:`ReachabilitySketch` / :class:`PerWorldBank` /
-  :func:`stacked_reach` — one Python BFS per realized world, with
-  per-world memos deduplicated into the bank's LRU, and the boolean
-  form of a stack;
+  :func:`stacked_reach` — one Python BFS per realized world, and the
+  boolean form of a stack;
 * :class:`CoverageEvaluator` — one-candidate-at-a-time boolean
   coverage gains.
 """

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,17 +64,6 @@ class ReachabilitySketch:
         """Boolean mask of pairs reachable from ``pair`` (fresh array)."""
         return self.layout.unpack(self.reach_packed(pair))
 
-    def group_packed(self, pairs: Iterable[int]) -> np.ndarray:
-        """Packed-word union of the sources' reachability masks."""
-        union = np.zeros(self.layout.n_words, dtype=np.uint64)
-        for pair in pairs:
-            union |= self.reach_packed(pair)
-        return union
-
-    def group_mask(self, pairs: Iterable[int]) -> np.ndarray:
-        """Boolean union of the sources' reachability masks."""
-        return self.layout.unpack(self.group_packed(pairs))
-
 
 class PerWorldBank(RealizationBank):
     """A :class:`RealizationBank` whose stack misses run one Python BFS
@@ -82,9 +71,7 @@ class PerWorldBank(RealizationBank):
 
     Worlds derive from the same stored coin outcomes as the production
     multi-world BFS, so stacks, sigma values and LRU accounting must
-    match it bit for bit.  Each world's memo is deduplicated into the
-    bank's LRU: an inserted stack's rows replace the world memos, and
-    an evicted stack takes its rows out of them.
+    match it bit for bit.
     """
 
     _worlds: list[ReachabilitySketch] | None = None
@@ -117,15 +104,6 @@ class PerWorldBank(RealizationBank):
             pair: np.stack([world.reach_packed(pair) for world in worlds])
             for pair in missing
         }
-
-    def _insert_stack(self, pair: int, stacked: np.ndarray) -> None:
-        before = set(self._stacked_packed)
-        super()._insert_stack(pair, stacked)
-        for world, row in zip(self.worlds, stacked):
-            world._reach[pair] = row
-        for evicted in before - set(self._stacked_packed):
-            for world in self.worlds:
-                world._reach.pop(evicted, None)
 
 
 def stacked_reach(bank: RealizationBank, pair: int) -> np.ndarray:

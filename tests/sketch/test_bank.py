@@ -119,16 +119,15 @@ class TestQueries:
         assert bank.sigma(large) >= bank.sigma(small)
 
     def test_union_decomposition(self, frozen):
-        """Group spread per world is the union of singleton reaches."""
-        bank = PerWorldBank(frozen, n_worlds=8, rng_seed=3)
+        """Group spread per world is the importance of the union of
+        singleton reaches, each found by one BFS in that world."""
+        bank = RealizationBank(frozen, n_worlds=8, rng_seed=3)
+        reference = PerWorldBank(frozen, n_worlds=8, rng_seed=3)
         pairs = (bank.pair_index(1, 0), bank.pair_index(4, 3))
-        for world in bank.worlds:
+        spreads, _ = bank.spread_stats(pairs)
+        for i, world in enumerate(reference.worlds):
             union = world.reach_mask(pairs[0]) | world.reach_mask(pairs[1])
-            assert np.array_equal(world.group_mask(pairs), union)
-            # the packed union is the same set, never unpacked
-            packed = world.group_packed(pairs)
-            assert packed.dtype == np.uint64
-            assert np.array_equal(world.layout.unpack(packed), union)
+            assert spreads[i] == float(bank.pair_importance[union].sum())
 
     def test_restricted_weights_subset(self, bank):
         pairs = (bank.pair_index(0, 0), bank.pair_index(2, 1))
