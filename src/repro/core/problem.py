@@ -205,11 +205,28 @@ class IMDPPInstance:
         )
 
     def __getstate__(self) -> dict:
-        # Workers refill the table on demand; shipping it would grow
-        # every process task.
+        # The table is a cache.  A process worker refills its own copy,
+        # once per instance it loads (shared instances stay resident in
+        # the worker, ``repro.engine.shm``), so payloads stay small.
         state = self.__dict__.copy()
         del state["complementary_table"]
         return state
+
+    def __reduce_ex__(self, protocol):
+        """Pickle by value — or, once exported, by handle.
+
+        After :func:`repro.engine.shm.share_for_backend` has exported
+        this instance for a process pool, pickles carry only the tiny
+        handle, and each worker loads the instance once and reuses it
+        for every later task.  The instance must not change while an
+        estimator holds it (``SigmaCache`` keys on its ``id`` too).
+        """
+        handle = getattr(self, "_shm_handle", None)
+        if handle is not None:
+            from repro.engine.shm import attach_instance
+
+            return (attach_instance, (handle,))
+        return super().__reduce_ex__(protocol)
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)

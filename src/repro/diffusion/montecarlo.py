@@ -89,17 +89,31 @@ def replicated_sigma_stats(
 ) -> list[tuple[float, float]]:
     """Fan sigma evaluations of many groups over an execution backend.
 
-    Chunks partition the *candidate* axis (each candidate already runs
-    its full ``n_samples`` replications in one worker); results come
-    back in group order and are bit-identical across backends.  Blocks
-    too small to fill more than one candidate chunk fan out over the
-    *sample* axis instead (per-group ``backend.run``), so a one-group
-    evaluation on a process pool keeps the replication-level
-    parallelism it always had.
+    Chunks partition the *candidate* axis (each candidate runs its full
+    ``n_samples`` replications in one worker, and its stats reduce the
+    same per-sample array, in index order, as a one-group run); results
+    come back in group order and are bit-identical across backends.
+
+    On a process pool the instance is exported before the first
+    dispatch (:func:`repro.engine.shm.share_for_backend`), so every
+    chunk ships a handle and workers keep the instance resident, and
+    any block of at least ``backend.workers`` groups (two at least)
+    goes over the candidate axis, split evenly across the workers in
+    chunks of at most ``chunk_size`` groups: a two-candidate block on
+    two workers is one dispatch with one group per chunk.  Smaller
+    blocks there — and, on serial and thread backends, blocks too small
+    to fill more than one ``chunk_size`` chunk — fan out over the
+    *sample* axis instead (one ``backend.run`` per group), so a
+    one-group evaluation keeps its replication-level parallelism.
     """
     if not groups:
         return []
-    if len(groups) <= chunk_size:
+    n_groups = len(groups)
+    workers = getattr(backend, "workers", 1)
+    pickled = share_for_backend(base_task.instance, backend) is not None
+    if pickled and n_groups >= max(2, workers):
+        chunk_size = min(chunk_size, -(-n_groups // workers))
+    elif n_groups <= chunk_size:
         stats: list[tuple[float, float]] = []
         for group in groups:
             result = backend.run(
@@ -112,7 +126,7 @@ def replicated_sigma_stats(
     task = SigmaBatchTask(
         base=base_task, groups=list(groups), n_samples=int(n_samples)
     )
-    chunks = chunk_indices(len(groups), chunk_size)
+    chunks = chunk_indices(n_groups, chunk_size)
     parts = backend.map_chunks(evaluate_sigma_chunk, task, chunks)
     return [stat for part in parts for stat in part]
 
@@ -185,12 +199,6 @@ class SigmaEstimator:
         self.n_samples = int(n_samples)
         self.rng_factory = rng_factory or RngFactory(0)
         self.backend = resolve_backend(backend, workers)
-        # On a process pool, export the instance's CSR arrays to
-        # shared-memory blocks so every task pickle ships a handle
-        # instead of the graph (no-op on serial / thread backends;
-        # unlinked when the backend closes).  Estimates are unaffected
-        # — workers attach bit-identical arrays.
-        share_for_backend(instance.network.csr, self.backend)
         self.cache = cache if cache is not None else SigmaCache()
         # Cache keys embed id(instance); pinning makes that id stable
         # for the cache's lifetime (no address reuse after a GC).
@@ -288,6 +296,7 @@ class SigmaEstimator:
             collect_weights=collect_weights,
             collect_adoptions=collect_adoptions,
         )
+        share_for_backend(self.instance, self.backend)
         result = self.backend.run(task, self.n_samples)
         self.n_evaluations += result.n_samples
 
@@ -333,11 +342,14 @@ class SigmaEstimator:
         Cache behaviour, counters and floats match per-group
         :meth:`estimate` calls exactly — same keys, same ``("mc",)``
         substreams — but the cache misses fan out together over the
-        execution backend, chunked across the *candidate* axis, so a
-        process pool parallelizes across candidates instead of only
-        across one candidate's replications.  The batched selection
-        layer (:func:`repro.core.selection.sigma_block`) routes every
-        greedy's gain evaluations through here.
+        execution backend through :func:`replicated_sigma_stats`,
+        chunked across the *candidate* axis, so a process pool
+        parallelizes across candidates instead of only across one
+        candidate's replications: there a miss block as small as one
+        candidate per worker (the CELF prefetch) is one dispatch, and
+        every chunk ships the instance as a handle.  The batched
+        selection layer (:func:`repro.core.selection.sigma_block`)
+        routes every greedy's gain evaluations through here.
 
         Subclasses whose :meth:`estimate` does not run this module's
         Monte-Carlo recipe (the sketch oracle) are answered by

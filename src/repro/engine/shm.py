@@ -1,16 +1,28 @@
-"""Shared-memory CSR blocks: zero-copy graph attach for process pools.
+"""Shared-memory exports: ship each large task payload to workers once.
 
 A :class:`~repro.engine.backends.ProcessPoolBackend` ships one pickle
-of the task per chunk — and a task embeds the instance, whose frozen
-:class:`~repro.social.csr.CSRGraph` arrays dominate the payload on
-large graphs (a 1M-node network is hundreds of MB of ``indptr`` /
-``indices`` / ``strength``; pickling it per chunk would drown the
-pool in serialization).  This module freezes those arrays into files
-once, on the parent, and replaces their pickle payload with a tiny
-:class:`SharedCSRHandle`; workers attach the files as read-only
-``np.memmap`` views — one mmap per (path, shape, dtype) per worker
-process, shared by every later chunk — so the graph crosses the
-process boundary exactly once per worker, by page table, not by pipe.
+of the task per chunk, and a Monte-Carlo task embeds its problem
+instance.  This module writes what would otherwise cross the pipe on
+every chunk to files, once, on the parent, and replaces its pickle
+payload with a tiny handle:
+
+* **Graphs.**  A :class:`~repro.social.csr.CSRGraph`'s six arrays
+  (hundreds of MB of ``indptr`` / ``indices`` / ``strength`` at 10^6
+  users) freeze into files; workers attach them as read-only
+  ``np.memmap`` views, one mapping per array per worker process, so the
+  graph crosses the process boundary by page table, not by pipe.
+* **Instances.**  An ``IMDPPInstance`` pickles by value into one file,
+  its graph already a handle inside.  Each worker loads it once and
+  memoizes it by handle, so every later chunk gets the same object —
+  with its complementary table (DESIGN.md §9) still warm — and a
+  dispatch costs a handle, not a rebuilt instance.
+* **Task arrays** (:func:`share_task_arrays`): plain arrays of one
+  dispatch, e.g. the RR sampler's reversed skeleton.
+
+Estimators export lazily: :func:`share_for_backend` runs right before
+the first dispatch that would pickle an instance, so an estimator that
+never dispatches a replication task (RR sets, sketch banks) exports
+nothing.
 
 ``np.memmap`` over ``multiprocessing.shared_memory`` deliberately: on
 Python < 3.13 attaching a ``SharedMemory`` block registers it with the
@@ -19,20 +31,21 @@ worker exits (bpo-38119); plain files mmap identically fast, need no
 tracker, and make the leak check trivial (the file either exists or
 does not).
 
-Lifecycle: the parent *owns* every exported block, and a block lives
-no longer than its owner.  A shared graph's files go when the graph is
-garbage-collected or when the backend it was shared for closes,
+Lifecycle: the parent *owns* every export, and an export lives no
+longer than its owner.  A shared graph's or instance's files go when
+it is garbage-collected or when the backend it was shared for closes,
 whichever comes first: :func:`share_for_backend` registers an unlink
-callback that holds the graph only weakly, and ``backend.close()``
-removes the files and detaches the handle from the graph (later
-pickles fall back to by-value) — including after a worker crash,
-because ownership never leaves the parent.  Task arrays exported by
-:func:`share_task_arrays` are released by their consumer as soon as
-the dispatch that ships them returns (:func:`release_task_arrays`),
-with ``backend.close()`` as the safety net.  Workers memoize what they
-attach, and forget every attachment whose files are gone whenever
-they attach a new one.  An ``atexit`` sweep removes anything this
-process still owns, and —
+callback that holds the object only weakly, and ``backend.close()``
+removes the files and detaches the handle (later pickles fall back to
+by-value) — including after a worker crash, because ownership never
+leaves the parent.  An instance export also never outlives the graph
+export its payload names: releasing a graph first releases every
+instance export that depends on it.  Task arrays are released by their
+consumer as soon as the dispatch that ships them returns
+(:func:`release_task_arrays`), with ``backend.close()`` as the safety
+net.  Workers memoize what they attach, and forget every attachment
+whose files are gone whenever they attach a new one.  An ``atexit``
+sweep removes anything this process still owns, and —
 because export directories are tagged with the owning PID — a
 *hard-killed* session's leftovers are reclaimed by the next session's
 startup/atexit :func:`sweep_stale_shm` pass (a dir whose owner PID is
@@ -47,6 +60,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import pickle
 import re
 import shutil
 import tempfile
@@ -60,8 +74,10 @@ from repro.social.csr import CSRGraph
 __all__ = [
     "SharedArrayHandle",
     "SharedCSRHandle",
+    "SharedInstanceHandle",
     "attach_array",
     "attach_csr",
+    "attach_instance",
     "release_csr",
     "release_task_arrays",
     "resolve_array",
@@ -95,6 +111,11 @@ _attached_arrays: dict["SharedArrayHandle", np.ndarray] = {}
 #: computed once per worker, not once per chunk.
 _attached_graphs: dict["SharedCSRHandle", CSRGraph] = {}
 
+#: Worker-side instance cache: one unpickled instance per handle per
+#: process, so every chunk after the first reuses the object and its
+#: lazily filled complementary table stays warm.
+_attached_instances: dict["SharedInstanceHandle", object] = {}
+
 
 def _remove_export(directory: str, owner: int) -> None:
     """Delete one export directory, but only in the process that made it.
@@ -112,7 +133,7 @@ def _forget_removed(memo: dict) -> None:
 
     An owner removes its export once nothing can ship the handle again,
     so such an entry is dead weight: without this a long-lived worker
-    would pin every graph and array it ever attached.
+    would pin every graph, instance and array it ever attached.
     """
     for handle in [handle for handle in memo if not handle.exported]:
         del memo[handle]
@@ -144,6 +165,18 @@ class SharedCSRHandle:
     def exported(self) -> bool:
         """Do the files behind this handle still exist?"""
         return self.out[0].exported
+
+
+@dataclass(frozen=True)
+class SharedInstanceHandle:
+    """Picklable pointer to an exported problem instance."""
+
+    path: str
+
+    @property
+    def exported(self) -> bool:
+        """Does the file behind this handle still exist?"""
+        return os.path.exists(self.path)
 
 
 def _export_array(array: np.ndarray, directory: str, name: str) -> SharedArrayHandle:
@@ -202,6 +235,8 @@ def share_csr(csr: CSRGraph, directory: str | None = None) -> SharedCSRHandle:
     )
     csr._shm_handle = handle
     csr._shm_release = weakref.finalize(csr, _remove_export, directory, os.getpid())
+    #: Instance exports whose payload names this graph's handle.
+    csr._shm_dependents = weakref.WeakValueDictionary()
     return handle
 
 
@@ -225,45 +260,114 @@ def attach_csr(handle: SharedCSRHandle) -> CSRGraph:
     return cached
 
 
+def _share_instance(instance) -> SharedInstanceHandle:
+    """Export a problem instance by value and tag it.
+
+    The instance's graph is shared first, so the payload names the
+    graph's handle instead of carrying its arrays.  After this call the
+    instance pickles as its handle (``IMDPPInstance.__reduce_ex__``)
+    and workers load it through :func:`attach_instance`.  The export
+    depends on the graph's: :func:`release_csr` releases it first, so
+    a shipped handle can never lead a worker to a graph that is gone.
+    An instance that is garbage-collected takes its file with it.
+    """
+    existing = getattr(instance, "_shm_handle", None)
+    if existing is not None:
+        return existing
+    csr = instance.network.csr
+    share_csr(csr)
+    directory = _new_export_dir()
+    _owned_dirs.add(directory)
+    handle = SharedInstanceHandle(os.path.join(directory, "instance.pickle"))
+    with open(handle.path, "wb") as payload:
+        pickle.dump(instance, payload, pickle.HIGHEST_PROTOCOL)
+    instance._shm_handle = handle
+    instance._shm_release = weakref.finalize(
+        instance, _remove_export, directory, os.getpid()
+    )
+    csr._shm_dependents[handle] = instance
+    return handle
+
+
+def attach_instance(handle: SharedInstanceHandle):
+    """Load an exported instance (memoized per process).
+
+    The unpickle target of a shared instance.  Every chunk after the
+    first gets the same object, so what it derives lazily (the
+    complementary table, the graph's derived views) is computed once
+    per worker, not once per task.  Its graph arrives through
+    :func:`attach_csr`.
+    """
+    cached = _attached_instances.get(handle)
+    if cached is None:
+        _forget_removed(_attached_instances)
+        with open(handle.path, "rb") as payload:
+            cached = pickle.load(payload)
+        _attached_instances[handle] = cached
+    return cached
+
+
+def _release(shared) -> None:
+    """Unlink one shared object's files and detach its handle.
+
+    Idempotent; afterwards the object pickles by value again.
+    """
+    if getattr(shared, "_shm_handle", None) is None:
+        return
+    del shared._shm_handle
+    shared._shm_release()  # a finalizer runs at most once
+    del shared._shm_release
+
+
 def release_csr(csr: CSRGraph) -> None:
     """Unlink a shared graph's files and detach its handle.
 
-    Idempotent.  After release the graph pickles by value again, so a
+    Idempotent.  Instance exports whose payload names the graph go
+    first.  After release the graph pickles by value again, so a
     surviving estimator on a fresh backend keeps working — it just
     loses the zero-copy path until shared again.
     """
     if getattr(csr, "_shm_handle", None) is None:
         return
-    del csr._shm_handle
-    csr._shm_release()  # a finalizer runs at most once
-    del csr._shm_release
+    for instance in list(csr._shm_dependents.values()):
+        _release(instance)
+    del csr._shm_dependents
+    _release(csr)
 
 
-def share_for_backend(csr: CSRGraph, backend) -> SharedCSRHandle | None:
-    """Share a graph iff ``backend`` pickles tasks across processes.
+def share_for_backend(shared, backend):
+    """Share a graph or an instance iff ``backend`` pickles tasks.
 
-    Serial and thread backends share the caller's address space — no
-    pickle, nothing to export — so they bypass shm entirely (returns
-    None).  For a live process pool the graph is exported once and an
-    unlink callback registered on the backend: ``backend.close()``
-    removes the files and detaches the handle, including when workers
-    died mid-flight (the parent owns the blocks throughout).  The
-    callback holds the graph weakly, so a backend that outlives many
-    graphs does not keep them (or their files) alive.
+    ``shared`` is a :class:`CSRGraph` or an ``IMDPPInstance``; an
+    instance shares its graph for the same backend first.  Serial and
+    thread backends share the caller's address space — no pickle,
+    nothing to export — so they bypass shm entirely (returns None), as
+    does a closed pool.  For a live process pool the object is
+    exported once and an unlink callback registered on the backend:
+    ``backend.close()`` removes the files and detaches the handle,
+    including when workers died mid-flight (the parent owns the files
+    throughout).  The callback holds the object weakly, so a backend
+    that outlives many instances does not keep them (or their files)
+    alive.  Returns the handle.
     """
     if getattr(backend, "name", None) != "process":
         return None
     if getattr(backend, "closed", False):
         return None
-    already_shared = getattr(csr, "_shm_handle", None) is not None
-    handle = share_csr(csr)
+    if isinstance(shared, CSRGraph):
+        share, release = share_csr, release_csr
+    else:
+        share_for_backend(shared.network.csr, backend)
+        share, release = _share_instance, _release
+    already_shared = getattr(shared, "_shm_handle", None) is not None
+    handle = share(shared)
     if not already_shared:
         register = getattr(backend, "add_cleanup", None)
         if register is not None:
-            graph = weakref.ref(csr)
-            # ``graph()`` is None once collected; releasing None is a
+            owner = weakref.ref(shared)
+            # ``owner()`` is None once collected; releasing None is a
             # no-op (the finalizer already removed the files).
-            register(lambda: release_csr(graph()))
+            register(lambda: release(owner()))
     return handle
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,16 @@ from repro.kg.metagraph import (
 from repro.kg.relevance import RelevanceEngine
 from repro.perception.params import DynamicsParams
 from repro.social.network import SocialNetwork
+
+
+def own_shm_exports() -> set[str]:
+    """Shared-memory export directories this process has on disk."""
+    prefix = f"repro-shm-{os.getpid()}-"
+    return {
+        name
+        for name in os.listdir(tempfile.gettempdir())
+        if name.startswith(prefix)
+    }
 
 
 def build_tiny_kg() -> tuple[KnowledgeGraph, list[int]]:

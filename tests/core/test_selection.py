@@ -15,6 +15,8 @@ Three pinned contracts:
   cache entries, on every backend.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,6 +510,58 @@ class TestMonteCarloGainOracle:
         assert pooled_limit == workers <= 2
         assert pooled_sizes and max(pooled_sizes) <= workers
         assert pooled == serial
+
+    @staticmethod
+    def _record_dispatches(backend, monkeypatch) -> list:
+        """(chunk function name, chunks) of every ``map_chunks`` call."""
+        calls = []
+        map_chunks = backend.map_chunks
+
+        def recording(fn, task, chunks):
+            calls.append((fn.__name__, chunks))
+            return map_chunks(fn, task, chunks)
+
+        monkeypatch.setattr(backend, "map_chunks", recording)
+        return calls
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="needs two worker processes"
+    )
+    def test_pool_sends_a_stale_block_over_the_candidate_axis(
+        self, frozen, monkeypatch
+    ):
+        """One candidate per worker is one dispatch with one group per
+        chunk; a lone candidate keeps the sample axis; both return the
+        serial floats."""
+        pair = [SeedGroup([Seed(0, 0, 1)]), SeedGroup([Seed(1, 1, 1)])]
+        lone = [SeedGroup([Seed(2, 2, 1)])]
+        serial = SigmaEstimator(frozen, n_samples=4, rng_factory=RngFactory(2))
+        with ProcessPoolBackend(workers=2) as backend:
+            calls = self._record_dispatches(backend, monkeypatch)
+            pooled = SigmaEstimator(
+                frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
+            )
+            assert np.array_equal(
+                sigma_block(pooled, pair, until_promotion=1),
+                sigma_block(serial, pair, until_promotion=1),
+            )
+            assert calls == [("evaluate_sigma_chunk", [[0], [1]])]
+            calls.clear()
+            assert np.array_equal(
+                sigma_block(pooled, lone, until_promotion=1),
+                sigma_block(serial, lone, until_promotion=1),
+            )
+            assert [name for name, _ in calls] == ["run_chunk"]
+
+    def test_serial_block_keeps_the_sample_axis(self, frozen, monkeypatch):
+        backend = SerialBackend()
+        calls = self._record_dispatches(backend, monkeypatch)
+        estimator = SigmaEstimator(
+            frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
+        )
+        pair = [SeedGroup([Seed(0, 0, 1)]), SeedGroup([Seed(1, 1, 1)])]
+        sigma_block(estimator, pair, until_promotion=1)
+        assert [name for name, _ in calls] == ["run_chunk", "run_chunk"]
 
     def test_values_track_committed_value_exactly(self, frozen):
         estimator = SigmaEstimator(

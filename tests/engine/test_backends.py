@@ -19,7 +19,7 @@ from repro.engine import (
 )
 from repro.utils.rng import RngFactory
 
-from tests.conftest import build_tiny_instance
+from tests.conftest import build_tiny_instance, own_shm_exports
 
 GROUP = SeedGroup([Seed(0, 0, 1), Seed(3, 2, 2)])
 
@@ -90,9 +90,16 @@ class TestBackendEquivalence:
         threaded = Dysim(
             build_tiny_instance(), DysimConfig(backend="thread", workers=2)
         ).run()
-        assert serial.sigma == threaded.sigma
-        assert list(serial.seed_group) == list(threaded.seed_group)
+        before = own_shm_exports()
+        with ProcessPoolBackend(workers=2) as pool:
+            pooled = Dysim(build_tiny_instance(), DysimConfig(backend=pool)).run()
+        assert not own_shm_exports() - before
+        for result in (threaded, pooled):
+            assert result.sigma == serial.sigma
+            assert list(result.seed_group) == list(serial.seed_group)
+            assert result.fallback_used == serial.fallback_used
         assert threaded.backend == "thread"
+        assert pooled.backend == "process"
 
 
 class TestResolution:

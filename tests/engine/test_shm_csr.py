@@ -1,31 +1,36 @@
-"""Shared-memory CSR lifecycle: attach bit-identity, leaks, bypass.
+"""Shared-memory lifecycle: attach bit-identity, residency, leaks, bypass.
 
 The shm layer's contract (``repro.engine.shm``) is lifecycle-shaped,
 so the tests are too: exported arrays must come back bit-identical
-through a real process-pool round trip, the exported files must live
-no longer than their owner (a shared graph, a sampling dispatch, at
-most the backend that ships their handles — including after worker
-death, because the parent owns the blocks), workers must forget what
-their owners released, and serial / thread backends must bypass the
-machinery entirely.
+through a real process-pool round trip, a shared instance must stay
+resident in the worker that loaded it, the exported files must live
+no longer than their owner (a shared graph or instance, a sampling
+dispatch, at most the backend that ships their handles — including
+after worker death, because the parent owns the blocks), an instance
+export must never outlive the graph export it names, workers must
+forget what their owners released, and serial / thread backends must
+bypass the machinery entirely.
 """
 
 import gc
 import os
 import pickle
-import tempfile
 
 import numpy as np
 import pytest
 
+from repro.core.problem import Seed, SeedGroup
+from repro.diffusion.montecarlo import SigmaEstimator
 from repro.engine.backends import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
 )
 from repro.engine import shm
+from repro.engine.resilience import FaultPlan
 from repro.engine.shm import (
     SharedArrayHandle,
+    SharedInstanceHandle,
     attach_array,
     attach_csr,
     release_csr,
@@ -35,8 +40,20 @@ from repro.engine.shm import (
     share_for_backend,
     share_task_arrays,
 )
-from repro.sketch.rrset import RRSetIndex
-from tests.conftest import build_tiny_instance, build_tiny_network
+from repro.sketch.rrset import RRSetIndex, RRSetSigmaEstimator
+from repro.utils.rng import RngFactory
+from tests.conftest import (
+    build_tiny_instance,
+    build_tiny_network,
+    own_shm_exports,
+)
+
+#: Shareable objects: a bare graph, and an instance (which shares its
+#: graph too).  Each entry maps the object to the graph it ships.
+SHAREABLES = {
+    "graph": (lambda: build_tiny_network().csr, lambda graph: graph),
+    "instance": (build_tiny_instance, lambda instance: instance.network.csr),
+}
 
 
 def _csr_arrays(csr):
@@ -46,32 +63,35 @@ def _csr_arrays(csr):
     )
 
 
-def _shm_dir(csr) -> str:
-    return os.path.dirname(csr._shm_handle.out[0].path)
+def _shm_dir(shared) -> str:
+    handle = shared._shm_handle
+    if isinstance(handle, SharedInstanceHandle):
+        return os.path.dirname(handle.path)
+    return os.path.dirname(handle.out[0].path)
 
 
-def _own_exports() -> set[str]:
-    """Export directories this process currently has on disk."""
-    prefix = f"repro-shm-{os.getpid()}-"
-    return {
-        name
-        for name in os.listdir(tempfile.gettempdir())
-        if name.startswith(prefix)
-    }
+def _attached_paths(instance, handles) -> set[str]:
+    """Attach an instance and task arrays; report the worker's memos.
 
-
-def _attached_paths(graph, handles) -> tuple[set[str], set[str]]:
-    """Attach a graph and task arrays; report the worker's memos.
-
-    Runs in a pool worker: ``graph`` arrives as its shared handle and
-    unpickles through ``attach_csr``.
+    Runs in a pool worker: ``instance`` arrives as its shared handle
+    and unpickles through ``attach_instance``, its graph through
+    ``attach_csr``.
     """
     for handle in handles.values():
         resolve_array(handle)
     return (
-        {handle.out[0].path for handle in shm._attached_graphs},
-        {handle.path for handle in shm._attached_arrays},
+        {handle.out[0].path for handle in shm._attached_graphs}
+        | {handle.path for handle in shm._attached_instances}
+        | {handle.path for handle in shm._attached_arrays}
     )
+
+
+def _resident_state(instance, item) -> tuple[int, int, int]:
+    """Worker side: (pid, object id, table rows filled) of a shipped
+    instance, read before it fills one more complementary row."""
+    filled = instance.complementary_table.n_filled
+    instance.complementary_table.row(0, item)
+    return os.getpid(), id(instance), filled
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +136,42 @@ def test_rrset_index_identical_across_process_workers():
     assert np.array_equal(serial.roots, shipped.roots)
 
 
+def test_worker_keeps_a_shared_instance_resident():
+    """A worker's later tasks of one instance reuse the object it
+    loaded first, complementary table still warm."""
+    instance = build_tiny_instance()
+    backend = ProcessPoolBackend(workers=1)
+    try:
+        share_for_backend(instance, backend)
+        first = backend.executor.submit(_resident_state, instance, 0).result()
+        second = backend.executor.submit(_resident_state, instance, 1).result()
+    finally:
+        backend.close()
+    assert first[:2] == second[:2]  # same worker, same object
+    assert (first[2], second[2]) == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # lifecycle / leak checks
 # ---------------------------------------------------------------------------
-def test_backend_close_unlinks_files_and_detaches_handle():
-    csr = build_tiny_network().csr
+@pytest.mark.parametrize("kind", sorted(SHAREABLES))
+def test_backend_close_unlinks_files_and_detaches_handle(kind):
+    build, graph_of = SHAREABLES[kind]
+    shared = build()
     backend = ProcessPoolBackend(workers=1)
-    handle = share_for_backend(csr, backend)
+    handle = share_for_backend(shared, backend)
     assert handle is not None
-    directory = _shm_dir(csr)
-    assert os.path.isdir(directory)
+    directories = {_shm_dir(shared), _shm_dir(graph_of(shared))}
+    assert all(os.path.isdir(directory) for directory in directories)
     backend.close()
-    assert not os.path.exists(directory)
-    assert getattr(csr, "_shm_handle", None) is None
+    assert not any(os.path.exists(directory) for directory in directories)
+    assert getattr(shared, "_shm_handle", None) is None
+    assert getattr(graph_of(shared), "_shm_handle", None) is None
     # Post-release pickles fall back to by-value and stay correct.
-    clone = pickle.loads(pickle.dumps(csr))
-    assert np.array_equal(clone.out_indices, csr.out_indices)
+    payload = pickle.dumps(shared)
+    assert b"attach_" not in payload
+    clone = pickle.loads(payload)
+    assert np.array_equal(graph_of(clone).out_indices, graph_of(shared).out_indices)
 
 
 def test_release_is_idempotent_and_resharing_works():
@@ -178,63 +218,125 @@ def test_parent_owns_blocks_across_worker_crash():
     assert not os.path.exists(directory)
 
 
-def test_collected_graph_removes_its_export_before_close():
+@pytest.mark.parametrize("kind", sorted(SHAREABLES))
+def test_collected_object_removes_its_export_before_close(kind):
+    build, graph_of = SHAREABLES[kind]
     backend = ProcessPoolBackend(workers=1)
     try:
-        csr = build_tiny_network().csr
-        share_for_backend(csr, backend)
-        directory = _shm_dir(csr)
-        del csr
+        shared = build()
+        share_for_backend(shared, backend)
+        directories = {_shm_dir(shared), _shm_dir(graph_of(shared))}
+        del shared
         gc.collect()
-        assert not os.path.exists(directory)
+        assert not any(os.path.exists(directory) for directory in directories)
         assert not backend.closed
     finally:
-        backend.close()  # the weakly held graph is gone: a no-op
+        backend.close()  # the weakly held object is gone: a no-op
 
 
 def test_rrset_index_leaves_no_export_behind():
     instance = build_tiny_instance().frozen()
     with ProcessPoolBackend(workers=2, chunk_size=1) as backend:
-        before = _own_exports()
+        before = own_shm_exports()
         RRSetIndex.from_instance(
             instance, n_samples=16, rng_seed=2, backend=backend, chunk_size=1
         )
-        assert _own_exports() == before
+        assert own_shm_exports() == before
+
+
+def test_rrset_estimator_answers_without_exporting():
+    """Selection and plain estimates answered from RR sets dispatch
+    no replication task, so the estimator exports no graph and no
+    instance."""
+    instance = build_tiny_instance().frozen()
+    universe = [
+        (user, item)
+        for user in range(instance.n_users)
+        for item in range(instance.n_items)
+    ]
+    with ProcessPoolBackend(workers=2) as backend:
+        gc.collect()
+        before = own_shm_exports()
+        estimator = RRSetSigmaEstimator(
+            instance, n_samples=64, rng_factory=RngFactory(3), backend=backend
+        )
+        result = estimator.select_budgeted(
+            universe, lambda pair: instance.cost(*pair), budget=10.0
+        )
+        estimator.estimate(SeedGroup([Seed(0, 0, 1)]))
+        assert result.selected
+        assert estimator.rr_queries > 0 and estimator.fallback_queries == 0
+        assert own_shm_exports() == before
 
 
 def test_worker_memo_does_not_grow_across_share_release_cycles():
     """A worker forgets attachments whose owner released the files."""
     backend = ProcessPoolBackend(workers=1)
-    released_graphs: set[str] = set()
-    released_arrays: set[str] = set()
+    released: set[str] = set()
     try:
         for cycle in range(3):
-            csr = build_tiny_network().csr
-            graph_path = share_for_backend(csr, backend).out[0].path
+            instance = build_tiny_instance()
+            share_for_backend(instance, backend)
             handles = share_task_arrays(
                 {"ramp": np.arange(4 + cycle), "ones": np.ones(3)}, backend
             )
-            array_paths = {handle.path for handle in handles.values()}
-            graphs, arrays = backend.executor.submit(
-                _attached_paths, csr, handles
+            live = {
+                instance._shm_handle.path,
+                instance.network.csr._shm_handle.out[0].path,
+            } | {handle.path for handle in handles.values()}
+            attached = backend.executor.submit(
+                _attached_paths, instance, handles
             ).result()
-            assert graph_path in graphs and array_paths <= arrays
-            assert not graphs & released_graphs
-            assert not arrays & released_arrays
-            release_csr(csr)
+            assert live <= attached
+            assert not attached & released
+            # Releasing the graph takes the instance export with it.
+            release_csr(instance.network.csr)
             release_task_arrays(handles)
-            released_graphs.add(graph_path)
-            released_arrays |= array_paths
+            released |= live
     finally:
         backend.close()
 
 
-def test_closed_backend_refuses_new_shares():
-    csr = build_tiny_network().csr
+def test_instance_export_never_outlives_the_graph_export_it_names():
+    """Two pools, one network: closing the pool the graph was shared
+    for releases the other pool's instance export too, so that pool
+    re-exports and keeps returning serial floats without faults."""
+    dynamic = build_tiny_instance()
+    frozen = dynamic.frozen()  # same network, same graph
+    groups = [SeedGroup([Seed(user, 1, 1)]) for user in range(3)]
+    serial = SigmaEstimator(dynamic, n_samples=8, rng_factory=RngFactory(5))
+    expected = [serial.sigma(group) for group in groups]
+    # Empty fault plans mask an ambient one: no activity is expected.
+    pool_a = ProcessPoolBackend(workers=2, fault_plan=FaultPlan())
+    pool_b = ProcessPoolBackend(workers=2, fault_plan=FaultPlan())
+    try:
+        SigmaEstimator(frozen, n_samples=8, backend=pool_a).sigma(groups[0])
+        # B's workers have not loaded the instance yet: they would
+        # follow its payload to the graph export A owns.
+        share_for_backend(dynamic, pool_b)
+        stale = _shm_dir(dynamic)
+        pool_a.close()
+        assert not os.path.exists(stale)
+        assert getattr(dynamic, "_shm_handle", None) is None
+        on_b = SigmaEstimator(
+            dynamic, n_samples=8, rng_factory=RngFactory(5), backend=pool_b
+        )
+        assert [on_b.sigma(group) for group in groups] == expected
+        assert not pool_b.fault_stats.activity
+    finally:
+        pool_a.close()
+        pool_b.close()
+
+
+@pytest.mark.parametrize("kind", sorted(SHAREABLES))
+def test_closed_backend_refuses_new_shares(kind):
+    build, graph_of = SHAREABLES[kind]
+    shared = build()
     backend = ProcessPoolBackend(workers=1)
     backend.close()
-    assert share_for_backend(csr, backend) is None
-    assert getattr(csr, "_shm_handle", None) is None
+    assert share_for_backend(shared, backend) is None
+    assert getattr(shared, "_shm_handle", None) is None
+    assert getattr(graph_of(shared), "_shm_handle", None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +346,18 @@ def test_closed_backend_refuses_new_shares():
     "backend_factory", [SerialBackend, lambda: ThreadBackend(workers=2)]
 )
 def test_same_address_space_backends_bypass_shm(backend_factory):
-    csr = build_tiny_network().csr
+    instance = build_tiny_instance()
+    csr = instance.network.csr
     backend = backend_factory()
     try:
         assert share_for_backend(csr, backend) is None
+        assert share_for_backend(instance, backend) is None
         assert share_task_arrays({"x": np.arange(4)}, backend) is None
+        # Estimates, one by one and in candidate blocks, share nothing.
+        estimator = SigmaEstimator(instance, n_samples=8, backend=backend)
+        estimator.estimate(SeedGroup([Seed(0, 0, 1)]))
+        estimator.estimate_block([SeedGroup([Seed(user, 0, 1)]) for user in range(6)])
+        assert getattr(instance, "_shm_handle", None) is None
         assert getattr(csr, "_shm_handle", None) is None
     finally:
         backend.close()
