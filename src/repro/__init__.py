@@ -17,16 +17,17 @@ Typical usage::
 Execution backends
 ------------------
 All Monte-Carlo sigma estimation runs through the pluggable
-:mod:`repro.engine` execution backends.  Select one per component::
+:mod:`repro.engine` execution backends.  Build one, pass it to every
+component that should run on it, and close it when done::
 
-    from repro import SigmaEstimator
-    est = SigmaEstimator(instance, backend="process", workers=4)
+    from repro import ProcessPoolBackend, SigmaEstimator
+    with ProcessPoolBackend(workers=4) as backend:
+        est = SigmaEstimator(instance, backend=backend)
+        result = Dysim(instance, DysimConfig(), backend=backend).run()
 
-or per algorithm run (``DysimConfig(backend="process", workers=4)``),
-or process-wide (what the CLI's ``--backend/--workers`` flags do)::
-
-    from repro.engine import set_default_backend
-    set_default_backend("process", workers=4)
+A component given no backend runs on a private serial one;
+``make_backend("process", workers=4)`` builds one from a name (what
+the CLI's ``--backend/--workers`` flags do).
 
 **Common random numbers guarantee:** Monte-Carlo sample ``i`` always
 replays the random substream derived from ``(root seed, context, i)``
@@ -79,8 +80,7 @@ from repro.engine import (
     SerialBackend,
     SigmaCache,
     ThreadBackend,
-    resolve_backend,
-    set_default_backend,
+    make_backend,
 )
 from repro.errors import ReproError
 from repro.kg import KnowledgeGraph, MetaGraph, RelevanceEngine, Relationship
@@ -124,9 +124,8 @@ __all__ = [
     "SketchSigmaEstimator",
     "SocialNetwork",
     "ThreadBackend",
+    "make_backend",
     "make_sigma_estimator",
-    "resolve_backend",
-    "set_default_backend",
     "build_course_classes",
     "dataset_statistics",
     "load_dataset",

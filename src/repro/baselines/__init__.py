@@ -6,6 +6,8 @@ group is budget-feasible.  As in the paper, every baseline is
 (a) extended to respect per-(user, item) costs and
 (b) augmented with CR-Greedy [39] to place its picks across the T
 promotions, since none of them natively supports multiple promotions.
+Each runner borrows the execution backend passed as ``backend=`` for
+its sigma estimates; ``None`` runs them on a private serial backend.
 """
 
 from repro.baselines.common import BaselineResult

@@ -30,15 +30,14 @@ def run_bgrd(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
     candidate_users: int = 60,
     bundle_size: int = 3,
 ) -> BaselineResult:
     """Run BGRD and return its (budget-feasible) seed group."""
     frozen, dynamic = make_estimators(
-        instance, n_samples, seed, model, backend, workers, oracle
+        instance, n_samples, seed, model, backend, oracle
     )
     utility = instance.base_preference * instance.importance[None, :]
 

@@ -30,14 +30,13 @@ def run_celf_greedy(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
     candidate_pairs: int = 120,
 ) -> BaselineResult:
     """Budgeted CELF greedy over user-item pairs (frozen oracle)."""
     frozen, dynamic = make_estimators(
-        instance, n_samples, seed, model, backend, workers, oracle
+        instance, n_samples, seed, model, backend, oracle
     )
 
     with timer() as clock:
@@ -70,13 +69,12 @@ def run_degree(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
 ) -> BaselineResult:
     """Highest-out-degree users promoting their best-utility item."""
     _, dynamic = make_estimators(
-        instance, n_samples, seed, model, backend, workers, oracle
+        instance, n_samples, seed, model, backend, oracle
     )
     utility = instance.base_preference * instance.importance[None, :]
 
@@ -108,13 +106,12 @@ def run_random(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
 ) -> BaselineResult:
     """Uniform random affordable pairs in the first promotion."""
     _, dynamic = make_estimators(
-        instance, n_samples, seed, model, backend, workers, oracle
+        instance, n_samples, seed, model, backend, oracle
     )
     rng = spawn_rng(seed, "random-baseline")
 

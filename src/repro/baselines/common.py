@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.models import DiffusionModel
 from repro.diffusion.montecarlo import SigmaEstimator
-from repro.engine import ExecutionBackend, SigmaCache, resolve_backend
+from repro.engine import ExecutionBackend, SerialBackend, SigmaCache
 from repro.sketch.oracle import make_sigma_estimator
 from repro.utils.rng import RngFactory
 
@@ -46,20 +46,20 @@ def make_estimators(
     n_samples: int,
     seed: int,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
 ) -> tuple[SigmaEstimator, SigmaEstimator]:
     """(frozen, dynamic) estimator pair with decorrelated streams.
 
-    Both estimators share one execution backend (resolved once, so a
-    pool backend keeps a single set of workers) and one
-    :class:`~repro.engine.SigmaCache`.  ``oracle`` selects the frozen
-    estimator's kind (``"mc"`` or ``"sketch"``); the dynamic estimator
-    is always Monte-Carlo — dynamics cannot be sketched.
+    Both estimators borrow one execution backend (``None`` = one
+    private serial backend, so ``fault_stats`` keeps a single account)
+    and share one :class:`~repro.engine.SigmaCache`.  ``oracle``
+    selects the frozen estimator's kind (``"mc"``, ``"sketch"`` or
+    ``"rrset"``); the dynamic estimator is always Monte-Carlo —
+    dynamics cannot be sketched.
     """
     factory = RngFactory(seed)
-    resolved = resolve_backend(backend, workers)
+    shared = backend if backend is not None else SerialBackend()
     cache = SigmaCache()
     frozen = make_sigma_estimator(
         oracle,
@@ -67,7 +67,7 @@ def make_estimators(
         model=model,
         n_samples=n_samples,
         rng_factory=factory.child("frozen"),
-        backend=resolved,
+        backend=shared,
         cache=cache,
     )
     dynamic = SigmaEstimator(
@@ -75,7 +75,7 @@ def make_estimators(
         model=model,
         n_samples=n_samples,
         rng_factory=factory.child("dynamic"),
-        backend=resolved,
+        backend=shared,
         cache=cache,
     )
     return frozen, dynamic

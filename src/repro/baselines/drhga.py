@@ -31,15 +31,14 @@ def run_drhga(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
     users_per_item: int = 3,
     candidate_users: int = 40,
 ) -> BaselineResult:
     """Run DRHGA and return its seed group."""
     frozen, dynamic = make_estimators(
-        instance, n_samples, seed, model, backend, workers, oracle
+        instance, n_samples, seed, model, backend, oracle
     )
 
     with timer() as clock:

@@ -32,14 +32,13 @@ def run_hag(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
     candidate_pairs: int = 120,
 ) -> BaselineResult:
     """Run HAG and return its seed group."""
     frozen, dynamic = make_estimators(
-        instance, n_samples, seed, model, backend, workers, oracle
+        instance, n_samples, seed, model, backend, oracle
     )
 
     with timer() as clock:

@@ -33,8 +33,7 @@ def run_opt(
     n_samples: int = 20,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
     universe_size: int = 10,
     max_seeds: int = 4,
@@ -50,7 +49,7 @@ def run_opt(
     Monte-Carlo oracle only.
     """
     _, dynamic = make_estimators(
-        instance, n_samples, seed, model, backend, workers, oracle
+        instance, n_samples, seed, model, backend, oracle
     )
 
     with timer() as clock:

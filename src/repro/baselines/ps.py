@@ -37,15 +37,14 @@ def run_ps(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
     theta_path: float = 1.0 / 320.0,
     discount: float = 0.5,
 ) -> BaselineResult:
     """Run PS and return its seed group."""
     frozen, dynamic = make_estimators(
-        instance, n_samples, seed, model, backend, workers, oracle
+        instance, n_samples, seed, model, backend, oracle
     )
 
     with timer() as clock:

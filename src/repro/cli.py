@@ -32,7 +32,9 @@ supervisor (``repro.engine.resilience``): crashed workers, raising
 chunks and chunks past the deadline are re-dispatched bit-identically
 (common random numbers make recovery exact), the pool is rebuilt when
 it broke, and exhausted retries degrade process → thread → serial
-with a one-time warning instead of aborting the run.
+with a one-time warning instead of aborting the run.  Each command
+builds one backend from these flags, runs everything on it and closes
+it when the command ends.
 
 ``sweep`` drives declarative experiment campaigns (``repro.sweep``)::
 
@@ -58,7 +60,8 @@ import argparse
 import sys
 
 from repro.data import DATASET_NAMES, dataset_statistics, load_dataset
-from repro.engine import BACKEND_NAMES, set_default_backend
+from repro.engine import BACKEND_NAMES, ExecutionBackend, make_backend
+from repro.engine.resilience import DEFAULT_MAX_RETRIES
 from repro.eval.harness import ALGORITHMS, evaluate_group, run_algorithm
 from repro.sketch import ORACLE_NAMES
 from repro.eval.metrics import campaign_report
@@ -205,11 +208,11 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--retries",
         type=_nonnegative_int,
-        default=None,
+        default=DEFAULT_MAX_RETRIES,
         help="per-chunk re-dispatches the backend's fault supervisor "
         "allows per degradation-ladder level (crashed/raising/hung "
         "chunks are replayed bit-identically — common random numbers "
-        "make recovery exact); default 2, or REPRO_RETRIES",
+        f"make recovery exact); default {DEFAULT_MAX_RETRIES}",
     )
     parser.add_argument(
         "--chunk-timeout",
@@ -218,7 +221,7 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         help="seconds a dispatched chunk cohort may run before "
         "unfinished chunks are declared hung and re-dispatched on a "
         "fresh pool; size well above an honest chunk's runtime "
-        "(default: no deadline, or REPRO_CHUNK_TIMEOUT)",
+        "(default: no deadline)",
     )
     parser.add_argument(
         "--oracle",
@@ -286,21 +289,24 @@ def _command_stats(args) -> int:
     return 0
 
 
+def _backend(args) -> ExecutionBackend:
+    """The one backend a ``run``/``compare`` command owns."""
+    return make_backend(
+        args.backend, args.workers, args.retries, args.chunk_timeout
+    )
+
+
 def _command_run(args) -> int:
     instance = _load(args)
-    set_default_backend(
-        args.backend,
-        args.workers,
-        retries=args.retries,
-        chunk_timeout=args.chunk_timeout,
-    )
-    result = run_algorithm(
-        args.algorithm,
-        instance,
-        n_samples=args.samples,
-        seed=args.seed,
-        oracle=args.oracle,
-    )
+    with _backend(args) as backend:
+        result = run_algorithm(
+            args.algorithm,
+            instance,
+            n_samples=args.samples,
+            seed=args.seed,
+            backend=backend,
+            oracle=args.oracle,
+        )
     print(f"{args.algorithm} selected {len(result.seed_group)} seeds "
           f"in {result.runtime_seconds:.1f}s:")
     for seed in result.seed_group:
@@ -313,27 +319,25 @@ def _command_run(args) -> int:
 
 def _command_compare(args) -> int:
     instance = _load(args)
-    set_default_backend(
-        args.backend,
-        args.workers,
-        retries=args.retries,
-        chunk_timeout=args.chunk_timeout,
-    )
     names = [n for n in ALGORITHMS if n not in set(args.skip)]
     rows = []
-    for name in names:
-        result = run_algorithm(
-            name,
-            instance,
-            n_samples=args.samples,
-            seed=args.seed,
-            oracle=args.oracle,
-        )
-        sigma = evaluate_group(instance, result.seed_group, n_samples=30)
-        rows.append(
-            [name, f"{sigma:.1f}", len(result.seed_group),
-             f"{result.runtime_seconds:.1f}s"]
-        )
+    with _backend(args) as backend:
+        for name in names:
+            result = run_algorithm(
+                name,
+                instance,
+                n_samples=args.samples,
+                seed=args.seed,
+                backend=backend,
+                oracle=args.oracle,
+            )
+            sigma = evaluate_group(
+                instance, result.seed_group, n_samples=30, backend=backend
+            )
+            rows.append(
+                [name, f"{sigma:.1f}", len(result.seed_group),
+                 f"{result.runtime_seconds:.1f}s"]
+            )
     rows.sort(key=lambda r: -float(r[1]))
     print(format_table(["algorithm", "sigma", "seeds", "time"], rows))
     return 0
@@ -356,19 +360,19 @@ def _command_sweep(args) -> int:
 
     if args.sweep_command == "run":
         failed = 0
-        for name in args.specs:
-            spec = get_spec(name, scale=scale)
-            report = run_sweep(
-                spec,
-                store,
-                backend=args.backend,
-                workers=args.workers,
-                retry_failed=args.retry_failed,
-                max_retries=args.retries,
-                retry_backoff=args.retry_backoff,
-                log=print,
-            )
-            failed += report.n_failed
+        with make_backend(args.backend, args.workers) as backend:
+            for name in args.specs:
+                spec = get_spec(name, scale=scale)
+                report = run_sweep(
+                    spec,
+                    store,
+                    backend=backend,
+                    retry_failed=args.retry_failed,
+                    max_retries=args.retries,
+                    retry_backoff=args.retry_backoff,
+                    log=print,
+                )
+                failed += report.n_failed
         return 1 if failed else 0
 
     if args.sweep_command == "status":

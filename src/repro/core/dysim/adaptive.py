@@ -29,7 +29,7 @@ from repro.core.dysim.clustering import average_relevance_matrices
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
 from repro.core.selection import replicated_sigma_stats
 from repro.diffusion.campaign import CampaignSimulator
-from repro.engine import ReplicationTask, resolve_backend
+from repro.engine import ExecutionBackend, ReplicationTask, SerialBackend
 from repro.perception.state import PerceptionState
 from repro.social.distances import bfs_hops
 from repro.utils.rng import RngFactory
@@ -49,18 +49,23 @@ class AdaptiveResult:
 
 
 class AdaptiveDysim:
-    """Round-by-round Dysim with observation between promotions."""
+    """Round-by-round Dysim with observation between promotions.
+
+    ``backend`` is borrowed, as in :class:`~repro.core.dysim.Dysim`;
+    ``None`` runs the planning rounds on a private serial backend.
+    """
 
     def __init__(
-        self, instance: IMDPPInstance, config: DysimConfig | None = None
+        self,
+        instance: IMDPPInstance,
+        config: DysimConfig | None = None,
+        backend: ExecutionBackend | None = None,
     ):
         self.instance = instance
         self.config = config or DysimConfig()
         self.simulator = CampaignSimulator(instance, model=self.config.model)
         self._factory = RngFactory(self.config.seed).child("adaptive")
-        self._backend = resolve_backend(
-            self.config.backend, self.config.workers
-        )
+        self._backend = backend if backend is not None else SerialBackend()
 
     # ------------------------------------------------------------------
     def run(self, world_seed: int = 0) -> AdaptiveResult:

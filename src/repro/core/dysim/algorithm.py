@@ -36,7 +36,7 @@ from repro.core.dysim.reachability import ReachabilityTable
 from repro.core.dysim.timing import best_timed_seed
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
 from repro.diffusion.models import DiffusionModel
-from repro.engine import SigmaCache, resolve_backend
+from repro.engine import ExecutionBackend, SerialBackend, SigmaCache
 from repro.sketch.oracle import make_sigma_estimator
 from repro.utils.rng import RngFactory
 
@@ -49,8 +49,11 @@ class DysimConfig:
 
     Only choices that can change a result are fields here.  How the
     sigma oracles compute is not: frozen Monte-Carlo chunks pack into
-    one lockstep pass, compiled twins run whenever numba imports, and
-    CELF blocks use ``DEFAULT_GAIN_BATCH`` — all bit-identical.
+    one lockstep pass and CELF blocks use ``DEFAULT_GAIN_BATCH`` — all
+    bit-identical.  Nor is where they run: the execution backend is an
+    argument of :class:`Dysim` and
+    :class:`~repro.core.dysim.AdaptiveDysim`, and results are
+    bit-identical across backends.
 
     Attributes
     ----------
@@ -99,26 +102,6 @@ class DysimConfig:
         oracle that can observe evolving perceptions.
     seed:
         Root of every random substream Dysim uses.
-    backend:
-        Execution backend for all Monte-Carlo work: an
-        :class:`~repro.engine.ExecutionBackend`, a name (``"serial"``,
-        ``"thread"``, ``"process"``) or ``None`` for the process-wide
-        default.  Results are bit-identical across backends.
-    workers:
-        Worker count when ``backend`` is given by name.
-    retries:
-        Per-chunk re-dispatches the backend's supervisor allows per
-        degradation-ladder level before stepping down (``None`` = the
-        engine default / ``REPRO_RETRIES``).  Recovery is CRN-exact,
-        so results are bit-identical however many retries happen.
-        Ignored when ``backend`` is an instance (it has its own
-        policy).
-    chunk_timeout:
-        Seconds a dispatched chunk cohort may run before unfinished
-        chunks are declared hung and re-dispatched on a fresh pool
-        (``None`` = no deadline / ``REPRO_CHUNK_TIMEOUT``).  Size it
-        well above an honest chunk's runtime.  Ignored when
-        ``backend`` is an instance.
     """
 
     n_samples_selection: int = 12
@@ -137,10 +120,6 @@ class DysimConfig:
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE
     oracle: str = "mc"
     seed: int = 0
-    backend: object | str | None = None
-    workers: int | None = None
-    retries: int | None = None
-    chunk_timeout: float | None = None
 
 
 @dataclass
@@ -180,6 +159,12 @@ class DysimResult:
 class Dysim:
     """Dynamic perception for seeding in target markets.
 
+    ``backend`` is where every Monte-Carlo, sketch and RR-set
+    computation runs.  Dysim borrows it — the caller that built it
+    closes it — and ``None`` runs on one private serial backend that
+    both sigma estimators share, so ``fault_stats`` keeps a single
+    account.
+
     Examples
     --------
     >>> result = Dysim(instance).run()          # doctest: +SKIP
@@ -188,17 +173,15 @@ class Dysim:
     """
 
     def __init__(
-        self, instance: IMDPPInstance, config: DysimConfig | None = None
+        self,
+        instance: IMDPPInstance,
+        config: DysimConfig | None = None,
+        backend: ExecutionBackend | None = None,
     ):
         self.instance = instance
         self.config = config or DysimConfig()
         factory = RngFactory(self.config.seed)
-        self._backend = resolve_backend(
-            self.config.backend,
-            self.config.workers,
-            retries=self.config.retries,
-            chunk_timeout=self.config.chunk_timeout,
-        )
+        self._backend = backend if backend is not None else SerialBackend()
         # One cache backs both estimators (keys embed the estimator
         # config — including the oracle kind — so frozen/dynamic and
         # mc/sketch estimates cannot collide) to give DysimResult a
@@ -233,10 +216,7 @@ class Dysim:
         started = time.perf_counter()
         config = self.config
         instance = self.instance
-        backend_stats = getattr(self._backend, "fault_stats", None)
-        stats_before = (
-            backend_stats.copy() if backend_stats is not None else None
-        )
+        stats_before = self._backend.fault_stats.copy()
 
         # The selection oracle's one-off precomputation (realization
         # bank / RR-set sampling), forced eagerly so the breakdown can
@@ -301,11 +281,7 @@ class Dysim:
         reach_stats = getattr(
             self._frozen_estimator, "bank_reach_stats", None
         )
-        fault_stats: dict = {}
-        if backend_stats is not None:
-            delta = backend_stats.delta(stats_before)
-            if delta.activity:
-                fault_stats = delta.as_dict()
+        delta = self._backend.fault_stats.delta(stats_before)
         return DysimResult(
             seed_group=best_group,
             sigma=sigma,
@@ -328,7 +304,7 @@ class Dysim:
                 reach_stats.evictions if reach_stats else 0
             ),
             phase_seconds=phase_seconds,
-            fault_stats=fault_stats,
+            fault_stats=delta.as_dict() if delta.activity else {},
         )
 
     # ------------------------------------------------------------------

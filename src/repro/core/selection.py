@@ -495,19 +495,16 @@ class MonteCarloGainOracle:
         self.n_evaluations = 0
 
     @property
-    def prefetch_limit(self) -> int | None:
+    def prefetch_limit(self) -> int:
         """One candidate per worker.
 
         Speculative stale-entry prefetching is only worth full sigma
         evaluations while idle workers absorb them: a pool prefetches
-        one candidate per worker, and the serial backend re-evaluates
-        one candidate at a time (the historical scalar call counts).
-        Backends that report no worker count stay uncapped.
+        one candidate per worker, and the serial backend (one worker)
+        re-evaluates one candidate at a time (the historical scalar
+        call counts).
         """
-        backend = getattr(self.estimator, "backend", None)
-        if backend is not None and backend.name == "serial":
-            return 1
-        return getattr(backend, "workers", None)
+        return self.estimator.backend.workers
 
     # -- group construction (must mirror each consumer exactly) --------
     def _base_group(self) -> SeedGroup:

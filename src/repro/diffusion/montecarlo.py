@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
-from repro.engine.backends import ExecutionBackend, resolve_backend
+from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.cache import SigmaCache
 from repro.engine.replication import (
     DEFAULT_CHUNK_SIZE,
@@ -81,7 +81,7 @@ def evaluate_sigma_chunk(
 
 
 def replicated_sigma_stats(
-    backend,
+    backend: ExecutionBackend,
     base_task: ReplicationTask,
     groups: Sequence[SeedGroup],
     n_samples: int,
@@ -109,7 +109,7 @@ def replicated_sigma_stats(
     if not groups:
         return []
     n_groups = len(groups)
-    workers = getattr(backend, "workers", 1)
+    workers = backend.workers
     pickled = share_for_backend(base_task.instance, backend) is not None
     if pickled and n_groups >= max(2, workers):
         chunk_size = min(chunk_size, -(-n_groups // workers))
@@ -159,12 +159,8 @@ class SigmaEstimator:
     rng_factory:
         Root of the random substreams; defaults to seed 0.
     backend:
-        Where replications run — an :class:`ExecutionBackend`, one of
-        the names ``"serial"`` / ``"thread"`` / ``"process"``, or
-        ``None`` for the process-wide default (serial unless the CLI's
-        ``--backend`` flag configured otherwise).
-    workers:
-        Worker count for a backend given by name (ignored otherwise).
+        Where replications run.  Borrowed: the caller that built it
+        closes it.  ``None`` runs on a private :class:`SerialBackend`.
     cache:
         Estimate memoization; pass a shared :class:`SigmaCache` to pool
         memoization across estimators, or ``None`` for a private one.
@@ -188,8 +184,7 @@ class SigmaEstimator:
         model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
         n_samples: int = 20,
         rng_factory: RngFactory | None = None,
-        backend: ExecutionBackend | str | None = None,
-        workers: int | None = None,
+        backend: ExecutionBackend | None = None,
         cache: SigmaCache | None = None,
     ):
         if n_samples < 1:
@@ -198,7 +193,7 @@ class SigmaEstimator:
         self.model = model
         self.n_samples = int(n_samples)
         self.rng_factory = rng_factory or RngFactory(0)
-        self.backend = resolve_backend(backend, workers)
+        self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache if cache is not None else SigmaCache()
         # Cache keys embed id(instance); pinning makes that id stable
         # for the cache's lifetime (no address reuse after a GC).
@@ -215,18 +210,6 @@ class SigmaEstimator:
         ``phase_seconds`` breakdown) attribute that one-off cost to a
         named phase instead of folding it into the first query.
         """
-
-    @property
-    def fault_stats(self):
-        """The backend's cumulative fault-handling record.
-
-        A :class:`repro.engine.FaultStats` (or None for foreign
-        backends that carry none) — nonzero counters mean chunks were
-        retried, pools rebuilt or execution degraded while serving
-        this estimator; the estimates themselves are bit-identical to
-        a fault-free run either way.
-        """
-        return getattr(self.backend, "fault_stats", None)
 
     @property
     def cache_hits(self) -> int:

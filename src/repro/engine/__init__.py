@@ -18,15 +18,18 @@ reproduction — into a pluggable service with three moving parts:
   ladder (process → thread → serial) catches exhausted retries, and a
   deterministic :class:`FaultPlan` injects faults for testing.
 
-Backend selection::
+Backend selection: build one backend, hand it to every consumer that
+should run on it, and close it when done::
 
-    from repro import SigmaEstimator
-    est = SigmaEstimator(instance, backend="process", workers=4)
+    from repro import Dysim, ProcessPoolBackend, SigmaEstimator
+    with ProcessPoolBackend(workers=4) as backend:
+        est = SigmaEstimator(instance, backend=backend)
+        result = Dysim(instance, backend=backend).run()
 
-or process-wide (what the CLI's ``--backend/--workers`` flags do)::
-
-    from repro.engine import set_default_backend
-    set_default_backend("process", workers=4)
+A consumer given no backend runs on a private serial one.
+:func:`make_backend` builds a backend from a name (``"serial"``,
+``"thread"``, ``"process"``), which is what the CLI's
+``--backend/--workers`` flags do.
 """
 
 from repro.engine.backends import (
@@ -35,9 +38,7 @@ from repro.engine.backends import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
+    make_backend,
     worker_chunks,
 )
 from repro.engine.cache import CacheStats, SigmaCache
@@ -54,7 +55,6 @@ from repro.engine.resilience import (
     FaultStats,
     InjectedFault,
     RetryPolicy,
-    default_retry_policy,
 )
 from repro.engine.shm import (
     SharedArrayHandle,
@@ -88,13 +88,10 @@ __all__ = [
     "ThreadBackend",
     "attach_csr",
     "chunk_indices",
-    "default_retry_policy",
-    "get_default_backend",
+    "make_backend",
     "release_csr",
     "release_task_arrays",
-    "resolve_backend",
     "run_chunk",
-    "set_default_backend",
     "share_csr",
     "share_for_backend",
     "share_task_arrays",

@@ -10,8 +10,9 @@ same partition, results are bit-identical across backends — see the
 Choosing a backend
 ------------------
 ``serial``
-    No concurrency, no overhead.  The default, and the fastest option
-    for the small instances used in tests.
+    No concurrency, no overhead.  What a consumer given no backend
+    builds for itself, and the fastest option for the small instances
+    used in tests.
 ``thread``
     A shared ``ThreadPoolExecutor``.  Replications are largely pure
     Python, so the GIL caps the speedup; threads pay off only when the
@@ -21,6 +22,11 @@ Choosing a backend
     A ``ProcessPoolExecutor``.  True parallelism; pays one pickle of
     the task per chunk plus a one-off pool start-up, so it wins once
     replications are expensive (large instances or high sample counts).
+
+Whoever builds a backend owns it and closes it (``with backend:``);
+estimators, algorithms and sweeps only borrow the one they are given.
+:func:`make_backend` turns a spelled-out name into a backend where
+names enter the program: the CLI and sweep specs.
 
 Fault tolerance
 ---------------
@@ -41,7 +47,6 @@ from __future__ import annotations
 import concurrent.futures
 import logging
 import os
-from typing import Protocol, runtime_checkable
 
 from repro.engine.replication import (
     DEFAULT_CHUNK_SIZE,
@@ -52,9 +57,10 @@ from repro.engine.replication import (
     run_chunk,
 )
 from repro.engine.resilience import (
+    DEFAULT_MAX_RETRIES,
     FaultPlan,
     FaultStats,
-    default_retry_policy,
+    RetryPolicy,
     supervise_map_chunks,
     supervise_serial,
 )
@@ -67,9 +73,7 @@ __all__ = [
     "ThreadBackend",
     "ProcessPoolBackend",
     "BACKEND_NAMES",
-    "resolve_backend",
-    "set_default_backend",
-    "get_default_backend",
+    "make_backend",
     "worker_chunks",
 ]
 
@@ -98,24 +102,21 @@ def _replication_chunks(
     return chunk_indices(n_samples, chunk_size)
 
 
-def worker_chunks(
-    n_items: int, backend: "ExecutionBackend | None" = None
-) -> list[list[int]]:
+def worker_chunks(n_items: int, backend: "ExecutionBackend") -> list[list[int]]:
     """Balanced contiguous index chunks, one per available worker.
 
     The coarse-grained sibling of
     :func:`~repro.engine.replication.chunk_indices`: instead of a fixed
     chunk *size* it splits ``n_items`` into at most ``backend.workers``
-    contiguous chunks (serial backends expose no ``workers`` attribute
-    and get a single chunk), sized within one item of each other.  Used
-    by consumers whose work units are already coarse — sweep runs,
-    reachability source blocks — where one chunk per worker minimizes
-    pickling overhead while keeping the pool saturated.
+    contiguous chunks (a single chunk on the serial backend), sized
+    within one item of each other.  Used by consumers whose work units
+    are already coarse — sweep runs, reachability source blocks — where
+    one chunk per worker minimizes pickling overhead while keeping the
+    pool saturated.
     """
     if n_items <= 0:
         return []
-    workers = getattr(backend, "workers", 1) or 1
-    n_chunks = max(1, min(int(workers), n_items))
+    n_chunks = max(1, min(backend.workers, n_items))
     quotient, remainder = divmod(n_items, n_chunks)
     chunks: list[list[int]] = []
     start = 0
@@ -126,22 +127,32 @@ def worker_chunks(
     return chunks
 
 
-class _FaultAware:
-    """Supervision state shared by every concrete backend.
+class ExecutionBackend:
+    """Where replications run: the base every backend extends.
 
     Holds the retry policy, the (optional) fault-injection plan, the
     cumulative :class:`FaultStats` accumulator and the per-backend
     dispatch counters the plan's ``(call, chunk)`` coordinates are
-    resolved against.
+    resolved against.  Subclasses supply :meth:`map_chunks`; pools
+    also override :attr:`workers`, :attr:`closed` and :meth:`close`.
     """
 
-    def _init_resilience(
+    #: Spelled-out kind (:data:`BACKEND_NAMES`), recorded in results.
+    name: str
+    #: Chunks that can run at once.
+    workers = 1
+
+    def __init__(
         self,
-        retries: int | None,
-        chunk_timeout: float | None,
-        fault_plan: FaultPlan | None,
-    ) -> None:
-        self.retry_policy = default_retry_policy(retries, chunk_timeout)
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        retries: int = DEFAULT_MAX_RETRIES,
+        chunk_timeout: float | None = None,
+        fault_plan: FaultPlan | None = None,
+    ):
+        self.chunk_size = int(chunk_size)
+        self.retry_policy = RetryPolicy(
+            max_retries=retries, chunk_timeout=chunk_timeout
+        )
         #: Active fault-injection plan (explicit kwarg wins over the
         #: ``REPRO_FAULT_PLAN`` environment variable; pass an empty
         #: ``FaultPlan()`` to mask the environment).
@@ -154,6 +165,18 @@ class _FaultAware:
         self._chunks_dispatched = 0
         self._degrade_warned = False
 
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` ran — ``run``/``map_chunks`` raise.
+
+        Long-lived consumers that may outlive the backend they were
+        built with (e.g. a :class:`~repro.sketch.RealizationBank`
+        constructed inside a ``with backend:`` block) probe this to
+        fall back to in-process execution instead of raising.  Serial
+        execution holds no resources, so it is never closed.
+        """
+        return False
+
     def _next_supervised_call(self, n_chunks: int) -> tuple[int, int]:
         """Allocate (call index, global chunk base) for one dispatch."""
         call = self._supervised_calls
@@ -162,16 +185,22 @@ class _FaultAware:
         self._chunks_dispatched += n_chunks
         return call, base
 
-    def _run_replications(
-        self, task: ReplicationTask, n_samples: int, chunk_size: int
-    ) -> ChunkResult:
-        """``run()`` body: merge chunks, attach the fault-stats delta."""
+    def map_chunks(self, fn, task, chunks: list[list[int]]) -> list:
+        """Run ``fn(task, chunk)`` per chunk, results in chunk order."""
+        raise NotImplementedError
+
+    def run(self, task: ReplicationTask, n_samples: int) -> ChunkResult:
+        """Execute ``n_samples`` replications of ``task``.
+
+        Merges the chunk results and attaches the fault-stats delta of
+        this call.
+        """
         before = self.fault_stats.copy()
         merged = ChunkResult.merge(
             self.map_chunks(
                 run_chunk,
                 task,
-                _replication_chunks(task, n_samples, self, chunk_size),
+                _replication_chunks(task, n_samples, self, self.chunk_size),
             )
         )
         delta = self.fault_stats.delta(before)
@@ -183,27 +212,18 @@ class _FaultAware:
             )
         return merged
 
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """Minimal contract every execution backend satisfies."""
-
-    name: str
-
-    def run(self, task: ReplicationTask, n_samples: int) -> ChunkResult:
-        """Execute ``n_samples`` replications of ``task``."""
-        ...
-
-    def map_chunks(self, fn, task, chunks: list[list[int]]) -> list:
-        """Run ``fn(task, chunk)`` per chunk, results in chunk order."""
-        ...
-
     def close(self) -> None:
         """Release worker resources (idempotent)."""
-        ...
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.close()
+        return False
 
 
-class SerialBackend(_FaultAware):
+class SerialBackend(ExecutionBackend):
     """Run every chunk in the calling thread (the reference backend)."""
 
     name = "serial"
@@ -211,16 +231,10 @@ class SerialBackend(_FaultAware):
     def __init__(
         self,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        retries: int | None = None,
+        retries: int = DEFAULT_MAX_RETRIES,
         fault_plan: FaultPlan | None = None,
     ):
-        self.chunk_size = int(chunk_size)
-        self._init_resilience(retries, None, fault_plan)
-
-    @property
-    def closed(self) -> bool:
-        """Serial execution holds no resources — never closed."""
-        return False
+        super().__init__(chunk_size, retries, None, fault_plan)
 
     def map_chunks(self, fn, task, chunks: list[list[int]]) -> list:
         """Run ``fn(task, chunk)`` per chunk, results in chunk order.
@@ -241,17 +255,11 @@ class SerialBackend(_FaultAware):
             return supervise_serial(self, fn, task, chunks)
         return [fn(task, chunk) for chunk in chunks]
 
-    def run(self, task: ReplicationTask, n_samples: int) -> ChunkResult:
-        return self._run_replications(task, n_samples, self.chunk_size)
-
-    def close(self) -> None:
-        pass
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialBackend()"
 
 
-class _PoolBackend(_FaultAware):
+class _PoolBackend(ExecutionBackend):
     """Shared executor plumbing for thread / process backends."""
 
     name = "pool"
@@ -268,12 +276,13 @@ class _PoolBackend(_FaultAware):
         self,
         workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        retries: int | None = None,
+        retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(chunk_size, retries, chunk_timeout, fault_plan)
         #: What the caller asked for, before the CPU cap — bench
         #: context records both so scaling numbers are interpretable.
         self.requested_workers = workers
@@ -282,24 +291,15 @@ class _PoolBackend(_FaultAware):
         if self.cap_workers_at_cpu_count:
             effective = min(effective, cpu_count)
         self.workers = effective
-        self.chunk_size = int(chunk_size)
         self._executor: concurrent.futures.Executor | None = None
         self._closed = False
         self._cleanups: list = []
-        self._init_resilience(retries, chunk_timeout, fault_plan)
 
     def _make_executor(self) -> concurrent.futures.Executor:
         raise NotImplementedError
 
     @property
     def closed(self) -> bool:
-        """True once :meth:`close` ran — ``run``/``map_chunks`` raise.
-
-        Long-lived consumers that may outlive the backend they were
-        built with (e.g. a :class:`~repro.sketch.RealizationBank`
-        constructed inside a ``with backend:`` block) probe this to
-        fall back to in-process execution instead of raising.
-        """
         return self._closed
 
     @property
@@ -352,9 +352,6 @@ class _PoolBackend(_FaultAware):
             return [fn(task, chunk) for chunk in chunks]
         return supervise_map_chunks(self, fn, task, chunks)
 
-    def run(self, task: ReplicationTask, n_samples: int) -> ChunkResult:
-        return self._run_replications(task, n_samples, self.chunk_size)
-
     def add_cleanup(self, callback) -> None:
         """Register a resource-release callback for :meth:`close`.
 
@@ -401,22 +398,15 @@ class _PoolBackend(_FaultAware):
         self._run_cleanups()
 
     def __del__(self):  # pragma: no cover - GC-timing dependent
-        # Safety net: a backend resolved per algorithm run (e.g.
-        # ``DysimConfig(backend="process")``) may never see an explicit
-        # close(); release its workers when the backend is collected.
+        # Safety net: an owner that never calls close() (a script that
+        # builds a pool and exits without ``with``) still releases its
+        # workers and shared-memory files when the backend is collected.
         try:
             if self._executor is not None:
                 self._executor.shutdown(wait=False, cancel_futures=True)
             self._run_cleanups()
         except Exception:
             pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(workers={self.workers})"
@@ -452,82 +442,35 @@ class ProcessPoolBackend(_PoolBackend):
         return concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
 
 
-#: Constructors for the spelled-out backend names (CLI / config).
+#: Constructors for the spelled-out backend names (CLI / sweep specs).
 BACKEND_NAMES = {
     "serial": SerialBackend,
     "thread": ThreadBackend,
     "process": ProcessPoolBackend,
 }
 
-_default_backend: ExecutionBackend | None = None
 
-
-def set_default_backend(
-    backend: ExecutionBackend | str | None,
+def make_backend(
+    name: str,
     workers: int | None = None,
-    retries: int | None = None,
+    retries: int = DEFAULT_MAX_RETRIES,
     chunk_timeout: float | None = None,
 ) -> ExecutionBackend:
-    """Install the process-wide default backend and return it.
+    """Build the backend a spelled-out name stands for.
 
-    Estimators constructed without an explicit backend use this one;
-    the CLI's ``--backend/--workers`` (and ``--retries`` /
-    ``--chunk-timeout``) flags route through here so every algorithm
-    in a run shares one worker pool and one retry policy.
+    Where names enter the program — the CLI's ``--backend`` flags and a
+    sweep spec's ``backend`` param — this is the one step that turns
+    them into a backend.  The caller owns the result and closes it
+    (``with make_backend(...) as backend:``).  ``workers`` and
+    ``chunk_timeout`` reach pool backends only: the serial backend runs
+    every chunk in the calling thread.
     """
-    global _default_backend
-    if _default_backend is not None:
-        _default_backend.close()
-    if backend is None:
-        _default_backend = None
-    else:
-        _default_backend = resolve_backend(
-            backend, workers, retries=retries, chunk_timeout=chunk_timeout
-        )
-    return get_default_backend()
-
-
-def get_default_backend() -> ExecutionBackend:
-    """The process-wide default backend (serial unless configured)."""
-    global _default_backend
-    if _default_backend is None:
-        _default_backend = SerialBackend()
-    return _default_backend
-
-
-def resolve_backend(
-    backend: ExecutionBackend | str | None,
-    workers: int | None = None,
-    retries: int | None = None,
-    chunk_timeout: float | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> ExecutionBackend:
-    """Turn a backend spec (name, instance or None) into a backend.
-
-    ``None`` resolves to the process-wide default; a string looks up
-    :data:`BACKEND_NAMES` and forwards the supervision knobs; an
-    object implementing the protocol is returned as-is (``workers``
-    and the knobs are ignored for instances — they already carry
-    their own policy).
-    """
-    if backend is None:
-        return get_default_backend()
-    if isinstance(backend, str):
-        try:
-            factory = BACKEND_NAMES[backend]
-        except KeyError:
-            raise ValueError(
-                f"unknown backend {backend!r}; "
-                f"expected one of {sorted(BACKEND_NAMES)}"
-            ) from None
-        if factory is SerialBackend:
-            return SerialBackend(retries=retries, fault_plan=fault_plan)
-        return factory(
-            workers=workers,
-            retries=retries,
-            chunk_timeout=chunk_timeout,
-            fault_plan=fault_plan,
-        )
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    raise TypeError(f"not an execution backend: {backend!r}")
+    try:
+        factory = BACKEND_NAMES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend {name!r}; expected one of {sorted(BACKEND_NAMES)}"
+        ) from None
+    if factory is SerialBackend:
+        return SerialBackend(retries=retries)
+    return factory(workers=workers, retries=retries, chunk_timeout=chunk_timeout)

@@ -73,7 +73,6 @@ __all__ = [
     "InjectedFault",
     "InjectedWorkerCrash",
     "RetryPolicy",
-    "default_retry_policy",
     "supervise_map_chunks",
     "supervise_serial",
 ]
@@ -82,8 +81,7 @@ logger = logging.getLogger(__name__)
 
 #: Re-dispatches allowed per chunk per ladder level before degrading
 #: (total attempts per level = retries + 1).  Overridable per backend
-#: (``retries=``), per run (``DysimConfig.retries``, CLI ``--retries``)
-#: or process-wide via ``REPRO_RETRIES``.
+#: (``retries=``, which the CLI's ``--retries`` sets).
 DEFAULT_MAX_RETRIES = 2
 
 #: Exit code an injected crash kills the worker process with — chosen
@@ -253,23 +251,6 @@ class RetryPolicy:
             self.backoff_cap,
             self.backoff_base * self.backoff_factor**round_no,
         )
-
-
-def default_retry_policy(
-    retries: int | None = None, chunk_timeout: float | None = None
-) -> RetryPolicy:
-    """Build a policy from explicit knobs with environment fallbacks.
-
-    ``REPRO_RETRIES`` / ``REPRO_CHUNK_TIMEOUT`` fill whichever knob the
-    caller left as ``None``.
-    """
-    if retries is None:
-        env = os.environ.get("REPRO_RETRIES")
-        retries = int(env) if env else DEFAULT_MAX_RETRIES
-    if chunk_timeout is None:
-        env = os.environ.get("REPRO_CHUNK_TIMEOUT")
-        chunk_timeout = float(env) if env else None
-    return RetryPolicy(max_retries=retries, chunk_timeout=chunk_timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +453,7 @@ class _ChunkState:
 
 def _warn_degraded(backend, level: str, reason: str) -> None:
     """One-time RuntimeWarning per backend."""
-    if getattr(backend, "_degrade_warned", False):
+    if backend._degrade_warned:
         return
     backend._degrade_warned = True
     warnings.warn(

@@ -350,9 +350,7 @@ def share_for_backend(shared, backend):
     that outlives many instances does not keep them (or their files)
     alive.  Returns the handle.
     """
-    if getattr(backend, "name", None) != "process":
-        return None
-    if getattr(backend, "closed", False):
+    if backend.name != "process" or backend.closed:
         return None
     if isinstance(shared, CSRGraph):
         share, release = share_csr, release_csr
@@ -362,12 +360,10 @@ def share_for_backend(shared, backend):
     already_shared = getattr(shared, "_shm_handle", None) is not None
     handle = share(shared)
     if not already_shared:
-        register = getattr(backend, "add_cleanup", None)
-        if register is not None:
-            owner = weakref.ref(shared)
-            # ``owner()`` is None once collected; releasing None is a
-            # no-op (the finalizer already removed the files).
-            register(lambda: release(owner()))
+        owner = weakref.ref(shared)
+        # ``owner()`` is None once collected; releasing None is a
+        # no-op (the finalizer already removed the files).
+        backend.add_cleanup(lambda: release(owner()))
     return handle
 
 
@@ -388,9 +384,7 @@ def share_task_arrays(
     ``backend.close()`` (or the atexit sweep) removes whatever is left,
     so a worker crash leaks nothing past the backend's lifetime.
     """
-    if getattr(backend, "name", None) != "process":
-        return None
-    if getattr(backend, "closed", False):
+    if backend.name != "process" or backend.closed:
         return None
     directory = _new_export_dir()
     _owned_dirs.add(directory)
@@ -398,9 +392,7 @@ def share_task_arrays(
         name: _export_array(array, directory, name)
         for name, array in arrays.items()
     }
-    register = getattr(backend, "add_cleanup", None)
-    if register is not None:
-        register(lambda: release_task_arrays(handles))
+    backend.add_cleanup(lambda: release_task_arrays(handles))
     return handles
 
 

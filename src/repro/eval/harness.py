@@ -52,25 +52,25 @@ def run_dysim(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "mc",
     **config_overrides,
 ) -> BaselineResult:
-    """Adapter exposing Dysim through the baseline interface."""
+    """Adapter exposing Dysim through the baseline interface.
+
+    ``backend`` is borrowed and handed to :class:`Dysim` as is.
+    """
     config_kwargs = {
         "n_samples_selection": n_samples,
         "n_samples_inner": n_samples,
         "model": model,
         "seed": seed,
-        "backend": backend,
-        "workers": workers,
         "oracle": oracle,
         **config_overrides,  # may override the sample counts
     }
     config = DysimConfig(**config_kwargs)
     started = time.perf_counter()
-    result = Dysim(instance, config).run()
+    result = Dysim(instance, config, backend=backend).run()
     return BaselineResult(
         name="Dysim",
         seed_group=result.seed_group,
@@ -105,8 +105,7 @@ def run_dysim_select(
     n_samples: int = 12,
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     oracle: str = "rrset",
     candidate_pool: int | None = 150,
     singleton_pool: int | None = 1,
@@ -119,6 +118,7 @@ def run_dysim_select(
     promotion, and sigma is the selection oracle's own frozen-phase
     estimate — no Monte-Carlo re-simulation, whose per-sample frontier
     walks are what make full Dysim infeasible at this scale.
+    ``backend`` is borrowed (``None`` = a private serial backend).
     """
     frozen = instance.frozen()
     estimator = make_sigma_estimator(
@@ -128,12 +128,9 @@ def run_dysim_select(
         n_samples=n_samples,
         rng_factory=RngFactory(seed),
         backend=backend,
-        workers=workers,
     )
-    backend_stats = estimator.fault_stats
-    stats_before = (
-        backend_stats.copy() if backend_stats is not None else None
-    )
+    backend_stats = estimator.backend.fault_stats
+    stats_before = backend_stats.copy()
     started = time.perf_counter()
     estimator.prepare()
     bank_done = time.perf_counter()
@@ -147,11 +144,8 @@ def run_dysim_select(
         Seed(user, item, 1) for user, item in sorted(selection.nominees)
     )
     finished = time.perf_counter()
-    fault_stats: dict = {}
-    if backend_stats is not None:
-        delta = backend_stats.delta(stats_before)
-        if delta.activity:
-            fault_stats = delta.as_dict()
+    delta = backend_stats.delta(stats_before)
+    fault_stats = delta.as_dict() if delta.activity else {}
     return BaselineResult(
         name="DysimSelect",
         seed_group=seed_group,
@@ -161,7 +155,7 @@ def run_dysim_select(
             "n_oracle_calls": selection.n_oracle_calls,
             "total_cost": selection.total_cost,
             "oracle": oracle,
-            "backend": getattr(estimator.backend, "name", "serial"),
+            "backend": estimator.backend.name,
             "phase_seconds": {
                 "bank": bank_done - started,
                 "selection": finished - bank_done,
@@ -206,17 +200,18 @@ def evaluate_group(
     n_samples: int = 50,
     seed: int = 12345,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
 ) -> float:
-    """Fair re-evaluation of any seed group (shared random worlds)."""
+    """Fair re-evaluation of any seed group (shared random worlds).
+
+    ``backend`` is borrowed (``None`` = a private serial backend).
+    """
     estimator = SigmaEstimator(
         instance,
         model=model,
         n_samples=n_samples,
         rng_factory=RngFactory(seed),
         backend=backend,
-        workers=workers,
     )
     return estimator.sigma(seed_group)
 

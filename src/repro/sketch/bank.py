@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.core.selection import PairLayout
-from repro.engine.backends import ExecutionBackend, resolve_backend
+from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.replication import DEFAULT_CHUNK_SIZE, chunk_indices
 from repro.engine.shm import share_task_arrays
 from repro.errors import SketchError
@@ -310,13 +310,12 @@ class RealizationBank:
     extra_adoption_floor:
         Association probabilities at or below this are dropped from the
         skeleton (mirrors the simulator's pruning floor).
-    backend / workers:
-        Where world construction and stack misses run;
-        any :class:`~repro.engine.backends.ExecutionBackend` (or name)
-        — coin flipping fans out over the canonical world chunks, and
-        :meth:`stacks_for` fans miss blocks out over canonical source
-        chunks, both reassembling in order, so banks are
-        backend-independent.
+    backend:
+        Where world construction and stack misses run (borrowed;
+        ``None`` = a private serial backend) — coin flipping fans out
+        over the canonical world chunks, and :meth:`stacks_for` fans
+        miss blocks out over canonical source chunks, both reassembling
+        in order, so banks are backend-independent.
     reach_budget_bytes:
         Byte budget of the stacked-reach LRU (None = unbounded).
         Eviction only trades recomputation for memory — query results
@@ -340,8 +339,7 @@ class RealizationBank:
         rng_seed: int = 0,
         rng_context: tuple = ("sketch",),
         extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
-        backend: ExecutionBackend | str | None = None,
-        workers: int | None = None,
+        backend: ExecutionBackend | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         reach_budget_bytes: int | None = DEFAULT_REACH_BUDGET_BYTES,
         world_shards: int | None = None,
@@ -370,7 +368,7 @@ class RealizationBank:
         #: Packed-word layout of the worlds axis (the multi-world BFS
         #: state and the per-entry liveness words).
         self.world_layout = WorldLayout(self.n_worlds)
-        self._backend = resolve_backend(backend, workers)
+        self._backend = backend if backend is not None else SerialBackend()
         self._chunk_size = int(chunk_size)
         task = SketchBuildTask(
             prob=self.skeleton.prob,
@@ -412,18 +410,6 @@ class RealizationBank:
         self.reach_hits = 0
         self.reach_misses = 0
         self.reach_evictions = 0
-
-    @property
-    def fault_stats(self):
-        """Fault handling the bank's backend performed (or None).
-
-        World fills and sharded stack computations fan out through the
-        supervised backend, so crashed/hung fill chunks are re-run
-        with the same per-world coin streams — the bank's contents are
-        bit-identical to a fault-free build regardless of what this
-        record shows.
-        """
-        return getattr(self._backend, "fault_stats", None)
 
     def _reach_graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shared skeleton CSR + world-major arc liveness (lazy).
@@ -612,9 +598,7 @@ class RealizationBank:
                 },
                 self._backend,
             )
-        if self._reach_handles is not None and not getattr(
-            self._backend, "closed", False
-        ):
+        if self._reach_handles is not None and not self._backend.closed:
             handles = self._reach_handles
             return (
                 handles["reach_indptr"],
@@ -638,12 +622,8 @@ class RealizationBank:
         if self.world_shards is not None:
             return max(1, min(self.world_shards, n_words))
         backend = self._backend
-        workers = getattr(backend, "workers", None) or 1
-        if (
-            backend.name != "process"
-            or workers <= 1
-            or getattr(backend, "closed", False)
-        ):
+        workers = backend.workers
+        if backend.name != "process" or workers <= 1 or backend.closed:
             return 1
         if n_missing >= workers or n_words < 2 * workers:
             return 1
@@ -680,7 +660,7 @@ class RealizationBank:
             word_bounds=word_bounds,
         )
         backend = self._backend
-        if getattr(backend, "closed", False):
+        if backend.closed:
             shard_lists = [
                 world_shard_chunk(task, [i])
                 for i in range(len(word_bounds))
@@ -719,7 +699,7 @@ class RealizationBank:
         serial = (
             backend.name == "serial"
             or len(missing) <= self._chunk_size
-            or getattr(backend, "closed", False)
+            or backend.closed
         )
         if serial:
             # No workers to feed (or a backend whose pool is gone —
@@ -752,8 +732,7 @@ class RealizationBank:
         # per-level dispatch — and, on process pools, the per-chunk
         # task pickle.  Chunking never affects results: stacks are
         # per-source deterministic and map_chunks preserves order.
-        workers = getattr(backend, "workers", None) or 1
-        block = max(self._chunk_size, -(-len(missing) // workers))
+        block = max(self._chunk_size, -(-len(missing) // backend.workers))
         block = min(block, MAX_SOURCE_BLOCK)
         stacks = itertools.chain.from_iterable(
             backend.map_chunks(

@@ -57,8 +57,7 @@ class SketchSigmaEstimator(SigmaEstimator):
         model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
         n_samples: int = 20,
         rng_factory: RngFactory | None = None,
-        backend: ExecutionBackend | str | None = None,
-        workers: int | None = None,
+        backend: ExecutionBackend | None = None,
         cache: SigmaCache | None = None,
         extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
         reach_budget_bytes: int | None = DEFAULT_REACH_BUDGET_BYTES,
@@ -69,7 +68,6 @@ class SketchSigmaEstimator(SigmaEstimator):
             n_samples=n_samples,
             rng_factory=rng_factory,
             backend=backend,
-            workers=workers,
             cache=cache,
         )
         self.extra_adoption_floor = float(extra_adoption_floor)

@@ -33,11 +33,13 @@ def make_sigma_estimator(
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
     n_samples: int = 20,
     rng_factory: RngFactory | None = None,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     cache: SigmaCache | None = None,
 ) -> SigmaEstimator:
-    """Build the sigma estimator for an oracle kind (``None`` = mc)."""
+    """Build the sigma estimator for an oracle kind (``None`` = mc).
+
+    ``backend`` is borrowed (``None`` = a private serial backend).
+    """
     kind = oracle or "mc"
     if kind not in ORACLE_NAMES:
         raise ValueError(
@@ -48,7 +50,6 @@ def make_sigma_estimator(
         n_samples=n_samples,
         rng_factory=rng_factory,
         backend=backend,
-        workers=workers,
         cache=cache,
     )
     if kind == "sketch":

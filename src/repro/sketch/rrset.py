@@ -62,7 +62,7 @@ from repro.core.selection import popcount_words
 from repro.core.submodular import GreedyResult
 from repro.diffusion.models import DiffusionModel
 from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
-from repro.engine.backends import ExecutionBackend, resolve_backend
+from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.cache import SigmaCache
 from repro.engine.shm import (
     release_task_arrays,
@@ -204,9 +204,10 @@ class RRSetIndex:
         Substream family; sample ``i`` draws from
         ``spawn_rng(rng_seed, *rng_context, i)``.  Two indexes sharing
         these (and the skeleton) hold the same sets.
-    backend / workers / chunk_size:
+    backend / chunk_size:
         Where sampling fans out (canonical chunks, order-preserving —
-        indexes are backend-independent).
+        indexes are backend-independent).  The backend is borrowed;
+        ``None`` samples on a private serial backend.
     """
 
     def __init__(
@@ -218,8 +219,7 @@ class RRSetIndex:
         n_samples: int = 256,
         rng_seed: int = 0,
         rng_context: tuple = ("rrset",),
-        backend: ExecutionBackend | str | None = None,
-        workers: int | None = None,
+        backend: ExecutionBackend | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ):
         if n_samples < 1:
@@ -260,7 +260,7 @@ class RRSetIndex:
         rev_indptr = np.zeros(self.n_pairs + 1, dtype=np.int64)
         np.cumsum(counts, out=rev_indptr[1:])
 
-        self._backend = resolve_backend(backend, workers)
+        backend = backend if backend is not None else SerialBackend()
         # Process pools pickle the task per chunk; swap the skeleton-
         # sized arrays for shared-memory handles so each worker maps
         # them once instead of receiving copies down a pipe.  Nothing
@@ -271,7 +271,7 @@ class RRSetIndex:
             "rev_prob": rev_prob,
             "importance_cum": importance_cum,
         }
-        shared = share_task_arrays(task_arrays, self._backend)
+        shared = share_task_arrays(task_arrays, backend)
         if shared is not None:
             task_arrays = shared
         task = RRSampleTask(
@@ -285,12 +285,11 @@ class RRSetIndex:
         # chunk — so never cut more chunks than workers.  The chunk
         # partition is invisible in the results: sample i draws from a
         # substream keyed by i alone, and chunks reassemble in order.
-        pool_workers = getattr(self._backend, "workers", 1) or 1
-        block = max(int(chunk_size), -(-self.n_samples // pool_workers))
+        block = max(int(chunk_size), -(-self.n_samples // backend.workers))
         try:
             samples = list(
                 itertools.chain.from_iterable(
-                    self._backend.map_chunks(
+                    backend.map_chunks(
                         sample_rrsets_chunk,
                         task,
                         chunk_indices(self.n_samples, block),
@@ -333,8 +332,7 @@ class RRSetIndex:
         rng_seed: int = 0,
         rng_context: tuple = ("rrset",),
         extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
-        backend: ExecutionBackend | str | None = None,
-        workers: int | None = None,
+        backend: ExecutionBackend | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> "RRSetIndex":
         """Build from a frozen instance (skeleton enumerated here)."""
@@ -348,21 +346,10 @@ class RRSetIndex:
             rng_seed=rng_seed,
             rng_context=rng_context,
             backend=backend,
-            workers=workers,
             chunk_size=chunk_size,
         )
 
     # ------------------------------------------------------------------
-    @property
-    def fault_stats(self):
-        """Fault handling the sampler's backend performed (or None).
-
-        RR-set sampling fans out through the supervised backend; a
-        re-dispatched chunk replays the same root/draw substreams, so
-        the index is bit-identical to a fault-free build regardless.
-        """
-        return getattr(self._backend, "fault_stats", None)
-
     @property
     def member_bytes(self) -> int:
         """Bytes held by the packed membership matrix."""
@@ -476,8 +463,7 @@ class RRSetSigmaEstimator(SigmaEstimator):
         model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
         n_samples: int = 256,
         rng_factory: RngFactory | None = None,
-        backend: ExecutionBackend | str | None = None,
-        workers: int | None = None,
+        backend: ExecutionBackend | None = None,
         cache: SigmaCache | None = None,
         extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
     ):
@@ -487,7 +473,6 @@ class RRSetSigmaEstimator(SigmaEstimator):
             n_samples=n_samples,
             rng_factory=rng_factory,
             backend=backend,
-            workers=workers,
             cache=cache,
         )
         self.extra_adoption_floor = float(extra_adoption_floor)

@@ -34,7 +34,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.engine import ExecutionBackend, resolve_backend, worker_chunks
+from repro.engine import (
+    ExecutionBackend,
+    SerialBackend,
+    make_backend,
+    worker_chunks,
+)
 from repro.errors import SweepError
 from repro.sweep.spec import SweepSpec, canonical_json
 from repro.sweep.store import (
@@ -153,15 +158,24 @@ def _algorithm_payload(params: dict, seed: int) -> dict:
     instance = _instance_for(params)
     algorithm = params["algorithm"]
     kwargs = dict(params.get("algorithm_kwargs", {}))
-    for key in ("oracle", "backend", "workers"):
-        if params.get(key) is not None:
-            kwargs[key] = params[key]
+    if params.get("oracle") is not None:
+        kwargs["oracle"] = params["oracle"]
     n_samples = params.get("n_samples", 10)
     eval_samples = params.get("eval_samples", 0)
 
-    result = run_algorithm(
-        algorithm, instance, n_samples=n_samples, seed=seed, **kwargs
-    )
+    # Each run owns its backend (the spec's pinned one, else serial)
+    # and closes it before the row is returned: no pool outlives it.
+    with make_backend(
+        params.get("backend") or "serial", params.get("workers")
+    ) as backend:
+        result = run_algorithm(
+            algorithm,
+            instance,
+            n_samples=n_samples,
+            seed=seed,
+            backend=backend,
+            **kwargs,
+        )
     if eval_samples:
         sigma = evaluate_group(
             instance, result.seed_group, n_samples=eval_samples
@@ -276,8 +290,7 @@ class SweepReport:
 def run_sweep(
     spec: SweepSpec,
     store: ResultStore,
-    backend: ExecutionBackend | str | None = None,
-    workers: int | None = None,
+    backend: ExecutionBackend | None = None,
     retry_failed: bool = False,
     max_retries: int = 0,
     retry_backoff: float = 0.5,
@@ -294,11 +307,13 @@ def run_sweep(
     (``retry_backoff * 2**(k-1)``, at most :data:`RETRY_BACKOFF_CAP`)
     before each round — every attempt appends a row, so the store
     trajectory keeps each tombstone the surviving row superseded.
-    Returns a report; the rows themselves live in the store.
+    Runs fan out through ``backend``, which is borrowed (``None`` = a
+    private serial backend).  Returns a report; the rows themselves
+    live in the store.
     """
     if max_retries < 0:
         raise SweepError(f"max_retries must be >= 0, got {max_retries}")
-    resolved = resolve_backend(backend, workers)
+    backend = backend if backend is not None else SerialBackend()
     keys = spec.run_keys()
     present = store.keys(spec.name)
     pending = []
@@ -327,8 +342,8 @@ def run_sweep(
             runs=tuple(runs),
             attempt=attempt,
         )
-        chunks = worker_chunks(len(runs), resolved)
-        results = resolved.map_chunks(_run_chunk, task, chunks)
+        chunks = worker_chunks(len(runs), backend)
+        results = backend.map_chunks(_run_chunk, task, chunks)
         # Chunks are contiguous index ranges and come back in chunk
         # order, so the flattened outcomes align with ``runs``.
         return [entry for chunk in results for entry in chunk]

@@ -242,9 +242,10 @@ def build_specs(scale: SampleScale | None = None) -> dict[str, SweepSpec]:
         base={
             "algorithm": "DysimSelect",
             "oracle": "rrset",
-            # Per-run estimator backend (the sweep CLI's --backend only
-            # fans *runs* out): RR sampling crosses into process
-            # workers through the shared-memory task arrays.
+            # Per-run estimator backend, built and closed by each run
+            # (the sweep CLI's --backend only fans *runs* out): RR
+            # sampling crosses into process workers through the
+            # shared-memory task arrays.
             "backend": "process",
             "workers": 2,
             "n_samples": 128,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.dysim import Dysim, DysimConfig
+from repro.baselines.common import make_estimators
+from repro.core.dysim import AdaptiveDysim, Dysim, DysimConfig
 from repro.core.problem import Seed, SeedGroup
 from repro.diffusion.montecarlo import SigmaEstimator
 from repro.engine import (
@@ -14,7 +15,7 @@ from repro.engine import (
     SerialBackend,
     ThreadBackend,
     chunk_indices,
-    resolve_backend,
+    make_backend,
     run_chunk,
 )
 from repro.utils.rng import RngFactory
@@ -86,13 +87,12 @@ class TestBackendEquivalence:
         _assert_bit_identical(serial, parallel)
 
     def test_dysim_result_backend_independent(self):
-        serial = Dysim(build_tiny_instance(), DysimConfig(backend="serial")).run()
-        threaded = Dysim(
-            build_tiny_instance(), DysimConfig(backend="thread", workers=2)
-        ).run()
+        serial = Dysim(build_tiny_instance(), backend=SerialBackend()).run()
+        with ThreadBackend(workers=2) as pool:
+            threaded = Dysim(build_tiny_instance(), backend=pool).run()
         before = own_shm_exports()
         with ProcessPoolBackend(workers=2) as pool:
-            pooled = Dysim(build_tiny_instance(), DysimConfig(backend=pool)).run()
+            pooled = Dysim(build_tiny_instance(), backend=pool).run()
         assert not own_shm_exports() - before
         for result in (threaded, pooled):
             assert result.sigma == serial.sigma
@@ -101,31 +101,83 @@ class TestBackendEquivalence:
         assert threaded.backend == "thread"
         assert pooled.backend == "process"
 
+    @pytest.mark.parametrize("pool_class", [ThreadBackend, ProcessPoolBackend])
+    def test_adaptive_dysim_on_pools_matches_serial(self, pool_class, monkeypatch):
+        """AdaptiveDysim plans every round on the pool it is given and
+        plays the serial campaign, field for field."""
+        config = DysimConfig(n_samples_selection=4, n_samples_inner=4)
+
+        def play(backend):
+            instance = build_tiny_instance(budget=25.0, n_promotions=3)
+            return AdaptiveDysim(instance, config, backend=backend).run(1)
+
+        serial = play(SerialBackend())
+        before = own_shm_exports()
+        with pool_class(workers=2) as pool:
+            chunk_counts = []
+            map_chunks = pool.map_chunks
+
+            def recording(fn, task, chunks):
+                chunk_counts.append(len(chunks))
+                return map_chunks(fn, task, chunks)
+
+            monkeypatch.setattr(pool, "map_chunks", recording)
+            pooled = play(pool)
+        assert chunk_counts, "planning must dispatch through the pool"
+        assert not own_shm_exports() - before
+        assert list(pooled.seed_group) == list(serial.seed_group)
+        assert pooled.sigma_realized == serial.sigma_realized
+        assert pooled.sigma_by_promotion == serial.sigma_by_promotion
+        assert pooled.spent == serial.spent
+        assert pooled.rounds == serial.rounds
+
 
 class TestResolution:
     def test_names_cover_all_backends(self):
         assert set(BACKEND_NAMES) == {"serial", "thread", "process"}
 
-    def test_resolve_by_name(self):
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-        backend = resolve_backend("thread", workers=5)
-        assert isinstance(backend, ThreadBackend)
-        assert backend.workers == 5
+    @pytest.mark.parametrize("name", sorted(BACKEND_NAMES))
+    def test_each_name_builds_its_class(self, name):
+        with make_backend(name) as backend:
+            assert type(backend) is BACKEND_NAMES[name]
+            assert backend.name == name
 
-    def test_resolve_instance_passthrough(self):
-        backend = SerialBackend()
-        assert resolve_backend(backend) is backend
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_knobs_reach_a_pool(self, name):
+        with make_backend(name, workers=1, retries=3, chunk_timeout=60) as pool:
+            assert pool.workers == 1
+            assert pool.retry_policy.max_retries == 3
+            assert pool.retry_policy.chunk_timeout == 60.0
+        assert pool.closed
 
-    def test_resolve_none_is_serial_default(self):
-        assert resolve_backend(None).name == "serial"
+    def test_serial_takes_retries_and_runs_in_the_caller(self):
+        backend = make_backend("serial", workers=4, retries=1, chunk_timeout=5)
+        assert backend.workers == 1
+        assert backend.retry_policy.max_retries == 1
+        assert backend.retry_policy.chunk_timeout is None
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu")
+            make_backend("gpu")
 
-    def test_non_backend_raises(self):
-        with pytest.raises(TypeError):
-            resolve_backend(42)
+    def test_none_gives_a_private_serial_backend(self, tiny_instance):
+        first = SigmaEstimator(tiny_instance)
+        second = SigmaEstimator(tiny_instance)
+        assert first.backend.name == "serial"
+        assert first.backend is not second.backend
+        # One algorithm run shares one private backend between its two
+        # estimators, so its fault accounting is a single record.
+        frozen, dynamic = make_estimators(tiny_instance, 4, 0)
+        assert frozen.backend is dynamic.backend
+        dysim = Dysim(tiny_instance)
+        assert dysim._frozen_estimator.backend is dysim._dynamic_estimator.backend
+
+    def test_given_backend_is_borrowed(self, tiny_instance):
+        with ThreadBackend(workers=2) as pool:
+            estimator = SigmaEstimator(tiny_instance, n_samples=4, backend=pool)
+            assert estimator.backend is pool
+            estimator.sigma(GROUP)
+            assert not pool.closed
 
     def test_invalid_worker_count_raises(self):
         with pytest.raises(ValueError, match="workers"):

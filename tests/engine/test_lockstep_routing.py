@@ -146,14 +146,17 @@ class TestRunChunkEquivalence:
         assert np.array_equal(reference.sigmas, pooled.sigmas)
 
 
-def test_kernel_environment_variables_are_not_read():
-    """Names that once selected kernels steer nothing: a frozen sigma
-    estimate and a bank fill succeed with them set to garbage."""
+def test_removed_environment_variables_are_not_read():
+    """Names that once selected kernels or retry knobs steer nothing: a
+    frozen sigma estimate and a bank fill succeed with them set to
+    garbage."""
     src = pathlib.Path(repkernel.__file__).resolve().parents[2]
     env = dict(
         os.environ,
         REPRO_STEP_KERNEL="bogus",
         REPRO_REACH_KERNEL="bogus",
+        REPRO_RETRIES="bogus",
+        REPRO_CHUNK_TIMEOUT="bogus",
         PYTHONPATH=os.pathsep.join([str(src), str(REPO_ROOT)]),
     )
     script = (

@@ -100,7 +100,6 @@ class TestSingleChunk:
         under which every dispatch rightly goes through the pool).
         """
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        monkeypatch.delenv("REPRO_CHUNK_TIMEOUT", raising=False)
         instance = build_tiny_instance()
         with ThreadBackend(workers=4, chunk_size=8) as pool:
             result = pool.run(_task(instance), 3)

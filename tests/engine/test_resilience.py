@@ -26,7 +26,6 @@ from repro.engine.resilience import (
     FaultStats,
     InjectedFault,
     RetryPolicy,
-    default_retry_policy,
 )
 from repro.sketch.bank import RealizationBank
 from repro.sketch.oracle import make_sigma_estimator
@@ -43,10 +42,9 @@ FAST = dict(retries=2)
 
 @pytest.fixture(autouse=True)
 def _clean_fault_env(monkeypatch):
-    """Pin the supervision env so the CI chaos leg's REPRO_FAULT_PLAN
-    (or a developer's local knobs) cannot skew the assertions."""
-    for var in ("REPRO_FAULT_PLAN", "REPRO_RETRIES", "REPRO_CHUNK_TIMEOUT"):
-        monkeypatch.delenv(var, raising=False)
+    """Clear the fault-plan env so the CI chaos leg's REPRO_FAULT_PLAN
+    cannot skew the assertions."""
+    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
 
 
 def double_chunk(task, chunk):
@@ -180,17 +178,6 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError, match="chunk_timeout"):
             RetryPolicy(chunk_timeout=0.0)
-
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "7.5")
-        policy = default_retry_policy()
-        assert policy.max_retries == 5
-        assert policy.chunk_timeout == 7.5
-        # Explicit knobs beat the environment.
-        explicit = default_retry_policy(retries=1, chunk_timeout=2.0)
-        assert explicit.max_retries == 1
-        assert explicit.chunk_timeout == 2.0
 
 
 class TestFaultStats:
@@ -436,25 +423,39 @@ class TestChaosBitIdentity:
 
 
 class TestDysimAcceptance:
-    def test_config_threads_supervision_knobs(self):
-        dysim = Dysim(
-            build_tiny_instance(),
-            DysimConfig(backend="thread", workers=2, retries=5,
-                        chunk_timeout=9.0),
-        )
-        policy = dysim._backend.retry_policy
-        assert policy.max_retries == 5
-        assert policy.chunk_timeout == 9.0
-        dysim._backend.close()
+    def test_dysim_runs_on_the_backend_it_is_given(self, monkeypatch):
+        """Every estimate dispatches through the given pool, with the
+        pool's own retry policy and deadline, and Dysim leaves it open
+        for its owner."""
+        config = DysimConfig(n_samples_selection=4, n_samples_inner=4)
+        serial = Dysim(build_tiny_instance(), config).run()
+        with ThreadBackend(workers=2, retries=5, chunk_timeout=9.0) as pool:
+            dispatches = []
+            map_chunks = pool.map_chunks
+
+            def recording(fn, task, chunks):
+                dispatches.append(len(chunks))
+                return map_chunks(fn, task, chunks)
+
+            monkeypatch.setattr(pool, "map_chunks", recording)
+            dysim = Dysim(build_tiny_instance(), config, backend=pool)
+            for estimator in (dysim._frozen_estimator, dysim._dynamic_estimator):
+                assert estimator.backend is pool
+            result = dysim.run()
+            assert dispatches
+            assert not pool.closed
+        assert pool.retry_policy.max_retries == 5
+        assert pool.retry_policy.chunk_timeout == 9.0
+        assert result.backend == "thread"
+        assert result.sigma == serial.sigma
+        assert list(result.seed_group) == list(serial.seed_group)
 
     def test_dysim_survives_crash_and_hang_bit_identically(self):
         """The issue's acceptance bar: >=1 worker crash and >=1 hung
         chunk in a process-backend Dysim run; committed seed set and
         sigma bit-identical to the fault-free serial run."""
-        config = dict(n_samples_selection=8, n_samples_inner=8)
-        baseline = Dysim(
-            build_tiny_instance(), DysimConfig(backend="serial", **config)
-        ).run()
+        config = DysimConfig(n_samples_selection=8, n_samples_inner=8)
+        baseline = Dysim(build_tiny_instance(), config, backend=SerialBackend()).run()
         plan = FaultPlan(
             faults=(
                 FaultSpec(kind="crash", chunk=1, call=0),
@@ -465,10 +466,7 @@ class TestDysimAcceptance:
         with ProcessPoolBackend(
             workers=2, fault_plan=plan, chunk_timeout=3.0, **FAST
         ) as pool:
-            chaotic = Dysim(
-                build_tiny_instance(),
-                DysimConfig(backend=pool, **config),
-            ).run()
+            chaotic = Dysim(build_tiny_instance(), config, backend=pool).run()
         assert list(chaotic.seed_group) == list(baseline.seed_group)
         assert chaotic.sigma == baseline.sigma
         assert chaotic.fault_stats, "recoveries must be reported"
@@ -487,9 +485,5 @@ class TestDysimAcceptance:
             )
         stats = result.diagnostics["fault_stats"]
         assert stats["crashed_chunks"] >= 1
-        # Explicit fault-free backend: the lazily-created process-wide
-        # default may carry a plan captured from the chaos leg's env.
-        clean = run_dysim(
-            build_tiny_instance(), n_samples=8, backend=SerialBackend()
-        )
+        clean = run_dysim(build_tiny_instance(), n_samples=8)
         assert clean.diagnostics["fault_stats"] == {}

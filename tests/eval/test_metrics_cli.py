@@ -2,11 +2,23 @@
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import build_parser, main
 from repro.core.problem import Seed, SeedGroup
+from repro.eval.harness import evaluate_group, run_algorithm
 from repro.eval.metrics import campaign_report
 
-from tests.conftest import build_tiny_instance
+from tests.conftest import build_tiny_instance, own_shm_exports
+
+RUN_PS = [
+    "run", "--dataset", "yelp", "--scale", "0.2",
+    "--budget", "30", "--promotions", "2",
+    "--algorithm", "PS", "--samples", "4",
+]
+
+
+def _seed_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("  user=")]
 
 
 class TestCampaignReport:
@@ -66,15 +78,67 @@ class TestCli:
         assert "avg_initial_influence" in out
 
     def test_run_command(self, capsys):
-        code = main([
-            "run", "--dataset", "yelp", "--scale", "0.2",
-            "--budget", "30", "--promotions", "2",
-            "--algorithm", "PS", "--samples", "4",
-        ])
+        code = main(RUN_PS)
         assert code == 0
         out = capsys.readouterr().out
         assert "selected" in out
         assert "sigma" in out
+
+    def test_run_owns_and_closes_its_backend(self, capsys, monkeypatch):
+        """``run`` builds one backend from its flags, hands it to the
+        algorithm and closes it when the command ends; the pool picks
+        the serial seeds."""
+        assert main(RUN_PS) == 0
+        serial = _seed_lines(capsys.readouterr().out)
+        received, workers = [], []
+
+        def spy(*args, backend, **kwargs):
+            result = run_algorithm(*args, backend=backend, **kwargs)
+            received.append(backend)
+            workers.extend(backend.executor._processes.values())
+            return result
+
+        monkeypatch.setattr(cli, "run_algorithm", spy)
+        exports = own_shm_exports()
+        code = main(RUN_PS + [
+            "--backend", "process", "--workers", "2",
+            "--retries", "3", "--chunk-timeout", "60",
+        ])
+        assert code == 0
+        assert _seed_lines(capsys.readouterr().out) == serial
+        [backend] = received
+        assert backend.name == "process"
+        assert backend.retry_policy.max_retries == 3
+        assert backend.retry_policy.chunk_timeout == 60.0
+        assert backend.closed
+        assert workers and not any(worker.is_alive() for worker in workers)
+        assert own_shm_exports() == exports
+
+    def test_compare_runs_and_rescores_on_one_backend(self, monkeypatch):
+        received = []
+
+        def spy_run(*args, backend, **kwargs):
+            received.append(backend)
+            return run_algorithm(*args, backend=backend, **kwargs)
+
+        def spy_evaluate(*args, backend, **kwargs):
+            received.append(backend)
+            return evaluate_group(*args, backend=backend, **kwargs)
+
+        monkeypatch.setattr(cli, "run_algorithm", spy_run)
+        monkeypatch.setattr(cli, "evaluate_group", spy_evaluate)
+        code = main([
+            "compare", "--dataset", "yelp", "--scale", "0.2",
+            "--budget", "30", "--promotions", "2", "--samples", "3",
+            "--skip", "OPT", "Dysim", "HAG", "BGRD", "DRHGA",
+            "--backend", "thread", "--workers", "2",
+        ])
+        assert code == 0
+        backend = received[0]
+        assert len(received) == 4  # two algorithms, each re-scored
+        assert all(other is backend for other in received)
+        assert backend.name == "thread"
+        assert backend.closed
 
     def test_compare_command(self, capsys):
         code = main([

@@ -10,6 +10,7 @@ import pytest
 import repro.perception.state as state_module
 from repro.core.dysim import Dysim, DysimConfig
 from repro.data import load_dataset
+from repro.engine import ThreadBackend
 from repro.perception.params import DynamicsParams
 
 from tests.conftest import build_tiny_instance
@@ -327,9 +328,8 @@ class TestThreadBackendColdTable:
         ).run()
         instance = load_dataset("yelp", scale=0.35)
         assert instance.complementary_table.n_filled == 0
-        threaded = Dysim(
-            instance, DysimConfig(backend="thread", workers=4, **config)
-        ).run()
+        with ThreadBackend(workers=4) as pool:
+            threaded = Dysim(instance, DysimConfig(**config), backend=pool).run()
         assert threaded.sigma == serial.sigma
         assert list(threaded.seed_group) == list(serial.seed_group)
         assert instance.complementary_table.n_filled > 0

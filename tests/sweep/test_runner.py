@@ -1,11 +1,17 @@
 """Runner semantics: resume, interrupts, tombstones, retry."""
 
+import multiprocessing
+import time
+
 import pytest
 
+from repro.engine import make_backend
 from repro.sweep import ResultStore, SweepSpec, run_sweep
 from repro.sweep import runner as runner_module
 from repro.sweep.runner import execute_run
 from repro.sweep.store import STATUS_FAILED, STATUS_OK, ResultRow
+
+from tests.conftest import own_shm_exports
 
 
 def _fake_execute(spec_name, params, seed):
@@ -185,3 +191,52 @@ def test_execute_run_stats_payload():
     # Table III published class size for class A.
     assert row.payload["n_users"] == 33
     assert row.payload["n_items"] == 30
+
+
+def _children_alive_after(before: set, timeout: float = 5.0) -> set:
+    """Child processes started since ``before`` that are still alive.
+
+    Waits up to ``timeout`` seconds: workers of a pool that an injected
+    crash broke (the CI chaos leg) are reaped by the executor's own
+    thread, a moment after the run moved on to the rebuilt pool.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = set(multiprocessing.active_children()) - before
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)
+
+
+def test_pinned_backend_lives_only_as_long_as_its_run(monkeypatch):
+    """A spec that pins a pool gets one for its run alone: the run
+    returns the serial result, and no worker or shared-memory export
+    outlives it."""
+    params = {
+        "algorithm": "DysimSelect",
+        "oracle": "rrset",
+        "dataset": "yelp",
+        "scale": 0.2,
+        "n_samples": 64,
+        "eval_samples": 0,
+        "algorithm_kwargs": {"candidate_pool": 20},
+    }
+    serial = execute_run("demo", params, 0)
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(make_backend(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(runner_module, "make_backend", spy)
+    exports = own_shm_exports()
+    children = set(multiprocessing.active_children())
+    pooled = execute_run("demo", {**params, "backend": "process", "workers": 2}, 0)
+    assert not _children_alive_after(children)
+    assert own_shm_exports() == exports
+    [backend] = built
+    assert backend.name == "process" and backend.closed
+    assert serial.ok and pooled.ok
+    assert pooled.payload["sigma"] == serial.payload["sigma"]
+    assert pooled.payload["n_seeds"] == serial.payload["n_seeds"]
+    assert pooled.payload["diagnostics"]["backend"] == "process"
