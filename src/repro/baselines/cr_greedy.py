@@ -12,7 +12,7 @@ user-item pairs.
 from __future__ import annotations
 
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
-from repro.core.selection import first_strict_argmax, sigma_block
+from repro.core.selection import first_strict_argmax
 from repro.diffusion.montecarlo import SigmaEstimator
 
 __all__ = ["assign_timings"]
@@ -57,9 +57,8 @@ def assign_timings(
             for promotion in range(1, searched + 1)
             if Seed(user, item, promotion) not in scheduled
         ]
-        values = sigma_block(
-            estimator,
-            [scheduled.with_seed(candidate) for candidate in candidates],
+        values = estimator.estimate_block(
+            [scheduled.with_seed(candidate) for candidate in candidates]
         )
         best_index, _ = first_strict_argmax(values, -float("inf"))
         if best_index is not None:

@@ -17,11 +17,7 @@ import itertools
 from repro.baselines.common import BaselineResult, make_estimators, timer
 from repro.core.dysim.nominees import rank_candidates
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
-from repro.core.selection import (
-    DEFAULT_GAIN_BATCH,
-    first_strict_argmax,
-    sigma_block,
-)
+from repro.core.selection import DEFAULT_GAIN_BATCH, first_strict_argmax
 from repro.diffusion.models import DiffusionModel
 from repro.engine import ExecutionBackend
 
@@ -101,7 +97,7 @@ def run_opt(
             nonlocal best_group, best_value, n_evaluated
             if not block:
                 return
-            values = sigma_block(dynamic, block)
+            values = dynamic.estimate_block(block)
             n_evaluated += len(block)
             best_index, value = first_strict_argmax(values, best_value)
             if best_index is not None:

@@ -11,16 +11,18 @@ values — the submodular regime of Lemma 1, which is what gives Dysim
 its guarantee (Theorem 5).  Selection stops when no affordable nominee
 remains.
 
-Both oracles drive the same engine,
+Every oracle drives the same engine,
 :func:`repro.core.selection.mcp_lazy_greedy`: the Monte-Carlo path
 wraps the estimator in a
 :class:`~repro.core.selection.MonteCarloGainOracle` (candidate blocks
-fan out over the execution backend), the sketch fast path runs the
-packed-word :class:`~repro.core.selection.CoverageGainOracle` via
-:meth:`~repro.sketch.estimator.SketchSigmaEstimator.select_budgeted`.
-On the sketch path a candidate block's uncached reachability stacks
-are computed in one batch by the bit-parallel multi-world BFS of
-:mod:`repro.sketch.reachkernel`, so nominee selection never pays a
+fan out over the execution backend), the coverage fast path runs the
+family's packed-word gain oracle via
+:meth:`~repro.sketch.estimator.CoverageSigmaEstimator.select_budgeted`
+(:class:`~repro.core.selection.CoverageGainOracle` over the sketch
+bank, :class:`~repro.core.selection.RRCoverageGainOracle` over RR
+sets).  On the sketch path a candidate block's uncached reachability
+stacks are computed in one batch by the bit-parallel multi-world BFS
+of :mod:`repro.sketch.reachkernel`, so nominee selection never pays a
 Python BFS per realized world at production world counts.
 
 A candidate-pool cap keeps the ground set tractable on larger
@@ -44,7 +46,6 @@ from repro.core.selection import (
     MonteCarloGainOracle,
     first_strict_argmax,
     mcp_lazy_greedy,
-    sigma_block,
 )
 from repro.diffusion.montecarlo import SigmaEstimator
 
@@ -168,8 +169,7 @@ def select_nominees(
 
     cap = len(universe) if singleton_pool is None else singleton_pool
     singles = universe[: min(len(universe), cap)]
-    values = sigma_block(
-        estimator,
+    values = estimator.estimate_block(
         [SeedGroup([Seed(user, item, 1)]) for user, item in singles],
         until_promotion=1,
     )

@@ -1,7 +1,7 @@
 """Unified selection layer: one batched gain oracle behind every greedy.
 
 Every selection procedure in the repo — Dysim's nominee MCP (Lemma 3),
-the composite SMK of Theorem 3, the seven baselines, the sketch fast
+the composite SMK of Theorem 3, the seven baselines, the coverage fast
 path — reduces to the same primitive: *rank candidates by marginal gain
 (per cost) and commit the best*.  Before this module each consumer
 carried its own loop, each evaluating one candidate per oracle call.
@@ -10,12 +10,12 @@ Here the primitive is factored into
 * a :class:`GainOracle` protocol — ``gains(candidates)`` answers a
   whole block of marginal gains in one call, ``commit(candidate)``
   advances the selection;
-* :class:`CoverageGainOracle` — exact coverage gains over a
-  realization bank rebuilt on packed ``uint64`` bitset words
-  (``np.bitwise_count`` with an ``unpackbits`` fallback for numpy<2),
-  evaluating a block of candidates per call via blockwise
-  mask-and-weight instead of one ``(n_worlds, n_pairs)`` boolean
-  temporary per candidate;
+* :class:`CoverageGainOracle` and :class:`RRCoverageGainOracle` —
+  exact coverage gains over a realization bank or an RR-set index,
+  on packed ``uint64`` bitset words (``np.bitwise_count`` with an
+  ``unpackbits`` fallback for numpy<2), evaluating a block of
+  candidates per call via blockwise mask-and-popcount instead of one
+  boolean temporary per candidate;
 * :class:`MonteCarloGainOracle` — sigma-difference gains from a
   :class:`~repro.diffusion.montecarlo.SigmaEstimator`, fanning
   uncached candidate blocks through
@@ -28,16 +28,21 @@ Here the primitive is factored into
 Bit-identity contract
 ---------------------
 ``mcp_lazy_greedy`` commits candidates in *exactly* the order the
-scalar CELF loop would: batch evaluation is a pure prefetch.  Stale
-entries popped for a batch are pushed back **unchanged** (same heap
-keys), their freshly computed gains parked in a side table keyed by
-``(entry, selection_size)``; the heap pop order therefore never
-deviates from the scalar loop, and a candidate is committed only when
-it is popped fresh at the top — whatever the oracle's noise or
-non-submodularity.  Tie-breaking is by universe order (the ``order``
-component of the heap key), which is load-bearing: the pinned-seed
-goldens compare selections exactly, and equal-ratio candidates must
-keep resolving to the earlier universe entry.
+scalar CELF loop would.  When a stale entry reaches the top, it and
+the run of stale entries directly below it are drained and re-keyed
+through one oracle call, and the scalar pop sequence is replayed
+locally: the drained entries were consecutive heap minima, so the
+next scalar pop is either the next drained entry under its *stale*
+key or the smallest re-keyed entry, whichever compares lower.  A
+re-keyed entry that wins is fresh and commits; the not-yet-re-keyed
+suffix goes back into the heap with its stale keys and its
+speculative gains are discarded.  A candidate is therefore committed
+only when the scalar loop would pop it fresh at the top — whatever
+the oracle's noise or non-submodularity.  Tie-breaking is by universe
+order (the ``order`` component of the heap key), which is
+load-bearing: the pinned-seed goldens compare selections exactly, and
+equal-ratio candidates must keep resolving to the earlier universe
+entry.
 
 Packed-word layout
 ------------------
@@ -103,7 +108,6 @@ __all__ = [
     "mcp_lazy_greedy",
     "popcount_words",
     "replicated_sigma_stats",
-    "sigma_block",
 ]
 
 #: How many candidates a gain oracle is asked to answer per call —
@@ -333,7 +337,47 @@ class FunctionGainOracle:
             self.value = self.value + float(gain)
 
 
-class CoverageGainOracle:
+class _PackedCoverageGainOracle:
+    """Bookkeeping shared by the packed coverage gain oracles.
+
+    Subclasses answer ``gains`` and name, through :meth:`_row`, the
+    packed row a commit ORs into the covered words; the selection
+    value, the evaluation count and the ``(user, item)`` -> pair
+    mapping live here.  ``family`` (a realization bank or an RR-set
+    index) is duck-typed through ``pair_index``, keeping this module
+    free of sketch imports.
+    """
+
+    #: Unlimited prefetch: a block of packed gains costs barely more
+    #: than one, so wasted speculative evaluations are nearly free.
+    prefetch_limit = None
+
+    def __init__(self, family, covered: np.ndarray):
+        self.family = family
+        self._covered = covered
+        self.value = 0.0
+        self.n_evaluations = 0
+
+    def _pair(self, element) -> int:
+        if isinstance(element, tuple):
+            return self.family.pair_index(*element)
+        return int(element)
+
+    def _row(self, pair: int) -> np.ndarray:
+        """Packed words that committing ``pair`` adds to the cover."""
+        raise NotImplementedError
+
+    def commit(
+        self, candidate, gain: float | None = None, *, value: float | None = None
+    ) -> None:
+        self._covered |= self._row(self._pair(candidate))
+        if value is not None:
+            self.value = value
+        else:
+            self.value += float(gain)
+
+
+class CoverageGainOracle(_PackedCoverageGainOracle):
     """Exact coverage gains over a packed realization bank.
 
     One call answers a whole candidate block: the block's packed
@@ -350,47 +394,29 @@ class CoverageGainOracle:
     reduce through :meth:`PairLayout.weighted_sum`.
     """
 
-    #: Unlimited prefetch: a block of packed gains costs barely more
-    #: than one, so wasted speculative evaluations are nearly free.
-    prefetch_limit = None
-
     def __init__(self, bank):
-        self.bank = bank
         self.layout: PairLayout = bank.layout
-        self._covered = np.zeros(
-            (bank.n_worlds, self.layout.n_words), dtype=np.uint64
+        super().__init__(
+            bank,
+            np.zeros((bank.n_worlds, self.layout.n_words), dtype=np.uint64),
         )
-        self.value = 0.0
-        self.n_evaluations = 0
-
-    def _pair(self, element) -> int:
-        if isinstance(element, tuple):
-            return self.bank.pair_index(*element)
-        return int(element)
 
     def gains(self, candidates: Sequence) -> np.ndarray:
         pairs = [self._pair(element) for element in candidates]
         # One bank call resolves the whole block: cached stacks are
         # handed over without conversion, misses run through the
         # bank's reach kernel in a single batched BFS.
-        stacked = np.stack(self.bank.stacks_for(pairs))
+        stacked = np.stack(self.family.stacks_for(pairs))
         fresh = stacked & ~self._covered[None, :, :]
         weighted = self.layout.weighted_sum(self.layout.item_counts(fresh))
         self.n_evaluations += len(pairs)
         return weighted.mean(axis=-1)
 
-    def commit(
-        self, candidate, gain: float | None = None, *, value: float | None = None
-    ) -> None:
-        reach = self.bank.stacked_reach_packed(self._pair(candidate))
-        self._covered |= reach
-        if value is not None:
-            self.value = value
-        else:
-            self.value += float(gain)
+    def _row(self, pair: int) -> np.ndarray:
+        return self.family.stacked_reach_packed(pair)
 
 
-class RRCoverageGainOracle:
+class RRCoverageGainOracle(_PackedCoverageGainOracle):
     """Exact coverage gains over a packed RR-set membership index.
 
     The RIS dual of :class:`CoverageGainOracle`: instead of unioning
@@ -404,43 +430,24 @@ class RRCoverageGainOracle:
     lazy heap commits without any stale-bound surprises.
 
     ``index`` is duck-typed (``member`` / ``n_words`` /
-    ``n_samples`` / ``total_importance`` / ``pair_index``), keeping
-    this module free of sketch imports.
+    ``n_samples`` / ``total_importance`` / ``pair_index``).
     """
 
-    #: Unlimited prefetch: a block of packed gains costs barely more
-    #: than one, so wasted speculative evaluations are nearly free.
-    prefetch_limit = None
-
     def __init__(self, index):
-        self.index = index
-        self._covered = np.zeros(index.n_words, dtype=np.uint64)
+        super().__init__(index, np.zeros(index.n_words, dtype=np.uint64))
         self._scale = index.total_importance / index.n_samples
-        self.value = 0.0
-        self.n_evaluations = 0
-
-    def _pair(self, element) -> int:
-        if isinstance(element, tuple):
-            return self.index.pair_index(*element)
-        return int(element)
 
     def gains(self, candidates: Sequence) -> np.ndarray:
         pairs = np.array(
             [self._pair(element) for element in candidates], dtype=np.int64
         )
-        fresh = self.index.member[pairs] & ~self._covered[None, :]
+        fresh = self.family.member[pairs] & ~self._covered[None, :]
         counts = popcount_words(fresh).sum(axis=-1)
         self.n_evaluations += len(pairs)
         return counts.astype(float) * self._scale
 
-    def commit(
-        self, candidate, gain: float | None = None, *, value: float | None = None
-    ) -> None:
-        self._covered = self._covered | self.index.member[self._pair(candidate)]
-        if value is not None:
-            self.value = value
-        else:
-            self.value += float(gain)
+    def _row(self, pair: int) -> np.ndarray:
+        return self.family.member[pair]
 
 
 def _default_seeds_of(element) -> tuple[Seed, ...]:
@@ -449,10 +456,11 @@ def _default_seeds_of(element) -> tuple[Seed, ...]:
 
 
 class MonteCarloGainOracle:
-    """Sigma-difference gains from a (possibly sketch) sigma estimator.
+    """Sigma-difference gains from a (possibly coverage) sigma estimator.
 
-    Candidate blocks are answered by :func:`sigma_block`: cached
-    estimates are served from the estimator's
+    Candidate blocks are answered by the estimator's
+    :meth:`~repro.diffusion.montecarlo.SigmaEstimator.estimate_block`:
+    cached estimates are served from its
     :class:`~repro.engine.cache.SigmaCache`; for a plain Monte-Carlo
     estimator the misses fan out through the estimator's execution
     backend *across candidates* (previously a process pool only
@@ -533,8 +541,8 @@ class MonteCarloGainOracle:
         """Raw trial-group sigmas (consumers comparing absolute values)."""
         groups = [self.group_with(candidate) for candidate in candidates]
         self.n_evaluations += len(candidates)
-        return sigma_block(
-            self.estimator, groups, until_promotion=self.until_promotion
+        return self.estimator.estimate_block(
+            groups, until_promotion=self.until_promotion
         )
 
     def gains(self, candidates: Sequence) -> np.ndarray:
@@ -549,27 +557,6 @@ class MonteCarloGainOracle:
             self.value = value
         else:
             self.value += float(gain)
-
-
-# ---------------------------------------------------------------------------
-# batched sigma evaluation
-# ---------------------------------------------------------------------------
-def sigma_block(
-    estimator,
-    groups: Sequence[SeedGroup],
-    until_promotion: int | None = None,
-) -> np.ndarray:
-    """Batched ``estimator.estimate(group).sigma`` over many groups.
-
-    Thin alias for :meth:`~repro.diffusion.montecarlo.SigmaEstimator.
-    estimate_block` — the cache/RNG recipe lives with the estimator so
-    batched and per-call estimates can never drift apart.  Cache
-    behaviour, counters and float results match per-group ``estimate``
-    calls exactly; plain Monte-Carlo misses fan out over the backend
-    across candidates, sketch (and other overriding) estimators answer
-    per group.
-    """
-    return estimator.estimate_block(groups, until_promotion=until_promotion)
 
 
 def first_strict_argmax(

@@ -32,7 +32,23 @@ from repro.errors import SimulationError
 from repro.perception.state import PerceptionState
 from repro.social.csr import row_gather
 
-__all__ = ["CampaignOutcome", "CampaignSimulator"]
+__all__ = [
+    "EXTRA_ADOPTION_FLOOR",
+    "MAX_STEPS_PER_PROMOTION",
+    "CampaignOutcome",
+    "CampaignSimulator",
+]
+
+#: ``Pext`` values at or below this are skipped without drawing, which
+#: prunes the O(items) inner loop where relevance is ~0.  The lockstep
+#: pass and the sketch skeleton read the same floor, so the simulated,
+#: packed and sketched diffusions share one event space.
+EXTRA_ADOPTION_FLOOR = 1e-6
+
+#: Safety cap on the steps of one promotion; the diffusion provably
+#: terminates (users cannot re-adopt) but the cap bounds worst-case
+#: step counts.  The lockstep pass applies the same cap.
+MAX_STEPS_PER_PROMOTION = 200
 
 
 @dataclass
@@ -94,25 +110,19 @@ class CampaignSimulator:
         The problem instance.
     model:
         Trigger model (IC by default, as in the paper's experiments).
-    max_steps_per_promotion:
-        Safety cap; the diffusion provably terminates (users cannot
-        re-adopt) but the cap bounds worst-case step counts.
-    extra_adoption_floor:
-        ``Pext`` values below this are skipped without drawing, which
-        prunes the O(items) inner loop where relevance is ~0.
+
+    Each promotion runs at most :data:`MAX_STEPS_PER_PROMOTION` steps,
+    and ``Pext`` values at or below :data:`EXTRA_ADOPTION_FLOOR` are
+    skipped without drawing.
     """
 
     def __init__(
         self,
         instance: IMDPPInstance,
         model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-        max_steps_per_promotion: int = 200,
-        extra_adoption_floor: float = 1e-6,
     ):
         self.instance = instance
         self.model = model
-        self.max_steps_per_promotion = int(max_steps_per_promotion)
-        self.extra_adoption_floor = float(extra_adoption_floor)
         self._base_state: PerceptionState | None = None
 
     # ------------------------------------------------------------------
@@ -171,7 +181,7 @@ class CampaignSimulator:
             )
             promotion_sigma = self._importance_of(frontier)
             step = 0
-            while frontier and step < self.max_steps_per_promotion:
+            while frontier and step < MAX_STEPS_PER_PROMOTION:
                 step += 1
                 steps_run += 1
                 adopted_now = self._diffusion_step(
@@ -311,7 +321,7 @@ class CampaignSimulator:
                 0.0,
                 1.0,
             )
-            eligible = extra_probs > self.extra_adoption_floor
+            eligible = extra_probs > EXTRA_ADOPTION_FLOOR
             eligible[np.arange(n_events), items] = False
             eligible &= ~state.adopted_matrix(targets)
             n_extra = eligible.sum(axis=1)

@@ -204,9 +204,9 @@ class SigmaEstimator:
     def prepare(self) -> None:
         """Force any lazy precomputation this estimator defers.
 
-        Monte-Carlo holds none — a no-op here.  The sketch / RR-set
-        subclasses override it to build their realization bank or
-        sample index up front, which lets callers (``Dysim``'s
+        Monte-Carlo holds none — a no-op here.  The coverage
+        estimators override it to build their realization bank or
+        RR-set index up front, which lets callers (``Dysim``'s
         ``phase_seconds`` breakdown) attribute that one-off cost to a
         named phase instead of folding it into the first query.
         """
@@ -331,23 +331,12 @@ class SigmaEstimator:
         candidate's replications: there a miss block as small as one
         candidate per worker (the CELF prefetch) is one dispatch, and
         every chunk ships the instance as a handle.  The batched
-        selection layer (:func:`repro.core.selection.sigma_block`)
-        routes every greedy's gain evaluations through here.
-
-        Subclasses whose :meth:`estimate` does not run this module's
-        Monte-Carlo recipe (the sketch oracle) are answered by
-        per-group ``estimate`` calls — still one API for consumers.
+        selection layer (:class:`~repro.core.selection.
+        MonteCarloGainOracle`) routes every greedy's gain evaluations
+        through here.  Coverage estimators override it
+        (:class:`~repro.sketch.estimator.CoverageSigmaEstimator`).
         """
         sigmas = np.empty(len(groups))
-        if not (
-            type(self) is SigmaEstimator and self.oracle_kind == "mc"
-        ):
-            for i, group in enumerate(groups):
-                sigmas[i] = self.estimate(
-                    group, until_promotion=until_promotion
-                ).sigma
-            return sigmas
-
         flags = (False, False, False)
         # Misses dedupe by cache key, mirroring sequential estimate()
         # calls where a repeated group is a hit on its second lookup.

@@ -37,6 +37,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
+from repro.diffusion.campaign import (
+    EXTRA_ADOPTION_FLOOR,
+    MAX_STEPS_PER_PROMOTION,
+)
 from repro.diffusion.models import DiffusionModel
 from repro.errors import SimulationError
 from repro.social.csr import row_gather
@@ -216,8 +220,6 @@ def run_campaigns_lockstep(
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
     until_promotion: int | None = None,
     start_promotion: int = 1,
-    max_steps_per_promotion: int = 200,
-    extra_adoption_floor: float = 1e-6,
 ) -> list[LockstepOutcome]:
     """Play one campaign realization per generator, all in lockstep.
 
@@ -253,8 +255,6 @@ def run_campaigns_lockstep(
     # per-replication step calls — identical floats by construction.
     base_state = instance.new_state()
     scale = params.association_scale
-    floor = float(extra_adoption_floor)
-    cap = int(max_steps_per_promotion)
 
     layout = ReplicationLayout(n_replications)
     word_of, mask_of = layout.word_of, layout.mask_of
@@ -313,7 +313,10 @@ def run_campaigns_lockstep(
         """
         rep = reps[r]
         while True:
-            if rep.frontier_users.size and rep.steps_in_promotion < cap:
+            if (
+                rep.frontier_users.size
+                and rep.steps_in_promotion < MAX_STEPS_PER_PROMOTION
+            ):
                 return True
             if rep.promotion is not None:
                 rep.sigma_by_promotion.append(rep.promotion_sigma)
@@ -446,7 +449,7 @@ def run_campaigns_lockstep(
             extra_probs = scale * np.clip(
                 sp[:, None] * unique_rows[inverse], 0.0, 1.0
             )
-            eligible = extra_probs > floor
+            eligible = extra_probs > EXTRA_ADOPTION_FLOOR
             eligible[np.arange(n_events), items] = False
             adopted_rows = adopted3[
                 targets[:, None], item_axis[None, :], words[:, None]

@@ -190,27 +190,15 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def run(self, task: ReplicationTask, n_samples: int) -> ChunkResult:
-        """Execute ``n_samples`` replications of ``task``.
-
-        Merges the chunk results and attaches the fault-stats delta of
-        this call.
-        """
-        before = self.fault_stats.copy()
-        merged = ChunkResult.merge(
+        """Execute ``n_samples`` replications of ``task``, merged in
+        chunk order."""
+        return ChunkResult.merge(
             self.map_chunks(
                 run_chunk,
                 task,
                 _replication_chunks(task, n_samples, self, self.chunk_size),
             )
         )
-        delta = self.fault_stats.delta(before)
-        if delta.activity:
-            merged.fault_stats = (
-                delta
-                if merged.fault_stats is None
-                else merged.fault_stats.combine(delta)
-            )
-        return merged
 
     def close(self) -> None:
         """Release worker resources (idempotent)."""

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.campaign import CampaignSimulator
-from repro.engine.resilience import FaultStats
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.diffusion.repkernel import run_campaigns_lockstep
 from repro.perception.state import PerceptionState
@@ -76,21 +75,13 @@ class ReplicationTask:
 
 @dataclass
 class ChunkResult:
-    """Aggregates from one chunk (or a merge of several chunks).
-
-    ``fault_stats`` is attached by supervised backends
-    (:mod:`repro.engine.resilience`) when fault handling happened
-    during the producing call; it is accounting only and never feeds
-    back into the numeric aggregates, which stay bit-identical to a
-    fault-free run.
-    """
+    """Aggregates from one chunk (or a merge of several chunks)."""
 
     sigmas: np.ndarray
     restricted: np.ndarray
     likelihoods: np.ndarray
     weights_sum: np.ndarray | None = None
     adoption_sum: np.ndarray | None = None
-    fault_stats: FaultStats | None = None
 
     @property
     def n_samples(self) -> int:
@@ -117,14 +108,7 @@ class ChunkResult:
         likelihoods = np.concatenate([p.likelihoods for p in parts])
         weights_sum: np.ndarray | None = None
         adoption_sum: np.ndarray | None = None
-        fault_stats: FaultStats | None = None
         for part in parts:
-            if part.fault_stats is not None:
-                fault_stats = (
-                    part.fault_stats.copy()
-                    if fault_stats is None
-                    else fault_stats.combine(part.fault_stats)
-                )
             if part.weights_sum is not None:
                 if weights_sum is None:
                     weights_sum = part.weights_sum.copy()
@@ -141,7 +125,6 @@ class ChunkResult:
             likelihoods=likelihoods,
             weights_sum=weights_sum,
             adoption_sum=adoption_sum,
-            fault_stats=fault_stats,
         )
 
 

@@ -45,10 +45,10 @@ path), which is how the CI chaos leg runs whole suites with every Nth
 chunk crashing once.  Injection happens *before* the chunk body runs,
 so a faulted attempt performs no partial work.
 
-Every recovery is accounted in a :class:`FaultStats` record (retries,
-pool rebuilds, degradations, wall-clock lost) surfaced on
-``ChunkResult``/``DysimResult``, harness diagnostics and sweep store
-rows.
+Every recovery is accounted in the backend's :class:`FaultStats`
+record (retries, pool rebuilds, degradations, wall-clock lost),
+surfaced as per-run deltas on ``DysimResult``, harness diagnostics and
+sweep store rows.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import BrokenExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -117,8 +117,8 @@ class FaultStats:
     """What the supervisor had to do to complete the calls it saw.
 
     Mutable and cumulative: each backend owns one instance and merges
-    every supervised call into it.  Per-run deltas (``DysimResult``,
-    ``ChunkResult``) are taken with :meth:`copy` + :meth:`delta`.
+    every supervised call into it.  Per-run deltas (``DysimResult``)
+    are taken with :meth:`copy` + :meth:`delta`.
     """
 
     #: Chunk re-dispatches (one per failed chunk per retry round).
@@ -183,26 +183,6 @@ class FaultStats:
                 self.wall_seconds_lost - since.wall_seconds_lost
             ),
         )
-
-    def combine(self, other: "FaultStats") -> "FaultStats":
-        """Sum of two records (for merging chunk-level attachments)."""
-        merged = FaultStats(
-            retries=self.retries + other.retries,
-            crashed_chunks=self.crashed_chunks + other.crashed_chunks,
-            hung_chunks=self.hung_chunks + other.hung_chunks,
-            chunk_errors=self.chunk_errors + other.chunk_errors,
-            pool_rebuilds=self.pool_rebuilds + other.pool_rebuilds,
-            degradations=self.degradations + other.degradations,
-            degraded_to=self.degraded_to,
-            wall_seconds_lost=(
-                self.wall_seconds_lost + other.wall_seconds_lost
-            ),
-        )
-        if DEGRADATION_LADDER.index(other.degraded_to) > (
-            DEGRADATION_LADDER.index(merged.degraded_to)
-        ):
-            merged.degraded_to = other.degraded_to
-        return merged
 
     def as_dict(self) -> dict:
         """JSON-ready projection (diagnostics / sweep store rows)."""

@@ -1,33 +1,33 @@
-"""Sketch-based sigma oracle: realization bank + reachability sketches.
+"""Coverage sigma oracles: realization bank, RR sets, one estimator.
 
 Under frozen dynamics the diffusion's coins can be flipped up-front
-(Lemma 1), turning every sigma / marginal-gain query into a reachability
-union over pre-realized worlds — orders of magnitude cheaper than
+(Lemma 1), turning every sigma / marginal-gain query into a coverage
+count over pre-realized samples — orders of magnitude cheaper than
 Monte-Carlo re-simulation, and *noise-free* between queries that share
-the same worlds.  This package provides:
+the same samples.  This package provides:
 
 * :class:`RealizationBank` — samples and holds the common-random-number
-  worlds once per (instance, seed-stream, world count), building them
-  in parallel over the :mod:`repro.engine` backends;
-* :class:`SketchSigmaEstimator` — a drop-in
-  :class:`~repro.diffusion.montecarlo.SigmaEstimator` replacement with
-  transparent Monte-Carlo fallback for queries sketches cannot answer;
-* :func:`budgeted_coverage_greedy` — the CELF-style lazy greedy whose
-  marginal gains are incremental bitmask lookups (nominee selection's
-  fast path);
+  forward worlds once per (instance, seed-stream, world count),
+  building them in parallel over the :mod:`repro.engine` backends;
 * :mod:`repro.sketch.reachkernel` — the bit-parallel multi-world BFS
   computing all M worlds' reachability in one vectorized pass;
 * :mod:`repro.sketch.rrset` — the RIS/IMM-style reverse-reachable-set
-  oracle (:class:`RRSetIndex` + :class:`RRSetSigmaEstimator`): sample
-  RR sets once per (instance, seed-stream, R), then sigma of *any*
-  candidate set is a coverage count — selection cost independent of
-  graph size, the million-node path;
+  family (:class:`RRSetIndex`): sample RR sets once per (instance,
+  seed-stream, R), then sigma of *any* candidate set is a coverage
+  count — selection cost independent of graph size, the million-node
+  path;
+* :class:`CoverageSigmaEstimator` — the one drop-in
+  :class:`~repro.diffusion.montecarlo.SigmaEstimator` replacement over
+  either family, with transparent Monte-Carlo fallback for queries
+  coverage cannot answer and a CELF coverage greedy
+  (``select_budgeted``, nominee selection's fast path);
+  :class:`SketchSigmaEstimator` (bank) and :class:`RRSetSigmaEstimator`
+  (RR sets) are its two families;
 * :func:`make_sigma_estimator` — the ``--oracle mc|sketch|rrset``
   factory.
 """
 
 from repro.sketch.bank import (
-    DEFAULT_EXTRA_ADOPTION_FLOOR,
     DEFAULT_REACH_BUDGET_BYTES,
     ProbabilitySkeleton,
     ReachCacheStats,
@@ -36,8 +36,7 @@ from repro.sketch.bank import (
     build_skeleton,
     build_worlds_chunk,
 )
-from repro.sketch.estimator import SketchSigmaEstimator
-from repro.sketch.greedy import budgeted_coverage_greedy
+from repro.sketch.estimator import CoverageSigmaEstimator, SketchSigmaEstimator
 from repro.sketch.oracle import ORACLE_NAMES, make_sigma_estimator
 from repro.sketch.reachkernel import HAVE_NUMBA, WorldLayout
 from repro.sketch.rrset import (
@@ -49,7 +48,7 @@ from repro.sketch.rrset import (
 )
 
 __all__ = [
-    "DEFAULT_EXTRA_ADOPTION_FLOOR",
+    "CoverageSigmaEstimator",
     "DEFAULT_REACH_BUDGET_BYTES",
     "HAVE_NUMBA",
     "ORACLE_NAMES",
@@ -62,7 +61,6 @@ __all__ = [
     "SketchBuildTask",
     "SketchSigmaEstimator",
     "WorldLayout",
-    "budgeted_coverage_greedy",
     "build_skeleton",
     "build_worlds_chunk",
     "make_sigma_estimator",

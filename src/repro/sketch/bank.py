@@ -38,9 +38,12 @@ changes every sketch estimate):  arcs iterate ``(source, target)`` with
 sources ascending and targets ascending within a source; per arc first
 the influence entries ``(source, x) -> (target, x)`` with
 ``p = Pact * Ppref > 0`` by item ascending, then the association
-entries ``(source, x) -> (target, y)`` with ``Pext > floor`` in
-row-major ``(x, y)`` order, ``y != x``.  One ``rng.random(n_entries)``
-call per world draws every coin against that order.
+entries ``(source, x) -> (target, y)`` with ``Pext`` above the
+simulator's pruning floor (:data:`~repro.diffusion.campaign.
+EXTRA_ADOPTION_FLOOR`, so the sketched and simulated diffusions share
+one event space) in row-major ``(x, y)`` order, ``y != x``.  One
+``rng.random(n_entries)`` call per world draws every coin against that
+order.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.core.selection import PairLayout
+from repro.diffusion.campaign import EXTRA_ADOPTION_FLOOR
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.replication import DEFAULT_CHUNK_SIZE, chunk_indices
 from repro.engine.shm import share_task_arrays
@@ -85,11 +89,6 @@ __all__ = [
 #: the bank used to hold), so the default comfortably fits every
 #: benchmark instance while bounding long-lived services.
 DEFAULT_REACH_BUDGET_BYTES = 256 * 1024 * 1024
-
-#: Association probabilities at or below this are never realized —
-#: mirrors ``CampaignSimulator.extra_adoption_floor`` so the sketched
-#: and simulated diffusions share one event space.
-DEFAULT_EXTRA_ADOPTION_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,7 @@ class ProbabilitySkeleton:
         return int(self.prob.size)
 
 
-def build_skeleton(
-    instance: IMDPPInstance,
-    extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
-) -> ProbabilitySkeleton:
+def build_skeleton(instance: IMDPPInstance) -> ProbabilitySkeleton:
     """Enumerate the canonical coin list of a frozen instance."""
     if not instance.dynamics.is_frozen:
         raise SketchError(
@@ -241,7 +237,7 @@ def build_skeleton(
                     1.0,
                 )
                 xs, ys = np.nonzero(
-                    (p_ext > extra_adoption_floor) & off_diagonal
+                    (p_ext > EXTRA_ADOPTION_FLOOR) & off_diagonal
                 )
                 if xs.size:
                     src_parts.append(source * n_items + xs)
@@ -293,7 +289,45 @@ def build_worlds_chunk(
     return packed
 
 
-class RealizationBank:
+class PairUniverse:
+    """Flat indexing of the ``n_users * n_items`` (user, item) pairs.
+
+    Shared by the realization bank and the RR-set index, which both
+    answer seed-group queries through the group's nominee pairs.
+    Subclasses set ``n_users`` and ``n_items``.
+    """
+
+    n_users: int
+    n_items: int
+
+    def pair_index(self, user: int, item: int) -> int:
+        """Flat index of the (user, item) pair."""
+        if not (0 <= user < self.n_users and 0 <= item < self.n_items):
+            raise SketchError(f"unknown pair ({user}, {item})")
+        return user * self.n_items + item
+
+    def nominee_pairs(
+        self, seed_group: SeedGroup, until_promotion: int | None = None
+    ) -> tuple[int, ...]:
+        """Canonical (sorted, distinct) pair indices of a seed group.
+
+        Frozen spreads are timing-independent, so seeds collapse to
+        their nominees; seeds scheduled after ``until_promotion`` are
+        excluded, mirroring the simulator.
+        """
+        return tuple(
+            sorted(
+                {
+                    self.pair_index(seed.user, seed.item)
+                    for seed in seed_group
+                    if until_promotion is None
+                    or seed.promotion <= until_promotion
+                }
+            )
+        )
+
+
+class RealizationBank(PairUniverse):
     """A fixed family of realized worlds answering sigma queries.
 
     Parameters
@@ -307,9 +341,6 @@ class RealizationBank:
         Substream family; world ``i`` flips its coins with
         ``spawn_rng(rng_seed, *rng_context, i)``.  Two banks sharing
         these (and the instance) are bit-identical.
-    extra_adoption_floor:
-        Association probabilities at or below this are dropped from the
-        skeleton (mirrors the simulator's pruning floor).
     backend:
         Where world construction and stack misses run (borrowed;
         ``None`` = a private serial backend) — coin flipping fans out
@@ -338,7 +369,6 @@ class RealizationBank:
         n_worlds: int = 20,
         rng_seed: int = 0,
         rng_context: tuple = ("sketch",),
-        extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
         backend: ExecutionBackend | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         reach_budget_bytes: int | None = DEFAULT_REACH_BUDGET_BYTES,
@@ -351,13 +381,15 @@ class RealizationBank:
                 f"world_shards must be >= 1, got {world_shards}"
             )
         self.instance = instance
+        self.n_users = instance.n_users
+        self.n_items = instance.n_items
         self.n_worlds = int(n_worlds)
         self.rng_seed = int(rng_seed)
         self.rng_context = tuple(rng_context)
         self.world_shards = (
             None if world_shards is None else int(world_shards)
         )
-        self.skeleton = build_skeleton(instance, extra_adoption_floor)
+        self.skeleton = build_skeleton(instance)
         #: Packed-word layout of the pair universe (the stacks and the
         #: coverage gain kernel).
         self.layout = PairLayout(
@@ -457,43 +489,14 @@ class RealizationBank:
         return self._packed_graph
 
     # ------------------------------------------------------------------
-    def pair_index(self, user: int, item: int) -> int:
-        """Flat index of the (user, item) pair."""
-        n_items = self.instance.n_items
-        if not (0 <= user < self.instance.n_users and 0 <= item < n_items):
-            raise SketchError(f"unknown pair ({user}, {item})")
-        return user * n_items + item
-
-    def nominee_pairs(
-        self, seed_group: SeedGroup, until_promotion: int | None = None
-    ) -> tuple[int, ...]:
-        """Canonical (sorted, distinct) pair indices of a seed group.
-
-        In a realized world the spread is timing-independent, so seeds
-        collapse to their nominees; seeds scheduled after
-        ``until_promotion`` are excluded, mirroring the simulator.
-        """
-        return tuple(
-            sorted(
-                {
-                    self.pair_index(seed.user, seed.item)
-                    for seed in seed_group
-                    if until_promotion is None
-                    or seed.promotion <= until_promotion
-                }
-            )
-        )
-
     def restricted_importance(
         self, restrict_users: Iterable[int]
     ) -> np.ndarray:
         """Pair weights counting only adopters inside ``restrict_users``."""
-        user_mask = np.zeros(self.instance.n_users, dtype=bool)
+        user_mask = np.zeros(self.n_users, dtype=bool)
         for user in restrict_users:
             user_mask[user] = True
-        return self.pair_importance * np.repeat(
-            user_mask, self.instance.n_items
-        )
+        return self.pair_importance * np.repeat(user_mask, self.n_items)
 
     # ------------------------------------------------------------------
     def spread_stats(

@@ -1,55 +1,67 @@
-"""Sketch-based sigma oracle, drop-in compatible with
+"""Coverage sigma oracles, drop-in compatible with
 :class:`~repro.diffusion.montecarlo.SigmaEstimator`.
 
-``SketchSigmaEstimator`` answers frozen-dynamics IC queries — sigma,
-sigma restricted to a market (``sigma_tau``), and thereby every greedy
-marginal gain — from a lazily-built :class:`RealizationBank` instead of
-re-simulating; queries the sketches cannot represent (dynamic
-perceptions, the LT trigger model, likelihood / weight / adoption
-collection) transparently fall back to an internal Monte-Carlo
-estimator sharing the same cache, backend and RNG root.
+Under frozen dynamics and the IC model, sigma is a coverage function
+over pre-realized samples (Lemma 1), and the repo answers it from two
+sample families: forward worlds (:class:`~repro.sketch.bank.
+RealizationBank`, ``oracle="sketch"``) and reverse-reachable sets
+(:class:`~repro.sketch.rrset.RRSetIndex`, ``oracle="rrset"``).
+:class:`CoverageSigmaEstimator` is the one estimator over either
+family: it builds the family lazily, answers sigma, sigma restricted
+to a market (``sigma_tau``) and every greedy marginal gain from it,
+and hands queries coverage cannot represent (dynamic perceptions, the
+LT trigger model, likelihood / weight / adoption collection) to an
+internal Monte-Carlo estimator sharing the same cache, backend and RNG
+root.  :class:`SketchSigmaEstimator` and
+:class:`~repro.sketch.rrset.RRSetSigmaEstimator` only say how to build
+their family, read its per-sample values and make its gain oracle.
 
-**Exactness guarantee.**  Two sketch estimators with the same root seed
-share the same realized worlds, so their estimates for any pair of seed
-groups are *exactly* comparable (zero-variance marginal comparisons —
-the common-random-numbers discipline of the Monte-Carlo engine, made
-noise-free).  Against the sequential-draw Monte-Carlo estimator the
-agreement is in distribution (Lemma 1: realizing the frozen diffusion's
-coins up-front does not change the law of the spread), so independent
-sketch and MC estimates converge to the same sigma as samples grow.
+**Exactness guarantee.**  Two coverage estimators of the same kind
+with the same root seed share the same samples, so their estimates for
+any pair of seed groups are *exactly* comparable (zero-variance
+marginal comparisons — the common-random-numbers discipline of the
+Monte-Carlo engine, made noise-free).  Against the sequential-draw
+Monte-Carlo estimator the agreement is in distribution (Lemma 1:
+realizing the frozen diffusion's coins up-front does not change the
+law of the spread), so independent coverage and MC estimates converge
+to the same sigma as samples grow.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from repro.core.problem import IMDPPInstance, SeedGroup
-from repro.core.submodular import GreedyResult
+from repro.core.selection import (
+    CoverageGainOracle,
+    GreedyResult,
+    mcp_lazy_greedy,
+)
 from repro.diffusion.models import DiffusionModel
 from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
 from repro.engine.backends import ExecutionBackend
 from repro.engine.cache import SigmaCache
-from repro.sketch.bank import (
-    DEFAULT_EXTRA_ADOPTION_FLOOR,
-    DEFAULT_REACH_BUDGET_BYTES,
-    RealizationBank,
-    ReachCacheStats,
-)
+from repro.sketch.bank import RealizationBank, ReachCacheStats
 from repro.utils.rng import RngFactory
 
-__all__ = ["SketchSigmaEstimator"]
+__all__ = ["CoverageSigmaEstimator", "SketchSigmaEstimator"]
 
 
-class SketchSigmaEstimator(SigmaEstimator):
-    """Caching sketch evaluator of seed groups (MC-compatible).
+class CoverageSigmaEstimator(SigmaEstimator):
+    """Caching coverage evaluator of seed groups (MC-compatible).
 
     Constructor signature and call surface match
-    :class:`SigmaEstimator`; ``n_samples`` doubles as the number of
-    realized worlds in the bank.  The bank is built lazily on the first
-    sketchable query — construction fans out over the configured
-    execution backend, so thread / process pools parallelize the coin
-    flipping exactly like Monte-Carlo replications.
-    """
+    :class:`SigmaEstimator`; ``n_samples`` is the size of the sample
+    family.  The family is built on the first coverable query —
+    construction fans out over the configured execution backend, so
+    thread / process pools parallelize the sampling exactly like
+    Monte-Carlo replications.
 
-    oracle_kind = "sketch"
+    Subclasses set ``oracle_kind`` and implement :meth:`_build_family`,
+    :meth:`_sample_values` and :meth:`_gain_oracle`.
+    """
 
     def __init__(
         self,
@@ -59,8 +71,6 @@ class SketchSigmaEstimator(SigmaEstimator):
         rng_factory: RngFactory | None = None,
         backend: ExecutionBackend | None = None,
         cache: SigmaCache | None = None,
-        extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
-        reach_budget_bytes: int | None = DEFAULT_REACH_BUDGET_BYTES,
     ):
         super().__init__(
             instance,
@@ -70,13 +80,11 @@ class SketchSigmaEstimator(SigmaEstimator):
             backend=backend,
             cache=cache,
         )
-        self.extra_adoption_floor = float(extra_adoption_floor)
-        self.reach_budget_bytes = reach_budget_bytes
-        self._bank: RealizationBank | None = None
+        self._family = None
         # Unsupported queries delegate here; sharing the cache is safe
         # because cache keys embed each estimator's oracle_kind, and
         # the MC substream context ("mc", i) never collides with the
-        # bank's ("sketch", i) worlds.
+        # family's ("sketch", i) / ("rrset", i) samples.
         self._fallback = SigmaEstimator(
             instance,
             model=model,
@@ -85,62 +93,50 @@ class SketchSigmaEstimator(SigmaEstimator):
             backend=self.backend,
             cache=self.cache,
         )
-        self._sketch_evaluations = 0
-        #: Queries answered from sketches / delegated to Monte-Carlo.
-        self.sketch_queries = 0
+        self._coverage_evaluations = 0
+        #: Queries answered from the family / delegated to Monte-Carlo.
+        self.coverage_queries = 0
         self.fallback_queries = 0
 
-    # ------------------------------------------------------------------
-    def prepare(self) -> None:
-        """Build the realization bank now (no-op if unsketchable)."""
-        if self.supports_sketch:
-            _ = self.bank
+    # -- what a family subclass provides --------------------------------
+    def _build_family(self):
+        """Sample the family (called once, on first use)."""
+        raise NotImplementedError
 
+    def _sample_values(
+        self, pairs: tuple[int, ...], restrict_users: set[int] | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Per-sample sigma values (and restricted values) of ``pairs``."""
+        raise NotImplementedError
+
+    def _gain_oracle(self):
+        """A fresh coverage gain oracle over the family."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     @property
-    def supports_sketch(self) -> bool:
-        """Can this estimator answer plain sigma queries from sketches?"""
+    def supports_coverage_selection(self) -> bool:
+        """Can sigma queries and :meth:`select_budgeted` use coverage?
+
+        True under frozen dynamics and the IC model; consumers test
+        this attribute instead of isinstance-checking the estimator.
+        """
         return (
             self.model is DiffusionModel.INDEPENDENT_CASCADE
             and self.instance.dynamics.is_frozen
         )
 
     @property
-    def supports_coverage_selection(self) -> bool:
-        """Nominee selection may route through :meth:`select_budgeted`.
+    def family(self):
+        """The sample family (built on first access)."""
+        if self._family is None:
+            self._family = self._build_family()
+        return self._family
 
-        The common dispatch surface shared with
-        :class:`~repro.sketch.rrset.RRSetSigmaEstimator` — consumers
-        test this attribute instead of isinstance-checking each
-        coverage-capable estimator family.
-        """
-        return self.supports_sketch
-
-    @property
-    def bank(self) -> RealizationBank:
-        """The realization bank (built on first access)."""
-        if self._bank is None:
-            self._bank = RealizationBank(
-                self.instance,
-                n_worlds=self.n_samples,
-                rng_seed=self.rng_factory.seed,
-                rng_context=("sketch",),
-                extra_adoption_floor=self.extra_adoption_floor,
-                backend=self.backend,
-                reach_budget_bytes=self.reach_budget_bytes,
-            )
-        return self._bank
-
-    @property
-    def bank_reach_stats(self) -> "ReachCacheStats | None":
-        """Stacked-reach LRU counters, or None before the bank exists.
-
-        Deliberately does *not* trigger bank construction — callers
-        surface these next to the :class:`~repro.engine.cache.
-        SigmaCache` stats after a run (``DysimResult``).
-        """
-        if self._bank is None:
-            return None
-        return self._bank.reach_stats()
+    def prepare(self) -> None:
+        """Build the sample family now (no-op if not coverable)."""
+        if self.supports_coverage_selection:
+            _ = self.family
 
     # ------------------------------------------------------------------
     def estimate(
@@ -152,16 +148,16 @@ class SketchSigmaEstimator(SigmaEstimator):
         collect_weights: bool = False,
         collect_adoptions: bool = False,
     ) -> MonteCarloEstimate:
-        """Sigma (and sigma_tau) by reachability lookup when possible.
+        """Sigma (and sigma_tau) by coverage counting when possible.
 
-        Likelihood / weight / adoption collection and non-sketchable
+        Likelihood / weight / adoption collection and non-coverable
         configurations (dynamic perceptions, LT model) delegate to the
         internal Monte-Carlo estimator.
         """
         needs_simulation = (
             compute_likelihood or collect_weights or collect_adoptions
         )
-        if needs_simulation or not self.supports_sketch:
+        if needs_simulation or not self.supports_coverage_selection:
             estimate = self._fallback.estimate(
                 seed_group,
                 until_promotion=until_promotion,
@@ -174,12 +170,11 @@ class SketchSigmaEstimator(SigmaEstimator):
             self._sync_evaluations()
             return estimate
 
-        bank = self.bank
-        pairs = bank.nominee_pairs(seed_group, until_promotion)
+        pairs = self.family.nominee_pairs(seed_group, until_promotion)
         restrict_key = (
             tuple(sorted(restrict_users)) if restrict_users is not None else ()
         )
-        # Sketched spreads are timing-independent, so the key collapses
+        # Coverage spreads are timing-independent, so the key collapses
         # the group to its nominee pairs: every timing variant of the
         # same nominees shares one entry (a free extra hit class the
         # MC oracle cannot offer).
@@ -191,28 +186,39 @@ class SketchSigmaEstimator(SigmaEstimator):
             self.n_samples,
             self.model.value,
             self.rng_factory.seed,
-            self.extra_adoption_floor,
             id(self.instance),
         )
         cached = self.cache.get(key)
         if cached is not None:
-            self.sketch_queries += 1
+            self.coverage_queries += 1
             return cached
 
-        spreads, restricted = bank.spread_stats(pairs, restrict_users)
+        values, restricted = self._sample_values(pairs, restrict_users)
         estimate = MonteCarloEstimate(
-            sigma=float(spreads.mean()),
-            sigma_std=float(spreads.std()),
+            sigma=float(values.mean()),
+            sigma_std=float(values.std()),
             n_samples=self.n_samples,
             sigma_restricted=(
                 float(restricted.mean()) if restricted is not None else None
             ),
         )
         self.cache.put(key, estimate)
-        self.sketch_queries += 1
-        self._sketch_evaluations += self.n_samples
+        self.coverage_queries += 1
+        self._coverage_evaluations += self.n_samples
         self._sync_evaluations()
         return estimate
+
+    def estimate_block(
+        self,
+        groups: Sequence[SeedGroup],
+        until_promotion: int | None = None,
+    ) -> np.ndarray:
+        """Per-group :meth:`estimate` calls — coverage lookups (or the
+        Monte-Carlo fallback, one group at a time) need no fan-out."""
+        sigmas = np.empty(len(groups))
+        for i, group in enumerate(groups):
+            sigmas[i] = self.estimate(group, until_promotion=until_promotion).sigma
+        return sigmas
 
     # ------------------------------------------------------------------
     def select_budgeted(
@@ -224,34 +230,80 @@ class SketchSigmaEstimator(SigmaEstimator):
         """CELF coverage greedy over (user, item) candidates.
 
         The fast path behind nominee selection: marginal gains are
-        batched packed-bitset lookups against per-world covered masks
-        (see :mod:`repro.sketch.greedy` and
-        :class:`~repro.core.selection.CoverageGainOracle`) instead of
-        re-unioning the selection per oracle call.  Requires
-        :attr:`supports_sketch`.
+        batched packed-bitset popcounts against the family's covered
+        words (the subclass's gain oracle) instead of re-unioning the
+        selection per oracle call.  Requires
+        :attr:`supports_coverage_selection`.
         """
-        from repro.sketch.greedy import budgeted_coverage_greedy
-
-        if not self.supports_sketch:
+        if not self.supports_coverage_selection:
             raise ValueError(
-                "select_budgeted needs a sketchable configuration "
+                "select_budgeted needs a coverable configuration "
                 "(frozen dynamics, IC model)"
             )
-        result = budgeted_coverage_greedy(self.bank, universe, cost, budget)
-        self.sketch_queries += result.n_oracle_calls
-        self._sketch_evaluations += result.n_oracle_calls * self.n_samples
+        result = mcp_lazy_greedy(
+            universe,
+            self._gain_oracle(),
+            cost,
+            budget,
+            stop_on_negative_gain=False,
+        )
+        self.coverage_queries += result.n_oracle_calls
+        self._coverage_evaluations += result.n_oracle_calls * self.n_samples
         self._sync_evaluations()
         return result
 
     # ------------------------------------------------------------------
     def _sync_evaluations(self) -> None:
         # n_evaluations mirrors the MC meaning — replications consumed
-        # — counting each sketched query as one pass over the worlds.
+        # — counting each coverage query as one pass over the samples.
         self.n_evaluations = (
-            self._sketch_evaluations + self._fallback.n_evaluations
+            self._coverage_evaluations + self._fallback.n_evaluations
         )
 
     def clear_cache(self) -> None:
-        """Drop memoized estimates and the realization bank."""
+        """Drop memoized estimates and the sample family."""
         super().clear_cache()
-        self._bank = None
+        self._family = None
+
+
+class SketchSigmaEstimator(CoverageSigmaEstimator):
+    """Coverage over a :class:`RealizationBank` of forward worlds.
+
+    ``n_samples`` is the number of realized worlds; a sigma query is a
+    per-world reachability union, a marginal gain a packed
+    :class:`~repro.core.selection.CoverageGainOracle` lookup.
+    """
+
+    oracle_kind = "sketch"
+
+    @property
+    def bank(self) -> RealizationBank:
+        """The realization bank (built on first access)."""
+        return self.family
+
+    @property
+    def bank_reach_stats(self) -> "ReachCacheStats | None":
+        """Stacked-reach LRU counters, or None before the bank exists.
+
+        Deliberately does *not* trigger bank construction — callers
+        surface these next to the :class:`~repro.engine.cache.
+        SigmaCache` stats after a run (``DysimResult``).
+        """
+        if self._family is None:
+            return None
+        return self._family.reach_stats()
+
+    def _build_family(self) -> RealizationBank:
+        return RealizationBank(
+            self.instance,
+            n_worlds=self.n_samples,
+            rng_seed=self.rng_factory.seed,
+            rng_context=("sketch",),
+            backend=self.backend,
+        )
+
+    def _sample_values(self, pairs, restrict_users):
+        return self.bank.spread_stats(pairs, restrict_users)
+
+    def _gain_oracle(self) -> CoverageGainOracle:
+        return CoverageGainOracle(self.bank)

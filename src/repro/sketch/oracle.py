@@ -2,12 +2,12 @@
 
 The CLI's ``--oracle`` flag, ``DysimConfig.oracle`` and the baselines'
 ``oracle`` keyword all resolve through :func:`make_sigma_estimator`:
-``"mc"`` builds the Monte-Carlo :class:`SigmaEstimator`, ``"sketch"``
-the :class:`SketchSigmaEstimator` (realization bank + reachability
-sketches, with transparent MC fallback for unsupported queries), and
-``"rrset"`` the :class:`RRSetSigmaEstimator` (reverse-reachable-set
-coverage, the million-node selection path — same transparent MC
-fallback).
+``"mc"`` builds the Monte-Carlo :class:`SigmaEstimator`; ``"sketch"``
+and ``"rrset"`` build the :class:`~repro.sketch.estimator.
+CoverageSigmaEstimator` over a realization bank
+(:class:`SketchSigmaEstimator`) or over reverse-reachable sets
+(:class:`RRSetSigmaEstimator`, the million-node selection path), both
+with transparent MC fallback for queries coverage cannot answer.
 """
 
 from __future__ import annotations

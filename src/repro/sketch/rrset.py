@@ -46,6 +46,12 @@ contains pair ``p`` — so a marginal coverage gain is a popcount over
 :class:`~repro.core.selection.PairLayout` (here the packed axis is the
 *sample* axis, not the pair axis, because coverage queries reduce over
 samples).
+
+Queries reach the index through :class:`RRSetSigmaEstimator`, the
+RR-set family of the shared
+:class:`~repro.sketch.estimator.CoverageSigmaEstimator` (the sketch
+bank is the other): caching, Monte-Carlo fallback and the CELF
+coverage greedy live there.
 """
 
 from __future__ import annotations
@@ -57,13 +63,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.problem import IMDPPInstance, SeedGroup
-from repro.core.selection import popcount_words
-from repro.core.submodular import GreedyResult
-from repro.diffusion.models import DiffusionModel
-from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
+from repro.core.problem import IMDPPInstance
+from repro.core.selection import RRCoverageGainOracle
 from repro.engine.backends import ExecutionBackend, SerialBackend
-from repro.engine.cache import SigmaCache
 from repro.engine.shm import (
     release_task_arrays,
     resolve_array,
@@ -71,12 +73,9 @@ from repro.engine.shm import (
 )
 from repro.engine.replication import DEFAULT_CHUNK_SIZE, chunk_indices
 from repro.errors import SketchError
-from repro.sketch.bank import (
-    DEFAULT_EXTRA_ADOPTION_FLOOR,
-    ProbabilitySkeleton,
-    build_skeleton,
-)
-from repro.utils.rng import RngFactory, spawn_rng
+from repro.sketch.bank import PairUniverse, ProbabilitySkeleton, build_skeleton
+from repro.sketch.estimator import CoverageSigmaEstimator
+from repro.utils.rng import spawn_rng
 
 __all__ = [
     "RRSampleTask",
@@ -185,7 +184,7 @@ def sample_rrsets_chunk(
     return out
 
 
-class RRSetIndex:
+class RRSetIndex(PairUniverse):
     """A fixed family of RR sets answering coverage sigma queries.
 
     Parameters
@@ -331,12 +330,11 @@ class RRSetIndex:
         n_samples: int = 256,
         rng_seed: int = 0,
         rng_context: tuple = ("rrset",),
-        extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
         backend: ExecutionBackend | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> "RRSetIndex":
         """Build from a frozen instance (skeleton enumerated here)."""
-        skeleton = build_skeleton(instance, extra_adoption_floor)
+        skeleton = build_skeleton(instance)
         return cls(
             skeleton,
             instance.n_users,
@@ -354,32 +352,6 @@ class RRSetIndex:
     def member_bytes(self) -> int:
         """Bytes held by the packed membership matrix."""
         return int(self.member.nbytes)
-
-    def pair_index(self, user: int, item: int) -> int:
-        """Flat index of the (user, item) pair."""
-        if not (0 <= user < self.n_users and 0 <= item < self.n_items):
-            raise SketchError(f"unknown pair ({user}, {item})")
-        return user * self.n_items + item
-
-    def nominee_pairs(
-        self, seed_group: SeedGroup, until_promotion: int | None = None
-    ) -> tuple[int, ...]:
-        """Canonical (sorted, distinct) pair indices of a seed group.
-
-        Frozen spreads are timing-independent, so seeds collapse to
-        their nominees; seeds scheduled after ``until_promotion`` are
-        excluded, mirroring the simulator (and the bank).
-        """
-        return tuple(
-            sorted(
-                {
-                    self.pair_index(seed.user, seed.item)
-                    for seed in seed_group
-                    if until_promotion is None
-                    or seed.promotion <= until_promotion
-                }
-            )
-        )
 
     # ------------------------------------------------------------------
     def covered_words(self, pairs: Sequence[int]) -> np.ndarray:
@@ -435,20 +407,15 @@ class RRSetIndex:
         )
 
 
-class RRSetSigmaEstimator(SigmaEstimator):
-    """Caching RR-set evaluator of seed groups (MC-compatible).
+class RRSetSigmaEstimator(CoverageSigmaEstimator):
+    """Coverage over an :class:`RRSetIndex` of reverse-reachable sets.
 
-    Constructor signature and call surface match
-    :class:`SigmaEstimator`; ``n_samples`` is the number of RR sets.
-    The index is built lazily on the first supported query —
-    construction fans out over the configured execution backend.
-    Unsupported queries (dynamic perceptions, LT model, likelihood /
-    weight / adoption collection) transparently fall back to an
-    internal Monte-Carlo estimator sharing the same cache, backend and
-    RNG root.
+    ``n_samples`` is the number of RR sets; a sigma query counts the
+    sets a group hits, a marginal gain is a packed
+    :class:`~repro.core.selection.RRCoverageGainOracle` popcount.
 
-    Unlike the sketch bank's common-worlds exactness, two RR estimates
-    of different sets share the *sampled roots and coins*, so marginal
+    Unlike the sketch bank's common worlds, two RR estimates of
+    different sets share the *sampled roots and coins*, so marginal
     comparisons are still common-random-numbers correlated — and on
     top of that the coverage gains handed to selection are exactly
     monotone and submodular on the fixed sample family, so the CELF
@@ -457,191 +424,22 @@ class RRSetSigmaEstimator(SigmaEstimator):
 
     oracle_kind = "rrset"
 
-    def __init__(
-        self,
-        instance: IMDPPInstance,
-        model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-        n_samples: int = 256,
-        rng_factory: RngFactory | None = None,
-        backend: ExecutionBackend | None = None,
-        cache: SigmaCache | None = None,
-        extra_adoption_floor: float = DEFAULT_EXTRA_ADOPTION_FLOOR,
-    ):
-        super().__init__(
-            instance,
-            model=model,
-            n_samples=n_samples,
-            rng_factory=rng_factory,
-            backend=backend,
-            cache=cache,
-        )
-        self.extra_adoption_floor = float(extra_adoption_floor)
-        self._index: RRSetIndex | None = None
-        # Unsupported queries delegate here; sharing the cache is safe
-        # because cache keys embed each estimator's oracle_kind, and
-        # the MC substream context ("mc", i) never collides with the
-        # index's ("rrset", i) samples.
-        self._fallback = SigmaEstimator(
-            instance,
-            model=model,
-            n_samples=self.n_samples,
-            rng_factory=self.rng_factory,
-            backend=self.backend,
-            cache=self.cache,
-        )
-        self._rr_evaluations = 0
-        #: Queries answered from RR sets / delegated to Monte-Carlo.
-        self.rr_queries = 0
-        self.fallback_queries = 0
-
-    # ------------------------------------------------------------------
-    def prepare(self) -> None:
-        """Build the RR-set index now (no-op if unsupported)."""
-        if self.supports_rrset:
-            _ = self.index
-
-    @property
-    def supports_rrset(self) -> bool:
-        """Can this estimator answer plain sigma queries from RR sets?"""
-        return (
-            self.model is DiffusionModel.INDEPENDENT_CASCADE
-            and self.instance.dynamics.is_frozen
-        )
-
-    @property
-    def supports_coverage_selection(self) -> bool:
-        """Nominee selection may route through :meth:`select_budgeted`."""
-        return self.supports_rrset
-
     @property
     def index(self) -> RRSetIndex:
         """The RR-set index (built on first access)."""
-        if self._index is None:
-            self._index = RRSetIndex.from_instance(
-                self.instance,
-                n_samples=self.n_samples,
-                rng_seed=self.rng_factory.seed,
-                rng_context=("rrset",),
-                extra_adoption_floor=self.extra_adoption_floor,
-                backend=self.backend,
-            )
-        return self._index
+        return self.family
 
-    # ------------------------------------------------------------------
-    def estimate(
-        self,
-        seed_group: SeedGroup,
-        until_promotion: int | None = None,
-        restrict_users: set[int] | None = None,
-        compute_likelihood: bool = False,
-        collect_weights: bool = False,
-        collect_adoptions: bool = False,
-    ) -> MonteCarloEstimate:
-        """Sigma (and sigma_tau) by coverage counting when possible.
-
-        Likelihood / weight / adoption collection and non-coverable
-        configurations (dynamic perceptions, LT model) delegate to the
-        internal Monte-Carlo estimator.
-        """
-        needs_simulation = (
-            compute_likelihood or collect_weights or collect_adoptions
-        )
-        if needs_simulation or not self.supports_rrset:
-            estimate = self._fallback.estimate(
-                seed_group,
-                until_promotion=until_promotion,
-                restrict_users=restrict_users,
-                compute_likelihood=compute_likelihood,
-                collect_weights=collect_weights,
-                collect_adoptions=collect_adoptions,
-            )
-            self.fallback_queries += 1
-            self._sync_evaluations()
-            return estimate
-
-        index = self.index
-        pairs = index.nominee_pairs(seed_group, until_promotion)
-        restrict_key = (
-            tuple(sorted(restrict_users)) if restrict_users is not None else ()
-        )
-        # Coverage spreads are timing-independent, so the key collapses
-        # the group to its nominee pairs (same hit class as the sketch
-        # oracle).
-        key = (
-            self.oracle_kind,
-            pairs,
-            restrict_key,
-            restrict_users is not None,
-            self.n_samples,
-            self.model.value,
-            self.rng_factory.seed,
-            self.extra_adoption_floor,
-            id(self.instance),
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.rr_queries += 1
-            return cached
-
-        values, restricted = index.coverage_stats(pairs, restrict_users)
-        estimate = MonteCarloEstimate(
-            sigma=float(values.mean()),
-            sigma_std=float(values.std()),
+    def _build_family(self) -> RRSetIndex:
+        return RRSetIndex.from_instance(
+            self.instance,
             n_samples=self.n_samples,
-            sigma_restricted=(
-                float(restricted.mean()) if restricted is not None else None
-            ),
-        )
-        self.cache.put(key, estimate)
-        self.rr_queries += 1
-        self._rr_evaluations += self.n_samples
-        self._sync_evaluations()
-        return estimate
-
-    # ------------------------------------------------------------------
-    def select_budgeted(
-        self,
-        universe,
-        cost,
-        budget: float,
-    ) -> GreedyResult:
-        """CELF coverage greedy over (user, item) candidates.
-
-        Marginal gains are batched popcounts of ``member & ~covered``
-        (:class:`~repro.core.selection.RRCoverageGainOracle`) —
-        candidate cost is independent of the graph once the index
-        exists, which is the whole point of RR sampling.  Requires
-        :attr:`supports_rrset`.
-        """
-        from repro.core.selection import RRCoverageGainOracle, mcp_lazy_greedy
-
-        if not self.supports_rrset:
-            raise ValueError(
-                "select_budgeted needs a coverable configuration "
-                "(frozen dynamics, IC model)"
-            )
-        oracle = RRCoverageGainOracle(self.index)
-        result = mcp_lazy_greedy(
-            universe,
-            oracle,
-            cost,
-            budget,
-            stop_on_negative_gain=False,
-        )
-        self.rr_queries += result.n_oracle_calls
-        self._rr_evaluations += result.n_oracle_calls * self.n_samples
-        self._sync_evaluations()
-        return result
-
-    # ------------------------------------------------------------------
-    def _sync_evaluations(self) -> None:
-        # n_evaluations mirrors the MC meaning — replications consumed
-        # — counting each coverage query as one pass over the samples.
-        self.n_evaluations = (
-            self._rr_evaluations + self._fallback.n_evaluations
+            rng_seed=self.rng_factory.seed,
+            rng_context=("rrset",),
+            backend=self.backend,
         )
 
-    def clear_cache(self) -> None:
-        """Drop memoized estimates and the RR-set index."""
-        super().clear_cache()
-        self._index = None
+    def _sample_values(self, pairs, restrict_users):
+        return self.index.coverage_stats(pairs, restrict_users)
+
+    def _gain_oracle(self) -> RRCoverageGainOracle:
+        return RRCoverageGainOracle(self.index)

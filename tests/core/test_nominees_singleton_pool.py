@@ -12,7 +12,6 @@ default *full universe*.
 
 from repro.core.dysim.nominees import rank_candidates, select_nominees
 from repro.core.problem import Seed, SeedGroup
-from repro.core.selection import sigma_block
 from repro.diffusion.montecarlo import SigmaEstimator
 from repro.utils.rng import RngFactory
 
@@ -31,8 +30,7 @@ class TestSingletonPool:
             base, _estimator(frozen), pool_size=None
         )
         universe = rank_candidates(base, None)
-        values = sigma_block(
-            _estimator(frozen),
+        values = _estimator(frozen).estimate_block(
             [SeedGroup([Seed(u, x, 1)]) for u, x in universe],
             until_promotion=1,
         )

@@ -31,7 +31,6 @@ from repro.core.selection import (
     first_strict_argmax,
     mcp_lazy_greedy,
     popcount_words,
-    sigma_block,
 )
 from repro.diffusion.montecarlo import SigmaEstimator
 from repro.engine import ProcessPoolBackend, SerialBackend, ThreadBackend
@@ -415,7 +414,7 @@ class TestMonteCarloGainOracle:
     def frozen(self):
         return build_tiny_instance().frozen()
 
-    def test_sigma_block_matches_estimate_and_fills_cache(self, frozen):
+    def test_estimate_block_matches_estimate_and_fills_cache(self, frozen):
         batched = SigmaEstimator(
             frozen, n_samples=5, rng_factory=RngFactory(3)
         )
@@ -425,7 +424,7 @@ class TestMonteCarloGainOracle:
         groups = [
             SeedGroup([Seed(user, 0, 1)]) for user in range(4)
         ] + [SeedGroup([Seed(0, 0, 1), Seed(3, 2, 1)])]
-        values = sigma_block(batched, groups, until_promotion=1)
+        values = batched.estimate_block(groups, until_promotion=1)
         expected = [
             scalar.estimate(group, until_promotion=1).sigma
             for group in groups
@@ -434,7 +433,7 @@ class TestMonteCarloGainOracle:
         assert batched.n_evaluations == scalar.n_evaluations
         # the batch landed in the cache under estimate()'s keys
         before = batched.n_evaluations
-        again = sigma_block(batched, groups, until_promotion=1)
+        again = batched.estimate_block(groups, until_promotion=1)
         assert again.tolist() == expected
         assert batched.n_evaluations == before
 
@@ -451,8 +450,8 @@ class TestMonteCarloGainOracle:
             )
             groups = [SeedGroup([Seed(u, 1, 1)]) for u in range(5)]
             assert np.array_equal(
-                sigma_block(serial, groups, until_promotion=1),
-                sigma_block(threaded, groups, until_promotion=1),
+                serial.estimate_block(groups, until_promotion=1),
+                threaded.estimate_block(groups, until_promotion=1),
             )
 
     def test_insertion_order_groups_match_with_seed_construction(
@@ -542,14 +541,14 @@ class TestMonteCarloGainOracle:
                 frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
             )
             assert np.array_equal(
-                sigma_block(pooled, pair, until_promotion=1),
-                sigma_block(serial, pair, until_promotion=1),
+                pooled.estimate_block(pair, until_promotion=1),
+                serial.estimate_block(pair, until_promotion=1),
             )
             assert calls == [("evaluate_sigma_chunk", [[0], [1]])]
             calls.clear()
             assert np.array_equal(
-                sigma_block(pooled, lone, until_promotion=1),
-                sigma_block(serial, lone, until_promotion=1),
+                pooled.estimate_block(lone, until_promotion=1),
+                serial.estimate_block(lone, until_promotion=1),
             )
             assert [name for name, _ in calls] == ["run_chunk"]
 
@@ -560,7 +559,7 @@ class TestMonteCarloGainOracle:
             frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
         )
         pair = [SeedGroup([Seed(0, 0, 1)]), SeedGroup([Seed(1, 1, 1)])]
-        sigma_block(estimator, pair, until_promotion=1)
+        estimator.estimate_block(pair, until_promotion=1)
         assert [name for name, _ in calls] == ["run_chunk", "run_chunk"]
 
     def test_values_track_committed_value_exactly(self, frozen):

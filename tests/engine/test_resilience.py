@@ -181,7 +181,7 @@ class TestRetryPolicy:
 
 
 class TestFaultStats:
-    def test_delta_and_combine(self):
+    def test_delta_and_dict_round_trip(self):
         stats = FaultStats(retries=3, crashed_chunks=2, pool_rebuilds=1)
         snap = stats.copy()
         stats.retries += 2
@@ -190,10 +190,7 @@ class TestFaultStats:
         assert delta.retries == 2
         assert delta.crashed_chunks == 0
         assert delta.degraded_to == "thread"
-        merged = delta.combine(FaultStats(hung_chunks=1, degraded_to="serial"))
-        assert merged.hung_chunks == 1
-        assert merged.degraded_to == "serial"
-        assert FaultStats.from_dict(merged.as_dict()) == merged
+        assert FaultStats.from_dict(delta.as_dict()) == delta
 
     def test_activity_flag(self):
         assert not FaultStats().activity
@@ -270,24 +267,6 @@ class TestPoolRecovery:
             assert stats.pool_rebuilds >= 1
             assert stats.wall_seconds_lost > 0
         _assert_bit_identical(clean, recovered)
-
-    def test_run_attaches_fault_stats_delta(self, tiny_instance):
-        from repro.engine import ReplicationTask
-
-        task = ReplicationTask(
-            instance=tiny_instance,
-            model=DysimConfig().model,
-            rng_seed=4,
-            rng_context=("mc",),
-            seed_group=GROUP,
-        )
-        plan = FaultPlan(faults=(FaultSpec(kind="crash", chunk=1),))
-        with ThreadBackend(workers=2, fault_plan=plan, **FAST) as backend:
-            faulted = backend.run(task, 10)
-            assert faulted.fault_stats is not None
-            assert faulted.fault_stats.crashed_chunks == 1
-        with ThreadBackend(workers=2) as backend:
-            assert backend.run(task, 10).fault_stats is None
 
 
 class TestDegradationLadder:

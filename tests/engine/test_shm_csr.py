@@ -265,7 +265,8 @@ def test_rrset_estimator_answers_without_exporting():
         )
         estimator.estimate(SeedGroup([Seed(0, 0, 1)]))
         assert result.selected
-        assert estimator.rr_queries > 0 and estimator.fallback_queries == 0
+        assert estimator.coverage_queries > 0
+        assert estimator.fallback_queries == 0
         assert own_shm_exports() == before
 
 

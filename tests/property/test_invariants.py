@@ -11,9 +11,6 @@ from repro.kg.relevance import pathsim_normalize
 from repro.perception.influence import adoption_similarity, influence_strength
 from repro.perception.preference import preference_vector
 from repro.perception.weights import update_weights
-from repro.diffusion.realization import FrozenRealization
-
-from tests.conftest import build_tiny_instance
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +152,3 @@ def test_influence_strength_bounded(a, b, wa, wb, base, gamma):
     assert 0.0 <= sim <= 1.0 + 1e-12
     strength = influence_strength(base, sim, gamma)
     assert 0.0 <= strength <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# diffusion (realized worlds)
-# ---------------------------------------------------------------------------
-_NOMINEES = [(u, x) for u in range(6) for x in range(4)]
-
-
-@given(
-    st.integers(0, 5),
-    st.sets(st.sampled_from(_NOMINEES), max_size=3),
-    st.sets(st.sampled_from(_NOMINEES), max_size=3),
-    st.sampled_from(_NOMINEES),
-)
-@settings(max_examples=30, deadline=None)
-def test_realized_spread_monotone_and_submodular(world, x_set, y_extra, e):
-    """Per-world coverage properties behind Lemma 1."""
-    instance = build_tiny_instance()
-    realization = FrozenRealization(instance, world_seed=world)
-    x = frozenset(x_set)
-    y = frozenset(x_set | y_extra)
-    fx = realization.spread(x)
-    fy = realization.spread(y)
-    assert fy >= fx - 1e-9  # monotone in a single promotion
-    gain_small = realization.spread(x | {e}) - fx
-    gain_large = realization.spread(y | {e}) - fy
-    assert gain_large <= gain_small + 1e-9  # submodular

@@ -133,7 +133,6 @@ def reference_rrsets(
     instance, entries, rng_seed: int, n_samples: int
 ) -> list[tuple[int, list[int]]]:
     """Scalar replay of the pinned sampling discipline."""
-    n_items = instance.n_items
     importance_cum = np.cumsum(
         np.tile(np.asarray(instance.importance, dtype=float),
                 instance.n_users)

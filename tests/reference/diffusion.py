@@ -7,7 +7,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.diffusion.campaign import CampaignSimulator
+from repro.diffusion.campaign import EXTRA_ADOPTION_FLOOR, CampaignSimulator
 from repro.diffusion.models import DiffusionModel
 from repro.engine import backends, replication
 from repro.perception.state import PerceptionState
@@ -59,9 +59,7 @@ class ScalarCampaignSimulator(CampaignSimulator):
                 # the promoted item.  ``rng.random(k)`` consumes the
                 # identical substream as ``k`` scalar draws.
                 extra = state.extra_adoption_probs(target, promoter, item)
-                candidates = np.flatnonzero(
-                    extra > self.extra_adoption_floor
-                )
+                candidates = np.flatnonzero(extra > EXTRA_ADOPTION_FLOOR)
                 if candidates.size:
                     adopted_mask = state.adopted_row(target)
                     eligible = candidates[

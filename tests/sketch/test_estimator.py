@@ -1,4 +1,5 @@
-"""SketchSigmaEstimator: routing, compatibility, caching, fallback."""
+"""Coverage estimators (sketch bank, RR sets): routing, compatibility,
+caching, fallback."""
 
 import pytest
 
@@ -6,12 +7,19 @@ from repro.core.problem import Seed, SeedGroup
 from repro.diffusion.models import DiffusionModel
 from repro.diffusion.montecarlo import SigmaEstimator
 from repro.engine import SigmaCache
-from repro.sketch import SketchSigmaEstimator, make_sigma_estimator
+from repro.sketch import (
+    RRSetSigmaEstimator,
+    SketchSigmaEstimator,
+    make_sigma_estimator,
+)
 from repro.utils.rng import RngFactory
 
 from tests.conftest import build_tiny_instance
 
 GROUP = SeedGroup([Seed(0, 0, 1), Seed(3, 2, 2)])
+
+#: The two coverage families behind ``--oracle``.
+KINDS = ["sketch", "rrset"]
 
 
 @pytest.fixture
@@ -20,22 +28,23 @@ def frozen():
 
 
 @pytest.fixture
-def estimator(frozen):
-    return SketchSigmaEstimator(
-        frozen, n_samples=8, rng_factory=RngFactory(7)
+def estimator(frozen, kind):
+    return make_sigma_estimator(
+        kind, frozen, n_samples=8, rng_factory=RngFactory(7)
     )
 
 
+@pytest.mark.parametrize("kind", KINDS)
 class TestSketchPath:
     def test_answers_without_simulation(self, estimator):
         estimate = estimator.estimate(GROUP)
         assert estimate.n_samples == 8
-        assert estimator.sketch_queries == 1
+        assert estimator.coverage_queries == 1
         assert estimator.fallback_queries == 0
         assert estimator.n_evaluations == 8
 
     def test_timing_variants_share_cache_entry(self, estimator):
-        """Sketched spreads are timing-independent — and so are keys."""
+        """Coverage spreads are timing-independent — and so are keys."""
         early = SeedGroup([Seed(0, 0, 1), Seed(3, 2, 1)])
         late = SeedGroup([Seed(0, 0, 2), Seed(3, 2, 2)])
         first = estimator.estimate(early)
@@ -47,14 +56,18 @@ class TestSketchPath:
         assert estimate.sigma_restricted is not None
         assert estimate.sigma_restricted <= estimate.sigma + 1e-12
 
-    def test_until_promotion_cutoff(self, estimator, frozen):
+    def test_until_promotion_cutoff(self, estimator):
         full = estimator.estimate(GROUP).sigma
         only_first = estimator.estimate(GROUP, until_promotion=1).sigma
         assert only_first <= full + 1e-12
 
-    def test_common_random_numbers_exact(self, frozen):
-        a = SketchSigmaEstimator(frozen, n_samples=8, rng_factory=RngFactory(7))
-        b = SketchSigmaEstimator(frozen, n_samples=8, rng_factory=RngFactory(7))
+    def test_common_random_numbers_exact(self, frozen, kind):
+        a, b = (
+            make_sigma_estimator(
+                kind, frozen, n_samples=8, rng_factory=RngFactory(7)
+            )
+            for _ in range(2)
+        )
         assert a.sigma(GROUP) == b.sigma(GROUP)
 
     def test_monotone_marginals(self, estimator):
@@ -63,38 +76,22 @@ class TestSketchPath:
         extended = estimator.sigma(GROUP.with_seed(Seed(5, 1, 1)))
         assert extended >= base - 1e-12
 
-    def test_floor_is_part_of_the_cache_key(self, frozen):
-        """Different association floors must not alias shared entries."""
-        cache = SigmaCache()
-        loose = SketchSigmaEstimator(
-            frozen, n_samples=8, rng_factory=RngFactory(7), cache=cache
-        )
-        tight = SketchSigmaEstimator(
-            frozen,
-            n_samples=8,
-            rng_factory=RngFactory(7),
-            cache=cache,
-            extra_adoption_floor=0.5,  # prunes all association coins
-        )
-        loose.estimate(GROUP)
-        tight.estimate(GROUP)
-        assert cache.misses == 2 and len(cache) == 2
-
-    def test_clear_cache_drops_bank(self, estimator):
+    def test_clear_cache_drops_family(self, estimator):
         estimator.sigma(GROUP)
-        bank = estimator.bank
+        family = estimator.family
         estimator.clear_cache()
-        assert estimator._bank is None
+        assert estimator._family is None
         estimator.sigma(GROUP)
-        assert estimator.bank is not bank
+        assert estimator.family is not family
 
 
+@pytest.mark.parametrize("kind", KINDS)
 class TestFallback:
     def test_likelihood_query_delegates(self, estimator):
         estimate = estimator.estimate(GROUP, compute_likelihood=True)
         assert estimate.likelihood is not None
         assert estimator.fallback_queries == 1
-        assert estimator.sketch_queries == 0
+        assert estimator.coverage_queries == 0
         # MC replications are accounted in n_evaluations
         assert estimator.n_evaluations == 8
 
@@ -103,36 +100,37 @@ class TestFallback:
         assert estimate.mean_weights is not None
         assert estimator.fallback_queries == 1
 
-    def test_dynamic_instance_delegates(self):
+    def test_dynamic_instance_delegates(self, kind):
         dynamic = build_tiny_instance()  # dynamics on
-        estimator = SketchSigmaEstimator(
-            dynamic, n_samples=6, rng_factory=RngFactory(1)
+        estimator = make_sigma_estimator(
+            kind, dynamic, n_samples=6, rng_factory=RngFactory(1)
         )
-        assert not estimator.supports_sketch
+        assert not estimator.supports_coverage_selection
         estimator.sigma(GROUP)
         assert estimator.fallback_queries == 1
 
-    def test_lt_model_delegates(self, frozen):
-        estimator = SketchSigmaEstimator(
+    def test_lt_model_delegates(self, frozen, kind):
+        estimator = make_sigma_estimator(
+            kind,
             frozen,
             model=DiffusionModel.LINEAR_THRESHOLD,
             n_samples=6,
             rng_factory=RngFactory(1),
         )
-        assert not estimator.supports_sketch
+        assert not estimator.supports_coverage_selection
         estimator.sigma(GROUP)
         assert estimator.fallback_queries == 1
 
-    def test_fallback_matches_plain_mc(self, frozen):
+    def test_fallback_matches_plain_mc(self, frozen, kind):
         """Delegated queries are bit-identical to a plain MC estimator."""
         cache = SigmaCache()
-        sketch = SketchSigmaEstimator(
-            frozen, n_samples=6, rng_factory=RngFactory(2), cache=cache
+        coverage = make_sigma_estimator(
+            kind, frozen, n_samples=6, rng_factory=RngFactory(2), cache=cache
         )
         mc = SigmaEstimator(
             frozen, n_samples=6, rng_factory=RngFactory(2), cache=cache
         )
-        ours = sketch.estimate(GROUP, compute_likelihood=True)
+        ours = coverage.estimate(GROUP, compute_likelihood=True)
         theirs = mc.estimate(GROUP, compute_likelihood=True)
         # the shared cache even serves the same object: the fallback
         # keys as "mc", exactly like the twin estimator
@@ -151,6 +149,11 @@ class TestFactory:
     def test_sketch_kind(self, frozen):
         est = make_sigma_estimator("sketch", frozen, n_samples=4)
         assert isinstance(est, SketchSigmaEstimator)
+
+    def test_rrset_kind(self, frozen):
+        est = make_sigma_estimator("rrset", frozen, n_samples=4)
+        assert isinstance(est, RRSetSigmaEstimator)
+        assert est.n_samples == 4
 
     def test_unknown_kind(self, frozen):
         with pytest.raises(ValueError, match="oracle"):

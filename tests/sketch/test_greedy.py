@@ -5,13 +5,10 @@ import pytest
 
 from repro.core.dysim.nominees import select_nominees
 from repro.core.problem import Seed, SeedGroup
+from repro.core.selection import CoverageGainOracle, mcp_lazy_greedy
 from repro.core.submodular import budgeted_lazy_greedy
 from repro.errors import AlgorithmError
-from repro.sketch import (
-    RealizationBank,
-    SketchSigmaEstimator,
-    budgeted_coverage_greedy,
-)
+from repro.sketch import RealizationBank, make_sigma_estimator
 from repro.utils.rng import RngFactory
 
 from tests.conftest import build_tiny_instance
@@ -90,8 +87,12 @@ class TestGreedyEquivalence:
             budget=frozen.budget,
             stop_on_negative_gain=False,
         )
-        fast = budgeted_coverage_greedy(
-            bank, universe, cost, frozen.budget
+        fast = mcp_lazy_greedy(
+            universe,
+            CoverageGainOracle(bank),
+            cost,
+            frozen.budget,
+            stop_on_negative_gain=False,
         )
         assert fast.selected == generic.selected
         assert fast.value == pytest.approx(generic.value)
@@ -100,8 +101,13 @@ class TestGreedyEquivalence:
         # scalar loop, so CELF pruning counts are directly comparable
         # across oracles; the default batch may prefetch extra
         # (cheap, vectorized) coverage gains on top.
-        unbatched = budgeted_coverage_greedy(
-            bank, universe, cost, frozen.budget, batch_size=1
+        unbatched = mcp_lazy_greedy(
+            universe,
+            CoverageGainOracle(bank),
+            cost,
+            frozen.budget,
+            stop_on_negative_gain=False,
+            batch_size=1,
         )
         assert unbatched.selected == generic.selected
         assert unbatched.n_oracle_calls == generic.n_oracle_calls
@@ -109,34 +115,40 @@ class TestGreedyEquivalence:
 
     def test_budget_validation(self, bank, frozen):
         with pytest.raises(AlgorithmError):
-            budgeted_coverage_greedy(
-                bank, _universe(frozen), lambda p: 5.0, 0.0
+            mcp_lazy_greedy(
+                _universe(frozen),
+                CoverageGainOracle(bank),
+                lambda p: 5.0,
+                0.0,
+                stop_on_negative_gain=False,
             )
 
     def test_respects_budget(self, bank, frozen):
-        result = budgeted_coverage_greedy(
-            bank,
+        result = mcp_lazy_greedy(
             _universe(frozen),
+            CoverageGainOracle(bank),
             lambda p: frozen.cost(*p),
             frozen.budget,
+            stop_on_negative_gain=False,
         )
         assert result.total_cost <= frozen.budget + 1e-9
         assert len(result.selected) == len(set(result.selected))
 
 
+@pytest.mark.parametrize("kind", ["sketch", "rrset"])
 class TestSelectNomineesFastPath:
-    def test_fast_path_equals_generic_path(self, frozen):
+    def test_fast_path_equals_generic_path(self, frozen, kind):
         """select_nominees must pick the same nominees either way."""
         base = build_tiny_instance()
-        fast_est = SketchSigmaEstimator(
-            frozen, n_samples=10, rng_factory=RngFactory(13)
+        fast_est = make_sigma_estimator(
+            kind, frozen, n_samples=10, rng_factory=RngFactory(13)
         )
         fast = select_nominees(base, fast_est, pool_size=None)
 
-        # generic path: identical sketch oracle, forced through the
-        # value-oracle interface by bypassing isinstance dispatch
-        slow_est = SketchSigmaEstimator(
-            frozen, n_samples=10, rng_factory=RngFactory(13)
+        # generic path: identical coverage oracle, forced through the
+        # value-oracle interface instead of select_budgeted
+        slow_est = make_sigma_estimator(
+            kind, frozen, n_samples=10, rng_factory=RngFactory(13)
         )
         from repro.core.dysim import nominees as nominees_module
         from repro.core.submodular import budgeted_lazy_greedy as generic
@@ -162,10 +174,10 @@ class TestSelectNomineesFastPath:
         assert fast.frozen_value == pytest.approx(expected.value)
         assert fast.total_cost == pytest.approx(expected.total_cost)
 
-    def test_fast_path_counts_oracle_work(self, frozen):
+    def test_fast_path_counts_oracle_work(self, frozen, kind):
         base = build_tiny_instance()
-        estimator = SketchSigmaEstimator(
-            frozen, n_samples=6, rng_factory=RngFactory(3)
+        estimator = make_sigma_estimator(
+            kind, frozen, n_samples=6, rng_factory=RngFactory(3)
         )
         selection = select_nominees(base, estimator, pool_size=None)
         assert selection.n_oracle_calls > 0
