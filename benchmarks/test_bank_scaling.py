@@ -23,7 +23,9 @@ scaling benchmarks).
 
 Environment knobs: ``REPRO_BENCH_BANK_WORLDS`` (default 256; 64 under
 smoke), ``REPRO_BENCH_BANK_POOL`` (default 96) and
-``REPRO_BENCH_BANK_ROUNDS`` (default 2, best-of timing).
+``REPRO_BENCH_BANK_ROUNDS`` (default 2, best-of timing; the per-world
+and packed rounds alternate, so a drift in the machine's speed during
+the run cannot land in the ratio).
 
 ``test_bank_scaling_m1024`` repeats the comparison at M=1024 (the
 ``bank_scaling_m1024`` tracked series) with the compiled worklist
@@ -63,31 +65,41 @@ def _pinned(kernel):
     )
 
 
-def _timed_stacks(frozen, kernel, pairs, worlds=None, rounds=None,
+def _timed_round(frozen, kernel, pairs, worlds, **bank_kwargs):
+    """One stack computation on a fresh (cold-LRU) bank."""
+    bank_class = PerWorldBank if kernel == "per-world" else RealizationBank
+    bank = bank_class(frozen, n_worlds=worlds, rng_seed=0, **bank_kwargs)
+    # Materialize the kernel's representation outside the timed
+    # region (a bank answers many queries per construction).
+    started = time.perf_counter()
+    if kernel == "per-world":
+        bank.worlds
+    else:
+        bank._reach_graph()
+    build_seconds = time.perf_counter() - started
+    with _pinned(kernel):
+        started = time.perf_counter()
+        stacks = bank.stacks_for(pairs)
+        elapsed = time.perf_counter() - started
+    return elapsed, stacks, build_seconds
+
+
+def _timed_stacks(frozen, kernels, pairs, worlds=None, rounds=None,
                   **bank_kwargs):
-    """Best-of-rounds stack computation on fresh (cold-LRU) banks."""
+    """Best-of-rounds ``(seconds, stacks, build seconds)`` per kernel.
+
+    The kernels' rounds alternate, so a drift in the machine's speed
+    during the run lands on every kernel alike instead of on the ratio.
+    """
     worlds = BANK_WORLDS if worlds is None else worlds
     rounds = BANK_ROUNDS if rounds is None else rounds
-    bank_class = PerWorldBank if kernel == "per-world" else RealizationBank
-    best_seconds, stacks, build_seconds = np.inf, None, 0.0
+    best = {kernel: (np.inf, None, 0.0) for kernel in kernels}
     for _ in range(rounds):
-        bank = bank_class(
-            frozen, n_worlds=worlds, rng_seed=0, **bank_kwargs
-        )
-        # Materialize the kernel's representation outside the timed
-        # region (a bank answers many queries per construction).
-        started = time.perf_counter()
-        if kernel == "per-world":
-            bank.worlds
-        else:
-            bank._reach_graph()
-        build_seconds = time.perf_counter() - started
-        with _pinned(kernel):
-            started = time.perf_counter()
-            stacks = bank.stacks_for(pairs)
-            elapsed = time.perf_counter() - started
-        best_seconds = min(best_seconds, elapsed)
-    return best_seconds, stacks, build_seconds
+        for kernel in kernels:
+            timed = _timed_round(frozen, kernel, pairs, worlds, **bank_kwargs)
+            if timed[0] < best[kernel][0]:
+                best[kernel] = timed
+    return best
 
 
 def test_bank_scaling(dataset_cache):
@@ -97,12 +109,9 @@ def test_bank_scaling(dataset_cache):
     universe = rank_candidates(instance, BANK_POOL)
     pairs = [probe.pair_index(user, item) for user, item in universe]
 
-    ref_seconds, ref_stacks, ref_build = _timed_stacks(
-        frozen, "per-world", pairs
-    )
-    packed_seconds, packed_stacks, packed_build = _timed_stacks(
-        frozen, "packed", pairs
-    )
+    timed = _timed_stacks(frozen, ["per-world", "packed"], pairs)
+    ref_seconds, ref_stacks, ref_build = timed["per-world"]
+    packed_seconds, packed_stacks, packed_build = timed["packed"]
     speedup = ref_seconds / packed_seconds if packed_seconds > 0 else 0.0
 
     rows = [
@@ -192,12 +201,12 @@ def test_bank_scaling_m1024(dataset_cache):
     universe = rank_candidates(instance, M1024_POOL)
     pairs = [probe.pair_index(user, item) for user, item in universe]
 
-    ref_seconds, ref_stacks, _ = _timed_stacks(
-        frozen, "per-world", pairs, worlds=M1024_WORLDS, rounds=M1024_ROUNDS
+    timed = _timed_stacks(
+        frozen, ["per-world", "packed"], pairs,
+        worlds=M1024_WORLDS, rounds=M1024_ROUNDS,
     )
-    packed_seconds, packed_stacks, _ = _timed_stacks(
-        frozen, "packed", pairs, worlds=M1024_WORLDS, rounds=M1024_ROUNDS
-    )
+    ref_seconds, ref_stacks, _ = timed["per-world"]
+    packed_seconds, packed_stacks, _ = timed["packed"]
     assert len(packed_stacks) == len(ref_stacks)
     for ours, theirs in zip(packed_stacks, ref_stacks):
         assert np.array_equal(ours, theirs)
@@ -215,9 +224,9 @@ def test_bank_scaling_m1024(dataset_cache):
     if HAVE_NUMBA:
         _warm_jit_compile()
         jit_seconds, jit_stacks, _ = _timed_stacks(
-            frozen, "packed-jit", pairs,
+            frozen, ["packed-jit"], pairs,
             worlds=M1024_WORLDS, rounds=M1024_ROUNDS,
-        )
+        )["packed-jit"]
         for ours, theirs in zip(jit_stacks, ref_stacks):
             assert np.array_equal(ours, theirs)
         rows.append(
@@ -236,10 +245,10 @@ def test_bank_scaling_m1024(dataset_cache):
         shards = min(4, cpu_count)
         with ProcessPoolBackend(workers=shards) as pool:
             shard_seconds, shard_stacks, _ = _timed_stacks(
-                frozen, "sharded", pairs,
+                frozen, ["sharded"], pairs,
                 worlds=M1024_WORLDS, rounds=M1024_ROUNDS,
                 backend=pool, world_shards=shards,
-            )
+            )["sharded"]
         for ours, theirs in zip(shard_stacks, ref_stacks):
             assert np.array_equal(ours, theirs)
         shard_name = f"packed+shard{shards}"

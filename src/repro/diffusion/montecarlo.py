@@ -8,10 +8,13 @@ noise — the standard trick that makes lazy/CELF greedy stable.
 
 Replications run through a pluggable :mod:`repro.engine` execution
 backend (serial, thread pool or process pool); every backend replays
-the same substreams over the same canonical chunks, so estimates are
+the same substreams, one balanced sample range per worker, and reduces
+matrix sums over the same canonical chunks, so estimates are
 bit-identical regardless of where they ran.  Results are memoized in a
-:class:`~repro.engine.cache.SigmaCache` keyed by the canonicalized seed
-group plus the estimator configuration.
+:class:`~repro.engine.cache.SigmaCache` keyed by the realization they
+played (canonicalized seed group, horizon and estimator configuration)
+and the fields they hold, so requests of one realization share one
+simulation.
 
 The same pass optionally collects everything the Dysim phases need:
 
@@ -103,8 +106,10 @@ def replicated_sigma_stats(
     two workers is one dispatch with one group per chunk.  Smaller
     blocks there — and, on serial and thread backends, blocks too small
     to fill more than one ``chunk_size`` chunk — fan out over the
-    *sample* axis instead (one ``backend.run`` per group), so a
-    one-group evaluation keeps its replication-level parallelism.
+    *sample* axis instead (one ``backend.run`` per group, which plays
+    one balanced sample range per worker), so a one-group evaluation
+    keeps its replication-level parallelism on every worker of the
+    pool.
     """
     if not groups:
         return []
@@ -165,10 +170,19 @@ class SigmaEstimator:
         Estimate memoization; pass a shared :class:`SigmaCache` to pool
         memoization across estimators, or ``None`` for a private one.
 
-    Frozen plain-sigma recipes run each worker chunk as one packed
+    Every estimate runs as one balanced sample range per backend
+    worker.  Frozen plain-sigma recipes play each range in one packed
     lockstep pass; dynamic perceptions and the state collectors
     (likelihood, weights, adoptions) replay the per-replication step.
     The two are bit-identical (:func:`repro.engine.replication.run_chunk`).
+
+    Estimates are memoized per realization: a request is served by any
+    cached estimate of the same group, horizon and configuration that
+    holds every field it asks for (:class:`SigmaCache`).  A likelihood
+    run also collects the mean final weights and leaves them in the
+    cache as spares — kept on the newest likelihood estimate of each
+    horizon — so Dysim's DRE weights request replays nothing after the
+    TDSI estimate of the group it just extended.
     """
 
     #: Distinguishes estimator families in cache keys: a cache shared
@@ -222,26 +236,27 @@ class SigmaEstimator:
         return self.cache.misses
 
     def _cache_key(
-        self,
-        seed_group: SeedGroup,
-        until_promotion: int | None,
-        restrict_key: tuple,
-        flags: tuple,
+        self, seed_group: SeedGroup, until_promotion: int | None
     ) -> tuple:
-        # The estimator configuration is part of the key so one cache
-        # can safely back several estimators (e.g. frozen + dynamic,
-        # or Monte-Carlo + sketch — ``oracle_kind`` keeps their
-        # entries apart even when everything else matches).
-        return (
+        """The realization a request plays: ``(family, group)``.
+
+        The family — the estimator configuration and the horizon — is
+        the cache's spare slot.  The configuration is part of the key so
+        one cache can safely back several estimators (e.g. frozen +
+        dynamic, or Monte-Carlo + sketch — ``oracle_kind`` keeps their
+        entries apart even when everything else matches).  The horizon
+        is the one the simulator plays: ``None`` (and 0) mean ``T``.
+        """
+        family = (
             self.oracle_kind,
-            tuple(sorted((s.user, s.item, s.promotion) for s in seed_group)),
-            until_promotion,
-            restrict_key,
-            flags,
+            until_promotion or self.instance.n_promotions,
             self.n_samples,
             self.model.value,
             self.rng_factory.seed,
             id(self.instance),
+        )
+        return family, tuple(
+            sorted((s.user, s.item, s.promotion) for s in seed_group)
         )
 
     def estimate(
@@ -253,13 +268,28 @@ class SigmaEstimator:
         collect_weights: bool = False,
         collect_adoptions: bool = False,
     ) -> MonteCarloEstimate:
-        """Estimate sigma (and optional extras) for one seed group."""
-        restrict_key = (
-            tuple(sorted(restrict_users)) if restrict_users is not None else ()
+        """Estimate sigma (and optional extras) for one seed group.
+
+        The estimate holds exactly the extras asked for.  A cached
+        estimate of the same realization that holds them serves the
+        request without replications; a likelihood run also leaves its
+        mean final weights in the cache as a spare field, so a weights
+        request after the newest likelihood estimate of its group and
+        horizon is a hit.
+        """
+        users = tuple(sorted(restrict_users)) if restrict_users is not None else None
+        asked = frozenset(
+            field
+            for field, wanted in (
+                (("sigma_restricted", users), restrict_users is not None),
+                (("likelihood", users), compute_likelihood),
+                (("mean_weights", None), collect_weights),
+                (("adoption_frequency", None), collect_adoptions),
+            )
+            if wanted
         )
-        flags = (compute_likelihood, collect_weights, collect_adoptions)
-        key = self._cache_key(seed_group, until_promotion, restrict_key, flags)
-        cached = self.cache.get(key)
+        key = self._cache_key(seed_group, until_promotion)
+        cached = self.cache.get(key, asked)
         if cached is not None:
             return cached
 
@@ -276,7 +306,7 @@ class SigmaEstimator:
                 else None
             ),
             compute_likelihood=compute_likelihood,
-            collect_weights=collect_weights,
+            collect_weights=collect_weights or compute_likelihood,
             collect_adoptions=collect_adoptions,
         )
         share_for_backend(self.instance, self.backend)
@@ -299,17 +329,17 @@ class SigmaEstimator:
             ),
             mean_weights=(
                 result.weights_sum / self.n_samples
-                if result.weights_sum is not None
+                if task.collect_weights
                 else None
             ),
             adoption_frequency=(
                 result.adoption_sum / self.n_samples
-                if result.adoption_sum is not None
+                if collect_adoptions
                 else None
             ),
         )
-        self.cache.put(key, estimate)
-        return estimate
+        held = asked | {("mean_weights", None)} if compute_likelihood else asked
+        return self.cache.put(key, estimate, held, asked, spare_slot=key[0])
 
     def sigma(self, seed_group: SeedGroup) -> float:
         """Convenience: the scalar spread estimate."""
@@ -337,14 +367,13 @@ class SigmaEstimator:
         (:class:`~repro.sketch.estimator.CoverageSigmaEstimator`).
         """
         sigmas = np.empty(len(groups))
-        flags = (False, False, False)
         # Misses dedupe by cache key, mirroring sequential estimate()
         # calls where a repeated group is a hit on its second lookup.
         miss_order: list[tuple] = []
         miss_groups: dict[tuple, SeedGroup] = {}
         key_of: list[tuple | None] = [None] * len(groups)
         for i, group in enumerate(groups):
-            key = self._cache_key(group, until_promotion, (), flags)
+            key = self._cache_key(group, until_promotion)
             cached = self.cache.get(key)
             if cached is not None:
                 sigmas[i] = cached.sigma

@@ -4,14 +4,17 @@
 reproduction — into a pluggable service with three moving parts:
 
 * **Backends** (:mod:`repro.engine.backends`): serial, thread-pool and
-  process-pool executors that fan Monte-Carlo replications out in
-  canonical chunks.  Sample ``i`` replays the same random substream on
-  every backend (common random numbers), and chunked reductions follow
-  a fixed order, so all backends return bit-identical estimates.
+  process-pool executors that fan Monte-Carlo replications out as one
+  balanced sample range per worker.  Sample ``i`` replays the same
+  random substream on every backend (common random numbers), and
+  matrix sums reduce over the canonical chunk tree whatever the
+  ranges, so all backends return bit-identical estimates.
 * **Replication** (:mod:`repro.engine.replication`): the picklable task
   description and the chunk runner every backend dispatches.
 * **Cache** (:mod:`repro.engine.cache`): LRU memoization of estimates
-  with hit/miss counters, keyed by seed group + estimator config.
+  with hit/miss counters, keyed by the realization they played (seed
+  group, horizon, estimator config) and the fields they hold, so
+  requests of one realization share one simulation.
 * **Resilience** (:mod:`repro.engine.resilience`): supervised chunk
   retry with CRN-exact recovery — crashed/raising/hung chunks are
   re-dispatched bit-identically on a rebuilt pool, a degradation

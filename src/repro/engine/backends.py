@@ -1,11 +1,13 @@
 """Execution backends: where Monte-Carlo replications actually run.
 
 The estimator hands a :class:`~repro.engine.replication.ReplicationTask`
-to a backend; the backend fans the canonical sample chunks out to its
-workers and merges the results in chunk order.  Because every backend
-dispatches the same :func:`~repro.engine.replication.run_chunk` over the
-same partition, results are bit-identical across backends — see the
-``repro.engine.replication`` module docstring for why.
+to a backend; the backend fans one balanced sample range per worker
+out (:func:`worker_chunks`) and merges the results in sample order.
+Every backend dispatches the same
+:func:`~repro.engine.replication.run_chunk`, and matrix sums reduce
+over the canonical chunk tree whatever the ranges, so results are
+bit-identical across backends — see the ``repro.engine.replication``
+module docstring for why.
 
 Choosing a backend
 ------------------
@@ -49,11 +51,8 @@ import logging
 import os
 
 from repro.engine.replication import (
-    DEFAULT_CHUNK_SIZE,
     ChunkResult,
     ReplicationTask,
-    chunk_indices,
-    lockstep_applicable,
     run_chunk,
 )
 from repro.engine.resilience import (
@@ -78,28 +77,19 @@ __all__ = [
 ]
 
 
-def _replication_chunks(
-    task: ReplicationTask,
-    n_samples: int,
-    backend: "ExecutionBackend",
-    chunk_size: int,
-) -> list[list[int]]:
-    """The chunk partition a backend fans ``task`` out over.
+def _replication_chunks(n_samples: int, backend: "ExecutionBackend") -> list[list[int]]:
+    """The sample ranges a backend fans a replication task out over.
 
-    The fine-grained canonical partition by default; when the task
-    takes the lockstep fast path the partition coarsens to one chunk
-    per worker (``chunk_indices(0)`` guard applies either way).  Safe
-    because lockstep tasks only produce per-sample scalars, which are
-    gathered in index order regardless of chunk boundaries — the
-    matrix accumulators whose reduction tree the canonical partition
-    pins are excluded by :func:`lockstep_applicable` — and profitable
-    because one packed kernel call amortizes per-chunk setup (state
-    caches, and on process pools the task pickle) across the whole
-    worker share, as RR-set sampling already does.
+    One balanced range per worker, for every recipe: the per-sample
+    scalars gather in index order whatever the ranges, and the matrix
+    sums reduce over the canonical chunk tree however a range boundary
+    cuts it (:class:`~repro.engine.replication.ChunkResult`), so the
+    partition only decides how many replications each worker plays —
+    ``ceil(n_samples / workers)``, the least the pool can wait for.
     """
-    if n_samples >= 1 and lockstep_applicable(task):
-        return worker_chunks(n_samples, backend)
-    return chunk_indices(n_samples, chunk_size)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    return worker_chunks(n_samples, backend)
 
 
 def worker_chunks(n_items: int, backend: "ExecutionBackend") -> list[list[int]]:
@@ -109,10 +99,10 @@ def worker_chunks(n_items: int, backend: "ExecutionBackend") -> list[list[int]]:
     :func:`~repro.engine.replication.chunk_indices`: instead of a fixed
     chunk *size* it splits ``n_items`` into at most ``backend.workers``
     contiguous chunks (a single chunk on the serial backend), sized
-    within one item of each other.  Used by consumers whose work units
-    are already coarse — sweep runs, reachability source blocks — where
-    one chunk per worker minimizes pickling overhead while keeping the
-    pool saturated.
+    within one item of each other.  Used wherever one chunk per worker
+    keeps the pool saturated at the least pickling: Monte-Carlo sample
+    ranges (:meth:`ExecutionBackend.run`), sweep runs, reachability
+    source blocks.
     """
     if n_items <= 0:
         return []
@@ -144,12 +134,10 @@ class ExecutionBackend:
 
     def __init__(
         self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
     ):
-        self.chunk_size = int(chunk_size)
         self.retry_policy = RetryPolicy(
             max_retries=retries, chunk_timeout=chunk_timeout
         )
@@ -191,13 +179,9 @@ class ExecutionBackend:
 
     def run(self, task: ReplicationTask, n_samples: int) -> ChunkResult:
         """Execute ``n_samples`` replications of ``task``, merged in
-        chunk order."""
+        sample order."""
         return ChunkResult.merge(
-            self.map_chunks(
-                run_chunk,
-                task,
-                _replication_chunks(task, n_samples, self, self.chunk_size),
-            )
+            self.map_chunks(run_chunk, task, _replication_chunks(n_samples, self))
         )
 
     def close(self) -> None:
@@ -218,11 +202,10 @@ class SerialBackend(ExecutionBackend):
 
     def __init__(
         self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         retries: int = DEFAULT_MAX_RETRIES,
         fault_plan: FaultPlan | None = None,
     ):
-        super().__init__(chunk_size, retries, None, fault_plan)
+        super().__init__(retries, None, fault_plan)
 
     def map_chunks(self, fn, task, chunks: list[list[int]]) -> list:
         """Run ``fn(task, chunk)`` per chunk, results in chunk order.
@@ -230,7 +213,7 @@ class SerialBackend(ExecutionBackend):
         The generic fan-out primitive behind both Monte-Carlo
         replication (:func:`~repro.engine.replication.run_chunk`) and
         sketch construction (``repro.sketch``): any module-level
-        ``fn(task, indices)`` over the canonical chunk partition can be
+        ``fn(task, indices)`` over an index partition can be
         dispatched, and results always come back in chunk order so
         reductions stay backend-independent.
 
@@ -263,14 +246,13 @@ class _PoolBackend(ExecutionBackend):
     def __init__(
         self,
         workers: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        super().__init__(chunk_size, retries, chunk_timeout, fault_plan)
+        super().__init__(retries, chunk_timeout, fault_plan)
         #: What the caller asked for, before the CPU cap — bench
         #: context records both so scaling numbers are interpretable.
         self.requested_workers = workers
@@ -325,7 +307,7 @@ class _PoolBackend(ExecutionBackend):
         ``fn`` must be a module-level function (process pools pickle it
         by qualified name).  Dispatch is supervised (see the module
         docstring): failed/hung chunks are retried on a rebuilt pool,
-        results return in canonical chunk order either way.  A single
+        results return in chunk order either way.  A single
         chunk skips the executor — and, for process pools, the
         pickling round trip — entirely, unless a fault plan or chunk
         deadline is active (the supervisor needs the future).

@@ -1,18 +1,22 @@
-"""The unit of parallel work: one chunk of Monte-Carlo replications.
+"""The unit of parallel work: one range of Monte-Carlo replications.
 
 Every execution backend — serial, threaded or multi-process — runs the
-same function, :func:`run_chunk`, over the same canonical partition of
-sample indices (:func:`chunk_indices`).  Two properties follow:
+same function, :func:`run_chunk`, over one balanced range of sample
+indices per worker (:func:`~repro.engine.backends.worker_chunks`).
+Two properties follow:
 
 * **Common random numbers.**  Sample ``i`` always replays the random
   substream ``spawn_rng(rng_seed, *rng_context, i)`` no matter which
   worker executes it, so greedy marginal-gain comparisons stay
   correlated across seed groups and every backend sees the same worlds.
 * **Bit-identical aggregation.**  Per-sample scalars are gathered in
-  index order, and matrix accumulators (mean weights, adoption
-  frequencies) are reduced chunk-by-chunk in the same canonical order
-  on every backend, so ``SerialBackend`` and ``ProcessPoolBackend``
-  produce floating-point-identical :class:`MonteCarloEstimate`s.
+  index order, and matrix accumulators (final weights, adoption
+  frequencies) reduce over the canonical partition
+  :func:`chunk_indices` wherever the samples ran: each canonical chunk
+  is folded sample by sample from its first index, and the chunk folds
+  are summed in chunk order (:class:`ChunkResult`).  ``SerialBackend``
+  and ``ProcessPoolBackend`` therefore produce floating-point-identical
+  estimates.
 """
 
 from __future__ import annotations
@@ -38,14 +42,13 @@ __all__ = [
     "run_chunk",
 ]
 
-#: Canonical chunk size shared by every backend.  It bounds the work
-#: shipped per inter-process round trip and — because matrix
-#: accumulators are reduced chunk-by-chunk — fixes the floating-point
-#: reduction tree, which is what makes backends bit-identical.
-#: It also caps usable parallelism at ceil(n_samples / chunk_size)
-#: workers; bit-identity only needs the chunking to be *backend-
-#: independent*, so callers comparing backends may pass any matching
-#: ``chunk_size`` (e.g. 1 to parallelize very small sample counts).
+#: Canonical chunk size of the matrix reduction tree.  Final weights and
+#: adoption frequencies are folded per ``chunk_indices(n, 4)`` chunk and
+#: the folds summed in chunk order, so this constant — not the worker
+#: count or the ranges the samples ran in — fixes their floating-point
+#: result.  Dispatch does not depend on it: every recipe runs as one
+#: balanced range per worker.  Group blocks, bank fills and RR-set
+#: sampling take it as their default block size.
 DEFAULT_CHUNK_SIZE = 4
 
 
@@ -54,7 +57,7 @@ class ReplicationTask:
     """Everything a worker needs to replay one Monte-Carlo sample.
 
     The task is picklable: process backends ship it to workers once per
-    chunk.  ``rng_seed``/``rng_context`` identify the common-random-
+    range.  ``rng_seed``/``rng_context`` identify the common-random-
     numbers substream family; sample ``i`` draws from
     ``spawn_rng(rng_seed, *rng_context, i)``.
     """
@@ -73,27 +76,86 @@ class ReplicationTask:
     start_promotion: int = 1
 
 
+#: Matrix partial sums of one range, in sample order: ``(opens, matrix)``
+#: pairs.  ``opens`` marks the fold of a canonical chunk from its first
+#: sample on; any other matrix is one sample continuing the chunk the
+#: pair before it opened (see :func:`_fold_sample`).
+Folds = list[tuple[bool, np.ndarray]]
+
+
+def _fold_sample(folds: Folds, sample: int, matrix: np.ndarray) -> None:
+    """Add the next sample's matrix of a range to its folds.
+
+    A sample that starts a canonical chunk opens a fold; the samples
+    after it in the same chunk join that fold.  A range that starts
+    inside a chunk cannot fold those samples — the chunk's fold began
+    in the range before — so it ships them one by one for the parent
+    to continue the fold with, in index order.
+    """
+    if sample % DEFAULT_CHUNK_SIZE == 0:
+        fold = np.zeros(matrix.shape)
+        fold += matrix
+        folds.append((True, fold))
+    elif folds and folds[-1][0]:
+        fold = folds[-1][1]
+        fold += matrix
+    else:
+        folds.append((False, matrix))
+
+
+def _reduce_folds(folds: Folds | None) -> np.ndarray | None:
+    """Sum a run's folds over the canonical tree.
+
+    Each chunk's fold continues with the single samples that follow
+    it, then the chunk folds add up in chunk order — the reduction one
+    ``chunk_indices`` chunk per call would compute, whatever ranges the
+    samples ran in.
+    """
+    if not folds:
+        return None
+    chunks: list[np.ndarray] = []
+    for opens, matrix in folds:
+        if opens or not chunks:
+            chunks.append(np.array(matrix, dtype=float))
+        else:
+            chunks[-1] += matrix
+    total = chunks[0]
+    for chunk in chunks[1:]:
+        total += chunk
+    return total
+
+
 @dataclass
 class ChunkResult:
-    """Aggregates from one chunk (or a merge of several chunks)."""
+    """Aggregates from one range (or a merge of several ranges)."""
 
     sigmas: np.ndarray
     restricted: np.ndarray
     likelihoods: np.ndarray
-    weights_sum: np.ndarray | None = None
-    adoption_sum: np.ndarray | None = None
+    weight_folds: Folds | None = None
+    adoption_folds: Folds | None = None
 
     @property
     def n_samples(self) -> int:
         return int(self.sigmas.size)
 
+    @property
+    def weights_sum(self) -> np.ndarray | None:
+        """Sum of the final weights over the canonical tree."""
+        return _reduce_folds(self.weight_folds)
+
+    @property
+    def adoption_sum(self) -> np.ndarray | None:
+        """Sum of the new-adoption matrices over the canonical tree."""
+        return _reduce_folds(self.adoption_folds)
+
     @classmethod
     def merge(cls, parts: Sequence["ChunkResult"]) -> "ChunkResult":
-        """Combine chunk results *in chunk order*.
+        """Combine range results *in sample order*.
 
-        The sequential chunk-by-chunk reduction mirrors what
-        ``SerialBackend`` computes, so parallel backends that merge
-        their (ordered) chunk outputs here are bit-identical to serial.
+        Scalars and folds concatenate; the folds reduce only when a sum
+        is read, so a merge of any split of the samples reads the same
+        sums as one run over all of them.
         """
         parts = list(parts)
         if not parts:
@@ -103,28 +165,19 @@ class ChunkResult:
                 restricted=empty.copy(),
                 likelihoods=empty.copy(),
             )
-        sigmas = np.concatenate([p.sigmas for p in parts])
-        restricted = np.concatenate([p.restricted for p in parts])
-        likelihoods = np.concatenate([p.likelihoods for p in parts])
-        weights_sum: np.ndarray | None = None
-        adoption_sum: np.ndarray | None = None
-        for part in parts:
-            if part.weights_sum is not None:
-                if weights_sum is None:
-                    weights_sum = part.weights_sum.copy()
-                else:
-                    weights_sum += part.weights_sum
-            if part.adoption_sum is not None:
-                if adoption_sum is None:
-                    adoption_sum = part.adoption_sum.copy()
-                else:
-                    adoption_sum += part.adoption_sum
+
+        def folds(name: str) -> Folds | None:
+            lists = [getattr(p, name) for p in parts]
+            if all(f is None for f in lists):
+                return None
+            return [pair for f in lists if f is not None for pair in f]
+
         return cls(
-            sigmas=sigmas,
-            restricted=restricted,
-            likelihoods=likelihoods,
-            weights_sum=weights_sum,
-            adoption_sum=adoption_sum,
+            sigmas=np.concatenate([p.sigmas for p in parts]),
+            restricted=np.concatenate([p.restricted for p in parts]),
+            likelihoods=np.concatenate([p.likelihoods for p in parts]),
+            weight_folds=folds("weight_folds"),
+            adoption_folds=folds("adoption_folds"),
         )
 
 
@@ -154,10 +207,8 @@ def lockstep_applicable(task: ReplicationTask) -> bool:
     no resumed state, and none of the state-materializing collectors
     (likelihood, mean weights, adoption frequencies) — only the
     per-replication step materializes a final
-    :class:`~repro.perception.state.PerceptionState`.  Backends consult
-    this to coarsen the chunk partition: the lockstep outputs
-    (per-sample sigmas, in index order) are partition-invariant, so one
-    chunk per worker is safe and amortizes best.
+    :class:`~repro.perception.state.PerceptionState`.  Every other
+    recipe replays its replications one by one.
     """
     return (
         task.instance.dynamics.is_frozen
@@ -204,9 +255,11 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     Frozen recipes play in one packed lockstep pass
     (:func:`lockstep_applicable`); dynamic perceptions, resumed states
     and state collectors replay :meth:`CampaignSimulator.run` per
-    replication.  Both are bit-identical per sample.  This is the single
-    entry point every backend dispatches — it must stay a module-level
-    function so process pools can pickle it by qualified name.
+    replication.  Both are bit-identical per sample.  The per-replication
+    path folds the final weights and the new adoptions, when asked,
+    over the canonical chunks.  This is the single entry point every
+    backend dispatches — it must stay a module-level function so
+    process pools can pickle it by qualified name.
     """
     if lockstep_applicable(task):
         return _run_chunk_lockstep(task, indices)
@@ -215,8 +268,8 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     sigmas = np.zeros(n)
     restricted = np.zeros(n)
     likelihoods = np.zeros(n)
-    weights_sum: np.ndarray | None = None
-    adoption_sum: np.ndarray | None = None
+    weight_folds: Folds | None = [] if task.collect_weights else None
+    adoption_folds: Folds | None = [] if task.collect_adoptions else None
     restrict = None
     if task.restrict_users is not None:
         restrict = set(task.restrict_users)
@@ -238,19 +291,15 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
             if users is None:
                 users = set(range(task.instance.n_users))
             likelihoods[j] = adoption_likelihood(outcome.state, task.model, users)
-        if task.collect_weights:
-            if weights_sum is None:
-                weights_sum = np.zeros_like(outcome.state.weights)
-            weights_sum += outcome.state.weights
-        if task.collect_adoptions:
-            if adoption_sum is None:
-                adoption_sum = np.zeros(outcome.new_adoptions.shape, dtype=float)
-            adoption_sum += outcome.new_adoptions
+        if weight_folds is not None:
+            _fold_sample(weight_folds, i, outcome.state.weights)
+        if adoption_folds is not None:
+            _fold_sample(adoption_folds, i, outcome.new_adoptions)
 
     return ChunkResult(
         sigmas=sigmas,
         restricted=restricted,
         likelihoods=likelihoods,
-        weights_sum=weights_sum,
-        adoption_sum=adoption_sum,
+        weight_folds=weight_folds,
+        adoption_folds=adoption_folds,
     )

@@ -17,14 +17,14 @@ world count):
   outcomes are then transposed into **world-major** liveness words
   (:class:`~repro.sketch.reachkernel.WorldLayout`, ``ceil(M/64)``
   ``uint64`` words per skeleton entry) feeding the bit-parallel
-  multi-world BFS of :mod:`repro.sketch.reachkernel` (its
-  numba-compiled twin when numba imports); miss blocks can
-  additionally shard the *worlds* axis across process workers over
-  shared-memory blocks (``world_shards``), reassembling
-  bit-identically.  The stacks equal those of one BFS per realized
-  world (reachability on a fixed live-edge graph is deterministic),
-  pinned by the property suite against the per-world reference of
-  ``tests/reference``.
+  multi-world BFS of :mod:`repro.sketch.reachkernel` — bank fills
+  always run its numpy form, never the compiled twin
+  ``multi_world_visited_jit``; miss blocks can additionally shard the
+  *worlds* axis across process workers over shared-memory blocks
+  (``world_shards``), reassembling bit-identically.  The stacks equal
+  those of one BFS per realized world (reachability on a fixed
+  live-edge graph is deterministic), pinned by the property suite
+  against the per-world reference of ``tests/reference``.
 
 Every ``sigma`` / ``sigma_tau`` / marginal-gain query is then answered
 by bitmask lookups instead of re-simulation.  World ``i`` flips its

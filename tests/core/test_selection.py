@@ -444,7 +444,7 @@ class TestMonteCarloGainOracle:
             rng_factory=RngFactory(8),
             backend=SerialBackend(),
         )
-        with ThreadBackend(workers=3, chunk_size=1) as backend:
+        with ThreadBackend(workers=3) as backend:
             threaded = SigmaEstimator(
                 frozen, n_samples=6, rng_factory=RngFactory(8), backend=backend
             )

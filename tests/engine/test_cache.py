@@ -1,5 +1,9 @@
 """Tests for SigmaCache memoization, counters and invalidation."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.core.problem import Seed, SeedGroup
@@ -8,6 +12,7 @@ from repro.engine import SigmaCache
 from repro.utils.rng import RngFactory
 
 GROUP = SeedGroup([Seed(0, 0, 1)])
+OTHER_GROUP = SeedGroup([Seed(1, 1, 1)])
 
 
 @pytest.fixture
@@ -66,9 +71,9 @@ class TestInvalidation:
         estimator.cache.max_entries = 2
         estimator.estimate(GROUP)
         estimator.estimate(GROUP, until_promotion=1)
-        estimator.estimate(GROUP, restrict_users={0})  # evicts the first
+        estimator.estimate(OTHER_GROUP)  # evicts the first
         assert len(estimator.cache) == 2
-        estimator.estimate(GROUP)  # recomputes
+        estimator.estimate(GROUP)  # recomputes: no estimate of it is left
         assert estimator.cache_misses == 4
 
     def test_max_entries_validation(self):
@@ -134,3 +139,206 @@ class TestSharedCache:
     def test_n_samples_validation(self, tiny_instance):
         with pytest.raises(ValueError):
             SigmaEstimator(tiny_instance, n_samples=0)
+
+
+def _assert_same_fields(a, b):
+    """Every estimate field equal, ``None``-ness included."""
+    assert (a.sigma, a.sigma_std, a.n_samples) == (b.sigma, b.sigma_std, b.n_samples)
+    assert a.sigma_restricted == b.sigma_restricted
+    assert a.likelihood == b.likelihood
+    for name in ("mean_weights", "adoption_frequency"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert (left is None) == (right is None), name
+        if left is not None:
+            assert np.array_equal(left, right), name
+
+
+class TestRealizationSharing:
+    """Requests of one (group, horizon) share a single simulation."""
+
+    MARKET = {0, 1, 2}
+
+    def _fresh(self, tiny_instance, **request):
+        return SigmaEstimator(
+            tiny_instance, n_samples=6, rng_factory=RngFactory(4)
+        ).estimate(GROUP, **request)
+
+    def test_weights_served_from_a_likelihood_estimate(self, estimator, tiny_instance):
+        estimator.estimate(
+            GROUP,
+            until_promotion=2,
+            restrict_users=self.MARKET,
+            compute_likelihood=True,
+        )
+        evaluations, hits = estimator.n_evaluations, estimator.cache_hits
+        served = estimator.estimate(GROUP, until_promotion=2, collect_weights=True)
+        assert estimator.n_evaluations == evaluations
+        assert estimator.cache_hits == hits + 1
+        _assert_same_fields(
+            served,
+            self._fresh(tiny_instance, until_promotion=2, collect_weights=True),
+        )
+        # the view carries only what was asked for
+        assert served.sigma_restricted is None and served.likelihood is None
+        assert estimator.estimate(
+            GROUP, until_promotion=2, collect_weights=True
+        ) is served
+
+    @pytest.mark.parametrize(
+        "same, other",
+        [
+            ({"restrict_users": MARKET}, {"restrict_users": {3, 4}}),
+            (
+                {
+                    "restrict_users": MARKET,
+                    "compute_likelihood": True,
+                    "collect_weights": True,
+                },
+                {"compute_likelihood": True},  # over every user
+            ),
+        ],
+        ids=["restricted", "likelihood"],
+    )
+    def test_only_the_same_user_set_is_shared(
+        self, estimator, tiny_instance, same, other
+    ):
+        estimator.estimate(GROUP, restrict_users=self.MARKET, compute_likelihood=True)
+        before = estimator.n_evaluations
+        served = estimator.estimate(GROUP, **same)
+        assert estimator.n_evaluations == before
+        _assert_same_fields(served, self._fresh(tiny_instance, **same))
+        simulated = estimator.estimate(GROUP, **other)
+        assert estimator.n_evaluations == before + 6
+        _assert_same_fields(simulated, self._fresh(tiny_instance, **other))
+
+    def test_no_horizon_is_the_last_promotion(self, estimator, tiny_instance):
+        last = tiny_instance.n_promotions
+        estimator.estimate(GROUP, restrict_users=self.MARKET)
+        before = estimator.n_evaluations
+        served = estimator.estimate(
+            GROUP, until_promotion=last, restrict_users=self.MARKET
+        )
+        assert estimator.n_evaluations == before
+        _assert_same_fields(
+            served,
+            self._fresh(
+                tiny_instance, until_promotion=last, restrict_users=self.MARKET
+            ),
+        )
+
+    def test_clear_drops_the_realization_index(self, estimator):
+        estimator.estimate(GROUP, compute_likelihood=True)
+        before = estimator.n_evaluations
+        estimator.estimate(GROUP, collect_weights=True)
+        assert estimator.n_evaluations == before
+        estimator.clear_cache()
+        assert estimator._cache_key(GROUP, None) not in estimator.cache
+        estimator.estimate(GROUP, collect_weights=True)
+        assert estimator.n_evaluations == before + 6
+
+    def test_eviction_drops_the_realization_index(self, estimator):
+        estimator.cache.max_entries = 1
+        estimator.estimate(GROUP, compute_likelihood=True)
+        before = estimator.n_evaluations
+        estimator.estimate(GROUP)  # served: no new entry
+        assert estimator.n_evaluations == before
+        estimator.estimate(OTHER_GROUP)  # evicts the likelihood estimate
+        assert estimator._cache_key(GROUP, None) not in estimator.cache
+        estimator.estimate(GROUP, collect_weights=True)
+        assert estimator.n_evaluations == before + 12
+        assert len(estimator.cache) == 1
+
+
+class TestSpareWeights:
+    """A likelihood run's unasked weights stay on the newest likelihood
+    estimate of its horizon only."""
+
+    def _likelihood(self, estimator, group, horizon):
+        estimator.estimate(group, until_promotion=horizon, compute_likelihood=True)
+
+    def _weights_cost(self, estimator, group, horizon):
+        """Replications a weights request of ``group`` runs."""
+        before = estimator.n_evaluations
+        estimator.estimate(group, until_promotion=horizon, collect_weights=True)
+        return estimator.n_evaluations - before
+
+    def test_a_newer_estimate_of_the_horizon_sheds_them(self, estimator):
+        self._likelihood(estimator, GROUP, 2)
+        self._likelihood(estimator, GROUP, 1)  # another horizon keeps both
+        self._likelihood(estimator, OTHER_GROUP, 2)
+        assert self._weights_cost(estimator, GROUP, 1) == 0
+        assert self._weights_cost(estimator, OTHER_GROUP, 2) == 0
+        assert self._weights_cost(estimator, GROUP, 2) == 6
+        # what was asked stays: the likelihood estimate is still a hit
+        before = estimator.n_evaluations
+        self._likelihood(estimator, GROUP, 2)
+        assert estimator.n_evaluations == before
+
+    def test_served_spares_stay(self, estimator):
+        self._likelihood(estimator, GROUP, 2)
+        assert self._weights_cost(estimator, GROUP, 2) == 0
+        self._likelihood(estimator, OTHER_GROUP, 2)
+        assert self._weights_cost(estimator, GROUP, 2) == 0
+
+    def test_shed_weights_are_released(self, estimator):
+        self._likelihood(estimator, GROUP, 2)
+        (entry,) = estimator.cache._entries.values()
+        spare = weakref.ref(entry.estimate.mean_weights)
+        self._likelihood(estimator, OTHER_GROUP, 2)
+        gc.collect()
+        assert spare() is None
+
+    def test_only_likelihood_runs_fold_weights(self, estimator, monkeypatch):
+        """Restricted sigma on dynamic perceptions runs per replication
+        but folds no weights, so a weights request still simulates."""
+        folded = []
+        run = estimator.backend.run
+
+        def spy(task, n_samples):
+            result = run(task, n_samples)
+            folded.append(result.weight_folds is not None)
+            return result
+
+        monkeypatch.setattr(estimator.backend, "run", spy)
+        estimator.estimate(GROUP, restrict_users={0, 1})
+        estimator.estimate(OTHER_GROUP, compute_likelihood=True)
+        assert folded == [False, True]
+        assert self._weights_cost(estimator, GROUP, None) == 6
+
+
+def test_golden_dysim_dre_replays_no_tdsi_realization(monkeypatch):
+    """On the golden yelp x 0.35 Dysim scenario every DRE estimate
+    (the only caller collecting mean weights) whose group and horizon a
+    TDSI estimate already played runs no replications."""
+    from repro.core.dysim import Dysim, DysimConfig
+    from repro.data import load_dataset
+
+    played: set[tuple] = set()
+    dre: list[tuple[bool, int]] = []
+    estimate = SigmaEstimator.estimate
+
+    def spy(self, group, until_promotion=None, **request):
+        before = self.n_evaluations
+        result = estimate(self, group, until_promotion, **request)
+        realization = (
+            tuple(sorted((s.user, s.item, s.promotion) for s in group)),
+            until_promotion or self.instance.n_promotions,
+        )
+        if request.get("compute_likelihood"):
+            played.add(realization)
+        elif request.get("collect_weights"):
+            dre.append((realization in played, self.n_evaluations - before))
+        return result
+
+    monkeypatch.setattr(SigmaEstimator, "estimate", spy)
+    config = DysimConfig(
+        n_samples_selection=6,
+        n_samples_inner=4,
+        candidate_pool=60,
+        oracle="mc",
+        seed=7,
+    )
+    Dysim(load_dataset("yelp", scale=0.35), config).run()
+    shared = [replications for was_played, replications in dre if was_played]
+    assert shared, "the scenario must exercise DRE after TDSI"
+    assert shared == [0] * len(shared)

@@ -5,8 +5,9 @@
 no resumed state and no collectors; every other recipe replays
 ``CampaignSimulator.run`` once per replication.  Both paths are
 bit-identical by construction — these tests pin that, plus the
-surfaces around it: the ``lockstep_applicable`` rule, the backend chunk
-coarsening, and that no environment variable can steer the choice.
+surfaces around it: the ``lockstep_applicable`` rule, the one range per
+worker every recipe gets, and that no environment variable can steer
+the choice.
 """
 
 import os
@@ -29,7 +30,7 @@ from repro.engine import (
 )
 from repro.engine import replication
 from repro.engine.backends import _replication_chunks
-from repro.engine.replication import chunk_indices, lockstep_applicable
+from repro.engine.replication import lockstep_applicable
 
 from tests.conftest import build_tiny_instance
 from tests.reference import disable_packed_pass
@@ -113,15 +114,26 @@ class TestRecipeRule:
             run_chunk(task, [0, 1, 2])
             assert route_counter == {"packed": 0, "per_replication": 3}, name
 
-    def test_only_packed_recipes_coarsen(self, frozen_instance):
-        """Packed recipes get one chunk per worker; the rest keep the
-        canonical partition that pins their reduction tree."""
-        pool = ThreadBackend(workers=2)
-        packed = _replication_chunks(_task(frozen_instance), 9, pool, 4)
-        assert packed == [list(range(5)), list(range(5, 9))]
-        for name, task in _per_replication_recipes(frozen_instance).items():
-            chunks = _replication_chunks(task, 9, pool, 4)
-            assert chunks == chunk_indices(9, 4), name
+    def test_every_recipe_gets_one_range_per_worker(self, frozen_instance, monkeypatch):
+        """Packed and per-replication recipes alike run one balanced
+        range per worker; the matrix reduction tree no longer rides on
+        the dispatch partition."""
+        recipes = {"packed": _task(frozen_instance)}
+        recipes.update(_per_replication_recipes(frozen_instance))
+        with ThreadBackend(workers=2) as pool:
+            dispatched = []
+            map_chunks = pool.map_chunks
+
+            def recording(fn, task, chunks):
+                dispatched.append(chunks)
+                return map_chunks(fn, task, chunks)
+
+            monkeypatch.setattr(pool, "map_chunks", recording)
+            for name, task in recipes.items():
+                dispatched.clear()
+                pool.run(task, 9)
+                assert dispatched == [[list(range(5)), list(range(5, 9))]], name
+        assert _replication_chunks(9, SerialBackend()) == [list(range(9))]
 
 
 class TestRunChunkEquivalence:

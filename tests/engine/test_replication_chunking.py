@@ -2,10 +2,13 @@
 
 The canonical chunk partition is the engine's contract surface — these
 tests pin its behavior where it is easiest to get silently wrong:
-fewer samples than workers, zero samples, and the single-chunk
-degenerate case that must still follow canonical order (and must not
-spin up an executor at all).
+fewer samples than workers, zero samples, the single-chunk degenerate
+case that must still follow canonical order (and must not spin up an
+executor at all), and the matrix reduction tree that must stay
+canonical however the sample ranges cut it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.engine import (
 from repro.utils.rng import RngFactory
 
 from tests.conftest import build_tiny_instance
+from tests.reference import canonical_fold
 
 GROUP = SeedGroup([Seed(0, 0, 1), Seed(2, 1, 2)])
 
@@ -64,8 +68,8 @@ class TestFewerSamplesThanWorkers:
     def test_thread_pool_matches_serial(self):
         instance = build_tiny_instance()
         task = _task(instance)
-        serial = SerialBackend(chunk_size=1).run(task, 2)
-        with ThreadBackend(workers=4, chunk_size=1) as pool:
+        serial = SerialBackend().run(task, 2)
+        with ThreadBackend(workers=4) as pool:
             pooled = pool.run(task, 2)
         assert np.array_equal(serial.sigmas, pooled.sigmas)
         assert serial.n_samples == pooled.n_samples == 2
@@ -73,8 +77,8 @@ class TestFewerSamplesThanWorkers:
     def test_process_pool_matches_serial(self):
         instance = build_tiny_instance()
         task = _task(instance)
-        serial = SerialBackend(chunk_size=1).run(task, 3)
-        with ProcessPoolBackend(workers=4, chunk_size=1) as pool:
+        serial = SerialBackend().run(task, 3)
+        with ProcessPoolBackend(workers=4) as pool:
             pooled = pool.run(task, 3)
         assert np.array_equal(serial.sigmas, pooled.sigmas)
 
@@ -101,16 +105,20 @@ class TestSingleChunk:
         """
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
         instance = build_tiny_instance()
-        with ThreadBackend(workers=4, chunk_size=8) as pool:
+        with ThreadBackend(workers=1) as pool:
             result = pool.run(_task(instance), 3)
             assert result.n_samples == 3
             assert pool._executor is None  # never spun up
+        with ThreadBackend(workers=4) as pool:
+            result = pool.run(_task(instance), 1)
+            assert result.n_samples == 1
+            assert pool._executor is None
 
     def test_single_chunk_result_matches_run_chunk(self):
         instance = build_tiny_instance()
         task = _task(instance)
         direct = run_chunk(task, [0, 1, 2])
-        via_backend = SerialBackend(chunk_size=8).run(task, 3)
+        via_backend = SerialBackend().run(task, 3)
         assert np.array_equal(direct.sigmas, via_backend.sigmas)
 
     def test_map_chunks_preserves_chunk_order(self):
@@ -125,3 +133,58 @@ class TestSingleChunk:
         assert results == [("task", chunk) for chunk in chunks]
         serial_results = SerialBackend().map_chunks(identify, "task", chunks)
         assert serial_results == results
+
+
+#: Each pool is built once for the whole class: starting process pools
+#: per case would dominate the run.
+_BACKENDS = {
+    "serial": lambda: SerialBackend(),
+    "thread3": lambda: ThreadBackend(workers=3),
+    "process2": lambda: ProcessPoolBackend(workers=2),
+    "process3": lambda: ProcessPoolBackend(workers=3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_BACKENDS))
+def backend(request):
+    with _BACKENDS[request.param]() as backend:
+        yield backend
+
+
+class TestCanonicalReduction:
+    """Matrix sums keep the canonical tree wherever the samples ran.
+
+    The backends' equality tests compare backends with one another, so
+    a reduction tree moved on every backend at once would pass them;
+    this pins each estimate to the reference fold — one fold per
+    ``chunk_indices(n, 4)`` chunk, merged in chunk order — bit for bit.
+    """
+
+    USERS = {0, 1, 2}
+
+    @pytest.mark.parametrize("n_samples", [1, 3, 4, 5, 10, 13])
+    def test_estimate_matches_the_canonical_fold(self, backend, n_samples):
+        instance = build_tiny_instance()
+        estimate = SigmaEstimator(
+            instance,
+            n_samples=n_samples,
+            rng_factory=RngFactory(9),
+            backend=backend,
+        ).estimate(
+            GROUP,
+            restrict_users=self.USERS,
+            compute_likelihood=True,
+            collect_weights=True,
+            collect_adoptions=True,
+        )
+        reference = canonical_fold(
+            replace(_task(instance), restrict_users=frozenset(self.USERS)),
+            n_samples,
+        )
+        assert np.array_equal(estimate.mean_weights, reference.weights_sum / n_samples)
+        assert np.array_equal(
+            estimate.adoption_frequency, reference.adoption_sum / n_samples
+        )
+        assert estimate.likelihood == float(reference.likelihoods.mean())
+        assert estimate.sigma_restricted == float(reference.restricted.mean())
+        assert estimate.sigma == float(reference.sigmas.mean())

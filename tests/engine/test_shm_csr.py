@@ -127,7 +127,7 @@ def test_rrset_index_identical_across_process_workers():
     """Frozen sampling through shm task arrays matches serial exactly."""
     instance = build_tiny_instance().frozen()
     serial = RRSetIndex.from_instance(instance, n_samples=16, rng_seed=2)
-    with ProcessPoolBackend(workers=2, chunk_size=1) as backend:
+    with ProcessPoolBackend(workers=2) as backend:
         shipped = RRSetIndex.from_instance(
             instance, n_samples=16, rng_seed=2, backend=backend,
             chunk_size=1,
@@ -236,7 +236,7 @@ def test_collected_object_removes_its_export_before_close(kind):
 
 def test_rrset_index_leaves_no_export_behind():
     instance = build_tiny_instance().frozen()
-    with ProcessPoolBackend(workers=2, chunk_size=1) as backend:
+    with ProcessPoolBackend(workers=2) as backend:
         before = own_shm_exports()
         RRSetIndex.from_instance(
             instance, n_samples=16, rng_seed=2, backend=backend, chunk_size=1

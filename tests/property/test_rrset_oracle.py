@@ -208,7 +208,7 @@ def test_sampling_matches_scalar_reference(data):
 def test_backends_produce_identical_indexes():
     instance = build_micro_instance()
     serial = RRSetIndex.from_instance(instance, n_samples=32, rng_seed=9)
-    with ThreadBackend(workers=3, chunk_size=1) as backend:
+    with ThreadBackend(workers=3) as backend:
         threaded = RRSetIndex.from_instance(
             instance, n_samples=32, rng_seed=9, backend=backend,
             chunk_size=1,

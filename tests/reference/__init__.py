@@ -11,6 +11,9 @@ benchmarks (``benchmarks/``) compare against them bit for bit:
 * :func:`disable_packed_pass` — routes every Monte-Carlo chunk through
   the per-replication step, so whole pipelines can be replayed without
   the packed lockstep pass;
+* :func:`canonical_fold` — one fold per canonical chunk, merged in
+  chunk order: the reduction tree matrix sums must keep wherever the
+  samples ran;
 * :class:`ReachabilitySketch` / :class:`PerWorldBank` /
   :func:`stacked_reach` — one Python BFS per realized world, and the
   boolean form of a stack;
@@ -21,12 +24,14 @@ benchmarks (``benchmarks/``) compare against them bit for bit:
 from tests.reference.coverage import CoverageEvaluator
 from tests.reference.diffusion import ScalarCampaignSimulator, disable_packed_pass
 from tests.reference.reach import PerWorldBank, ReachabilitySketch, stacked_reach
+from tests.reference.replication import canonical_fold
 
 __all__ = [
     "CoverageEvaluator",
     "PerWorldBank",
     "ReachabilitySketch",
     "ScalarCampaignSimulator",
+    "canonical_fold",
     "disable_packed_pass",
     "stacked_reach",
 ]

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.diffusion.campaign import EXTRA_ADOPTION_FLOOR, CampaignSimulator
 from repro.diffusion.models import DiffusionModel
-from repro.engine import backends, replication
+from repro.engine import replication
 from repro.perception.state import PerceptionState
 
 __all__ = ["ScalarCampaignSimulator", "disable_packed_pass"]
@@ -99,10 +99,9 @@ class ScalarCampaignSimulator(CampaignSimulator):
 def disable_packed_pass(monkeypatch) -> list:
     """Send every Monte-Carlo chunk through the per-replication step.
 
-    Patches the lockstep predicate wherever the engine looks it up
-    (chunk routing in :mod:`repro.engine.replication`, chunk
-    coarsening in :mod:`repro.engine.backends`) and wraps the packed
-    pass in a spy.  Returns the spy's call list, which stays empty
+    Patches the lockstep predicate where the engine routes chunks
+    (:mod:`repro.engine.replication`) and wraps the packed pass in a
+    spy.  Returns the spy's call list, which stays empty
     while the patch holds.  In-process only: pool workers forked or
     spawned earlier keep their own module state.
     """
@@ -114,6 +113,5 @@ def disable_packed_pass(monkeypatch) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(replication, "lockstep_applicable", lambda task: False)
-    monkeypatch.setattr(backends, "lockstep_applicable", lambda task: False)
     monkeypatch.setattr(replication, "run_campaigns_lockstep", spy)
     return packed_calls

@@ -71,8 +71,8 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "backend_factory",
         [
-            lambda: ThreadBackend(workers=3, chunk_size=2),
-            lambda: ProcessPoolBackend(workers=2, chunk_size=2),
+            lambda: ThreadBackend(workers=3),
+            lambda: ProcessPoolBackend(workers=2),
         ],
     )
     def test_parallel_build_bit_identical(self, frozen, backend_factory):
@@ -193,8 +193,8 @@ class TestQueries:
     @pytest.mark.parametrize(
         "backend_factory",
         [
-            lambda: ThreadBackend(workers=3, chunk_size=2),
-            lambda: ProcessPoolBackend(workers=2, chunk_size=2),
+            lambda: ThreadBackend(workers=3),
+            lambda: ProcessPoolBackend(workers=2),
         ],
     )
     def test_stacks_fan_out_backend_independent(
