@@ -49,7 +49,7 @@ def _timed_estimate(instance, group, backend):
         backend=backend,
     )
     started = time.perf_counter()
-    estimate = estimator.estimate(group, collect_adoptions=True)
+    estimate = estimator.estimate(group, collect_weights=True)
     return estimate, time.perf_counter() - started
 
 
@@ -102,7 +102,7 @@ def test_engine_scaling(dataset_cache):
     for name, (estimate, _) in results.items():
         assert estimate.sigma == serial.sigma, name
         assert estimate.sigma_std == serial.sigma_std, name
-        same = np.array_equal(estimate.adoption_frequency, serial.adoption_frequency)
+        same = np.array_equal(estimate.mean_weights, serial.mean_weights)
         assert same, name
 
     # Throughput: only meaningful with real cores to fan out to.

@@ -20,8 +20,7 @@ The same pass optionally collects everything the Dysim phases need:
 
 * ``sigma`` restricted to a target market (``sigma_tau`` for MA),
 * the likelihood ``pi_tau`` of Eq. (13) (for ML),
-* mean final meta-graph weightings (market-average relevance in DRE),
-* per-(user, item) adoption frequencies.
+* mean final meta-graph weightings (market-average relevance in DRE).
 """
 
 from __future__ import annotations
@@ -88,37 +87,33 @@ def replicated_sigma_stats(
     base_task: ReplicationTask,
     groups: Sequence[SeedGroup],
     n_samples: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[tuple[float, float]]:
     """Fan sigma evaluations of many groups over an execution backend.
 
-    Chunks partition the *candidate* axis (each candidate runs its full
-    ``n_samples`` replications in one worker, and its stats reduce the
-    same per-sample array, in index order, as a one-group run); results
-    come back in group order and are bit-identical across backends.
-
-    On a process pool the instance is exported before the first
-    dispatch (:func:`repro.engine.shm.share_for_backend`), so every
-    chunk ships a handle and workers keep the instance resident, and
-    any block of at least ``backend.workers`` groups (two at least)
-    goes over the candidate axis, split evenly across the workers in
-    chunks of at most ``chunk_size`` groups: a two-candidate block on
-    two workers is one dispatch with one group per chunk.  Smaller
-    blocks there — and, on serial and thread backends, blocks too small
-    to fill more than one ``chunk_size`` chunk — fan out over the
+    One rule on every backend.  A block of at least
+    ``max(2, backend.workers)`` groups goes over the *candidate* axis,
+    in chunks of ``min(DEFAULT_CHUNK_SIZE, ceil(n_groups / workers))``
+    groups: each candidate runs its full ``n_samples`` replications in
+    one worker, and its stats reduce the same per-sample array, in
+    index order, as a one-group run.  A two-candidate block is one
+    dispatch — one group per chunk on two workers, both groups in one
+    chunk on the serial backend.  Smaller blocks fan out over the
     *sample* axis instead (one ``backend.run`` per group, which plays
     one balanced sample range per worker), so a one-group evaluation
     keeps its replication-level parallelism on every worker of the
-    pool.
+    pool.  Results come back in group order and are bit-identical
+    across backends.
+
+    On a process pool the instance is exported before the first
+    dispatch (:func:`repro.engine.shm.share_for_backend`), so every
+    chunk ships a handle and workers keep the instance resident.
     """
     if not groups:
         return []
     n_groups = len(groups)
     workers = backend.workers
-    pickled = share_for_backend(base_task.instance, backend) is not None
-    if pickled and n_groups >= max(2, workers):
-        chunk_size = min(chunk_size, -(-n_groups // workers))
-    elif n_groups <= chunk_size:
+    share_for_backend(base_task.instance, backend)
+    if n_groups < max(2, workers):
         stats: list[tuple[float, float]] = []
         for group in groups:
             result = backend.run(
@@ -131,6 +126,7 @@ def replicated_sigma_stats(
     task = SigmaBatchTask(
         base=base_task, groups=list(groups), n_samples=int(n_samples)
     )
+    chunk_size = min(DEFAULT_CHUNK_SIZE, -(-n_groups // workers))
     chunks = chunk_indices(n_groups, chunk_size)
     parts = backend.map_chunks(evaluate_sigma_chunk, task, chunks)
     return [stat for part in parts for stat in part]
@@ -146,7 +142,6 @@ class MonteCarloEstimate:
     sigma_restricted: float | None = None
     likelihood: float | None = None
     mean_weights: np.ndarray | None = None
-    adoption_frequency: np.ndarray | None = None
 
 
 class SigmaEstimator:
@@ -173,7 +168,7 @@ class SigmaEstimator:
     Every estimate runs as one balanced sample range per backend
     worker.  Frozen plain-sigma recipes play each range in one packed
     lockstep pass; dynamic perceptions and the state collectors
-    (likelihood, weights, adoptions) replay the per-replication step.
+    (likelihood, weights) replay the per-replication step.
     The two are bit-identical (:func:`repro.engine.replication.run_chunk`).
 
     Estimates are memoized per realization: a request is served by any
@@ -266,7 +261,6 @@ class SigmaEstimator:
         restrict_users: set[int] | None = None,
         compute_likelihood: bool = False,
         collect_weights: bool = False,
-        collect_adoptions: bool = False,
     ) -> MonteCarloEstimate:
         """Estimate sigma (and optional extras) for one seed group.
 
@@ -284,7 +278,6 @@ class SigmaEstimator:
                 (("sigma_restricted", users), restrict_users is not None),
                 (("likelihood", users), compute_likelihood),
                 (("mean_weights", None), collect_weights),
-                (("adoption_frequency", None), collect_adoptions),
             )
             if wanted
         )
@@ -307,7 +300,6 @@ class SigmaEstimator:
             ),
             compute_likelihood=compute_likelihood,
             collect_weights=collect_weights or compute_likelihood,
-            collect_adoptions=collect_adoptions,
         )
         share_for_backend(self.instance, self.backend)
         result = self.backend.run(task, self.n_samples)
@@ -332,11 +324,6 @@ class SigmaEstimator:
                 if task.collect_weights
                 else None
             ),
-            adoption_frequency=(
-                result.adoption_sum / self.n_samples
-                if collect_adoptions
-                else None
-            ),
         )
         held = asked | {("mean_weights", None)} if compute_likelihood else asked
         return self.cache.put(key, estimate, held, asked, spare_slot=key[0])
@@ -356,14 +343,14 @@ class SigmaEstimator:
         :meth:`estimate` calls exactly — same keys, same ``("mc",)``
         substreams — but the cache misses fan out together over the
         execution backend through :func:`replicated_sigma_stats`,
-        chunked across the *candidate* axis, so a process pool
-        parallelizes across candidates instead of only across one
-        candidate's replications: there a miss block as small as one
-        candidate per worker (the CELF prefetch) is one dispatch, and
-        every chunk ships the instance as a handle.  The batched
-        selection layer (:class:`~repro.core.selection.
-        MonteCarloGainOracle`) routes every greedy's gain evaluations
-        through here.  Coverage estimators override it
+        chunked across the *candidate* axis once the block holds one
+        candidate per worker (two at least), so a pool parallelizes
+        across candidates instead of only across one candidate's
+        replications: the CELF prefetch of one candidate per worker is
+        one dispatch, and on a process pool every chunk ships the
+        instance as a handle.  The batched selection layer
+        (:class:`~repro.core.selection.MonteCarloGainOracle`) routes
+        every greedy's gain evaluations through here.  Coverage estimators override it
         (:class:`~repro.sketch.estimator.CoverageSigmaEstimator`).
         """
         sigmas = np.empty(len(groups))

@@ -11,7 +11,7 @@ reproduction — into a pluggable service with three moving parts:
   ranges, so all backends return bit-identical estimates.
 * **Replication** (:mod:`repro.engine.replication`): the picklable task
   description and the chunk runner every backend dispatches.
-* **Cache** (:mod:`repro.engine.cache`): LRU memoization of estimates
+* **Cache** (:mod:`repro.engine.cache`): memoization of estimates
   with hit/miss counters, keyed by the realization they played (seed
   group, horizon, estimator config) and the fields they hold, so
   requests of one realization share one simulation.

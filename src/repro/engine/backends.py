@@ -101,8 +101,8 @@ def worker_chunks(n_items: int, backend: "ExecutionBackend") -> list[list[int]]:
     contiguous chunks (a single chunk on the serial backend), sized
     within one item of each other.  Used wherever one chunk per worker
     keeps the pool saturated at the least pickling: Monte-Carlo sample
-    ranges (:meth:`ExecutionBackend.run`), sweep runs, reachability
-    source blocks.
+    ranges (:meth:`ExecutionBackend.run`), realization-bank world
+    flips, sweep runs.
     """
     if n_items <= 0:
         return []

@@ -12,10 +12,10 @@ work memoization saved.
 One simulation per realization
 ------------------------------
 Requests that play the same realization but ask for different extras
-(restricted sigma, likelihood, mean weights, adoption frequencies)
-share one run: a lookup is a hit on any entry of its realization that
-holds every field it asks for, and the hit is served a view of that
-entry with the fields it did not ask for cleared.  A field is an
+(restricted sigma, likelihood, mean weights) share one run: a lookup
+is a hit on any entry of its realization that holds every field it
+asks for, and the hit is served a view of that entry with the fields
+it did not ask for cleared.  A field is an
 ``(attribute, qualifier)`` pair naming the estimate attribute it fills;
 the qualifier carries what the value depends on beyond the realization
 (the user set of a restricted sigma or likelihood), so those are shared
@@ -28,9 +28,11 @@ the next DRE step of Dysim reads).  Spares cost memory — a weights
 matrix per entry — so the cache keeps them on one entry per *spare
 slot*, which the caller names (the estimator's is its configuration
 and horizon): storing an entry with spares in a slot sheds the spares
-of the slot's previous holder, and LRU eviction sheds them too.  A
-spare field that serves a hit stops being spare and stays, as the
-asked fields of every entry do.
+of the slot's previous holder.  A spare field that serves a hit stops
+being spare and stays, as the asked fields of every entry do.
+
+The cache is unbounded: each one is built for one algorithm run (or
+one estimator) and dropped with it.
 
 Keys include the sample count, trigger model and root RNG seed, so one
 :class:`SigmaCache` can safely back several estimators — estimates from
@@ -39,7 +41,6 @@ incompatible configurations can never collide.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable
 
@@ -67,16 +68,11 @@ class CacheStats:
 class _Entry:
     """One stored estimate, its spare fields and the views served from it."""
 
-    __slots__ = ("ident", "estimate", "fields", "spare", "views")
+    __slots__ = ("estimate", "fields", "spare", "views")
 
     def __init__(
-        self,
-        ident: tuple,
-        estimate: "MonteCarloEstimate",
-        fields: frozenset,
-        spare: frozenset,
+        self, estimate: "MonteCarloEstimate", fields: frozenset, spare: frozenset
     ):
-        self.ident = ident
         self.estimate = estimate
         self.fields = fields
         self.spare = spare
@@ -101,22 +97,11 @@ class _Entry:
 
 
 class SigmaCache:
-    """LRU memoization of Monte-Carlo estimates, one run per realization.
+    """Memoization of Monte-Carlo estimates, one run per realization."""
 
-    Parameters
-    ----------
-    max_entries:
-        Evict least-recently-used entries beyond this count.  ``None``
-        (the default) keeps everything, which matches the lifetime of
-        one algorithm run; long-lived services should set a bound.
-    """
-
-    def __init__(self, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
-        self.max_entries = max_entries
-        #: Entries by ``(key, fields put)``, least recently used first.
-        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+    def __init__(self):
+        #: Entries by ``(key, fields put)``.
+        self._entries: dict[tuple, _Entry] = {}
         #: Realization index: key -> its entries.
         self._realizations: dict[Hashable, list[_Entry]] = {}
         #: Spare slot -> the entry last put with spare fields there.
@@ -148,7 +133,6 @@ class SigmaCache:
         for entry in self._realizations.get(key, ()):
             if fields <= entry.fields:
                 self.hits += 1
-                self._entries.move_to_end(entry.ident)
                 entry.spare -= fields
                 return entry.view(fields)
         self.misses += 1
@@ -167,13 +151,12 @@ class SigmaCache:
         The fields beyond ``asked`` (which defaults to all of them) are
         spare: this entry holds them until the next put with spares in
         ``spare_slot``.  Returns the view for ``asked`` — the object
-        later lookups asking the same get — and evicts the LRU entries
-        when over bound.
+        later lookups asking the same get.
         """
         asked = fields if asked is None else asked
         ident = (key, fields)
         self._drop(ident)
-        entry = _Entry(ident, estimate, fields, fields - asked)
+        entry = _Entry(estimate, fields, fields - asked)
         self._entries[ident] = entry
         self._realizations.setdefault(key, []).append(entry)
         if entry.spare:
@@ -181,9 +164,6 @@ class SigmaCache:
             if holder is not None:
                 holder.shed()
             self._spare_holders[spare_slot] = entry
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._drop(next(iter(self._entries)))
         return entry.view(asked)
 
     def _drop(self, ident: tuple) -> None:

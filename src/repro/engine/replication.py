@@ -10,13 +10,12 @@ Two properties follow:
   worker executes it, so greedy marginal-gain comparisons stay
   correlated across seed groups and every backend sees the same worlds.
 * **Bit-identical aggregation.**  Per-sample scalars are gathered in
-  index order, and matrix accumulators (final weights, adoption
-  frequencies) reduce over the canonical partition
-  :func:`chunk_indices` wherever the samples ran: each canonical chunk
-  is folded sample by sample from its first index, and the chunk folds
-  are summed in chunk order (:class:`ChunkResult`).  ``SerialBackend``
-  and ``ProcessPoolBackend`` therefore produce floating-point-identical
-  estimates.
+  index order, and the final-weights sum reduces over the canonical
+  partition :func:`chunk_indices` wherever the samples ran: each
+  canonical chunk is folded sample by sample from its first index, and
+  the chunk folds are summed in chunk order (:class:`ChunkResult`).
+  ``SerialBackend`` and ``ProcessPoolBackend`` therefore produce
+  floating-point-identical estimates.
 """
 
 from __future__ import annotations
@@ -42,13 +41,13 @@ __all__ = [
     "run_chunk",
 ]
 
-#: Canonical chunk size of the matrix reduction tree.  Final weights and
-#: adoption frequencies are folded per ``chunk_indices(n, 4)`` chunk and
-#: the folds summed in chunk order, so this constant — not the worker
-#: count or the ranges the samples ran in — fixes their floating-point
-#: result.  Dispatch does not depend on it: every recipe runs as one
-#: balanced range per worker.  Group blocks, bank fills and RR-set
-#: sampling take it as their default block size.
+#: Canonical chunk size of the matrix reduction tree.  Final weights are
+#: folded per ``chunk_indices(n, 4)`` chunk and the folds summed in chunk
+#: order, so this constant — not the worker count or the ranges the
+#: samples ran in — fixes their floating-point result.  Dispatch does not
+#: depend on it: every recipe runs as one balanced range per worker.
+#: Group blocks, bank fills and RR-set sampling size their chunks from
+#: it too.
 DEFAULT_CHUNK_SIZE = 4
 
 
@@ -71,7 +70,6 @@ class ReplicationTask:
     restrict_users: frozenset[int] | None = None
     compute_likelihood: bool = False
     collect_weights: bool = False
-    collect_adoptions: bool = False
     initial_state: PerceptionState | None = None
     start_promotion: int = 1
 
@@ -133,7 +131,6 @@ class ChunkResult:
     restricted: np.ndarray
     likelihoods: np.ndarray
     weight_folds: Folds | None = None
-    adoption_folds: Folds | None = None
 
     @property
     def n_samples(self) -> int:
@@ -143,11 +140,6 @@ class ChunkResult:
     def weights_sum(self) -> np.ndarray | None:
         """Sum of the final weights over the canonical tree."""
         return _reduce_folds(self.weight_folds)
-
-    @property
-    def adoption_sum(self) -> np.ndarray | None:
-        """Sum of the new-adoption matrices over the canonical tree."""
-        return _reduce_folds(self.adoption_folds)
 
     @classmethod
     def merge(cls, parts: Sequence["ChunkResult"]) -> "ChunkResult":
@@ -166,18 +158,12 @@ class ChunkResult:
                 likelihoods=empty.copy(),
             )
 
-        def folds(name: str) -> Folds | None:
-            lists = [getattr(p, name) for p in parts]
-            if all(f is None for f in lists):
-                return None
-            return [pair for f in lists if f is not None for pair in f]
-
+        folds = [p.weight_folds for p in parts if p.weight_folds is not None]
         return cls(
             sigmas=np.concatenate([p.sigmas for p in parts]),
             restricted=np.concatenate([p.restricted for p in parts]),
             likelihoods=np.concatenate([p.likelihoods for p in parts]),
-            weight_folds=folds("weight_folds"),
-            adoption_folds=folds("adoption_folds"),
+            weight_folds=[pair for f in folds for pair in f] if folds else None,
         )
 
 
@@ -204,9 +190,9 @@ def lockstep_applicable(task: ReplicationTask) -> bool:
 
     True iff the recipe fits the packed pass: frozen dynamics (per-event
     probabilities must not depend on per-replication perception state),
-    no resumed state, and none of the state-materializing collectors
-    (likelihood, mean weights, adoption frequencies) — only the
-    per-replication step materializes a final
+    no resumed state, and neither state-materializing collector
+    (likelihood, mean weights) — only the per-replication step
+    materializes a final
     :class:`~repro.perception.state.PerceptionState`.  Every other
     recipe replays its replications one by one.
     """
@@ -215,7 +201,6 @@ def lockstep_applicable(task: ReplicationTask) -> bool:
         and task.initial_state is None
         and not task.compute_likelihood
         and not task.collect_weights
-        and not task.collect_adoptions
     )
 
 
@@ -256,10 +241,10 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     (:func:`lockstep_applicable`); dynamic perceptions, resumed states
     and state collectors replay :meth:`CampaignSimulator.run` per
     replication.  Both are bit-identical per sample.  The per-replication
-    path folds the final weights and the new adoptions, when asked,
-    over the canonical chunks.  This is the single entry point every
-    backend dispatches — it must stay a module-level function so
-    process pools can pickle it by qualified name.
+    path folds the final weights, when asked, over the canonical
+    chunks.  This is the single entry point every backend dispatches —
+    it must stay a module-level function so process pools can pickle
+    it by qualified name.
     """
     if lockstep_applicable(task):
         return _run_chunk_lockstep(task, indices)
@@ -269,7 +254,6 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     restricted = np.zeros(n)
     likelihoods = np.zeros(n)
     weight_folds: Folds | None = [] if task.collect_weights else None
-    adoption_folds: Folds | None = [] if task.collect_adoptions else None
     restrict = None
     if task.restrict_users is not None:
         restrict = set(task.restrict_users)
@@ -293,13 +277,10 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
             likelihoods[j] = adoption_likelihood(outcome.state, task.model, users)
         if weight_folds is not None:
             _fold_sample(weight_folds, i, outcome.state.weights)
-        if adoption_folds is not None:
-            _fold_sample(adoption_folds, i, outcome.new_adoptions)
 
     return ChunkResult(
         sigmas=sigmas,
         restricted=restricted,
         likelihoods=likelihoods,
         weight_folds=weight_folds,
-        adoption_folds=adoption_folds,
     )

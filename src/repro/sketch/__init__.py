@@ -38,7 +38,7 @@ from repro.sketch.bank import (
 )
 from repro.sketch.estimator import CoverageSigmaEstimator, SketchSigmaEstimator
 from repro.sketch.oracle import ORACLE_NAMES, make_sigma_estimator
-from repro.sketch.reachkernel import HAVE_NUMBA, WorldLayout
+from repro.sketch.reachkernel import WorldLayout
 from repro.sketch.rrset import (
     RRSampleTask,
     RRSetIndex,
@@ -50,7 +50,6 @@ from repro.sketch.rrset import (
 __all__ = [
     "CoverageSigmaEstimator",
     "DEFAULT_REACH_BUDGET_BYTES",
-    "HAVE_NUMBA",
     "ORACLE_NAMES",
     "ProbabilitySkeleton",
     "RRSampleTask",

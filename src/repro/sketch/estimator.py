@@ -10,7 +10,7 @@ RealizationBank`, ``oracle="sketch"``) and reverse-reachable sets
 family: it builds the family lazily, answers sigma, sigma restricted
 to a market (``sigma_tau``) and every greedy marginal gain from it,
 and hands queries coverage cannot represent (dynamic perceptions, the
-LT trigger model, likelihood / weight / adoption collection) to an
+LT trigger model, likelihood / weight collection) to an
 internal Monte-Carlo estimator sharing the same cache, backend and RNG
 root.  :class:`SketchSigmaEstimator` and
 :class:`~repro.sketch.rrset.RRSetSigmaEstimator` only say how to build
@@ -146,17 +146,14 @@ class CoverageSigmaEstimator(SigmaEstimator):
         restrict_users: set[int] | None = None,
         compute_likelihood: bool = False,
         collect_weights: bool = False,
-        collect_adoptions: bool = False,
     ) -> MonteCarloEstimate:
         """Sigma (and sigma_tau) by coverage counting when possible.
 
-        Likelihood / weight / adoption collection and non-coverable
-        configurations (dynamic perceptions, LT model) delegate to the
-        internal Monte-Carlo estimator.
+        Likelihood / weight collection and non-coverable configurations
+        (dynamic perceptions, LT model) delegate to the internal
+        Monte-Carlo estimator.
         """
-        needs_simulation = (
-            compute_likelihood or collect_weights or collect_adoptions
-        )
+        needs_simulation = compute_likelihood or collect_weights
         if needs_simulation or not self.supports_coverage_selection:
             estimate = self._fallback.estimate(
                 seed_group,
@@ -164,7 +161,6 @@ class CoverageSigmaEstimator(SigmaEstimator):
                 restrict_users=restrict_users,
                 compute_likelihood=compute_likelihood,
                 collect_weights=collect_weights,
-                collect_adoptions=collect_adoptions,
             )
             self.fallback_queries += 1
             self._sync_evaluations()

@@ -29,46 +29,23 @@ Tail-word invariant
 zero in the source row (:attr:`WorldLayout.full_mask`), zero in every
 edge-liveness word (packing zero-pads), and AND-propagation can never
 set them — so popcount-style consumers never see phantom worlds.
-
-Compiled twin
--------------
-:func:`multi_world_visited_jit` answers the same query through a
-numba-compiled worklist loop (the optional ``jit`` extra;
-``HAVE_NUMBA`` says whether it imports).  Bank fills do not select it:
-:func:`reach_stacks` always runs the numpy event kernel, because the
-compiled loop has been timed only at M=1024
-(``benchmarks/test_bank_scaling.py``), not at the bank's default world
-counts.  Both forms are bit-identical, and the undecorated loop stays
-callable as the numba-free test shadow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.selection import PairLayout
 
-try:  # pragma: no cover - exercised on the CI jit leg
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - default container path
-    numba = None
-    HAVE_NUMBA = False
-
 __all__ = [
-    "HAVE_NUMBA",
     "WorldLayout",
     "ReachStacksTask",
-    "WorldShardTask",
     "multi_world_visited",
-    "multi_world_visited_jit",
     "reach_stacks",
     "reach_stacks_chunk",
-    "world_shard_chunk",
 ]
 
 
@@ -266,119 +243,6 @@ def multi_world_visited(
     return visited
 
 
-def _jit_visited_loop(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    arc_live: np.ndarray,
-    sources: np.ndarray,
-    full_mask: np.ndarray,
-    visited: np.ndarray,
-) -> None:
-    """Worklist BFS twin of :func:`multi_world_visited` — the compiled
-    hot loop, written in the numba ``nopython`` subset.
-
-    One worklist run per source: ``pending`` accumulates each pair's
-    not-yet-propagated world words, pairs with pending bits sit on an
-    explicit stack (``on_stack`` dedupes), and popping a pair ANDs its
-    pending words with each out-arc's liveness words and ORs the
-    genuinely new bits into ``visited`` / the destination's pending
-    row.  Reachability on a fixed live-edge graph is deterministic, so
-    the computed closure is bit-identical to the level-synchronous
-    numpy kernel regardless of traversal order.
-
-    The undecorated Python definition is kept callable so the no-numba
-    test legs can pin bit-identity against the same source the JIT
-    compiles (the PR 5 scalar-reference pattern, one level down).
-    Scratch arrays are reused across sources: ``pending`` is provably
-    all-zero when a worklist drains (every nonzero row is on the
-    stack), so no re-zeroing pass is needed.
-    """
-    n_sources = sources.shape[0]
-    n_pairs = indptr.shape[0] - 1
-    n_words = full_mask.shape[0]
-    pending = np.zeros((n_pairs, n_words), dtype=np.uint64)
-    stack = np.empty(n_pairs, dtype=np.int64)
-    on_stack = np.zeros(n_pairs, dtype=np.bool_)
-    row = np.empty(n_words, dtype=np.uint64)
-    for s in range(n_sources):
-        src = sources[s]
-        for w in range(n_words):
-            visited[src, s, w] = full_mask[w]
-            pending[src, w] = full_mask[w]
-        stack[0] = src
-        on_stack[src] = True
-        top = 1
-        while top > 0:
-            top -= 1
-            p = stack[top]
-            on_stack[p] = False
-            # Copy-then-zero before pushing: a self-loop arc may write
-            # back into pending[p] and must re-enqueue the pair.
-            for w in range(n_words):
-                row[w] = pending[p, w]
-                pending[p, w] = np.uint64(0)
-            for k in range(indptr[p], indptr[p + 1]):
-                d = indices[k]
-                changed = False
-                for w in range(n_words):
-                    new = row[w] & arc_live[k, w] & ~visited[d, s, w]
-                    if new != np.uint64(0):
-                        visited[d, s, w] |= new
-                        pending[d, w] |= new
-                        changed = True
-                if changed and not on_stack[d]:
-                    stack[top] = d
-                    on_stack[d] = True
-                    top += 1
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised on the CI jit leg
-    _jit_visited_compiled = numba.njit(cache=True, nogil=True)(
-        _jit_visited_loop
-    )
-else:
-    _jit_visited_compiled = None
-
-
-def multi_world_visited_jit(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    arc_live: np.ndarray,
-    sources: Sequence[int],
-    world_layout: WorldLayout,
-    impl: Callable[..., None] | None = None,
-) -> np.ndarray:
-    """:func:`multi_world_visited` through the compiled worklist loop.
-
-    ``impl`` overrides the loop implementation: tests pass the
-    undecorated :func:`_jit_visited_loop` to pin bit-identity on
-    numba-free environments; by default the compiled function is used
-    when available and the interpreted definition otherwise (same
-    source either way, so the contract is identical).
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.size > MAX_SOURCE_BLOCK:
-        raise ValueError(
-            f"source block of {sources.size} exceeds {MAX_SOURCE_BLOCK}; "
-            "chunk the block (reach_stacks does this automatically)"
-        )
-    n_pairs = indptr.size - 1
-    visited = np.zeros(
-        (n_pairs, sources.size, world_layout.n_words), dtype=np.uint64
-    )
-    if impl is None:
-        impl = _jit_visited_compiled or _jit_visited_loop
-    impl(
-        np.asarray(indptr, dtype=np.int64),
-        np.asarray(indices, dtype=np.int64),
-        np.ascontiguousarray(arc_live, dtype=np.uint64),
-        sources,
-        world_layout.full_mask,
-        visited,
-    )
-    return visited
-
-
 def _stacks_from_visited(
     visited: np.ndarray,
     pair_layout: PairLayout,
@@ -455,16 +319,6 @@ def reach_stacks(
     return stacks
 
 
-def _resolve_graph(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attach a task's CSR + liveness fields (shared-memory handles
-    pass through :func:`~repro.engine.shm.resolve_arrays`, plain
-    arrays unchanged).  Imported lazily to keep the sketch package
-    import-light."""
-    from repro.engine.shm import resolve_arrays
-
-    return resolve_arrays(task.indptr, task.indices, task.arc_live)
-
-
 @dataclass
 class ReachStacksTask:
     """Everything a worker needs to compute a block of source stacks.
@@ -492,72 +346,19 @@ def reach_stacks_chunk(
     task: ReachStacksTask, chunk: Sequence[int]
 ) -> list[np.ndarray]:
     """Stacks of ``task.sources[i] for i in chunk`` (module-level:
-    picklable), in chunk order."""
-    block = [task.sources[i] for i in chunk]
-    indptr, indices, arc_live = _resolve_graph(task)
+    picklable), in chunk order.  Shared-memory handles attach through
+    :func:`~repro.engine.shm.resolve_arrays` (imported lazily to keep
+    the sketch package import-light); plain arrays pass unchanged."""
+    from repro.engine.shm import resolve_arrays
+
+    indptr, indices, arc_live = resolve_arrays(
+        task.indptr, task.indices, task.arc_live
+    )
     return reach_stacks(
         indptr,
         indices,
         arc_live,
-        block,
+        [task.sources[i] for i in chunk],
         task.pair_layout,
         task.world_layout,
     )
-
-
-@dataclass
-class WorldShardTask:
-    """A miss block's BFS sharded along the *worlds* axis.
-
-    The complement of :class:`ReachStacksTask`: instead of splitting
-    the sources across workers, every worker runs the full source
-    block over a contiguous slice of world *words* (64-world columns
-    of ``arc_live``).  Word-parallel AND/OR propagation never crosses
-    word columns, so shard ``(lo, hi)``'s stacks are exactly rows
-    ``[lo * 64, lo * 64 + shard_worlds)`` of the canonical stack and
-    the parent reassembles with one ``concatenate`` per source —
-    bit-identical to the unsharded kernel (DESIGN.md §6b).  Shard
-    boundaries sit on word boundaries, so each shard's
-    :class:`WorldLayout` tail mask matches the canonical layout's
-    words (all-ones except the final shard).  Array fields may be
-    shared-memory handles; workers slice their word columns after
-    attaching.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    arc_live: np.ndarray
-    pair_layout: PairLayout
-    n_worlds: int
-    sources: tuple[int, ...]
-    word_bounds: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-
-def world_shard_chunk(
-    task: WorldShardTask, chunk: Sequence[int]
-) -> list[list[np.ndarray]]:
-    """Per-shard stack lists for ``task.word_bounds[i] for i in chunk``
-    (module-level: picklable), in chunk order.
-
-    Each shard's result is ``len(task.sources)`` stacks of shape
-    ``(shard_worlds, pair_words)`` — the parent concatenates shard
-    rows back into ``(n_worlds, pair_words)`` per source.
-    """
-    indptr, indices, arc_live = _resolve_graph(task)
-    results: list[list[np.ndarray]] = []
-    for i in chunk:
-        lo, hi = task.word_bounds[i]
-        shard_worlds = min(task.n_worlds, hi * 64) - lo * 64
-        layout = WorldLayout(shard_worlds)
-        shard_live = np.ascontiguousarray(arc_live[:, lo:hi])
-        results.append(
-            reach_stacks(
-                indptr,
-                indices,
-                shard_live,
-                list(task.sources),
-                task.pair_layout,
-                layout,
-            )
-        )
-    return results

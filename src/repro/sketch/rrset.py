@@ -203,10 +203,11 @@ class RRSetIndex(PairUniverse):
         Substream family; sample ``i`` draws from
         ``spawn_rng(rng_seed, *rng_context, i)``.  Two indexes sharing
         these (and the skeleton) hold the same sets.
-    backend / chunk_size:
-        Where sampling fans out (canonical chunks, order-preserving —
-        indexes are backend-independent).  The backend is borrowed;
-        ``None`` samples on a private serial backend.
+    backend:
+        Where sampling fans out (order-preserving chunks of at least
+        ``DEFAULT_CHUNK_SIZE`` samples, one per worker — indexes are
+        backend-independent).  The backend is borrowed; ``None``
+        samples on a private serial backend.
     """
 
     def __init__(
@@ -219,7 +220,6 @@ class RRSetIndex(PairUniverse):
         rng_seed: int = 0,
         rng_context: tuple = ("rrset",),
         backend: ExecutionBackend | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ):
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -284,7 +284,7 @@ class RRSetIndex(PairUniverse):
         # chunk — so never cut more chunks than workers.  The chunk
         # partition is invisible in the results: sample i draws from a
         # substream keyed by i alone, and chunks reassemble in order.
-        block = max(int(chunk_size), -(-self.n_samples // backend.workers))
+        block = max(DEFAULT_CHUNK_SIZE, -(-self.n_samples // backend.workers))
         try:
             samples = list(
                 itertools.chain.from_iterable(
@@ -331,7 +331,6 @@ class RRSetIndex(PairUniverse):
         rng_seed: int = 0,
         rng_context: tuple = ("rrset",),
         backend: ExecutionBackend | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> "RRSetIndex":
         """Build from a frozen instance (skeleton enumerated here)."""
         skeleton = build_skeleton(instance)
@@ -344,7 +343,6 @@ class RRSetIndex(PairUniverse):
             rng_seed=rng_seed,
             rng_context=rng_context,
             backend=backend,
-            chunk_size=chunk_size,
         )
 
     # ------------------------------------------------------------------

@@ -552,15 +552,85 @@ class TestMonteCarloGainOracle:
             )
             assert [name for name, _ in calls] == ["run_chunk"]
 
-    def test_serial_block_keeps_the_sample_axis(self, frozen, monkeypatch):
-        backend = SerialBackend()
-        calls = self._record_dispatches(backend, monkeypatch)
-        estimator = SigmaEstimator(
-            frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
-        )
+    @pytest.mark.parametrize(
+        "make_backend, pair_chunks",
+        [
+            (SerialBackend, [[0, 1]]),
+            (lambda: ThreadBackend(workers=2), [[0], [1]]),
+        ],
+        ids=["serial", "thread"],
+    )
+    def test_one_block_rule_on_every_backend(
+        self, frozen, monkeypatch, make_backend, pair_chunks
+    ):
+        """A two-group block is one dispatch over the candidate axis, a
+        lone group keeps the sample axis, and both return the floats of
+        per-group ``estimate`` calls."""
         pair = [SeedGroup([Seed(0, 0, 1)]), SeedGroup([Seed(1, 1, 1)])]
-        estimator.estimate_block(pair, until_promotion=1)
-        assert [name for name, _ in calls] == ["run_chunk", "run_chunk"]
+        lone = [SeedGroup([Seed(2, 2, 1)])]
+        scalar = SigmaEstimator(frozen, n_samples=4, rng_factory=RngFactory(2))
+        expected = [
+            scalar.estimate(group, until_promotion=1).sigma
+            for group in pair + lone
+        ]
+        with make_backend() as backend:
+            calls = self._record_dispatches(backend, monkeypatch)
+            estimator = SigmaEstimator(
+                frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
+            )
+            values = estimator.estimate_block(pair, until_promotion=1)
+            assert values.tolist() == expected[:2]
+            assert calls == [("evaluate_sigma_chunk", pair_chunks)]
+            calls.clear()
+            values = estimator.estimate_block(lone, until_promotion=1)
+            assert values.tolist() == expected[2:]
+            assert [name for name, _ in calls] == ["run_chunk"]
+
+    @pytest.mark.parametrize(
+        "make_backend, n_groups, dispatches",
+        [
+            (
+                SerialBackend,
+                6,
+                [("evaluate_sigma_chunk", [[0, 1, 2, 3], [4, 5]])],
+            ),
+            (
+                lambda: ThreadBackend(workers=2),
+                5,
+                [("evaluate_sigma_chunk", [[0, 1, 2], [3, 4]])],
+            ),
+            (
+                lambda: ThreadBackend(workers=3),
+                2,
+                [("run_chunk", [[0, 1], [2], [3]])] * 2,
+            ),
+        ],
+        ids=["serial-6", "thread2-5", "thread3-2"],
+    )
+    def test_candidate_chunks_follow_the_worker_count(
+        self, frozen, monkeypatch, make_backend, n_groups, dispatches
+    ):
+        """A block goes over the candidate axis in chunks of
+        ``min(DEFAULT_CHUNK_SIZE, ceil(n_groups / workers))`` groups
+        once it holds ``max(2, workers)`` of them; a smaller block
+        plays each group over one sample range per worker.  Every
+        shape returns the floats of per-group ``estimate`` calls."""
+        groups = [
+            SeedGroup([Seed(user, user % frozen.n_items, 1)])
+            for user in range(n_groups)
+        ]
+        scalar = SigmaEstimator(frozen, n_samples=4, rng_factory=RngFactory(2))
+        expected = [
+            scalar.estimate(group, until_promotion=1).sigma for group in groups
+        ]
+        with make_backend() as backend:
+            calls = self._record_dispatches(backend, monkeypatch)
+            estimator = SigmaEstimator(
+                frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
+            )
+            values = estimator.estimate_block(groups, until_promotion=1)
+        assert values.tolist() == expected
+        assert calls == dispatches
 
     def test_values_track_committed_value_exactly(self, frozen):
         estimator = SigmaEstimator(

@@ -58,14 +58,6 @@ class TestEstimator:
         estimate = estimator.estimate(group, collect_weights=True)
         assert estimate.mean_weights.shape == instance.initial_weights.shape
 
-    def test_collect_adoptions_frequency(self, estimator, instance):
-        group = SeedGroup([Seed(0, 0, 1)])
-        estimate = estimator.estimate(group, collect_adoptions=True)
-        freq = estimate.adoption_frequency
-        assert freq.shape == (instance.n_users, instance.n_items)
-        assert freq[0, 0] == pytest.approx(1.0)  # the seed always adopts
-        assert freq.min() >= 0.0 and freq.max() <= 1.0
-
     def test_clear_cache(self, estimator):
         group = SeedGroup([Seed(0, 0, 1)])
         estimator.sigma(group)

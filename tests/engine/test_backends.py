@@ -34,7 +34,6 @@ def _full_estimate(backend, instance):
         restrict_users={0, 1, 2},
         compute_likelihood=True,
         collect_weights=True,
-        collect_adoptions=True,
     )
 
 
@@ -44,7 +43,6 @@ def _assert_bit_identical(a, b):
     assert a.sigma_restricted == b.sigma_restricted
     assert a.likelihood == b.likelihood
     assert np.array_equal(a.mean_weights, b.mean_weights)
-    assert np.array_equal(a.adoption_frequency, b.adoption_frequency)
 
 
 class TestChunking:

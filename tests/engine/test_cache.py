@@ -67,18 +67,24 @@ class TestInvalidation:
         assert estimator.cache_hits == 1
         assert len(estimator.cache) == 0
 
-    def test_lru_eviction(self, estimator):
-        estimator.cache.max_entries = 2
-        estimator.estimate(GROUP)
-        estimator.estimate(GROUP, until_promotion=1)
-        estimator.estimate(OTHER_GROUP)  # evicts the first
-        assert len(estimator.cache) == 2
-        estimator.estimate(GROUP)  # recomputes: no estimate of it is left
-        assert estimator.cache_misses == 4
-
-    def test_max_entries_validation(self):
-        with pytest.raises(ValueError):
-            SigmaCache(max_entries=0)
+    def test_entries_are_never_evicted(self, estimator, tiny_instance):
+        """The cache is unbounded: every estimate it took is served
+        again, the same object, without a replication."""
+        requests = [
+            (SeedGroup([Seed(user, user % tiny_instance.n_items, 1)]), horizon)
+            for user in range(tiny_instance.n_users)
+            for horizon in (1, 2)
+        ]
+        first = [
+            estimator.estimate(group, until_promotion=horizon)
+            for group, horizon in requests
+        ]
+        assert len(estimator.cache) == len(requests)
+        before = estimator.n_evaluations
+        for (group, horizon), estimate in zip(requests, first):
+            assert estimator.estimate(group, until_promotion=horizon) is estimate
+        assert estimator.n_evaluations == before
+        assert estimator.cache_hits == len(requests)
 
 
 class TestSharedCache:
@@ -146,11 +152,9 @@ def _assert_same_fields(a, b):
     assert (a.sigma, a.sigma_std, a.n_samples) == (b.sigma, b.sigma_std, b.n_samples)
     assert a.sigma_restricted == b.sigma_restricted
     assert a.likelihood == b.likelihood
-    for name in ("mean_weights", "adoption_frequency"):
-        left, right = getattr(a, name), getattr(b, name)
-        assert (left is None) == (right is None), name
-        if left is not None:
-            assert np.array_equal(left, right), name
+    assert (a.mean_weights is None) == (b.mean_weights is None)
+    if a.mean_weights is not None:
+        assert np.array_equal(a.mean_weights, b.mean_weights)
 
 
 class TestRealizationSharing:
@@ -235,18 +239,6 @@ class TestRealizationSharing:
         assert estimator._cache_key(GROUP, None) not in estimator.cache
         estimator.estimate(GROUP, collect_weights=True)
         assert estimator.n_evaluations == before + 6
-
-    def test_eviction_drops_the_realization_index(self, estimator):
-        estimator.cache.max_entries = 1
-        estimator.estimate(GROUP, compute_likelihood=True)
-        before = estimator.n_evaluations
-        estimator.estimate(GROUP)  # served: no new entry
-        assert estimator.n_evaluations == before
-        estimator.estimate(OTHER_GROUP)  # evicts the likelihood estimate
-        assert estimator._cache_key(GROUP, None) not in estimator.cache
-        estimator.estimate(GROUP, collect_weights=True)
-        assert estimator.n_evaluations == before + 12
-        assert len(estimator.cache) == 1
 
 
 class TestSpareWeights:

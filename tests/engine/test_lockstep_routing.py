@@ -83,7 +83,6 @@ def _per_replication_recipes(frozen_instance):
         "dynamic": _task(build_tiny_instance()),
         "likelihood": _task(frozen_instance, compute_likelihood=True),
         "weights": _task(frozen_instance, collect_weights=True),
-        "adoptions": _task(frozen_instance, collect_adoptions=True),
         "initial_state": _task(
             frozen_instance, initial_state=frozen_instance.new_state()
         ),

@@ -175,16 +175,12 @@ class TestCanonicalReduction:
             restrict_users=self.USERS,
             compute_likelihood=True,
             collect_weights=True,
-            collect_adoptions=True,
         )
         reference = canonical_fold(
             replace(_task(instance), restrict_users=frozenset(self.USERS)),
             n_samples,
         )
         assert np.array_equal(estimate.mean_weights, reference.weights_sum / n_samples)
-        assert np.array_equal(
-            estimate.adoption_frequency, reference.adoption_sum / n_samples
-        )
         assert estimate.likelihood == float(reference.likelihoods.mean())
         assert estimate.sigma_restricted == float(reference.restricted.mean())
         assert estimate.sigma == float(reference.sigmas.mean())

@@ -69,7 +69,6 @@ def _estimate(backend, instance):
         restrict_users={0, 1, 2},
         compute_likelihood=True,
         collect_weights=True,
-        collect_adoptions=True,
     )
 
 
@@ -79,7 +78,6 @@ def _assert_bit_identical(a, b):
     assert a.sigma_restricted == b.sigma_restricted
     assert a.likelihood == b.likelihood
     assert np.array_equal(a.mean_weights, b.mean_weights)
-    assert np.array_equal(a.adoption_frequency, b.adoption_frequency)
 
 
 class TestFaultPlan:
@@ -341,14 +339,16 @@ class TestChaosBitIdentity:
         plan = FaultPlan(
             faults=(
                 FaultSpec(kind="crash", chunk=0, call=0),
-                FaultSpec(kind="exception", chunk=2),
+                FaultSpec(kind="exception", chunk=1),
             )
         )
         with ThreadBackend(workers=2, fault_plan=plan, **FAST) as backend:
             chaotic = RealizationBank(
                 instance, n_worlds=12, rng_seed=3, backend=backend
             )
-            assert backend.fault_stats.total_faults >= 1
+            # Both planned faults fired during the build.
+            stats = backend.fault_stats
+            assert (stats.crashed_chunks, stats.chunk_errors) == (1, 1)
             for clean_coins, chaos_coins in zip(
                 clean._world_coins, chaotic._world_coins
             ):

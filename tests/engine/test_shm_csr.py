@@ -129,8 +129,7 @@ def test_rrset_index_identical_across_process_workers():
     serial = RRSetIndex.from_instance(instance, n_samples=16, rng_seed=2)
     with ProcessPoolBackend(workers=2) as backend:
         shipped = RRSetIndex.from_instance(
-            instance, n_samples=16, rng_seed=2, backend=backend,
-            chunk_size=1,
+            instance, n_samples=16, rng_seed=2, backend=backend
         )
     assert np.array_equal(serial.member, shipped.member)
     assert np.array_equal(serial.roots, shipped.roots)
@@ -238,9 +237,7 @@ def test_rrset_index_leaves_no_export_behind():
     instance = build_tiny_instance().frozen()
     with ProcessPoolBackend(workers=2) as backend:
         before = own_shm_exports()
-        RRSetIndex.from_instance(
-            instance, n_samples=16, rng_seed=2, backend=backend, chunk_size=1
-        )
+        RRSetIndex.from_instance(instance, n_samples=16, rng_seed=2, backend=backend)
         assert own_shm_exports() == before
 
 

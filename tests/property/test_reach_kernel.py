@@ -10,31 +10,15 @@ accounting and sigma values — on any skeleton, any world count
 worlds with zero live edges).
 """
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.sketch import HAVE_NUMBA, RealizationBank, WorldLayout
-from repro.sketch import reachkernel as rk
-from repro.sketch.reachkernel import (
-    _jit_visited_loop,
-    multi_world_visited,
-    multi_world_visited_jit,
-)
-import pytest
+from repro.engine import DEFAULT_CHUNK_SIZE, ThreadBackend
+from repro.sketch import RealizationBank, WorldLayout
+from repro.sketch.reachkernel import multi_world_visited
 
 from tests.property.test_sketch_oracle import frozen_instances
 from tests.reference import PerWorldBank
-
-#: Loop implementations the jit twin must match the numpy kernel
-#: under.  The undecorated Python definition always runs (it is the
-#: very source numba compiles, so the no-numba CI legs still pin the
-#: algorithm); the compiled function itself is exercised on the jit
-#: leg.
-JIT_IMPLS = [("python-loop", _jit_visited_loop)]
-if HAVE_NUMBA:
-    JIT_IMPLS.append(("numba", None))  # None = the compiled default
 
 N_ITEMS = 4  # fixed by the tiny KG
 
@@ -124,41 +108,6 @@ def test_multi_world_visited_matches_python_bfs(data):
     assert np.array_equal(layout.pack(by_world), visited)
 
 
-@pytest.mark.parametrize("impl_name,impl", JIT_IMPLS)
-@given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_jit_worklist_matches_packed_kernel(impl_name, impl, data):
-    """The compiled worklist loop is bit-identical to the numpy
-    event-sparse kernel on any graph, world count and liveness pattern
-    (the closure of a fixed live-edge graph is traversal-independent).
-    """
-    n_nodes, src, dst, n_worlds, live = data.draw(packed_graphs())
-    sources = data.draw(
-        st.lists(
-            st.integers(0, n_nodes - 1), min_size=1, max_size=4, unique=True
-        )
-    )
-    order = np.argsort(src, kind="stable")
-    indices = dst[order]
-    counts = np.bincount(src, minlength=n_nodes)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    layout = WorldLayout(n_worlds)
-    arc_live = (
-        layout.pack(live)[order]
-        if live.size
-        else np.zeros((0, layout.n_words), dtype=np.uint64)
-    )
-    expected = multi_world_visited(
-        indptr, indices, arc_live, sources, layout
-    )
-    computed = multi_world_visited_jit(
-        indptr, indices, arc_live, sources, layout, impl=impl
-    )
-    assert computed.dtype == np.uint64
-    assert np.array_equal(computed, expected), impl_name
-
-
 @given(
     n_worlds=st.integers(1, 200),
     seed=st.integers(0, 2**16),
@@ -245,94 +194,79 @@ def test_bank_kernels_identical_under_eviction(data):
     )
 
 
+# ---------------------------------------------------------------------------
+# fill shape: source chunks over a pool vs one in-process BFS
+# ---------------------------------------------------------------------------
+@st.composite
+def pool_miss_blocks(draw, instance):
+    """Query blocks with more than ``DEFAULT_CHUNK_SIZE`` distinct
+    pairs — so a two-worker pool fills them in source chunks — and
+    repeats in any order."""
+    pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
+    distinct = draw(
+        st.lists(
+            pair_ids, min_size=DEFAULT_CHUNK_SIZE + 1, max_size=10, unique=True
+        )
+    )
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=4))
+    return draw(st.permutations(distinct + repeats))
+
+
+def _pool_fill(instance, pairs, **bank_kwargs):
+    """Stacks, LRU counters and dispatched chunk functions of a bank on
+    a two-worker pool answering ``pairs`` as one block."""
+    with ThreadBackend(workers=2) as backend:
+        bank = RealizationBank(instance, backend=backend, **bank_kwargs)
+        names = []
+        map_chunks = backend.map_chunks
+
+        def recording(fn, task, chunks):
+            names.append(fn.__name__)
+            return map_chunks(fn, task, chunks)
+
+        backend.map_chunks = recording
+        stacks = bank.stacks_for(pairs)
+    return stacks, bank.reach_stats(), names
+
+
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
-def test_bank_world_shards_bit_identical(data):
-    """Forced world-axis sharding (any shard count, word-aligned
-    splits, tail shard included) must reassemble the exact serial
-    stacks and replay the exact LRU sequence."""
+def test_bank_pool_fill_bit_identical(data):
+    """A miss block filled in source chunks over a two-worker pool
+    reassembles the in-process stacks and replays the same LRU
+    sequence, at any world count (tail words included)."""
     instance = data.draw(frozen_instances())
     n_worlds = data.draw(st.sampled_from([1, 63, 65, 130, 200]))
-    n_shards = data.draw(st.integers(1, 5))
+    pairs = data.draw(pool_miss_blocks(instance))
     reference = RealizationBank(instance, n_worlds=n_worlds, rng_seed=7)
-    sharded = RealizationBank(
-        instance, n_worlds=n_worlds, rng_seed=7, world_shards=n_shards
+    stacks, stats, names = _pool_fill(
+        instance, pairs, n_worlds=n_worlds, rng_seed=7
     )
-    pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
-    pairs = data.draw(st.lists(pair_ids, min_size=1, max_size=5))
-
-    for ours, theirs in zip(
-        sharded.stacks_for(pairs), reference.stacks_for(pairs)
-    ):
+    assert names == ["reach_stacks_chunk"]
+    for ours, theirs in zip(stacks, reference.stacks_for(pairs)):
         assert ours.dtype == np.uint64
         assert np.array_equal(ours, theirs)
-    ours, theirs = sharded.reach_stats(), reference.reach_stats()
-    assert (ours.hits, ours.misses, ours.evictions, ours.bytes_in_use) == (
-        theirs.hits,
-        theirs.misses,
-        theirs.evictions,
-        theirs.bytes_in_use,
-    )
+    assert stats == reference.reach_stats()
 
 
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
-def test_bank_world_shards_identical_under_eviction(data):
-    """Sharded fills under a one-stack byte budget: eviction-driven
-    re-misses must replay identically to the serial path."""
+def test_bank_pool_fill_identical_under_eviction(data):
+    """Pool fills under a one-stack byte budget: the pairs a block
+    evicts before their turn re-miss in process, exactly as the
+    in-process fill replays them."""
     instance = data.draw(frozen_instances())
     probe = RealizationBank(instance, n_worlds=70, rng_seed=11)
     budget = probe.stacked_reach_packed(0).nbytes
-    banks = [
-        RealizationBank(
-            instance,
-            n_worlds=70,
-            rng_seed=11,
-            reach_budget_bytes=budget,
-            world_shards=shards,
-        )
-        for shards in (None, 2)
-    ]
-    pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
-    pairs = data.draw(st.lists(pair_ids, min_size=2, max_size=6))
-    stacks = [bank.stacks_for(pairs) for bank in banks]
-    for ours, theirs in zip(*stacks):
+    pairs = data.draw(pool_miss_blocks(instance))
+    reference = RealizationBank(
+        instance, n_worlds=70, rng_seed=11, reach_budget_bytes=budget
+    )
+    stacks, stats, names = _pool_fill(
+        instance, pairs, n_worlds=70, rng_seed=11, reach_budget_bytes=budget
+    )
+    assert names == ["reach_stacks_chunk"]
+    for ours, theirs in zip(stacks, reference.stacks_for(pairs)):
         assert np.array_equal(ours, theirs)
-    ours, theirs = (bank.reach_stats() for bank in banks)
-    assert (ours.hits, ours.misses, ours.evictions, ours.bytes_in_use) == (
-        theirs.hits,
-        theirs.misses,
-        theirs.evictions,
-        theirs.bytes_in_use,
-    )
-
-
-@pytest.mark.parametrize("impl_name,impl", JIT_IMPLS)
-@given(data=st.data())
-@settings(max_examples=5, deadline=None)
-def test_bank_jit_kernel_bit_identical(impl_name, impl, data):
-    """A bank whose misses run the worklist twin answers every query
-    bit-identically to the production bank, which runs the numpy
-    kernel — stacks and LRU counters alike."""
-
-    def twin(*args):
-        return multi_world_visited_jit(*args, impl=impl)
-
-    instance = data.draw(frozen_instances())
-    n_worlds = data.draw(st.sampled_from([1, 65, 130]))
-    twin_bank, numpy_bank = (
-        RealizationBank(instance, n_worlds=n_worlds, rng_seed=7)
-        for _ in range(2)
-    )
-    pair_ids = st.integers(0, instance.n_users * N_ITEMS - 1)
-    pairs = data.draw(st.lists(pair_ids, min_size=1, max_size=5))
-    with mock.patch.object(rk, "multi_world_visited", twin):
-        twin_stacks = twin_bank.stacks_for(pairs)
-    for ours, theirs in zip(twin_stacks, numpy_bank.stacks_for(pairs)):
-        assert np.array_equal(ours, theirs), impl_name
-    ours, theirs = twin_bank.reach_stats(), numpy_bank.reach_stats()
-    assert (ours.hits, ours.misses, ours.bytes_in_use) == (
-        theirs.hits,
-        theirs.misses,
-        theirs.bytes_in_use,
-    )
+    assert stats == reference.reach_stats()
+    assert stats.evictions > 0

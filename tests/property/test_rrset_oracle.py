@@ -210,8 +210,7 @@ def test_backends_produce_identical_indexes():
     serial = RRSetIndex.from_instance(instance, n_samples=32, rng_seed=9)
     with ThreadBackend(workers=3) as backend:
         threaded = RRSetIndex.from_instance(
-            instance, n_samples=32, rng_seed=9, backend=backend,
-            chunk_size=1,
+            instance, n_samples=32, rng_seed=9, backend=backend
         )
     assert np.array_equal(serial.member, threaded.member)
     assert np.array_equal(serial.roots, threaded.roots)

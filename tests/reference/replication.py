@@ -3,8 +3,8 @@
 The straightforward reduction the engine's matrix sums must reproduce
 wherever the samples ran: every ``chunk_indices(n, 4)`` chunk
 replays its samples with :meth:`CampaignSimulator.run` and folds their
-final weights and new adoptions from zero, and the chunk folds then add
-up in chunk order.
+final weights from zero, and the chunk folds then add up in chunk
+order.
 """
 
 from __future__ import annotations
@@ -29,22 +29,18 @@ class ChunkFold:
     restricted: np.ndarray
     likelihoods: np.ndarray
     weights_sum: np.ndarray
-    adoption_sum: np.ndarray
 
     @classmethod
     def merge(cls, parts: list["ChunkFold"]) -> "ChunkFold":
         """Concatenate the scalars and add the sums in chunk order."""
         weights_sum = parts[0].weights_sum.copy()
-        adoption_sum = parts[0].adoption_sum.copy()
         for part in parts[1:]:
             weights_sum += part.weights_sum
-            adoption_sum += part.adoption_sum
         return cls(
             sigmas=np.concatenate([p.sigmas for p in parts]),
             restricted=np.concatenate([p.restricted for p in parts]),
             likelihoods=np.concatenate([p.likelihoods for p in parts]),
             weights_sum=weights_sum,
-            adoption_sum=adoption_sum,
         )
 
 
@@ -56,7 +52,6 @@ def _fold_chunk(task: ReplicationTask, indices: list[int]) -> ChunkFold:
         restricted=np.zeros(n),
         likelihoods=np.zeros(n),
         weights_sum=np.zeros(task.instance.initial_weights.shape),
-        adoption_sum=np.zeros((task.instance.n_users, task.instance.n_items)),
     )
     users = set(task.restrict_users or range(task.instance.n_users))
     for j, i in enumerate(indices):
@@ -69,7 +64,6 @@ def _fold_chunk(task: ReplicationTask, indices: list[int]) -> ChunkFold:
         fold.restricted[j] = outcome.sigma_restricted(users)
         fold.likelihoods[j] = adoption_likelihood(outcome.state, task.model, users)
         fold.weights_sum += outcome.state.weights
-        fold.adoption_sum += outcome.new_adoptions
     return fold
 
 

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.problem import Seed, SeedGroup
-from repro.engine import ProcessPoolBackend, SerialBackend, ThreadBackend
+from repro.engine import (
+    DEFAULT_CHUNK_SIZE,
+    ProcessPoolBackend,
+    SerialBackend,
+    ThreadBackend,
+)
 from repro.errors import SketchError
 from repro.sketch import RealizationBank, build_skeleton
 from repro.utils.rng import spawn_rng
 
-from tests.conftest import build_tiny_instance
+from tests.conftest import build_tiny_instance, own_shm_exports
 from tests.reference import PerWorldBank, stacked_reach
 
 
@@ -21,6 +26,19 @@ def frozen():
 @pytest.fixture(scope="module")
 def bank(frozen):
     return RealizationBank(frozen, n_worlds=8, rng_seed=3)
+
+
+def _record_dispatches(backend, monkeypatch) -> list:
+    """(chunk function name, chunks) of every ``map_chunks`` call."""
+    calls = []
+    map_chunks = backend.map_chunks
+
+    def recording(fn, task, chunks):
+        calls.append((fn.__name__, chunks))
+        return map_chunks(fn, task, chunks)
+
+    monkeypatch.setattr(backend, "map_chunks", recording)
+    return calls
 
 
 class TestSkeleton:
@@ -225,6 +243,92 @@ class TestQueries:
         assert np.array_equal(
             pooled.stacked_reach_packed(15), serial.stacked_reach_packed(15)
         )
+
+    def test_one_worker_pool_runs_in_process(self, frozen, monkeypatch):
+        """A one-worker process pool flips its worlds as one range and
+        fills stacks in process — nothing exported, nothing dispatched
+        — with the serial bank's coins and stacks."""
+        serial = RealizationBank(
+            frozen, n_worlds=12, rng_seed=23, backend=SerialBackend()
+        )
+        pairs = list(range(3 * DEFAULT_CHUNK_SIZE))
+        before = own_shm_exports()
+        with ProcessPoolBackend(workers=1) as backend:
+            calls = _record_dispatches(backend, monkeypatch)
+            pooled = RealizationBank(
+                frozen, n_worlds=12, rng_seed=23, backend=backend
+            )
+            assert calls == [("build_worlds_chunk", [list(range(12))])]
+            calls.clear()
+            stacks = pooled.stacks_for(pairs)
+            assert calls == []
+            assert own_shm_exports() == before
+        for ours, theirs in zip(pooled._world_coins, serial._world_coins):
+            assert np.array_equal(ours, theirs)
+        for ours, theirs in zip(stacks, serial.stacks_for(pairs)):
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize(
+        "workers, ranges",
+        [
+            (2, [list(range(5)), list(range(5, 10))]),
+            (3, [list(range(4)), list(range(4, 7)), list(range(7, 10))]),
+        ],
+        ids=["two-workers", "three-workers"],
+    )
+    def test_flips_one_world_range_per_worker(
+        self, frozen, monkeypatch, workers, ranges
+    ):
+        """World flips fan out as one balanced range per worker and
+        reassemble the serial bank's coins in world order."""
+        serial = RealizationBank(frozen, n_worlds=10, rng_seed=23)
+        with ThreadBackend(workers=workers) as backend:
+            calls = _record_dispatches(backend, monkeypatch)
+            pooled = RealizationBank(
+                frozen, n_worlds=10, rng_seed=23, backend=backend
+            )
+        assert calls == [("build_worlds_chunk", ranges)]
+        assert len(pooled._world_coins) == len(serial._world_coins)
+        for ours, theirs in zip(pooled._world_coins, serial._world_coins):
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize(
+        "n_pairs, closed, chunks",
+        [
+            (DEFAULT_CHUNK_SIZE, False, None),
+            (
+                3 * DEFAULT_CHUNK_SIZE,
+                False,
+                [list(range(6)), list(range(6, 12))],
+            ),
+            (3 * DEFAULT_CHUNK_SIZE, True, None),
+        ],
+        ids=["small-block", "large-block", "closed-pool"],
+    )
+    def test_fill_shape_follows_the_block(
+        self, frozen, monkeypatch, n_pairs, closed, chunks
+    ):
+        """On a two-worker pool a block of more than
+        ``DEFAULT_CHUNK_SIZE`` misses fans out as one source chunk per
+        worker; a smaller block, or any block once the pool is closed,
+        runs in process.  Every shape fills the serial bank's stacks."""
+        serial = RealizationBank(frozen, n_worlds=12, rng_seed=23)
+        pairs = list(range(n_pairs))
+        with ThreadBackend(workers=2) as backend:
+            pooled = RealizationBank(
+                frozen, n_worlds=12, rng_seed=23, backend=backend
+            )
+            calls = _record_dispatches(backend, monkeypatch)
+            if not closed:
+                stacks = pooled.stacks_for(pairs)
+        if closed:
+            stacks = pooled.stacks_for(pairs)
+        assert calls == (
+            [] if chunks is None else [("reach_stacks_chunk", chunks)]
+        )
+        for ours, theirs in zip(stacks, serial.stacks_for(pairs)):
+            assert np.array_equal(ours, theirs)
+        assert pooled.reach_stats() == serial.reach_stats()
 
     def test_per_world_reference_is_bit_identical(self, frozen):
         packed = RealizationBank(frozen, n_worlds=6, rng_seed=17)
