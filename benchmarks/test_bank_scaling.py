@@ -23,9 +23,10 @@ scaling benchmarks).
 
 Environment knobs: ``REPRO_BENCH_BANK_WORLDS`` (default 256; 64 under
 smoke), ``REPRO_BENCH_BANK_POOL`` (default 96) and
-``REPRO_BENCH_BANK_ROUNDS`` (default 2, best-of timing; the per-world
-and packed rounds alternate, so a drift in the machine's speed during
-the run cannot land in the ratio).
+``REPRO_BENCH_BANK_ROUNDS`` (default 2, best-of timing after one
+untimed warm-up round of each kernel; the per-world and packed rounds
+alternate, so a drift in the machine's speed during the run cannot land
+in the ratio).
 
 ``test_bank_scaling_m1024`` repeats the comparison at M=1024 (the
 ``bank_scaling_m1024`` tracked series); knobs
@@ -71,11 +72,17 @@ def _timed_round(frozen, kernel, pairs, worlds):
 def _timed_stacks(frozen, kernels, pairs, worlds=None, rounds=None):
     """Best-of-rounds ``(seconds, stacks, build seconds)`` per kernel.
 
-    The kernels' rounds alternate, so a drift in the machine's speed
-    during the run lands on every kernel alike instead of on the ratio.
+    One untimed round of each kernel comes first, so one-off costs
+    (imports, first-touch allocations, cold caches) land on no timed
+    round — as the first test of a run, the per-world reference paid
+    them and the ratio dropped under its floor.  The kernels' timed
+    rounds then alternate, so a drift in the machine's speed during the
+    run lands on every kernel alike instead of on the ratio.
     """
     worlds = BANK_WORLDS if worlds is None else worlds
     rounds = BANK_ROUNDS if rounds is None else rounds
+    for kernel in kernels:
+        _timed_round(frozen, kernel, pairs, worlds)
     best = {kernel: (np.inf, None, 0.0) for kernel in kernels}
     for _ in range(rounds):
         for kernel in kernels:

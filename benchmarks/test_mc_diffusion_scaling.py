@@ -1,28 +1,35 @@
 """Monte-Carlo replication throughput — lockstep vs per-replication.
 
-Times one *worker chunk* of campaign replications — the exact unit
+Times one *worker range* of campaign replications — the exact unit
 ``run_chunk`` executes for every sigma estimate — on a large Yelp
 community network, comparing the per-replication loop (one
-``CampaignSimulator.run`` per replication, the path dynamic recipes
-take; forced here with ``tests.reference.disable_packed_pass``)
-against the replication-lockstep pass that plays the whole chunk at
-once.  Both timings are **cold**: every ``run_chunk`` call builds
-its simulator or packed state afresh, so each measured round replays
-that full cost on both sides.  Two assertions:
+``CampaignSimulator.run`` per replication,
+``tests.reference.run_chunk_per_replication``) against the
+replication-lockstep pass that plays the whole range at once.  Both
+timings are **cold**: every call builds its simulator or packed state
+afresh, so each measured round replays that full cost on both sides.
 
-* both kernels produce **bit-identical** per-replication sigmas from
-  the same substreams (pinned draw-for-draw by
-  ``tests/diffusion/test_step_equivalence.py``); and
-* the lockstep chunk is at least 3x more replication-throughput than
-  the per-replication loop at >= 10k users.  Under CI smoke
-  (``REPRO_BENCH_SMOKE=1``) the scale drops to ~3k users and the floor
-  relaxes to 1.5x — shared runners make wall-clock ratios noisy; the
-  full 3x floor is enforced by the tier-1 run.
+Two recipes:
+
+* **frozen** — the final-evaluation regime: frozen perceptions,
+  association coins live, a whole range of replications per worker.
+  Assertions: both kernels produce **bit-identical** per-replication
+  sigmas from the same substreams (pinned draw-for-draw by
+  ``tests/diffusion/test_step_equivalence.py``), and the lockstep range
+  is at least 3x more replication-throughput than the per-replication
+  loop at >= 10k users.  Under CI smoke (``REPRO_BENCH_SMOKE=1``) the
+  scale drops to ~3k users and the floor relaxes to 1.5x — shared
+  runners make wall-clock ratios noisy; the full 3x floor is enforced
+  by the tier-1 run.
+* **dynamic** — learning perceptions with the likelihood and
+  final-weights collectors on, 12 replications (the TDSI regime).
+  Asserted bit-identical (sigmas, likelihoods, weight sums); its ratio
+  is recorded in the table but carries no wall-clock floor.
 
 Environment knobs: ``REPRO_BENCH_MC_SCALE`` (dataset scale factor,
 default 90 ~ 10800 users; 25 under smoke) and
-``REPRO_BENCH_MC_REPLICATIONS`` (chunk size, default 64; 32 under
-smoke).
+``REPRO_BENCH_MC_REPLICATIONS`` (frozen range size, default 64; 32
+under smoke).
 """
 
 import time
@@ -36,10 +43,11 @@ from repro.engine import ReplicationTask, run_chunk
 from repro.eval.reporting import format_table
 
 from benchmarks.conftest import SMOKE, _env_int, record_bench, record_figure
-from tests.reference import disable_packed_pass
+from tests.reference import run_chunk_per_replication
 
 MC_SCALE = _env_int("REPRO_BENCH_MC_SCALE", 25 if SMOKE else 90)
 MC_REPLICATIONS = _env_int("REPRO_BENCH_MC_REPLICATIONS", 32 if SMOKE else 64)
+DYNAMIC_REPLICATIONS = 12
 MIN_SPEEDUP = 1.5 if SMOKE else 3.0
 ROUNDS = 3
 
@@ -49,7 +57,7 @@ def _seed_group(instance) -> SeedGroup:
 
     Twenty is a representative final-evaluation group size (Dysim
     selects a few dozen seeds at most); it also keeps per-step
-    frontiers small enough that the chunk's fixed per-step costs —
+    frontiers small enough that the range's fixed per-step costs —
     the regime the lockstep kernel amortizes — stay visible.
     """
     step = max(1, instance.n_users // 20)
@@ -59,58 +67,90 @@ def _seed_group(instance) -> SeedGroup:
     )
 
 
-def _run_chunk_timed(instance, group):
-    """Best-of-rounds seconds per replication plus the chunk sigmas.
+def _run_chunk_timed(chunk, task, n_replications):
+    """Best-of-rounds seconds per replication plus the range's result.
 
-    Every round is one cold ``run_chunk`` call over the same substream
+    Every round is one cold ``chunk`` call over the same substream
     family — exactly what a worker executes — so the reference loop
-    pays its per-chunk simulator construction just as production does.
+    pays its per-range simulator construction just as production does.
     Interference only ever adds time; the minimum over identical
-    rounds is the robust wall-clock estimator, and the sigmas are
+    rounds is the robust wall-clock estimator, and the results are
     round-independent.
     """
-    task = ReplicationTask(
+    indices = list(range(n_replications))
+    best_seconds = float("inf")
+    result = None
+    for _ in range(ROUNDS):
+        started = time.perf_counter()
+        result = chunk(task, indices)
+        seconds = (time.perf_counter() - started) / n_replications
+        best_seconds = min(best_seconds, seconds)
+    return best_seconds, result
+
+
+def _task(instance, **collectors):
+    return ReplicationTask(
         instance=instance,
         model=DiffusionModel.INDEPENDENT_CASCADE,
         rng_seed=0,
         rng_context=("mc-bench",),
-        seed_group=group,
+        seed_group=_seed_group(instance),
+        **collectors,
     )
-    indices = list(range(MC_REPLICATIONS))
-    best_seconds = float("inf")
-    sigmas = None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        result = run_chunk(task, indices)
-        seconds = (time.perf_counter() - started) / MC_REPLICATIONS
-        best_seconds = min(best_seconds, seconds)
-        sigmas = result.sigmas
-    return best_seconds, sigmas
 
 
-def test_mc_diffusion_scaling(monkeypatch):
-    # The final-evaluation regime: frozen perceptions, association
-    # coins live, a whole chunk of replications per worker.
-    instance = load_dataset("yelp", scale=float(MC_SCALE)).frozen()
-    group = _seed_group(instance)
+def test_mc_diffusion_scaling():
+    dynamic_instance = load_dataset("yelp", scale=float(MC_SCALE))
+    instance = dynamic_instance.frozen()
 
-    with monkeypatch.context() as patch:
-        disable_packed_pass(patch)
-        loop_seconds, loop_sigmas = _run_chunk_timed(instance, group)
-    packed_seconds, packed_sigmas = _run_chunk_timed(instance, group)
+    frozen = _task(instance)
+    loop_seconds, loop = _run_chunk_timed(
+        run_chunk_per_replication, frozen, MC_REPLICATIONS
+    )
+    packed_seconds, packed = _run_chunk_timed(run_chunk, frozen, MC_REPLICATIONS)
     speedup = loop_seconds / packed_seconds if packed_seconds > 0 else 0.0
 
+    dynamic = _task(
+        dynamic_instance, compute_likelihood=True, collect_weights=True
+    )
+    dynamic_loop_seconds, dynamic_loop = _run_chunk_timed(
+        run_chunk_per_replication, dynamic, DYNAMIC_REPLICATIONS
+    )
+    dynamic_packed_seconds, dynamic_packed = _run_chunk_timed(
+        run_chunk, dynamic, DYNAMIC_REPLICATIONS
+    )
+    dynamic_speedup = (
+        dynamic_loop_seconds / dynamic_packed_seconds
+        if dynamic_packed_seconds > 0
+        else 0.0
+    )
+
     rows = [
-        ["vectorized-loop", f"{loop_seconds * 1e3:.2f}", "1.00"],
-        ["lockstep", f"{packed_seconds * 1e3:.2f}", f"{speedup:.2f}"],
+        ["frozen", "vectorized-loop", f"{loop_seconds * 1e3:.2f}", "1.00"],
+        ["frozen", "lockstep", f"{packed_seconds * 1e3:.2f}", f"{speedup:.2f}"],
+        [
+            "dynamic",
+            "vectorized-loop",
+            f"{dynamic_loop_seconds * 1e3:.2f}",
+            "1.00",
+        ],
+        [
+            "dynamic",
+            "lockstep",
+            f"{dynamic_packed_seconds * 1e3:.2f}",
+            f"{dynamic_speedup:.2f}",
+        ],
     ]
     footer = (
         f"users={instance.n_users} arcs={instance.network.n_arcs} "
-        f"replications={MC_REPLICATIONS} smoke={int(SMOKE)}"
+        f"replications={MC_REPLICATIONS} "
+        f"dynamic_replications={DYNAMIC_REPLICATIONS} smoke={int(SMOKE)}"
     )
     record_figure(
         "mc_diffusion_scaling",
-        format_table(["kernel", "ms_per_replication", "speedup"], rows)
+        format_table(
+            ["recipe", "kernel", "ms_per_replication", "speedup"], rows
+        )
         + "\n"
         + footer,
     )
@@ -120,10 +160,15 @@ def test_mc_diffusion_scaling(monkeypatch):
     )
 
     # Bit identity: same substreams, same realizations, both kernels.
-    assert np.array_equal(loop_sigmas, packed_sigmas)
+    assert np.array_equal(loop.sigmas, packed.sigmas)
+    assert np.array_equal(dynamic_loop.sigmas, dynamic_packed.sigmas)
+    assert np.array_equal(dynamic_loop.likelihoods, dynamic_packed.likelihoods)
+    assert np.array_equal(
+        dynamic_loop.weights_sum, dynamic_packed.weights_sum
+    )
 
     assert speedup >= MIN_SPEEDUP, (
-        f"lockstep chunk kernel only {speedup:.2f}x faster than the "
+        f"lockstep range kernel only {speedup:.2f}x faster than the "
         f"per-replication loop ({loop_seconds * 1e3:.2f}ms vs "
         f"{packed_seconds * 1e3:.2f}ms per replication; "
         f"floor {MIN_SPEEDUP}x)"

@@ -22,10 +22,9 @@ samples — selection cost independent of the graph once the samples
 exist, which is what scales sigma to 10^6 users.  Dynamic evaluations
 always use Monte-Carlo.
 
-Kernels take no flag.  Frozen Monte-Carlo chunks play all their
-replications in one packed lockstep pass; every other recipe runs one
-replication at a time.  Selections and sigma values are bit-identical
-either way; only wall-clock differs.
+Kernels take no flag.  Every Monte-Carlo range plays all its
+replications in one packed lockstep pass, bit-identical to playing
+them one at a time.
 
 ``--retries`` / ``--chunk-timeout`` tune the execution layer's fault
 supervisor (``repro.engine.resilience``): crashed workers, raising

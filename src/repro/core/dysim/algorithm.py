@@ -48,8 +48,8 @@ class DysimConfig:
     """Tuning knobs for one Dysim run.
 
     Only choices that can change a result are fields here.  How the
-    sigma oracles compute is not: frozen Monte-Carlo chunks pack into
-    one lockstep pass and CELF blocks use ``DEFAULT_GAIN_BATCH`` — all
+    sigma oracles compute is not: Monte-Carlo ranges pack into one
+    lockstep pass and CELF blocks use ``DEFAULT_GAIN_BATCH`` — all
     bit-identical.  Nor is where they run: the execution backend is an
     argument of :class:`Dysim` and
     :class:`~repro.core.dysim.AdaptiveDysim`, and results are

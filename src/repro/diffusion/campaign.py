@@ -97,12 +97,15 @@ class CampaignOutcome:
 
 
 class CampaignSimulator:
-    """Plays campaign realizations for one IMDPP instance.
+    """Plays campaign realizations for one IMDPP instance, one at a time.
 
-    Monte-Carlo chunks whose recipe is frozen (no resumed state, no
-    state collectors) never construct one: they play through the
-    bit-identical packed pass of :mod:`repro.diffusion.repkernel`
-    instead (see :func:`repro.engine.replication.run_chunk`).
+    The public single-realization simulator: adaptive IM observes the
+    real world through it and :mod:`repro.eval.metrics` replays
+    realizations with it.  Monte-Carlo ranges never construct one:
+    they play every replication at once through the bit-identical
+    packed pass of :mod:`repro.diffusion.repkernel` (see
+    :func:`repro.engine.replication.run_chunk`), and the tests pin
+    that pass against one ``run`` per replication.
 
     Parameters
     ----------

@@ -166,10 +166,11 @@ class SigmaEstimator:
         memoization across estimators, or ``None`` for a private one.
 
     Every estimate runs as one balanced sample range per backend
-    worker.  Frozen plain-sigma recipes play each range in one packed
-    lockstep pass; dynamic perceptions and the state collectors
-    (likelihood, weights) replay the per-replication step.
-    The two are bit-identical (:func:`repro.engine.replication.run_chunk`).
+    worker, and each range plays in one packed lockstep pass — frozen
+    or learning dynamics, with or without the state collectors
+    (likelihood, weights) — bit-identical to one
+    :meth:`~repro.diffusion.campaign.CampaignSimulator.run` per sample
+    (:func:`repro.engine.replication.run_chunk`).
 
     Estimates are memoized per realization: a request is served by any
     cached estimate of the same group, horizon and configuration that

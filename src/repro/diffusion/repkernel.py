@@ -5,7 +5,7 @@ realization at a time; a Monte-Carlo sigma estimate plays dozens.  At
 scale the per-replication Python overhead — the promotion/step loop,
 frontier bookkeeping, one dense ``(n_users, n_items)`` state copy per
 run, dozens of small-array NumPy dispatches per step — dominates the
-actual event math.  This module advances a whole chunk of R
+actual event math.  This module advances a whole range of R
 replications *in lockstep*: per-replication adoption state is packed
 into an ``(n_pairs, ceil(R/64))`` uint64 matrix (the replication-major
 sibling of :class:`repro.sketch.reachkernel.WorldLayout`), the
@@ -18,16 +18,20 @@ to the per-replication step, draw for draw: same adoptions, same
 sigmas, same final ``bit_generator.state`` (pinned by
 ``tests/diffusion/test_step_equivalence.py``).
 
-The packed pass needs frozen perception dynamics (``eta == beta ==
-gamma == 0`` — the regime of every selection-phase sigma estimate;
-``association_scale`` may be nonzero, extra adoptions are part of the
-diffusion itself).  Under learning dynamics the per-event
-probabilities depend on each replication's own perception state and
-nothing can be shared across the replication axis.
-:func:`repro.engine.replication.run_chunk` decides per chunk from the
-recipe alone (:func:`~repro.engine.replication.lockstep_applicable`):
-frozen recipes without resumed states or collectors take this pass,
-everything else replays ``CampaignSimulator.run`` per replication.
+Every recipe plays here (:func:`repro.engine.replication.run_chunk`).
+Under frozen dynamics (``eta == beta == gamma == 0``) arc strengths,
+preferences and complementary rows are replication-independent and
+computed once per step for all replications.  Under learning dynamics
+each replication carries its own perception: a replication's users
+read one shared base state (pristine, or the resumed ``initial_state``)
+until they adopt there, and from then on a
+:class:`~repro.perception.state.UserPerception` record of their own.
+A step then computes every event's ``Pact`` / ``Ppref`` / ``r^C`` from
+its own replication's state in one gather over all live replications,
+and commits each replication's adoptions through the same update
+functions, in the same order, as a :class:`PerceptionState` would.
+Final states materialize on request (:attr:`LockstepOutcome.state`)
+for the likelihood and weight collectors.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ from repro.diffusion.campaign import (
 )
 from repro.diffusion.models import DiffusionModel
 from repro.errors import SimulationError
+from repro.perception.influence import (
+    adoption_similarity_batch,
+    influence_strength_batch,
+)
+from repro.perception.state import PerceptionState, UserPerception
 from repro.social.csr import row_gather
 
 __all__ = [
@@ -81,6 +90,224 @@ class ReplicationLayout:
         self.mask_of = np.left_shift(
             np.uint64(1), (reps % 64).astype(np.uint64)
         )
+        #: Per word, the bits of every replication it holds.
+        self.all_of = np.zeros(self.n_words, dtype=np.uint64)
+        np.bitwise_or.at(self.all_of, self.word_of, self.mask_of)
+
+
+class _Replicas:
+    """Adoption bits and perception state of R replications.
+
+    Every replication starts from ``base``.  Adoptions land in the
+    packed bits; under learning dynamics a user who adopts in
+    replication ``r`` also gets a :class:`UserPerception` record in
+    ``users[r]``, flagged in the ``touched`` bits, and every read for
+    that (replication, user) goes through the record.  Frozen dynamics
+    keep no records: every read is a shared ``base`` read.
+    """
+
+    def __init__(self, base: PerceptionState, layout: ReplicationLayout):
+        self.base = base
+        self.params = base.params
+        self.layout = layout
+        self.n_users = n_users = base.n_users
+        self.n_items = n_items = base.n_items
+        self.adopted = np.zeros(
+            (n_users * n_items, layout.n_words), dtype=np.uint64
+        )
+        #: ``(n_users, n_items, n_words)`` view of ``adopted``.
+        self.adopted3 = self.adopted.reshape(n_users, n_items, layout.n_words)
+        inherited = base.adopted_matrix(np.arange(n_users))
+        self.adopted[np.flatnonzero(inherited.reshape(-1))] = layout.all_of
+        self.dynamic = not self.params.is_frozen
+        self.users: list[dict[int, UserPerception]] = [
+            {} for _ in range(layout.n_replications)
+        ]
+        self.touched = np.zeros((n_users, layout.n_words), dtype=np.uint64)
+        #: Users with an inherited adoption (the similarity gate).
+        self.inherited_any = inherited.any(axis=1)
+        self._base_norms: dict[int, float] = {}
+
+    # -- reads ---------------------------------------------------------
+    def has_adopted(self, reps: np.ndarray, pair_keys: np.ndarray) -> np.ndarray:
+        layout = self.layout
+        words = layout.word_of[reps]
+        return (self.adopted[pair_keys, words] & layout.mask_of[reps]) != 0
+
+    def _touched(self, reps: np.ndarray, users: np.ndarray) -> np.ndarray:
+        """Which (replication, user) entries hold a record."""
+        layout = self.layout
+        words = layout.word_of[reps]
+        return (self.touched[users, words] & layout.mask_of[reps]) != 0
+
+    def influence(
+        self,
+        reps: np.ndarray,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        base_strengths: np.ndarray,
+    ) -> np.ndarray:
+        """``Pact(source, target)`` per arc, in each arc's replication.
+
+        :meth:`PerceptionState.influence_batch` per replication: the
+        similarity is computed only where both users have adopted
+        something, once per distinct (replication, source, target).
+        """
+        params = self.params
+        if params.gamma == 0.0:
+            return self.base.influence_batch(sources, targets, base_strengths)
+        similarities = np.zeros(base_strengths.size)
+        both = np.flatnonzero(
+            (self.inherited_any[sources] | self._touched(reps, sources))
+            & (self.inherited_any[targets] | self._touched(reps, targets))
+        )
+        if both.size:
+            n_users = self.n_users
+            keys, inverse = np.unique(
+                (reps[both] * n_users + sources[both]) * n_users
+                + targets[both],
+                return_inverse=True,
+            )
+            pair_reps, pairs = np.divmod(keys, n_users * n_users)
+            pair_sources, pair_targets = np.divmod(pairs, n_users)
+            values = self._similarities(pair_reps, pair_sources, pair_targets)
+            similarities[both] = values[inverse.reshape(-1)]
+        return influence_strength_batch(
+            base_strengths, similarities, params.gamma, params.min_influence
+        )
+
+    def _similarities(
+        self, reps: np.ndarray, sources: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """``adoption_similarity`` of (replication, source, target) triples.
+
+        The adoption rows come from the packed bits at once; weight
+        norms are cached per weight vector.
+        """
+        layout = self.layout
+        words = layout.word_of[reps]
+        masks = layout.mask_of[reps][:, None]
+
+        def weights_of(p: int):
+            r = int(reps[p])
+            return (
+                *self._weights(r, int(sources[p])),
+                *self._weights(r, int(targets[p])),
+            )
+
+        return adoption_similarity_batch(
+            (self.adopted3[sources, :, words] & masks) != 0,
+            (self.adopted3[targets, :, words] & masks) != 0,
+            weights_of,
+        )
+
+    def _weights(self, r: int, user: int) -> tuple[np.ndarray, float]:
+        """Current weights of ``user`` in replication ``r`` and their norm."""
+        record = self.users[r].get(user)
+        if record is not None:
+            return record.weights, record.norm()
+        weights = self.base.weights[user]
+        norm = self._base_norms.get(user)
+        if norm is None:
+            norm = self._base_norms[user] = float(np.linalg.norm(weights))
+        return weights, norm
+
+    def preferences(
+        self, reps: np.ndarray, users: np.ndarray, items: np.ndarray
+    ) -> np.ndarray:
+        """``Ppref(user, item)`` per event, in each event's replication."""
+        values = self.base.preference_gather(users, items)
+        if self.params.beta == 0.0:
+            return values
+        touched = np.flatnonzero(self._touched(reps, users))
+        if touched.size:
+            n_users = self.n_users
+            keys, inverse = np.unique(
+                reps[touched] * n_users + users[touched], return_inverse=True
+            )
+            vectors = np.stack(
+                [
+                    self.users[key // n_users][key % n_users].preference()
+                    for key in keys.tolist()
+                ]
+            )
+            values[touched] = vectors[inverse.reshape(-1), items[touched]]
+        return values
+
+    def preference_of(self, r: int, user: int, item: int) -> float:
+        record = self.users[r].get(user)
+        if record is None:
+            return self.base.preference_of(user, item)
+        return float(record.preference()[item])
+
+    def complementary_rows(
+        self, reps: np.ndarray, pair_keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct ``r^C`` rows of the events and each event's row index.
+
+        Rows of users whose weights have not moved in their replication
+        are shared by every replication: one
+        :meth:`PerceptionState.complementary_rows` gather per step.
+        Moved users' rows come from their records.
+        """
+        n_pairs = self.n_users * self.n_items
+        keys = pair_keys
+        if self.params.eta > 0.0:
+            moved = self._touched(reps, pair_keys // self.n_items)
+            keys = np.where(moved, (reps + 1) * n_pairs + pair_keys, pair_keys)
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        inverse = inverse.reshape(-1).astype(np.int64, copy=False)
+        shared = unique_keys < n_pairs
+        if shared.all():
+            return self.base.complementary_rows(unique_keys), inverse
+        rows = np.empty((unique_keys.size, self.n_items))
+        rows[shared] = self.base.complementary_rows(unique_keys[shared])
+        for position in np.flatnonzero(~shared).tolist():
+            r, pair = divmod(int(unique_keys[position]) - n_pairs, n_pairs)
+            user, item = divmod(pair, self.n_items)
+            rows[position] = self.users[r][user].complementary_row(item)
+        return rows, inverse
+
+    # -- writes --------------------------------------------------------
+    def commit(self, r: int, user: int, items: list[int]) -> None:
+        """Replication ``r``'s ``apply_step_adoptions`` for one user."""
+        layout = self.layout
+        word = int(layout.word_of[r])
+        mask = layout.mask_of[r]
+        base_pair = user * self.n_items
+        for item in items:
+            self.adopted[base_pair + item, word] |= mask
+        if self.dynamic:
+            record = self.users[r].get(user)
+            if record is None:
+                record = self.users[r][user] = UserPerception(self.base, user)
+                self.touched[user, word] |= mask
+            record.adopt(items)
+
+    def final_state(
+        self, r: int, users: np.ndarray, items: np.ndarray
+    ) -> PerceptionState:
+        """Replication ``r``'s final perception state.
+
+        Under learning dynamics the base copy takes over the
+        replication's records.  Under frozen dynamics the adoptions
+        (``users`` / ``items``, in commit order) fully determine every
+        observable read — weights never move, preferences stay at the
+        clipped base, complementary rows are campaign constants — so
+        they are replayed onto the copy; only the accumulated-relevance
+        buffers may differ in summation order, and they are unread when
+        ``beta == 0``.
+        """
+        state = self.base.copy()
+        if self.dynamic:
+            for record in self.users[r].values():
+                state.attach(record)
+            return state
+        adoptions: dict[int, list[int]] = {}
+        for user, item in zip(users.tolist(), items.tolist()):
+            adoptions.setdefault(user, []).append(item)
+        state.apply_step_adoptions(adoptions)
+        return state
 
 
 class LockstepOutcome:
@@ -98,12 +325,16 @@ class LockstepOutcome:
     def __init__(
         self,
         instance: IMDPPInstance,
+        replicas: _Replicas,
+        replication: int,
         committed_users: np.ndarray,
         committed_items: np.ndarray,
         sigma_by_promotion: list[float],
         steps_run: int,
     ):
         self.instance = instance
+        self._replicas = replicas
+        self._replication = replication
         #: Adoptions of this realization in commit order (seed
         #: self-adoptions included; each (user, item) appears once).
         self.committed_users = committed_users
@@ -158,26 +389,12 @@ class LockstepOutcome:
         return int(self._item_counts()[item])
 
     @property
-    def state(self):
-        """Final perception state, reconstructed lazily.
-
-        Under the frozen dynamics the kernel requires, the adoption
-        sets fully determine every observable read of the final state
-        (weights never move, preferences stay at the clipped base,
-        complementary rows are campaign constants), so replaying the
-        adoptions onto a fresh state reproduces it.  Only the internal
-        accumulated-relevance buffers may differ in summation order —
-        they are unread when ``beta == 0``.
-        """
+    def state(self) -> PerceptionState:
+        """Final perception state, materialized on first read."""
         if self._state is None:
-            state = self.instance.new_state()
-            adoptions: dict[int, list[int]] = {}
-            for user, item in zip(
-                self.committed_users.tolist(), self.committed_items.tolist()
-            ):
-                adoptions.setdefault(user, []).append(item)
-            state.apply_step_adoptions(adoptions)
-            self._state = state
+            self._state = self._replicas.final_state(
+                self._replication, self.committed_users, self.committed_items
+            )
         return self._state
 
 
@@ -219,27 +436,21 @@ def run_campaigns_lockstep(
     rngs: Sequence[np.random.Generator],
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
     until_promotion: int | None = None,
+    initial_state: PerceptionState | None = None,
     start_promotion: int = 1,
 ) -> list[LockstepOutcome]:
     """Play one campaign realization per generator, all in lockstep.
 
     Replication ``r`` consumes ``rngs[r]`` exactly as a
-    :meth:`CampaignSimulator.run` call would — one ``random(k)`` per
-    step whose ``k`` counts that replication's own events in the
-    canonical order — so outcomes and final generator states are
-    bit-identical to R independent runs.  Requires frozen dynamics;
-    raises :class:`~repro.errors.SimulationError` otherwise.
+    :meth:`CampaignSimulator.run` call with the same arguments would —
+    one ``random(k)`` per step whose ``k`` counts that replication's
+    own events in the canonical order — so outcomes, final states and
+    final generator states are bit-identical to R independent runs.
+    ``initial_state`` is copied, never mutated.
     """
     n_replications = len(rngs)
     if n_replications == 0:
         return []
-    params = instance.dynamics
-    if not params.is_frozen:
-        raise SimulationError(
-            "the lockstep pass requires frozen dynamics "
-            "(eta == beta == gamma == 0); use CampaignSimulator.run "
-            "for the dynamic regime"
-        )
     last = until_promotion or instance.n_promotions
     if last > instance.n_promotions:
         raise SimulationError(
@@ -249,20 +460,18 @@ def run_campaigns_lockstep(
     n_items = instance.n_items
     csr = instance.network.csr
     importance = instance.importance
-    # One shared pristine state supplies the campaign-constant
-    # probability ingredients (clipped preferences, frozen influence
-    # pipeline, complementary rows) through the same code paths the
+    # One shared state supplies every replication-independent
+    # probability ingredient through the same code paths the
     # per-replication step calls — identical floats by construction.
-    base_state = instance.new_state()
-    scale = params.association_scale
+    base = (
+        instance.new_state() if initial_state is None else initial_state.copy()
+    )
+    scale = base.params.association_scale
 
     layout = ReplicationLayout(n_replications)
     word_of, mask_of = layout.word_of, layout.mask_of
-    adopted = np.zeros(
-        (instance.n_users * n_items, layout.n_words), dtype=np.uint64
-    )
-    adopted3 = adopted.reshape(instance.n_users, n_items, layout.n_words)
-    item_axis = np.arange(n_items)
+    replicas = _Replicas(base, layout)
+    adopted, adopted3 = replicas.adopted, replicas.adopted3
 
     reps = [_RepState() for _ in range(n_replications)]
     seeds_by_promotion: dict[int, list[tuple[int, int]]] = {}
@@ -282,20 +491,22 @@ def run_campaigns_lockstep(
         rep = reps[r]
         word = int(word_of[r])
         mask = mask_of[r]
-        per_user: dict[int, set[int]] = {}
+        # Users in first-seed order, items in seed order: the commit
+        # order of ``CampaignSimulator._seed_step``.
+        per_user: dict[int, list[int]] = {}
         users: list[int] = []
         items: list[int] = []
         for user, item in _seeds_of(promotion):
             if adopted[user * n_items + item, word] & mask:
                 continue  # cannot adopt the same item twice
-            chosen = per_user.setdefault(user, set())
+            chosen = per_user.setdefault(user, [])
             if item in chosen:
                 continue
-            chosen.add(item)
+            chosen.append(item)
             users.append(user)
             items.append(item)
-        for user, item in zip(users, items):
-            adopted[user * n_items + item, word] |= mask
+        for user, chosen in per_user.items():
+            replicas.commit(r, user, chosen)
         rep.frontier_users = np.array(users, dtype=np.int64)
         rep.frontier_items = np.array(items, dtype=np.int64)
         rep.promotion_sigma = float(sum(importance[i] for i in items))
@@ -338,13 +549,13 @@ def run_campaigns_lockstep(
 
         Replays :meth:`CampaignSimulator._lt_total` /
         :func:`~repro.diffusion.models.aggregated_influence` exactly —
-        in-row order, the frozen influence pipeline, the same
+        in-row order, the influence pipeline, the same
         accumulate-then-cap float sequence — with the adopter test
         answered by the packed bits.
         """
         word = int(word_of[r])
         mask = mask_of[r]
-        neighbours, base = csr.in_row(user)
+        neighbours, base_in = csr.in_row(user)
         total = 0.0
         if neighbours.size:
             adopters = (
@@ -352,16 +563,17 @@ def run_campaigns_lockstep(
             ) != 0
             selected = neighbours[adopters]
             if selected.size:
-                strengths_in = base_state.influence_batch(
+                strengths_in = replicas.influence(
+                    np.full(selected.size, r, dtype=np.int64),
                     selected,
                     np.full(selected.size, user, dtype=np.int64),
-                    base[adopters],
+                    base_in[adopters],
                 )
                 for strength in strengths_in.tolist():
                     if strength <= 0.0:
                         continue
                     total += strength
-        return min(1.0, total) * base_state.preference_of(user, item)
+        return min(1.0, total) * replicas.preference_of(r, user, item)
 
     def _lockstep_step(active: list[int]) -> None:
         """One synchronized diffusion step over every runnable rep."""
@@ -392,8 +604,10 @@ def run_campaigns_lockstep(
         items = np.repeat(entry_items, counts)
         rep_of = np.repeat(entry_reps, counts)
         targets = csr.out_indices[gather]
-        strengths = base_state.influence_batch(
-            sources, targets, csr.out_strength[gather]
+        # Every probability reads the previous step's state of the
+        # event's own replication.
+        strengths = replicas.influence(
+            rep_of, sources, targets, csr.out_strength[gather]
         )
         # Zero-strength arcs produce no events at all (no draws).
         live = strengths > 0.0
@@ -408,23 +622,12 @@ def run_campaigns_lockstep(
         words = word_of[rep_of]
         masks = mask_of[rep_of]
         pair_keys = targets * n_items + items
-        already = (adopted[pair_keys, words] & masks) != 0
-        preferences = base_state.preference_gather(targets, items)
+        already = replicas.has_adopted(rep_of, pair_keys)
+        preferences = replicas.preferences(rep_of, targets, items)
         # One product reused by the influence coins and the
         # association probabilities — the same elementwise floats the
         # per-replication step computes from its own event arrays.
         sp = strengths * preferences
-
-        if scale != 0.0:
-            unique_keys, inverse = np.unique(
-                pair_keys, return_inverse=True
-            )
-            unique_rows = base_state.complementary_rows(unique_keys)
-            inverse = inverse.astype(np.int64, copy=False)
-        else:
-            unique_rows = np.zeros((1, n_items))
-            inverse = np.zeros(n_events, dtype=np.int64)
-
 
         # Which events open with a draw: IC flips an influence coin
         # for every not-yet-adopted (target, item); LT draws a
@@ -446,15 +649,15 @@ def run_campaigns_lockstep(
 
         eligible = None
         if scale != 0.0:
+            unique_rows, inverse = replicas.complementary_rows(
+                rep_of, pair_keys
+            )
             extra_probs = scale * np.clip(
                 sp[:, None] * unique_rows[inverse], 0.0, 1.0
             )
             eligible = extra_probs > EXTRA_ADOPTION_FLOOR
             eligible[np.arange(n_events), items] = False
-            adopted_rows = adopted3[
-                targets[:, None], item_axis[None, :], words[:, None]
-            ]
-            eligible &= (adopted_rows & masks[:, None]) == 0
+            eligible &= (adopted3[targets, :, words] & masks[:, None]) == 0
             n_extra = eligible.sum(axis=1)
         else:
             n_extra = np.zeros(n_events, dtype=np.int64)
@@ -582,10 +785,11 @@ def run_campaigns_lockstep(
                     for item in sorted(chosen)
                     if not (adopted[base_pair + item, word] & mask)
                 ]
-                for item in fresh:
-                    adopted[base_pair + item, word] |= mask
-                    committed_users.append(user)
-                    committed_items.append(item)
+                if not fresh:
+                    continue
+                replicas.commit(r, user, fresh)
+                committed_users.extend([user] * len(fresh))
+                committed_items.extend(fresh)
             rep.promotion_sigma += float(
                 sum(importance[item] for item in committed_items)
             )
@@ -604,23 +808,23 @@ def run_campaigns_lockstep(
         _lockstep_step(active)
         active = [r for r in active if _advance(r)]
 
-    outcomes: list[LockstepOutcome] = []
-    for rep in reps:
-        outcomes.append(
-            LockstepOutcome(
-                instance=instance,
-                committed_users=(
-                    np.concatenate(rep.committed_users)
-                    if rep.committed_users
-                    else _EMPTY_I64
-                ),
-                committed_items=(
-                    np.concatenate(rep.committed_items)
-                    if rep.committed_items
-                    else _EMPTY_I64
-                ),
-                sigma_by_promotion=rep.sigma_by_promotion,
-                steps_run=rep.steps_run,
-            )
+    return [
+        LockstepOutcome(
+            instance=instance,
+            replicas=replicas,
+            replication=r,
+            committed_users=(
+                np.concatenate(rep.committed_users)
+                if rep.committed_users
+                else _EMPTY_I64
+            ),
+            committed_items=(
+                np.concatenate(rep.committed_items)
+                if rep.committed_items
+                else _EMPTY_I64
+            ),
+            sigma_by_promotion=rep.sigma_by_promotion,
+            steps_run=rep.steps_run,
         )
-    return outcomes
+        for r, rep in enumerate(reps)
+    ]

@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
-from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.diffusion.repkernel import run_campaigns_lockstep
 from repro.perception.state import PerceptionState
@@ -37,7 +36,6 @@ __all__ = [
     "ReplicationTask",
     "ChunkResult",
     "chunk_indices",
-    "lockstep_applicable",
     "run_chunk",
 ]
 
@@ -185,70 +183,28 @@ def chunk_indices(
     ]
 
 
-def lockstep_applicable(task: ReplicationTask) -> bool:
-    """Will ``run_chunk`` play this task in one packed lockstep pass?
+def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
+    """Run the replications ``indices`` of ``task`` in one packed pass.
 
-    True iff the recipe fits the packed pass: frozen dynamics (per-event
-    probabilities must not depend on per-replication perception state),
-    no resumed state, and neither state-materializing collector
-    (likelihood, mean weights) — only the per-replication step
-    materializes a final
-    :class:`~repro.perception.state.PerceptionState`.  Every other
-    recipe replays its replications one by one.
+    Every recipe — frozen or learning dynamics, resumed states, the
+    likelihood and final-weights collectors — plays the whole range in
+    one :func:`~repro.diffusion.repkernel.run_campaigns_lockstep` call,
+    bit-identical per sample to one :meth:`CampaignSimulator.run` per
+    replication.  The collectors then read each replication's final
+    state, and the final weights fold over the canonical chunks.  This
+    is the single entry point every backend dispatches — it must stay a
+    module-level function so process pools can pickle it by qualified
+    name.
     """
-    return (
-        task.instance.dynamics.is_frozen
-        and task.initial_state is None
-        and not task.compute_likelihood
-        and not task.collect_weights
-    )
-
-
-def _run_chunk_lockstep(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
-    """One packed kernel call covering every replication of the chunk."""
-    rngs = [
-        spawn_rng(task.rng_seed, *task.rng_context, i) for i in indices
-    ]
     outcomes = run_campaigns_lockstep(
         task.instance,
         task.seed_group,
-        rngs,
+        [spawn_rng(task.rng_seed, *task.rng_context, i) for i in indices],
         model=task.model,
         until_promotion=task.until_promotion,
+        initial_state=task.initial_state,
         start_promotion=task.start_promotion,
     )
-    n = len(indices)
-    sigmas = np.zeros(n)
-    restricted = np.zeros(n)
-    restrict = None
-    if task.restrict_users is not None:
-        restrict = set(task.restrict_users)
-    for j, outcome in enumerate(outcomes):
-        sigmas[j] = outcome.sigma
-        if restrict is not None:
-            restricted[j] = outcome.sigma_restricted(restrict)
-    return ChunkResult(
-        sigmas=sigmas,
-        restricted=restricted,
-        likelihoods=np.zeros(n),
-    )
-
-
-def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
-    """Run the replications ``indices`` of ``task`` sequentially.
-
-    Frozen recipes play in one packed lockstep pass
-    (:func:`lockstep_applicable`); dynamic perceptions, resumed states
-    and state collectors replay :meth:`CampaignSimulator.run` per
-    replication.  Both are bit-identical per sample.  The per-replication
-    path folds the final weights, when asked, over the canonical
-    chunks.  This is the single entry point every backend dispatches —
-    it must stay a module-level function so process pools can pickle
-    it by qualified name.
-    """
-    if lockstep_applicable(task):
-        return _run_chunk_lockstep(task, indices)
-    simulator = CampaignSimulator(task.instance, model=task.model)
     n = len(indices)
     sigmas = np.zeros(n)
     restricted = np.zeros(n)
@@ -258,15 +214,7 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     if task.restrict_users is not None:
         restrict = set(task.restrict_users)
 
-    for j, i in enumerate(indices):
-        rng = spawn_rng(task.rng_seed, *task.rng_context, i)
-        outcome = simulator.run(
-            task.seed_group,
-            rng,
-            until_promotion=task.until_promotion,
-            initial_state=task.initial_state,
-            start_promotion=task.start_promotion,
-        )
+    for j, (i, outcome) in enumerate(zip(indices, outcomes)):
         sigmas[j] = outcome.sigma
         if restrict is not None:
             restricted[j] = outcome.sigma_restricted(restrict)

@@ -155,9 +155,7 @@ class FaultStats:
     def note_degraded(self, level: str) -> None:
         """Record a ladder step (keeps the lowest level reached)."""
         self.degradations += 1
-        if DEGRADATION_LADDER.index(level) > DEGRADATION_LADDER.index(
-            self.degraded_to
-        ):
+        if DEGRADATION_LADDER.index(level) > DEGRADATION_LADDER.index(self.degraded_to):
             self.degraded_to = level
 
     def copy(self) -> "FaultStats":
@@ -179,9 +177,7 @@ class FaultStats:
                 if self.degradations > since.degradations
                 else ""
             ),
-            wall_seconds_lost=(
-                self.wall_seconds_lost - since.wall_seconds_lost
-            ),
+            wall_seconds_lost=(self.wall_seconds_lost - since.wall_seconds_lost),
         )
 
     def as_dict(self) -> dict:
@@ -216,13 +212,9 @@ class RetryPolicy:
 
     def __post_init__(self):
         if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise ValueError(
-                f"chunk_timeout must be > 0, got {self.chunk_timeout}"
-            )
+            raise ValueError(f"chunk_timeout must be > 0, got {self.chunk_timeout}")
 
     def backoff_delay(self, round_no: int) -> float:
         if self.backoff_base <= 0:
@@ -324,9 +316,7 @@ class FaultPlan:
             ):
                 return self.every_kind
             if self.rate > 0:
-                draw = np.random.default_rng(
-                    (self.seed, call, chunk)
-                ).random()
+                draw = np.random.default_rng((self.seed, call, chunk)).random()
                 if draw < self.rate:
                     return self.every_kind
         return None
@@ -340,9 +330,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        faults = tuple(
-            FaultSpec(**spec) for spec in data.get("faults", ())
-        )
+        faults = tuple(FaultSpec(**spec) for spec in data.get("faults", ()))
         known = {f for f in cls.__dataclass_fields__} - {"faults"}
         kwargs = {k: v for k, v in data.items() if k in known}
         return cls(faults=faults, **kwargs)
@@ -388,9 +376,7 @@ class _ChunkCall:
     parent_pid: int
 
 
-def _trigger_fault(
-    kind: str, hang_seconds: float, parent_pid: int
-) -> None:
+def _trigger_fault(kind: str, hang_seconds: float, parent_pid: int) -> None:
     if kind == "hang":
         # A stall, not a loss: the chunk proceeds normally afterwards.
         # With a chunk_timeout the parent declares it hung and
@@ -400,9 +386,7 @@ def _trigger_fault(
     if kind == "crash":
         if os.getpid() != parent_pid:
             os._exit(CRASH_EXIT_CODE)
-        raise InjectedWorkerCrash(
-            "planned worker crash (simulated in-process)"
-        )
+        raise InjectedWorkerCrash("planned worker crash (simulated in-process)")
     raise InjectedFault("planned chunk exception")
 
 
@@ -448,14 +432,10 @@ def _warn_degraded(backend, level: str, reason: str) -> None:
 def _plan_fault(plan, call_index, st, base):
     if plan is None:
         return None
-    return plan.fault_for(
-        call_index, st.index, base + st.index, st.attempts
-    )
+    return plan.fault_for(call_index, st.index, base + st.index, st.attempts)
 
 
-def _run_pool_round(
-    backend, fn, task, cohort, plan, call_index, base, stats, results
-):
+def _run_pool_round(backend, fn, task, cohort, plan, call_index, base, stats, results):
     """Dispatch one cohort to the pool; classify what came back.
 
     Returns ``(failed_states, pool_broken, pool_hung)``.
@@ -476,9 +456,7 @@ def _run_pool_round(
         )
         st.attempts += 1
         try:
-            future = backend.executor.submit(
-                _resilient_chunk, call, task, st.chunk
-            )
+            future = backend.executor.submit(_resilient_chunk, call, task, st.chunk)
         except BrokenExecutor:
             # The pool died between calls (e.g. externally killed
             # worker): everything in this cohort needs a fresh pool.
@@ -497,11 +475,7 @@ def _run_pool_round(
         if deadline is not None and time.monotonic() >= deadline:
             hung = True
             break
-        timeout = (
-            None
-            if deadline is None
-            else max(0.0, deadline - time.monotonic())
-        )
+        timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
         done, pending = concurrent.futures.wait(pending, timeout=timeout)
         for future in done:
             st = futures[future]
@@ -541,9 +515,7 @@ def _run_pool_round(
     return failed, broken, hung
 
 
-def _run_thread_rung(
-    backend, fn, task, st, plan, call_index, base, stats
-):
+def _run_thread_rung(backend, fn, task, st, plan, call_index, base, stats):
     """Retry one exhausted chunk in an in-parent supervised thread.
 
     Returns True when the chunk completed (result stored by the
@@ -568,9 +540,7 @@ def _run_thread_rung(
                 box["error"] = exc
 
         started = time.monotonic()
-        thread = threading.Thread(
-            target=body, daemon=True, name="repro-degraded"
-        )
+        thread = threading.Thread(target=body, daemon=True, name="repro-degraded")
         thread.start()
         thread.join(policy.chunk_timeout)
         if thread.is_alive():
@@ -598,17 +568,13 @@ def _run_thread_rung(
     return False
 
 
-def _run_degraded(
-    backend, fn, task, states, plan, call_index, base, stats, results
-):
+def _run_degraded(backend, fn, task, states, plan, call_index, base, stats, results):
     """Walk exhausted chunks down the ladder: thread, then serial."""
     _warn_degraded(backend, "thread", "pool-level retries exhausted")
     stats.note_degraded("thread")
     serial_states = []
     for st in states:
-        if _run_thread_rung(
-            backend, fn, task, st, plan, call_index, base, stats
-        ):
+        if _run_thread_rung(backend, fn, task, st, plan, call_index, base, stats):
             results[st.index] = st.result
         else:
             serial_states.append(st)
@@ -659,9 +625,7 @@ def supervise_map_chunks(backend, fn, task, chunks) -> list:
         if not failed:
             break
         retry = [st for st in failed if st.attempts <= policy.max_retries]
-        exhausted.extend(
-            st for st in failed if st.attempts > policy.max_retries
-        )
+        exhausted.extend(st for st in failed if st.attempts > policy.max_retries)
         if retry:
             stats.retries += len(retry)
             delay = policy.backoff_delay(round_no)

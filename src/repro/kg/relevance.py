@@ -100,6 +100,9 @@ class RelevanceEngine:
             ],
             dtype=int,
         )
+        #: ``matrices[complementary_index]``: one complementary row's
+        #: operand is a basic slice of it, not a fancy gather per row.
+        self.complementary_matrices = self.matrices[self.complementary_index]
 
     # ------------------------------------------------------------------
     @property

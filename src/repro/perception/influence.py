@@ -21,11 +21,13 @@ strengths grow only after the users co-adopt (Sec. VI-F case 3).
 
 from __future__ import annotations
 
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "adoption_similarity",
+    "adoption_similarity_batch",
     "influence_strength",
     "influence_strength_batch",
 ]
@@ -59,6 +61,39 @@ def adoption_similarity(
     else:
         cosine = 0.0
     raw = 0.5 * jaccard + 0.5 * max(0.0, min(1.0, cosine))
+    return raw * depth
+
+
+def adoption_similarity_batch(
+    adopted_u: np.ndarray,
+    adopted_v: np.ndarray,
+    weights_of: Callable[[int], tuple[np.ndarray, float, np.ndarray, float]],
+) -> np.ndarray:
+    """Vectorized :func:`adoption_similarity` over user pairs.
+
+    For pairs of users who both adopted something, given as boolean
+    ``(n_pairs, n_items)`` adoption rows.  ``weights_of(p)`` returns
+    pair ``p``'s ``(W(u), ||W(u)||, W(v), ||W(v)||)``, norms as
+    ``float(np.linalg.norm(W))``; it is asked only for pairs that share
+    an adoption, because a pair without one scores exactly 0.0 whatever
+    its cosine.  Elementwise bit-identical to the scalar form: the
+    counts are integers, each cosine keeps its own ``@``, and the
+    ratios combine through the same IEEE-754 operations.
+    """
+    common = (adopted_u & adopted_v).sum(axis=1)
+    union = (adopted_u | adopted_v).sum(axis=1)
+    dots = np.zeros(common.size)
+    norms_u = np.zeros(common.size)
+    norms_v = np.zeros(common.size)
+    for p in np.flatnonzero(common).tolist():
+        weights_u, norms_u[p], weights_v, norms_v[p] = weights_of(p)
+        dots[p] = float(weights_u @ weights_v)
+    jaccard = common / union
+    depth = common / (1.0 + common)
+    cosine = np.zeros(common.size)
+    both = (norms_u > 0) & (norms_v > 0)
+    cosine[both] = dots[both] / (norms_u[both] * norms_v[both])
+    raw = 0.5 * jaccard + 0.5 * np.maximum(0.0, np.minimum(1.0, cosine))
     return raw * depth
 
 

@@ -61,6 +61,6 @@ def preference_vector(
         delta += weights[complementary_index] @ accumulated[complementary_index]
     if substitutable_index.size:
         delta -= weights[substitutable_index] @ accumulated[substitutable_index]
-    return np.clip(
-        base_preference_row + beta * np.tanh(delta), min_preference, 1.0
+    return (base_preference_row + beta * np.tanh(delta)).clip(
+        min_preference, 1.0
     )

@@ -23,6 +23,7 @@ from repro.kg.relevance import RelevanceEngine
 from repro.perception.association import extra_adoption_probabilities
 from repro.perception.influence import (
     adoption_similarity,
+    adoption_similarity_batch,
     influence_strength,
     influence_strength_batch,
 )
@@ -32,7 +33,45 @@ from repro.perception.preference import preference_vector
 from repro.perception.weights import update_weights, weight_evidence
 from repro.social.network import SocialNetwork
 
-__all__ = ["ComplementaryTable", "PerceptionState"]
+__all__ = ["ComplementaryTable", "PerceptionState", "UserPerception"]
+
+
+def _adopt(
+    relevance: RelevanceEngine,
+    params: DynamicsParams,
+    history: set[int],
+    weights: np.ndarray,
+    new_items: list[int],
+) -> tuple[np.ndarray | None, list[int]]:
+    """One user's end-of-step update of weights and history.
+
+    The weightings update first, from the evidence connecting the
+    history and the new items; then the new items join ``history`` in
+    ``new_items`` order.  Returns the moved weights (``None`` when
+    ``eta == 0``) and the items that joined, whose relevance rows the
+    caller adds to the accumulated relevance in that order
+    (:func:`_accumulate`).  :meth:`PerceptionState.apply_step_adoptions`
+    and :meth:`UserPerception.adopt` both commit through here, so their
+    floats agree bit for bit.
+    """
+    moved = None
+    if params.eta > 0.0:
+        evidence = weight_evidence(relevance, history, list(new_items))
+        moved = update_weights(weights, evidence, params.eta)
+    joined = []
+    for item in new_items:
+        if item not in history:
+            history.add(item)
+            joined.append(item)
+    return moved, joined
+
+
+def _accumulate(
+    relevance: RelevanceEngine, accumulated: np.ndarray, items: list[int]
+) -> None:
+    """``accumulated += s(item, . | m)`` for each item, in order."""
+    for item in items:
+        accumulated += relevance.matrices[:, item, :]
 
 
 def _complementary_row(
@@ -47,9 +86,9 @@ def _complementary_row(
     index = relevance.complementary_index
     if index.size == 0:
         return np.zeros(relevance.n_items)
-    return np.clip(
-        np.dot(weights[index], relevance.matrices[index, item, :]), 0.0, 1.0
-    )
+    return np.dot(
+        weights[index], relevance.complementary_matrices[:, item, :]
+    ).clip(0.0, 1.0)
 
 
 class ComplementaryTable:
@@ -319,9 +358,11 @@ class PerceptionState:
         per-arc lookup.  Elementwise equal (bit for bit) to calling
         :meth:`influence` per arc: the frozen path (``gamma == 0``)
         runs the identical clip pipeline vectorized.  The dynamic path
-        calls ``adoption_similarity`` only for arcs whose endpoints both
-        have adoptions — it returns exactly 0.0 for every other arc —
-        and once per distinct (source, target) pair of the call.
+        scores only arcs whose endpoints both have adoptions —
+        ``adoption_similarity`` is exactly 0.0 for every other arc — once
+        per distinct (source, target) pair of the call, through
+        :func:`~repro.perception.influence.adoption_similarity_batch`
+        (each user's weight norm computed once per call).
         """
         base_strengths = np.asarray(base_strengths, dtype=np.float64)
         if self.params.gamma == 0.0:
@@ -341,16 +382,23 @@ class PerceptionState:
                 sources[both] * self.n_users + targets[both],
                 return_inverse=True,
             )
-            values = np.empty(pairs.size)
-            for position, pair in enumerate(pairs.tolist()):
-                source, target = divmod(pair, self.n_users)
-                values[position] = adoption_similarity(
-                    self.adopted[source],
-                    self.adopted[target],
-                    self.weights[source],
-                    self.weights[target],
-                )
-            similarities[both] = values[inverse]
+            pair_sources, pair_targets = np.divmod(pairs, self.n_users)
+            weights = self.weights
+            norms: dict[int, float] = {}
+
+            def weights_of(p: int):
+                vectors = []
+                for user in (int(pair_sources[p]), int(pair_targets[p])):
+                    norm = norms.get(user)
+                    if norm is None:
+                        norm = norms[user] = float(np.linalg.norm(weights[user]))
+                    vectors += (weights[user], norm)
+                return tuple(vectors)
+
+            values = adoption_similarity_batch(
+                adopters[pair_sources], adopters[pair_targets], weights_of
+            )
+            similarities[both] = values[inverse.reshape(-1)]
         return influence_strength_batch(
             base_strengths,
             similarities,
@@ -363,16 +411,16 @@ class PerceptionState:
     ) -> np.ndarray:
         """``Ppref(user, item, zeta_t)`` for parallel (user, item) arrays.
 
-        With ``beta == 0`` every row is the clipped base, so the whole
-        gather is one fancy index into the shared matrix.  Under
-        cross-elasticity dynamics it walks distinct users, but only
-        users with adoption history need their dynamic vector — the
-        rest read the shared matrix too.
+        With ``beta == 0``, or before any adoption, every row is the
+        clipped base, so the whole gather is one fancy index into the
+        shared matrix.  Under cross-elasticity dynamics it walks
+        distinct users, but only users with adoption history need their
+        dynamic vector — the rest read the shared matrix too.
         """
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         base = self._clipped_base_matrix()
-        if self.params.beta == 0.0:
+        if self.params.beta == 0.0 or not self._accumulated:
             return base[users, items]
         values = base[users, items]
         touched = [
@@ -462,14 +510,15 @@ class PerceptionState:
         for user, new_items in adoptions.items():
             if not new_items:
                 continue
-            history = self.adopted[user]
-            if self.params.eta > 0.0:
-                evidence = weight_evidence(
-                    self.relevance, history, list(new_items)
-                )
-                self.weights[user] = update_weights(
-                    self.weights[user], evidence, self.params.eta
-                )
+            moved, joined = _adopt(
+                self.relevance,
+                self.params,
+                self.adopted[user],
+                self.weights[user],
+                new_items,
+            )
+            if moved is not None:
+                self.weights[user] = moved
                 self._moved[user] = True
                 self._moved_rows.pop(user, None)
             accumulated = self._accumulated.get(user)
@@ -478,9 +527,131 @@ class PerceptionState:
                     (self.relevance.n_meta, self.n_items)
                 )
                 self._accumulated[user] = accumulated
-            for item in new_items:
-                if item not in history:
-                    accumulated += self.relevance.matrices[:, item, :]
-                    history.add(item)
-                    self._adopted_mask[user, item] = True
+            _accumulate(self.relevance, accumulated, joined)
+            self._adopted_mask[user, joined] = True
             self._preference_cache.pop(user, None)
+
+    def attach(self, perception: "UserPerception") -> None:
+        """Take over one user's perception from a detached record.
+
+        The record's adoption set becomes this state's own (not copied:
+        the record is spent), its weights overwrite the user's row when
+        they moved, and a preference the record already holds is kept.
+        """
+        user = perception.user
+        self.adopted[user] = perception.adopted
+        self._adopted_mask[user, list(perception.adopted)] = True
+        self._accumulated[user] = perception.accumulated()
+        if perception.moved:
+            self.weights[user] = perception.weights
+            self._moved[user] = True
+            self._moved_rows.pop(user, None)
+        if perception.cached_preference is not None:
+            self._preference_cache[user] = perception.cached_preference
+        else:
+            self._preference_cache.pop(user, None)
+
+
+class UserPerception:
+    """One user's perception in one replication, apart from any state.
+
+    The lockstep pass (:mod:`repro.diffusion.repkernel`) plays R
+    replications of a campaign from one shared ``base`` state and gives
+    a user a record of its own in replication ``r`` only once that
+    user adopts there — every other user reads ``base``.  The record
+    starts from the user's ``base`` perception and then commits and
+    reads exactly like a :class:`PerceptionState` copy would for that
+    user: the same update function (``_adopt``), the same preference
+    and complementary-row formulas.  :meth:`PerceptionState.attach`
+    folds it back into a state.
+
+    R replications' records live at once, so a record stays small: it
+    keeps the items it committed instead of an accumulated-relevance
+    matrix, and rebuilds that matrix with the same additions in the
+    same order whenever it is read, and computes complementary rows
+    without caching them.
+    """
+
+    __slots__ = (
+        "base",
+        "user",
+        "adopted",
+        "committed",
+        "weights",
+        "moved",
+        "_norm",
+        "cached_preference",
+    )
+
+    def __init__(self, base: PerceptionState, user: int):
+        self.base = base
+        self.user = user
+        # ``set(items)``: the same copy a ``PerceptionState.copy`` makes,
+        # so weight evidence walks the history in the same order.
+        self.adopted = set(base.adopted[user])
+        #: Items that joined ``adopted`` here, in commit order.
+        self.committed: list[int] = []
+        self.weights = base.weights[user]
+        #: True once the weights moved away from ``base``'s row.
+        self.moved = False
+        self._norm: float | None = None
+        #: ``Ppref(user, .)`` of the current perception, once read.
+        self.cached_preference: np.ndarray | None = None
+
+    def adopt(self, new_items: list[int]) -> None:
+        """:meth:`PerceptionState.apply_step_adoptions` for this user."""
+        base = self.base
+        moved, joined = _adopt(
+            base.relevance, base.params, self.adopted, self.weights, new_items
+        )
+        if moved is not None:
+            self.weights = moved
+            self.moved = True
+            self._norm = None
+        self.committed.extend(joined)
+        self.cached_preference = None
+
+    def accumulated(self) -> np.ndarray:
+        """The user's accumulated relevance, rebuilt (a fresh array)."""
+        base = self.base
+        inherited = base._accumulated.get(self.user)
+        if inherited is None:
+            accumulated = np.zeros((base.relevance.n_meta, base.n_items))
+        else:
+            accumulated = inherited.copy()
+        _accumulate(base.relevance, accumulated, self.committed)
+        return accumulated
+
+    def norm(self) -> float:
+        """``||W(user)||``, the similarity cosine's denominator factor."""
+        if self._norm is None:
+            self._norm = float(np.linalg.norm(self.weights))
+        return self._norm
+
+    def preference(self) -> np.ndarray:
+        """``Ppref(user, .)``: :meth:`PerceptionState.preference`."""
+        if self.cached_preference is None:
+            base = self.base
+            params = base.params
+            if params.beta == 0.0:
+                vector = base._clipped_base_matrix()[self.user]
+            else:
+                vector = preference_vector(
+                    base.base_preference[self.user],
+                    self.weights,
+                    self.accumulated(),
+                    base.relevance.complementary_index,
+                    base.relevance.substitutable_index,
+                    params.beta,
+                    params.min_preference,
+                )
+            self.cached_preference = vector
+        return self.cached_preference
+
+    def complementary_row(self, item: int) -> np.ndarray:
+        """``r^C(user, item, .)`` under the record's current weights.
+
+        Computed, never cached: the lockstep pass reads the shared
+        table for users whose weights have not moved.
+        """
+        return _complementary_row(self.base.relevance, self.weights, item)

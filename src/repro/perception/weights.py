@@ -76,4 +76,4 @@ def update_weights(
     peak = updated.max()
     if peak > 1.0:
         updated = updated / peak
-    return np.clip(updated, 0.0, 1.0)
+    return updated.clip(0.0, 1.0)

@@ -14,7 +14,10 @@ These tests run full campaigns on hypothesis-generated instances
 (random topology, insertion order, strengths, preferences, seeds and
 dynamics) for both IC and LT and assert bit identity of every output
 *and* of the final RNG stream position (``bit_generator.state``).  The
-lockstep pass is also pinned at the replication-word boundaries (R in
+lockstep pass is checked per replication against an independent
+``CampaignSimulator.run`` under frozen and learning dynamics alike —
+sigmas, the likelihood and final weights its collectors read, resumed
+states — and at the replication-word boundaries (R in
 {1, 63, 64, 65, 130}).
 """
 
@@ -25,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
 from repro.diffusion.campaign import CampaignSimulator
-from repro.diffusion.models import DiffusionModel
+from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.diffusion.repkernel import run_campaigns_lockstep
 from repro.kg.relevance import RelevanceEngine
 from repro.perception.params import DynamicsParams
@@ -38,14 +41,12 @@ N_ITEMS = 4
 
 
 @st.composite
-def instances(draw, force_frozen=False):
+def instances(draw):
     """A small IMDPP instance with a hypothesis-drawn social layer.
 
     The knowledge-graph side is fixed (the tiny 4-item KG); everything
     the frontier kernel is sensitive to — topology, arc *insertion
     order*, strengths, preferences, weights, dynamics — is drawn.
-    ``force_frozen`` pins the dynamics to the frozen regime the
-    lockstep kernel requires (association coins stay live).
     """
     n_users = draw(st.integers(3, 8))
     directed = draw(st.booleans())
@@ -70,7 +71,7 @@ def instances(draw, force_frozen=False):
     relevance = RelevanceEngine(kg, build_tiny_metagraphs(), items)
     pref_seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(pref_seed)
-    frozen = force_frozen or draw(st.booleans())
+    frozen = draw(st.booleans())
     dynamics = (
         DynamicsParams.frozen()
         if frozen
@@ -153,7 +154,8 @@ def test_lt_step_bit_identical(case):
 
 # ----------------------------------------------------------------------
 # Replication-lockstep kernel: one packed pass over R replications must
-# replay each replication's per-replication run exactly.
+# replay each replication's per-replication run exactly, under learning
+# dynamics as under frozen ones.
 # ----------------------------------------------------------------------
 
 #: Replication counts straddling the packed uint64 word boundaries.
@@ -167,13 +169,24 @@ def _replication_rngs(run_seed, n_replications):
     ]
 
 
-def _assert_lockstep_matches(instance, group, run_seed, model, n_replications):
+def _assert_lockstep_matches(
+    instance, group, run_seed, model, n_replications, **window
+):
+    """Every output of every replication equals an independent run:
+    adoptions, sigmas, the collectors' likelihoods and final weights,
+    and the final generator state."""
     simulator = CampaignSimulator(instance, model=model)
     reference_rngs = _replication_rngs(run_seed, n_replications)
-    references = [simulator.run(group, rng) for rng in reference_rngs]
+    references = [
+        simulator.run(group, rng, **window) for rng in reference_rngs
+    ]
     rngs = _replication_rngs(run_seed, n_replications)
-    outcomes = run_campaigns_lockstep(instance, group, rngs, model=model)
+    outcomes = run_campaigns_lockstep(
+        instance, group, rngs, model=model, **window
+    )
     assert len(outcomes) == n_replications
+    some_users = set(range(0, instance.n_users, 2))
+    all_users = set(range(instance.n_users))
     for r, (reference, outcome) in enumerate(zip(references, outcomes)):
         assert np.array_equal(
             reference.new_adoptions, outcome.new_adoptions
@@ -181,14 +194,17 @@ def _assert_lockstep_matches(instance, group, run_seed, model, n_replications):
         assert reference.sigma == outcome.sigma, r
         assert reference.sigma_by_promotion == outcome.sigma_by_promotion, r
         assert reference.steps_run == outcome.steps_run, r
-        some_users = set(range(0, instance.n_users, 2))
         assert reference.sigma_restricted(
             some_users
         ) == outcome.sigma_restricted(some_users), r
-        # Final perception state is reconstructible (frozen run).
+        # The collectors' reads of the final state.
         assert np.array_equal(
             reference.state.weights, outcome.state.weights
         ), r
+        for users in (some_users, all_users):
+            assert adoption_likelihood(
+                reference.state, model, users
+            ) == adoption_likelihood(outcome.state, model, users), r
         # The decisive check: replication r consumed exactly the
         # draws its own per-replication run would have.
         assert (
@@ -197,7 +213,7 @@ def _assert_lockstep_matches(instance, group, run_seed, model, n_replications):
         ), r
 
 
-@given(instances(force_frozen=True), st.sampled_from((1, 2, 5)))
+@given(instances(), st.sampled_from((1, 2, 5)))
 @settings(max_examples=30, deadline=None)
 def test_lockstep_ic_bit_identical(case, n_replications):
     instance, group, run_seed = case
@@ -210,7 +226,7 @@ def test_lockstep_ic_bit_identical(case, n_replications):
     )
 
 
-@given(instances(force_frozen=True), st.sampled_from((1, 2, 5)))
+@given(instances(), st.sampled_from((1, 2, 5)))
 @settings(max_examples=30, deadline=None)
 def test_lockstep_lt_bit_identical(case, n_replications):
     instance, group, run_seed = case
@@ -223,7 +239,7 @@ def test_lockstep_lt_bit_identical(case, n_replications):
     )
 
 
-@given(instances(force_frozen=True))
+@given(instances())
 @settings(max_examples=6, deadline=None)
 def test_lockstep_word_boundaries(case):
     """R in {1, 63, 64, 65, 130}: packed words must not leak bits."""
@@ -238,44 +254,53 @@ def test_lockstep_word_boundaries(case):
         )
 
 
-@given(instances(force_frozen=True))
+@given(instances())
 @settings(max_examples=15, deadline=None)
 def test_lockstep_promotion_windows(case):
     """until_promotion / start_promotion replay the reference windows."""
     instance, group, run_seed = case
-    simulator = CampaignSimulator(instance)
     for window in (
         dict(until_promotion=1),
         dict(start_promotion=instance.n_promotions),
     ):
-        reference_rng = np.random.default_rng(run_seed)
-        reference = simulator.run(group, reference_rng, **window)
-        rng = np.random.default_rng(run_seed)
-        (outcome,) = run_campaigns_lockstep(
-            instance, group, [rng], **window
+        _assert_lockstep_matches(
+            instance,
+            group,
+            run_seed,
+            DiffusionModel.INDEPENDENT_CASCADE,
+            3,
+            **window,
         )
-        assert reference.sigma == outcome.sigma, window
-        assert (
-            reference.sigma_by_promotion == outcome.sigma_by_promotion
-        ), window
-        assert (
-            reference_rng.bit_generator.state == rng.bit_generator.state
-        ), window
 
 
-def test_lockstep_requires_frozen_dynamics(tiny_instance):
-    import pytest
-
-    from repro.errors import SimulationError
-
-    assert not tiny_instance.dynamics.is_frozen
-    group = SeedGroup([Seed(0, 0, 1)])
-    with pytest.raises(SimulationError):
-        run_campaigns_lockstep(
-            tiny_instance, group, [np.random.default_rng(0)]
-        )
+@given(
+    instances(),
+    st.sampled_from(tuple(DiffusionModel)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_lockstep_resumed_states(case, model, observe_seed):
+    """A campaign resumed from an observed state (adaptive IM) replays
+    the reference, and the resumed state is left untouched."""
+    instance, group, run_seed = case
+    observed = CampaignSimulator(instance, model=model).run(
+        group, np.random.default_rng(observe_seed), until_promotion=1
+    ).state
+    weights = observed.weights.copy()
+    adopted = [set(items) for items in observed.adopted]
+    _assert_lockstep_matches(
+        instance,
+        group,
+        run_seed,
+        model,
+        4,
+        initial_state=observed,
+        start_promotion=instance.n_promotions,
+    )
+    assert np.array_equal(observed.weights, weights)
+    assert observed.adopted == adopted
 
 
 def test_lockstep_empty_rngs(tiny_instance):
     group = SeedGroup([Seed(0, 0, 1)])
-    assert run_campaigns_lockstep(tiny_instance.frozen(), group, []) == []
+    assert run_campaigns_lockstep(tiny_instance, group, []) == []

@@ -208,9 +208,7 @@ class TestResolution:
 
 
 class TestCleanupLogging:
-    def test_failing_cleanup_is_logged_and_does_not_block_others(
-        self, caplog
-    ):
+    def test_failing_cleanup_is_logged_and_does_not_block_others(self, caplog):
         import logging
 
         backend = ThreadBackend(workers=1)
@@ -227,7 +225,4 @@ class TestCleanupLogging:
         # the callbacks registered after it still ran.
         assert ran == ["later"]
         messages = [record.getMessage() for record in caplog.records]
-        assert any(
-            "exploding_cleanup" in msg and "failed" in msg
-            for msg in messages
-        )
+        assert any("exploding_cleanup" in msg and "failed" in msg for msg in messages)

@@ -1,13 +1,13 @@
-"""Lockstep chunk routing: the recipe decides, nothing else does.
+"""Lockstep range routing: one packed kernel for every recipe.
 
-``run_chunk`` plays a whole chunk of replications in one packed
-``run_campaigns_lockstep`` call when the recipe is frozen and carries
-no resumed state and no collectors; every other recipe replays
-``CampaignSimulator.run`` once per replication.  Both paths are
-bit-identical by construction — these tests pin that, plus the
-surfaces around it: the ``lockstep_applicable`` rule, the one range per
-worker every recipe gets, and that no environment variable can steer
-the choice.
+``run_chunk`` plays a whole range of replications in one packed
+``run_campaigns_lockstep`` call, whatever the recipe: frozen or
+learning dynamics, resumed states, the likelihood and final-weights
+collectors.  It is bit-identical to one ``CampaignSimulator.run`` per
+replication (``tests.reference.run_chunk_per_replication``) — these
+tests pin that, plus the surfaces around it: one packed call per range,
+the one range per worker every recipe gets, and that no environment
+variable can steer the kernel.
 """
 
 import os
@@ -30,10 +30,9 @@ from repro.engine import (
 )
 from repro.engine import replication
 from repro.engine.backends import _replication_chunks
-from repro.engine.replication import lockstep_applicable
 
 from tests.conftest import build_tiny_instance
-from tests.reference import disable_packed_pass
+from tests.reference import disable_packed_pass, run_chunk_per_replication
 
 GROUP = SeedGroup([Seed(0, 0, 1), Seed(2, 1, 2)])
 
@@ -77,48 +76,51 @@ def route_counter(monkeypatch):
     return calls
 
 
-def _per_replication_recipes(frozen_instance):
-    """Every recipe the packed pass cannot play, by name."""
+def _recipes(frozen_instance):
+    """One task per recipe family, by name."""
+    dynamic = build_tiny_instance()
+    restrict = frozenset(range(0, frozen_instance.n_users, 2))
+    resumed = CampaignSimulator(dynamic).run(
+        GROUP, np.random.default_rng(3), until_promotion=1
+    ).state
     return {
-        "dynamic": _task(build_tiny_instance()),
-        "likelihood": _task(frozen_instance, compute_likelihood=True),
-        "weights": _task(frozen_instance, collect_weights=True),
-        "initial_state": _task(
-            frozen_instance, initial_state=frozen_instance.new_state()
+        "frozen": _task(frozen_instance),
+        "frozen-restricted": _task(frozen_instance, restrict_users=restrict),
+        "frozen-until": _task(frozen_instance, until_promotion=1),
+        "frozen-start": _task(frozen_instance, start_promotion=2),
+        "frozen-collectors": _task(
+            frozen_instance,
+            restrict_users=restrict,
+            compute_likelihood=True,
+            collect_weights=True,
+        ),
+        "dynamic": _task(dynamic),
+        "likelihood": _task(dynamic, restrict_users=restrict, compute_likelihood=True),
+        "weights": _task(dynamic, collect_weights=True),
+        "likelihood-and-weights": _task(
+            dynamic, compute_likelihood=True, collect_weights=True
+        ),
+        "initial_state": _task(dynamic, initial_state=resumed, start_promotion=2),
+        "frozen-initial_state": _task(
+            frozen_instance,
+            initial_state=frozen_instance.new_state(),
+            compute_likelihood=True,
         ),
     }
 
 
 class TestRecipeRule:
-    def test_frozen_recipe_without_collectors_packs(
+    def test_every_recipe_makes_one_packed_call_per_range(
         self, frozen_instance, route_counter
     ):
-        restrict = frozenset(range(0, frozen_instance.n_users, 2))
-        for task in (
-            _task(frozen_instance),
-            _task(frozen_instance, restrict_users=restrict),
-            _task(frozen_instance, until_promotion=1),
-            _task(frozen_instance, start_promotion=2),
-        ):
-            assert lockstep_applicable(task)
+        for name, task in _recipes(frozen_instance).items():
             route_counter.update(packed=0, per_replication=0)
             run_chunk(task, [0, 1, 2])
-            assert route_counter == {"packed": 1, "per_replication": 0}
-
-    def test_other_recipes_run_per_replication(self, frozen_instance, route_counter):
-        recipes = _per_replication_recipes(frozen_instance)
-        for name, task in recipes.items():
-            assert not lockstep_applicable(task), name
-            route_counter.update(packed=0, per_replication=0)
-            run_chunk(task, [0, 1, 2])
-            assert route_counter == {"packed": 0, "per_replication": 3}, name
+            assert route_counter == {"packed": 1, "per_replication": 0}, name
 
     def test_every_recipe_gets_one_range_per_worker(self, frozen_instance, monkeypatch):
-        """Packed and per-replication recipes alike run one balanced
-        range per worker; the matrix reduction tree no longer rides on
-        the dispatch partition."""
-        recipes = {"packed": _task(frozen_instance)}
-        recipes.update(_per_replication_recipes(frozen_instance))
+        """Every recipe runs one balanced range per worker; the matrix
+        reduction tree does not ride on the dispatch partition."""
         with ThreadBackend(workers=2) as pool:
             dispatched = []
             map_chunks = pool.map_chunks
@@ -128,33 +130,44 @@ class TestRecipeRule:
                 return map_chunks(fn, task, chunks)
 
             monkeypatch.setattr(pool, "map_chunks", recording)
-            for name, task in recipes.items():
+            for name, task in _recipes(frozen_instance).items():
                 dispatched.clear()
                 pool.run(task, 9)
                 assert dispatched == [[list(range(5)), list(range(5, 9))]], name
         assert _replication_chunks(9, SerialBackend()) == [list(range(9))]
 
 
+def _assert_same_result(reference, packed, name):
+    assert np.array_equal(reference.sigmas, packed.sigmas), name
+    assert np.array_equal(reference.restricted, packed.restricted), name
+    assert np.array_equal(reference.likelihoods, packed.likelihoods), name
+    if reference.weight_folds is None:
+        assert packed.weight_folds is None, name
+    else:
+        assert np.array_equal(reference.weights_sum, packed.weights_sum), name
+
+
 class TestRunChunkEquivalence:
-    def test_packed_chunk_matches_per_replication(self, frozen_instance, monkeypatch):
-        restrict = frozenset(range(0, frozen_instance.n_users, 2))
-        task = _task(frozen_instance, restrict_users=restrict)
-        packed = run_chunk(task, list(range(6)))
-        packed_calls = disable_packed_pass(monkeypatch)
-        reference = run_chunk(task, list(range(6)))
-        assert not packed_calls
-        assert np.array_equal(reference.sigmas, packed.sigmas)
-        assert np.array_equal(reference.restricted, packed.restricted)
+    def test_packed_chunk_matches_per_replication(self, frozen_instance):
+        for name, task in _recipes(frozen_instance).items():
+            for indices in (list(range(6)), [5, 6, 7, 8, 9]):
+                _assert_same_result(
+                    run_chunk_per_replication(task, indices),
+                    run_chunk(task, indices),
+                    name,
+                )
 
     def test_backend_coarse_chunks_match_serial(self, frozen_instance, monkeypatch):
-        task = _task(frozen_instance)
-        serial = SerialBackend().run(task, 9)
+        tasks = _recipes(frozen_instance)
+        serial = {name: SerialBackend().run(task, 9) for name, task in tasks.items()}
         with ThreadBackend(workers=3) as pool:
-            pooled = pool.run(task, 9)
-        disable_packed_pass(monkeypatch)
-        reference = SerialBackend().run(task, 9)
-        assert np.array_equal(reference.sigmas, serial.sigmas)
-        assert np.array_equal(reference.sigmas, pooled.sigmas)
+            pooled = {name: pool.run(task, 9) for name, task in tasks.items()}
+        packed_calls = disable_packed_pass(monkeypatch)
+        for name, task in tasks.items():
+            reference = SerialBackend().run(task, 9)
+            _assert_same_result(reference, serial[name], name)
+            _assert_same_result(reference, pooled[name], name)
+        assert not packed_calls
 
 
 def test_removed_environment_variables_are_not_read():

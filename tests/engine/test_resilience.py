@@ -164,9 +164,7 @@ class TestFaultPlan:
 
 class TestRetryPolicy:
     def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(
-            backoff_base=0.5, backoff_factor=2.0, backoff_cap=3.0
-        )
+        policy = RetryPolicy(backoff_base=0.5, backoff_factor=2.0, backoff_cap=3.0)
         delays = [policy.backoff_delay(k) for k in range(5)]
         assert delays == [0.5, 1.0, 2.0, 3.0, 3.0]
         assert RetryPolicy(backoff_base=0.0).backoff_delay(3) == 0.0
@@ -216,9 +214,7 @@ class TestSerialRecovery:
         _assert_bit_identical(clean, faulted)
 
     def test_exhausted_retries_reraise(self):
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="exception", chunk=0, times=-1),)
-        )
+        plan = FaultPlan(faults=(FaultSpec(kind="exception", chunk=0, times=-1),))
         backend = SerialBackend(fault_plan=plan, retries=1)
         with pytest.raises(InjectedFault):
             backend.map_chunks(double_chunk, 10, CHUNKS)
@@ -274,9 +270,7 @@ class TestDegradationLadder:
         plan = FaultPlan(faults=(FaultSpec(kind="exception", chunk=0),))
         with ThreadBackend(workers=2, retries=0, fault_plan=plan) as backend:
             with pytest.warns(RuntimeWarning, match="degrading"):
-                assert (
-                    backend.map_chunks(double_chunk, 10, CHUNKS) == EXPECTED
-                )
+                assert backend.map_chunks(double_chunk, 10, CHUNKS) == EXPECTED
             assert backend.fault_stats.degraded_to == "thread"
             # The warning is once per backend — a second degradation
             # stays silent.
@@ -285,28 +279,20 @@ class TestDegradationLadder:
                 warnings.simplefilter("always")
                 plan2_results = backend.map_chunks(double_chunk, 10, CHUNKS)
             assert plan2_results == EXPECTED
-            assert not [
-                w for w in caught if issubclass(w.category, RuntimeWarning)
-            ]
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_serial_rung_recovers(self):
         # times=2 with retries=0 exhausts the pool attempt AND the
         # thread-rung attempt; the serial rung runs clean.
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="exception", chunk=1, times=2),)
-        )
+        plan = FaultPlan(faults=(FaultSpec(kind="exception", chunk=1, times=2),))
         with ThreadBackend(workers=2, retries=0, fault_plan=plan) as backend:
             with pytest.warns(RuntimeWarning, match="degrading"):
-                assert (
-                    backend.map_chunks(double_chunk, 10, CHUNKS) == EXPECTED
-                )
+                assert backend.map_chunks(double_chunk, 10, CHUNKS) == EXPECTED
             assert backend.fault_stats.degraded_to == "serial"
             assert backend.fault_stats.degradations == 2
 
     def test_persistent_fault_raises_from_serial_rung(self):
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="exception", chunk=0, times=-1),)
-        )
+        plan = FaultPlan(faults=(FaultSpec(kind="exception", chunk=0, times=-1),))
         with ThreadBackend(workers=2, retries=0, fault_plan=plan) as backend:
             with pytest.warns(RuntimeWarning, match="degrading"):
                 with pytest.raises(InjectedFault):
@@ -316,9 +302,7 @@ class TestDegradationLadder:
         # A chunk body that deterministically raises is not an
         # infrastructure fault: it walks the whole ladder and the real
         # exception surfaces from the serial rung.
-        with ThreadBackend(
-            workers=2, retries=0, fault_plan=FaultPlan()
-        ) as backend:
+        with ThreadBackend(workers=2, retries=0, fault_plan=FaultPlan()) as backend:
             with pytest.warns(RuntimeWarning, match="degrading"):
                 with pytest.raises(ValueError, match="chunk exploded"):
                     backend.map_chunks(failing_chunk, 10, CHUNKS)
@@ -459,9 +443,7 @@ class TestDysimAcceptance:
 
         plan = FaultPlan(faults=(FaultSpec(kind="crash", chunk=1, call=0),))
         with ThreadBackend(workers=2, fault_plan=plan, **FAST) as pool:
-            result = run_dysim(
-                build_tiny_instance(), n_samples=8, backend=pool
-            )
+            result = run_dysim(build_tiny_instance(), n_samples=8, backend=pool)
         stats = result.diagnostics["fault_stats"]
         assert stats["crashed_chunks"] >= 1
         clean = run_dysim(build_tiny_instance(), n_samples=8)

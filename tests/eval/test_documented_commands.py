@@ -36,13 +36,12 @@ def _documents() -> dict[str, str]:
     }
 
 
-def _commands(text: str) -> list[tuple[int, str]]:
-    """``(line number, argument string)`` of each command in ``text``."""
+def _commands(text: str) -> list[str]:
+    """The argument string of each command in ``text``, in order."""
     lines = text.splitlines()
     found = []
     index = 0
     while index < len(lines):
-        number = index + 1
         line = lines[index].strip()
         while line.endswith("\\") and index + 1 < len(lines):
             index += 1
@@ -50,15 +49,27 @@ def _commands(text: str) -> list[tuple[int, str]]:
         index += 1
         match = _COMMAND.match(line)
         if match:
-            found.append((number, match.group(1)))
+            found.append(match.group(1))
     return found
 
 
-DOCUMENTED = [
-    pytest.param(args, id=f"{name}:{number}")
-    for name, text in _documents().items()
-    for number, args in _commands(text)
-]
+def _documented() -> list:
+    """One case per documented command, named by its document and its
+    arguments (comments and spacing dropped; a repeat of the same
+    command gets ``#2``, ``#3``...), so editing a document elsewhere
+    renames no case."""
+    params = []
+    for name, text in _documents().items():
+        seen: dict[str, int] = {}
+        for args in _commands(text):
+            command = " ".join(shlex.split(args, comments=True))
+            seen[command] = seen.get(command, 0) + 1
+            suffix = f" #{seen[command]}" if seen[command] > 1 else ""
+            params.append(pytest.param(args, id=f"{name}: {command}{suffix}"))
+    return params
+
+
+DOCUMENTED = _documented()
 
 
 @pytest.mark.parametrize("args", DOCUMENTED)

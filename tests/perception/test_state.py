@@ -277,18 +277,18 @@ class TestGatedSimilarity:
         instance = build_tiny_instance(dynamics=DynamicsParams(gamma=0.4))
         state = instance.new_state()
         state.apply_step_adoptions({0: [0, 1], 1: [0], 4: [2, 3]})
-        calls = []
-        original = state_module.adoption_similarity
+        scored = []
+        original = state_module.adoption_similarity_batch
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(adopted_u, adopted_v, weights_of):
+            scored.append(len(adopted_u))
+            return original(adopted_u, adopted_v, weights_of)
 
-        monkeypatch.setattr(state_module, "adoption_similarity", counting)
+        monkeypatch.setattr(state_module, "adoption_similarity_batch", counting)
         sources, targets, strengths = every_arc(instance, repeats=3)
         state.influence_batch(sources, targets, strengths)
         # Arcs among the adopters {0, 1, 4}: 0-1 and 1-4, both ways.
-        assert len(calls) == 4
+        assert scored == [4]
 
 
 class TestThreadBackendColdTable:

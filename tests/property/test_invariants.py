@@ -8,7 +8,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.kg.relevance import pathsim_normalize
-from repro.perception.influence import adoption_similarity, influence_strength
+from repro.perception.influence import (
+    adoption_similarity,
+    adoption_similarity_batch,
+    influence_strength,
+)
 from repro.perception.preference import preference_vector
 from repro.perception.weights import update_weights
 
@@ -152,3 +156,38 @@ def test_influence_strength_bounded(a, b, wa, wb, base, gamma):
     assert 0.0 <= sim <= 1.0 + 1e-12
     strength = influence_strength(base, sim, gamma)
     assert 0.0 <= strength <= 1.0
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.integers(0, 8), min_size=1, max_size=6),
+            st.sets(st.integers(0, 8), min_size=1, max_size=6),
+            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_similarity_batch_is_the_scalar_similarity(pairs):
+    """Bit for bit, signed zeros included, for users who both adopted."""
+    adopted_u = np.zeros((len(pairs), 9), dtype=bool)
+    adopted_v = np.zeros((len(pairs), 9), dtype=bool)
+    for p, (a, b, _, _) in enumerate(pairs):
+        adopted_u[p, list(a)] = True
+        adopted_v[p, list(b)] = True
+
+    def weights_of(p):
+        wa, wb = np.array(pairs[p][2]), np.array(pairs[p][3])
+        return wa, float(np.linalg.norm(wa)), wb, float(np.linalg.norm(wb))
+
+    batch = adoption_similarity_batch(adopted_u, adopted_v, weights_of)
+    expected = np.array(
+        [
+            adoption_similarity(a, b, np.array(wa), np.array(wb))
+            for a, b, wa, wb in pairs
+        ]
+    )
+    assert batch.tobytes() == expected.tobytes()

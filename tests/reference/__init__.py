@@ -8,9 +8,11 @@ benchmarks (``benchmarks/``) compare against them bit for bit:
 * :class:`ScalarCampaignSimulator` — the per-arc scalar diffusion step
   (one Python loop over frontier out-arcs, LT decisions by explicit
   in-neighbour accumulation);
-* :func:`disable_packed_pass` — routes every Monte-Carlo chunk through
-  the per-replication step, so whole pipelines can be replayed without
-  the packed lockstep pass;
+* :func:`run_chunk_per_replication` — ``run_chunk`` as one
+  ``CampaignSimulator.run`` per replication, the oracle of the packed
+  lockstep pass for every recipe;
+* :func:`disable_packed_pass` — routes every Monte-Carlo range through
+  it, so whole pipelines can be replayed without the packed pass;
 * :func:`canonical_fold` — one fold per canonical chunk, merged in
   chunk order: the reduction tree matrix sums must keep wherever the
   samples ran;
@@ -22,9 +24,13 @@ benchmarks (``benchmarks/``) compare against them bit for bit:
 """
 
 from tests.reference.coverage import CoverageEvaluator
-from tests.reference.diffusion import ScalarCampaignSimulator, disable_packed_pass
+from tests.reference.diffusion import ScalarCampaignSimulator
 from tests.reference.reach import PerWorldBank, ReachabilitySketch, stacked_reach
-from tests.reference.replication import canonical_fold
+from tests.reference.replication import (
+    canonical_fold,
+    disable_packed_pass,
+    run_chunk_per_replication,
+)
 
 __all__ = [
     "CoverageEvaluator",
@@ -33,5 +39,6 @@ __all__ = [
     "ScalarCampaignSimulator",
     "canonical_fold",
     "disable_packed_pass",
+    "run_chunk_per_replication",
     "stacked_reach",
 ]

@@ -1,5 +1,4 @@
-"""Diffusion references: the scalar per-arc step and per-replication
-routing."""
+"""Diffusion reference: the scalar per-arc step."""
 
 from __future__ import annotations
 
@@ -9,10 +8,9 @@ import numpy as np
 
 from repro.diffusion.campaign import EXTRA_ADOPTION_FLOOR, CampaignSimulator
 from repro.diffusion.models import DiffusionModel
-from repro.engine import replication
 from repro.perception.state import PerceptionState
 
-__all__ = ["ScalarCampaignSimulator", "disable_packed_pass"]
+__all__ = ["ScalarCampaignSimulator"]
 
 
 class ScalarCampaignSimulator(CampaignSimulator):
@@ -94,24 +92,3 @@ class ScalarCampaignSimulator(CampaignSimulator):
                 total += state.influence(neighbour, user)
         total = min(1.0, total) * state.preference_of(user, item)
         return total >= thresholds[key]
-
-
-def disable_packed_pass(monkeypatch) -> list:
-    """Send every Monte-Carlo chunk through the per-replication step.
-
-    Patches the lockstep predicate where the engine routes chunks
-    (:mod:`repro.engine.replication`) and wraps the packed pass in a
-    spy.  Returns the spy's call list, which stays empty
-    while the patch holds.  In-process only: pool workers forked or
-    spawned earlier keep their own module state.
-    """
-    packed_calls: list = []
-    original = replication.run_campaigns_lockstep
-
-    def spy(*args, **kwargs):
-        packed_calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(replication, "lockstep_applicable", lambda task: False)
-    monkeypatch.setattr(replication, "run_campaigns_lockstep", spy)
-    return packed_calls

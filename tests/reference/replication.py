@@ -1,24 +1,111 @@
-"""Replication reference: one canonical chunk per call, merged in order.
+"""Replication references: per-replication ranges and canonical folds.
 
-The straightforward reduction the engine's matrix sums must reproduce
-wherever the samples ran: every ``chunk_indices(n, 4)`` chunk
-replays its samples with :meth:`CampaignSimulator.run` and folds their
-final weights from zero, and the chunk folds then add up in chunk
-order.
+* :func:`run_chunk_per_replication` — ``run_chunk`` as one
+  :meth:`CampaignSimulator.run` per replication, the oracle the packed
+  lockstep pass must reproduce bit for bit, for every recipe;
+* :func:`disable_packed_pass` — routes every Monte-Carlo range of a
+  whole pipeline through it;
+* :func:`canonical_fold` — the straightforward reduction the engine's
+  matrix sums must reproduce wherever the samples ran: every
+  ``chunk_indices(n, 4)`` chunk replays its samples with
+  :meth:`CampaignSimulator.run` and folds their final weights from
+  zero, and the chunk folds then add up in chunk order.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import adoption_likelihood
-from repro.engine import ReplicationTask, chunk_indices
+from repro.engine import ReplicationTask, chunk_indices, replication
+from repro.engine.replication import ChunkResult, Folds, _fold_sample
 from repro.utils.rng import spawn_rng
 
-__all__ = ["ChunkFold", "canonical_fold"]
+__all__ = [
+    "ChunkFold",
+    "canonical_fold",
+    "disable_packed_pass",
+    "run_chunk_per_replication",
+]
+
+
+def run_chunk_per_replication(
+    task: ReplicationTask, indices: Sequence[int]
+) -> ChunkResult:
+    """``run_chunk`` replaying :meth:`CampaignSimulator.run` per replication.
+
+    Same substreams, same collectors, same canonical weight folds as
+    the packed pass — only the simulation differs.
+    """
+    simulator = CampaignSimulator(task.instance, model=task.model)
+    n = len(indices)
+    sigmas = np.zeros(n)
+    restricted = np.zeros(n)
+    likelihoods = np.zeros(n)
+    weight_folds: Folds | None = [] if task.collect_weights else None
+    restrict = None
+    if task.restrict_users is not None:
+        restrict = set(task.restrict_users)
+
+    for j, i in enumerate(indices):
+        rng = spawn_rng(task.rng_seed, *task.rng_context, i)
+        outcome = simulator.run(
+            task.seed_group,
+            rng,
+            until_promotion=task.until_promotion,
+            initial_state=task.initial_state,
+            start_promotion=task.start_promotion,
+        )
+        sigmas[j] = outcome.sigma
+        if restrict is not None:
+            restricted[j] = outcome.sigma_restricted(restrict)
+        if task.compute_likelihood:
+            users = restrict
+            if users is None:
+                users = set(range(task.instance.n_users))
+            likelihoods[j] = adoption_likelihood(outcome.state, task.model, users)
+        if weight_folds is not None:
+            _fold_sample(weight_folds, i, outcome.state.weights)
+
+    return ChunkResult(
+        sigmas=sigmas,
+        restricted=restricted,
+        likelihoods=likelihoods,
+        weight_folds=weight_folds,
+    )
+
+
+def disable_packed_pass(monkeypatch) -> list:
+    """Send every Monte-Carlo range through :func:`run_chunk_per_replication`.
+
+    Rebinds ``run_chunk`` in every ``repro`` module that imported it
+    (the engine's backends and the estimators dispatch it by name) and
+    wraps the packed pass in a spy.  Returns the spy's call list, which
+    stays empty while the patch holds.  In-process only: pool workers
+    forked or spawned earlier keep their own module state.
+    """
+    original = replication.run_chunk
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "repro" or name.startswith("repro.")):
+            continue
+        for attribute, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attribute, run_chunk_per_replication)
+
+    packed_calls: list = []
+    packed = replication.run_campaigns_lockstep
+
+    def spy(*args, **kwargs):
+        packed_calls.append(args)
+        return packed(*args, **kwargs)
+
+    monkeypatch.setattr(replication, "run_campaigns_lockstep", spy)
+    return packed_calls
 
 
 @dataclass
