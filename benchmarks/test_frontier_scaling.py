@@ -1,22 +1,22 @@
-"""Frontier-kernel scaling — vectorized vs scalar campaign steps.
+"""Frontier-kernel scaling — the packed kernel vs scalar campaign steps.
 
 Times one full campaign realization (the innermost unit of every
 Monte-Carlo sigma estimate) on a large synthetic community network
-under ``CampaignSimulator``'s vectorized step and under the scalar
-per-arc reference step (``tests.reference.ScalarCampaignSimulator``),
-and records the series to ``benchmarks/results/frontier_scaling.txt``.
-Two assertions:
+under ``CampaignSimulator.run`` — the packed lockstep kernel over one
+generator — and under the scalar per-arc reference
+(``tests.reference.ScalarCampaignSimulator``), and records the series
+to ``benchmarks/results/frontier_scaling.txt``.  Two assertions:
 
-* both steps produce **bit-identical** realizations (spread and
-  adoption matrix) from the same substream — the CSR refactor's core
-  guarantee, also pinned draw-for-draw by
-  ``tests/diffusion/test_step_equivalence.py``; and
-* the vectorized step is at least 2x faster per serial realization.
-  Under CI smoke (``REPRO_BENCH_SMOKE=1``) the floor relaxes to 1.3x —
-  the measured margin is ~2.3-2.6x, but shared, saturated runners make
-  wall-clock ratios noisy (cf. ``test_engine_scaling``, which skips
-  its absolute-speedup assert under smoke entirely); the full 2x floor
-  is enforced by the tier-1 run.
+* both produce **bit-identical** realizations (spread and adoption
+  matrix) from the same substream — the kernel's core guarantee, also
+  pinned draw-for-draw by ``tests/diffusion/test_step_equivalence.py``;
+  and
+* the packed kernel at one replication is at least 2x faster per
+  serial realization.  Under CI smoke (``REPRO_BENCH_SMOKE=1``) the
+  floor relaxes to 1.3x — shared, saturated runners make wall-clock
+  ratios noisy (cf. ``test_engine_scaling``, which skips its
+  absolute-speedup assert under smoke entirely); the full 2x floor is
+  enforced by the tier-1 run.
 
 Environment knobs: ``REPRO_BENCH_FRONTIER_SCALE`` (dataset scale
 factor, default 25 ~ 3000 users) and ``REPRO_BENCH_FRONTIER_SAMPLES``
@@ -92,7 +92,7 @@ def test_frontier_scaling():
 
     rows = [
         ["scalar", f"{scalar_seconds * 1e3:.2f}", "1.00"],
-        ["vectorized", f"{fast_seconds * 1e3:.2f}", f"{speedup:.2f}"],
+        ["lockstep-r1", f"{fast_seconds * 1e3:.2f}", f"{speedup:.2f}"],
     ]
     footer = (
         f"users={instance.n_users} arcs={instance.network.n_arcs} "
@@ -114,7 +114,7 @@ def test_frontier_scaling():
     assert np.array_equal(scalar_adoptions, fast_adoptions)
 
     assert speedup >= MIN_SPEEDUP, (
-        f"vectorized frontier kernel only {speedup:.2f}x faster than "
+        f"packed kernel at one replication only {speedup:.2f}x faster than "
         f"the scalar reference ({scalar_seconds * 1e3:.2f}ms vs "
         f"{fast_seconds * 1e3:.2f}ms per realization; "
         f"floor {MIN_SPEEDUP}x)"

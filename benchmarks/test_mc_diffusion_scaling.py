@@ -1,9 +1,9 @@
-"""Monte-Carlo replication throughput — lockstep vs per-replication.
+"""Monte-Carlo replication throughput — lockstep vs the scalar loop.
 
 Times one *worker range* of campaign replications — the exact unit
 ``run_chunk`` executes for every sigma estimate — on a large Yelp
-community network, comparing the per-replication loop (one
-``CampaignSimulator.run`` per replication,
+community network, comparing the scalar reference loop (one
+``tests.reference.ScalarCampaignSimulator`` run per replication,
 ``tests.reference.run_chunk_per_replication``) against the
 replication-lockstep pass that plays the whole range at once.  Both
 timings are **cold**: every call builds its simulator or packed state
@@ -16,8 +16,8 @@ Two recipes:
   Assertions: both kernels produce **bit-identical** per-replication
   sigmas from the same substreams (pinned draw-for-draw by
   ``tests/diffusion/test_step_equivalence.py``), and the lockstep range
-  is at least 3x more replication-throughput than the per-replication
-  loop at >= 10k users.  Under CI smoke (``REPRO_BENCH_SMOKE=1``) the
+  is at least 3x more replication-throughput than the scalar loop at
+  >= 10k users.  Under CI smoke (``REPRO_BENCH_SMOKE=1``) the
   scale drops to ~3k users and the floor relaxes to 1.5x — shared
   runners make wall-clock ratios noisy; the full 3x floor is enforced
   by the tier-1 run.
@@ -126,11 +126,11 @@ def test_mc_diffusion_scaling():
     )
 
     rows = [
-        ["frozen", "vectorized-loop", f"{loop_seconds * 1e3:.2f}", "1.00"],
+        ["frozen", "scalar-loop", f"{loop_seconds * 1e3:.2f}", "1.00"],
         ["frozen", "lockstep", f"{packed_seconds * 1e3:.2f}", f"{speedup:.2f}"],
         [
             "dynamic",
-            "vectorized-loop",
+            "scalar-loop",
             f"{dynamic_loop_seconds * 1e3:.2f}",
             "1.00",
         ],
@@ -169,7 +169,7 @@ def test_mc_diffusion_scaling():
 
     assert speedup >= MIN_SPEEDUP, (
         f"lockstep range kernel only {speedup:.2f}x faster than the "
-        f"per-replication loop ({loop_seconds * 1e3:.2f}ms vs "
+        f"scalar loop ({loop_seconds * 1e3:.2f}ms vs "
         f"{packed_seconds * 1e3:.2f}ms per replication; "
         f"floor {MIN_SPEEDUP}x)"
     )

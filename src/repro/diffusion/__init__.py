@@ -5,13 +5,12 @@ from repro.diffusion.models import (
     adoption_likelihood,
     aggregated_influence,
 )
-from repro.diffusion.campaign import CampaignOutcome, CampaignSimulator
-from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
-from repro.diffusion.repkernel import (
-    LockstepOutcome,
-    ReplicationLayout,
+from repro.diffusion.campaign import (
+    CampaignOutcome,
+    CampaignSimulator,
     run_campaigns_lockstep,
 )
+from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
 
 __all__ = [
     "DiffusionModel",
@@ -21,7 +20,5 @@ __all__ = [
     "CampaignSimulator",
     "MonteCarloEstimate",
     "SigmaEstimator",
-    "LockstepOutcome",
-    "ReplicationLayout",
     "run_campaigns_lockstep",
 ]

@@ -168,9 +168,10 @@ class SigmaEstimator:
     Every estimate runs as one balanced sample range per backend
     worker, and each range plays in one packed lockstep pass — frozen
     or learning dynamics, with or without the state collectors
-    (likelihood, weights) — bit-identical to one
+    (likelihood, weights) — bit-identical to one lone
     :meth:`~repro.diffusion.campaign.CampaignSimulator.run` per sample
-    (:func:`repro.engine.replication.run_chunk`).
+    (:func:`repro.engine.replication.run_chunk`): a realization is the
+    same whether it plays alone or inside a range.
 
     Estimates are memoized per realization: a request is served by any
     cached estimate of the same group, horizon and configuration that

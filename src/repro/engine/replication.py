@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
+from repro.diffusion.campaign import run_campaigns_lockstep
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
-from repro.diffusion.repkernel import run_campaigns_lockstep
 from repro.perception.state import PerceptionState
 from repro.utils.rng import spawn_rng
 
@@ -188,13 +188,13 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
 
     Every recipe — frozen or learning dynamics, resumed states, the
     likelihood and final-weights collectors — plays the whole range in
-    one :func:`~repro.diffusion.repkernel.run_campaigns_lockstep` call,
-    bit-identical per sample to one :meth:`CampaignSimulator.run` per
-    replication.  The collectors then read each replication's final
-    state, and the final weights fold over the canonical chunks.  This
-    is the single entry point every backend dispatches — it must stay a
-    module-level function so process pools can pickle it by qualified
-    name.
+    one :func:`~repro.diffusion.campaign.run_campaigns_lockstep` call,
+    bit-identical per sample to one scalar reference run per
+    replication (``tests.reference.run_chunk_per_replication``).  The
+    collectors then read each replication's final state, and the final
+    weights fold over the canonical chunks.  This is the single entry
+    point every backend dispatches — it must stay a module-level
+    function so process pools can pickle it by qualified name.
     """
     outcomes = run_campaigns_lockstep(
         task.instance,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import IMDPPInstance, SeedGroup
-from repro.diffusion.campaign import CampaignSimulator
+from repro.diffusion.campaign import run_campaigns_lockstep
 from repro.diffusion.models import DiffusionModel
 from repro.utils.rng import RngFactory
 
@@ -71,20 +71,29 @@ def campaign_report(
     seed: int = 0,
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
 ) -> CampaignReport:
-    """Simulate a campaign ``n_samples`` times and aggregate metrics."""
-    simulator = CampaignSimulator(instance, model=model)
+    """Simulate a campaign ``n_samples`` times and aggregate metrics.
+
+    Sample ``i`` replays the stream ``("report", i)`` of ``seed``; all
+    samples play in one lockstep pass.
+    """
     factory = RngFactory(seed)
+    outcomes = run_campaigns_lockstep(
+        instance,
+        seed_group,
+        [factory.stream("report", i) for i in range(n_samples)],
+        model=model,
+    )
     sigmas = np.zeros(n_samples)
     adopters = np.zeros(instance.n_items)
     unique = np.zeros(n_samples)
     covered = np.zeros(n_samples)
     by_promotion = np.zeros(instance.n_promotions)
-    for i in range(n_samples):
-        outcome = simulator.run(seed_group, factory.stream("report", i))
+    for i, outcome in enumerate(outcomes):
         sigmas[i] = outcome.sigma
-        adopters += outcome.new_adoptions.sum(axis=0)
-        unique[i] = float(outcome.new_adoptions.any(axis=1).sum())
-        covered[i] = float(outcome.new_adoptions.any(axis=0).sum())
+        adoptions = outcome.new_adoptions
+        adopters += adoptions.sum(axis=0)
+        unique[i] = float(adoptions.any(axis=1).sum())
+        covered[i] = float(adoptions.any(axis=0).sum())
         padded = np.zeros(instance.n_promotions)
         padded[: len(outcome.sigma_by_promotion)] = outcome.sigma_by_promotion
         by_promotion += padded

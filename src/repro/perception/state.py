@@ -555,10 +555,11 @@ class PerceptionState:
 class UserPerception:
     """One user's perception in one replication, apart from any state.
 
-    The lockstep pass (:mod:`repro.diffusion.repkernel`) plays R
-    replications of a campaign from one shared ``base`` state and gives
-    a user a record of its own in replication ``r`` only once that
-    user adopts there — every other user reads ``base``.  The record
+    The lockstep pass of :mod:`repro.diffusion.campaign`, the one
+    diffusion kernel, plays R replications of a campaign (one per
+    ``CampaignSimulator.run`` call) from one shared ``base`` state and
+    gives a user a record of its own in replication ``r`` only once
+    that user adopts there — every other user reads ``base``.  The record
     starts from the user's ``base`` perception and then commits and
     reads exactly like a :class:`PerceptionState` copy would for that
     user: the same update function (``_adopt``), the same preference

@@ -1,24 +1,24 @@
-"""Draw-for-draw equivalence: every diffusion step vs the scalar one.
+"""Draw-for-draw equivalence: the diffusion kernel vs the scalar step.
 
-The ``CampaignSimulator`` step batches a whole step's coin flips into
-one ``rng.random(k)`` call, and the replication-lockstep pass
-(``repro.diffusion.repkernel``) further batches whole *chunks of
-replications* into one pass.  The contract (DESIGN.md, "Canonical
-event order") is that both consume the *identical* RNG substream as
-the scalar per-arc reference of ``tests/reference`` — adoption for
-adoption and draw for draw — so realization distributions,
-common-random-numbers correlation and the golden fixtures are all
-preserved.
+The replication-lockstep pass (``repro.diffusion.campaign``) batches a
+whole step's coin flips into one ``rng.random(k)`` call per
+replication and whole *ranges of replications* into one pass;
+``CampaignSimulator.run`` is the same pass over one generator.  The
+contract (DESIGN.md, "Canonical event order") is that it consumes the
+*identical* RNG substream as the scalar per-arc reference of
+``tests/reference`` — adoption for adoption and draw for draw — so
+realization distributions, common-random-numbers correlation and the
+golden fixtures are all preserved.
 
 These tests run full campaigns on hypothesis-generated instances
 (random topology, insertion order, strengths, preferences, seeds and
 dynamics) for both IC and LT and assert bit identity of every output
 *and* of the final RNG stream position (``bit_generator.state``).  The
 lockstep pass is checked per replication against an independent
-``CampaignSimulator.run`` under frozen and learning dynamics alike —
+scalar reference run under frozen and learning dynamics alike —
 sigmas, the likelihood and final weights its collectors read, resumed
-states — and at the replication-word boundaries (R in
-{1, 63, 64, 65, 130}).
+states, adaptive IM's observe-then-resume chain — and at the
+replication-word boundaries (R in {1, 63, 64, 65, 130}).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
-from repro.diffusion.campaign import CampaignSimulator
+from repro.diffusion.campaign import CampaignSimulator, run_campaigns_lockstep
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
-from repro.diffusion.repkernel import run_campaigns_lockstep
 from repro.kg.relevance import RelevanceEngine
 from repro.perception.params import DynamicsParams
 
@@ -41,12 +40,13 @@ N_ITEMS = 4
 
 
 @st.composite
-def instances(draw):
+def instances(draw, promotions=st.integers(1, 2)):
     """A small IMDPP instance with a hypothesis-drawn social layer.
 
     The knowledge-graph side is fixed (the tiny 4-item KG); everything
     the frontier kernel is sensitive to — topology, arc *insertion
-    order*, strengths, preferences, weights, dynamics — is drawn.
+    order*, strengths, preferences, weights, dynamics — is drawn, and
+    ``T`` from ``promotions``.
     """
     n_users = draw(st.integers(3, 8))
     directed = draw(st.booleans())
@@ -91,7 +91,7 @@ def instances(draw):
         initial_weights=rng.uniform(0.2, 0.8, size=(n_users, relevance.n_meta)),
         costs=np.full((n_users, N_ITEMS), 5.0),
         budget=100.0,
-        n_promotions=draw(st.integers(1, 2)),
+        n_promotions=draw(promotions),
         dynamics=dynamics,
         name="hypothesis",
     )
@@ -154,7 +154,7 @@ def test_lt_step_bit_identical(case):
 
 # ----------------------------------------------------------------------
 # Replication-lockstep kernel: one packed pass over R replications must
-# replay each replication's per-replication run exactly, under learning
+# replay each replication's scalar reference run exactly, under learning
 # dynamics as under frozen ones.
 # ----------------------------------------------------------------------
 
@@ -169,13 +169,36 @@ def _replication_rngs(run_seed, n_replications):
     ]
 
 
+def _assert_same_outcome(instance, model, reference, outcome, label):
+    """Adoptions, sigmas, and the collectors' reads of the final state
+    (weights, likelihoods) are equal."""
+    some_users = set(range(0, instance.n_users, 2))
+    all_users = set(range(instance.n_users))
+    assert np.array_equal(
+        reference.new_adoptions, outcome.new_adoptions
+    ), label
+    assert reference.sigma == outcome.sigma, label
+    assert reference.sigma_by_promotion == outcome.sigma_by_promotion, label
+    assert reference.steps_run == outcome.steps_run, label
+    assert reference.sigma_restricted(
+        some_users
+    ) == outcome.sigma_restricted(some_users), label
+    assert np.array_equal(
+        reference.state.weights, outcome.state.weights
+    ), label
+    for users in (some_users, all_users):
+        assert adoption_likelihood(
+            reference.state, model, users
+        ) == adoption_likelihood(outcome.state, model, users), label
+
+
 def _assert_lockstep_matches(
     instance, group, run_seed, model, n_replications, **window
 ):
-    """Every output of every replication equals an independent run:
-    adoptions, sigmas, the collectors' likelihoods and final weights,
-    and the final generator state."""
-    simulator = CampaignSimulator(instance, model=model)
+    """Every output of every replication equals an independent scalar
+    reference run: adoptions, sigmas, the collectors' likelihoods and
+    final weights, and the final generator state."""
+    simulator = ScalarCampaignSimulator(instance, model=model)
     reference_rngs = _replication_rngs(run_seed, n_replications)
     references = [
         simulator.run(group, rng, **window) for rng in reference_rngs
@@ -185,28 +208,10 @@ def _assert_lockstep_matches(
         instance, group, rngs, model=model, **window
     )
     assert len(outcomes) == n_replications
-    some_users = set(range(0, instance.n_users, 2))
-    all_users = set(range(instance.n_users))
     for r, (reference, outcome) in enumerate(zip(references, outcomes)):
-        assert np.array_equal(
-            reference.new_adoptions, outcome.new_adoptions
-        ), r
-        assert reference.sigma == outcome.sigma, r
-        assert reference.sigma_by_promotion == outcome.sigma_by_promotion, r
-        assert reference.steps_run == outcome.steps_run, r
-        assert reference.sigma_restricted(
-            some_users
-        ) == outcome.sigma_restricted(some_users), r
-        # The collectors' reads of the final state.
-        assert np.array_equal(
-            reference.state.weights, outcome.state.weights
-        ), r
-        for users in (some_users, all_users):
-            assert adoption_likelihood(
-                reference.state, model, users
-            ) == adoption_likelihood(outcome.state, model, users), r
+        _assert_same_outcome(instance, model, reference, outcome, r)
         # The decisive check: replication r consumed exactly the
-        # draws its own per-replication run would have.
+        # draws its own reference run would have.
         assert (
             reference_rngs[r].bit_generator.state
             == rngs[r].bit_generator.state
@@ -283,7 +288,7 @@ def test_lockstep_resumed_states(case, model, observe_seed):
     """A campaign resumed from an observed state (adaptive IM) replays
     the reference, and the resumed state is left untouched."""
     instance, group, run_seed = case
-    observed = CampaignSimulator(instance, model=model).run(
+    observed = ScalarCampaignSimulator(instance, model=model).run(
         group, np.random.default_rng(observe_seed), until_promotion=1
     ).state
     weights = observed.weights.copy()
@@ -299,6 +304,47 @@ def test_lockstep_resumed_states(case, model, observe_seed):
     )
     assert np.array_equal(observed.weights, weights)
     assert observed.adopted == adopted
+
+
+@given(
+    instances(promotions=st.just(2)),
+    st.sampled_from(tuple(DiffusionModel)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_observation_chain_bit_identical(case, model, observe_seed):
+    """Adaptive IM's chain: observe promotion 1 from the pristine
+    state, then play the last promotion from what was observed.
+
+    Each side resumes from its *own* observed state, so a final state
+    the kernel materializes differently from the reference's shows up
+    in the resumed run, not only in the reads checked directly.  Two
+    promotions, so the resumed one has seeds of its own.
+    """
+    instance, group, run_seed = case
+    last = instance.n_promotions
+    chains = []
+    for simulator_class in (ScalarCampaignSimulator, CampaignSimulator):
+        simulator = simulator_class(instance, model=model)
+        observe_rng = np.random.default_rng(observe_seed)
+        observed = simulator.run(group, observe_rng, until_promotion=1)
+        resume_rng = np.random.default_rng(run_seed)
+        resumed = simulator.run(
+            group,
+            resume_rng,
+            until_promotion=last,
+            initial_state=observed.state,
+            start_promotion=last,
+        )
+        chains.append((observed, resumed, observe_rng, resume_rng))
+    reference, packed = chains
+    _assert_same_outcome(instance, model, reference[0], packed[0], "observe")
+    _assert_same_outcome(instance, model, reference[1], packed[1], "resume")
+    for position in (2, 3):
+        assert (
+            reference[position].bit_generator.state
+            == packed[position].bit_generator.state
+        ), position
 
 
 def test_lockstep_empty_rngs(tiny_instance):

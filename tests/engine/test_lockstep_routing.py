@@ -3,11 +3,11 @@
 ``run_chunk`` plays a whole range of replications in one packed
 ``run_campaigns_lockstep`` call, whatever the recipe: frozen or
 learning dynamics, resumed states, the likelihood and final-weights
-collectors.  It is bit-identical to one ``CampaignSimulator.run`` per
+collectors.  It is bit-identical to one scalar reference run per
 replication (``tests.reference.run_chunk_per_replication``) — these
-tests pin that, plus the surfaces around it: one packed call per range,
-the one range per worker every recipe gets, and that no environment
-variable can steer the kernel.
+tests pin that, plus the surfaces around it: one packed call per range
+and no ``CampaignSimulator.run`` call, the one range per worker every
+recipe gets, and that no environment variable can steer the kernel.
 """
 
 import os
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import Seed, SeedGroup
-from repro.diffusion import repkernel
+from repro.diffusion import campaign
 from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import DiffusionModel
 from repro.engine import (
@@ -58,7 +58,7 @@ def frozen_instance():
 
 @pytest.fixture()
 def route_counter(monkeypatch):
-    """Counts packed-pass calls and per-replication simulator runs."""
+    """Counts packed-pass calls and ``CampaignSimulator.run`` calls."""
     calls = {"packed": 0, "per_replication": 0}
     packed = replication.run_campaigns_lockstep
     run = CampaignSimulator.run
@@ -174,7 +174,7 @@ def test_removed_environment_variables_are_not_read():
     """Names that once selected kernels or retry knobs steer nothing: a
     frozen sigma estimate and a bank fill succeed with them set to
     garbage."""
-    src = pathlib.Path(repkernel.__file__).resolve().parents[2]
+    src = pathlib.Path(campaign.__file__).resolve().parents[2]
     env = dict(
         os.environ,
         REPRO_STEP_KERNEL="bogus",

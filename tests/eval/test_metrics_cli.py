@@ -1,5 +1,6 @@
 """Tests for campaign metrics and the CLI."""
 
+import numpy as np
 import pytest
 
 import repro.cli as cli
@@ -7,8 +8,10 @@ from repro.cli import build_parser, main
 from repro.core.problem import Seed, SeedGroup
 from repro.eval.harness import evaluate_group, run_algorithm
 from repro.eval.metrics import campaign_report
+from repro.utils.rng import RngFactory
 
 from tests.conftest import build_tiny_instance, own_shm_exports
+from tests.reference import ScalarCampaignSimulator
 
 RUN_PS = [
     "run", "--dataset", "yelp", "--scale", "0.2",
@@ -63,6 +66,44 @@ class TestCampaignReport:
         rep = campaign_report(instance, SeedGroup(), n_samples=5)
         assert rep.sigma == 0.0
         assert rep.sigma_per_budget == 0.0
+
+    def test_matches_reference_samples(self):
+        """Every field equals the aggregate of per-sample scalar
+        reference runs on the report's streams, exactly."""
+        group = SeedGroup([Seed(0, 0, 1), Seed(3, 1, 2)])
+        n_samples = 15
+        dynamic = build_tiny_instance()
+        for instance in (dynamic, dynamic.frozen()):
+            rep = campaign_report(instance, group, n_samples=n_samples, seed=1)
+            simulator = ScalarCampaignSimulator(instance)
+            factory = RngFactory(1)
+            outcomes = [
+                simulator.run(group, factory.stream("report", i))
+                for i in range(n_samples)
+            ]
+            adopters = np.zeros(instance.n_items)
+            by_promotion = np.zeros(instance.n_promotions)
+            for outcome in outcomes:
+                adopters += outcome.new_adoptions.sum(axis=0)
+                by_promotion += outcome.sigma_by_promotion
+            sigma = float(np.mean([outcome.sigma for outcome in outcomes]))
+            spent = instance.group_cost(group)
+            unique = [
+                float(outcome.new_adoptions.any(axis=1).sum())
+                for outcome in outcomes
+            ]
+            covered = [
+                float(outcome.new_adoptions.any(axis=0).sum())
+                for outcome in outcomes
+            ]
+            assert sigma > 0.0
+            assert rep.sigma == sigma
+            assert rep.spent == spent
+            assert rep.sigma_per_budget == sigma / spent
+            assert np.array_equal(rep.adopters_per_item, adopters / n_samples)
+            assert rep.sigma_by_promotion == list(by_promotion / n_samples)
+            assert rep.unique_adopters == float(np.mean(unique))
+            assert rep.items_covered == float(np.mean(covered))
 
 
 class TestCli:

@@ -112,9 +112,11 @@ def test_golden(name):
 def test_golden_per_replication(name, monkeypatch):
     """The goldens hold with the packed lockstep pass switched off.
 
-    Every Monte-Carlo chunk then replays ``CampaignSimulator.run`` once
-    per replication, which keeps that path pinned to the committed
-    fixtures as exactly as the default (packed) one.
+    Every Monte-Carlo chunk then replays the scalar reference once per
+    replication, and ``CampaignSimulator.run`` (adaptive observation)
+    is the scalar reference too, which keeps the reference pinned to
+    the committed fixtures as exactly as the packed kernel.  The spy
+    records no kernel call.
     """
     if REGEN:
         pytest.skip("fixtures are regenerated by test_golden")

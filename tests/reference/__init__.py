@@ -5,14 +5,16 @@ straightforward implementations those kernels were derived from live
 here instead, where the property suites, the goldens and the scaling
 benchmarks (``benchmarks/``) compare against them bit for bit:
 
-* :class:`ScalarCampaignSimulator` — the per-arc scalar diffusion step
-  (one Python loop over frontier out-arcs, LT decisions by explicit
-  in-neighbour accumulation);
-* :func:`run_chunk_per_replication` — ``run_chunk`` as one
-  ``CampaignSimulator.run`` per replication, the oracle of the packed
-  lockstep pass for every recipe;
-* :func:`disable_packed_pass` — routes every Monte-Carlo range through
-  it, so whole pipelines can be replayed without the packed pass;
+* :class:`ScalarCampaignSimulator` — the campaign process one
+  promotion, step and arc at a time (LT decisions by explicit
+  in-neighbour accumulation), the oracle of the packed lockstep pass
+  that plays every production realization;
+* :func:`run_chunk_per_replication` — ``run_chunk`` as one scalar
+  reference run per replication, for every recipe;
+* :func:`disable_packed_pass` — routes every realization a pipeline
+  plays (Monte-Carlo ranges and ``CampaignSimulator.run``) through the
+  scalar reference, so whole pipelines can be replayed without the
+  packed pass;
 * :func:`canonical_fold` — one fold per canonical chunk, merged in
   chunk order: the reduction tree matrix sums must keep wherever the
   samples ran;

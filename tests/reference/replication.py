@@ -1,15 +1,16 @@
 """Replication references: per-replication ranges and canonical folds.
 
 * :func:`run_chunk_per_replication` — ``run_chunk`` as one
-  :meth:`CampaignSimulator.run` per replication, the oracle the packed
-  lockstep pass must reproduce bit for bit, for every recipe;
-* :func:`disable_packed_pass` — routes every Monte-Carlo range of a
-  whole pipeline through it;
+  :class:`ScalarCampaignSimulator` run per replication, the oracle the
+  packed lockstep pass must reproduce bit for bit, for every recipe;
+* :func:`disable_packed_pass` — routes every realization a whole
+  pipeline plays, Monte-Carlo ranges and single runs alike, through
+  the scalar reference;
 * :func:`canonical_fold` — the straightforward reduction the engine's
   matrix sums must reproduce wherever the samples ran: every
-  ``chunk_indices(n, 4)`` chunk replays its samples with
-  :meth:`CampaignSimulator.run` and folds their final weights from
-  zero, and the chunk folds then add up in chunk order.
+  ``chunk_indices(n, 4)`` chunk replays its samples with the scalar
+  reference and folds their final weights from zero, and the chunk
+  folds then add up in chunk order.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from repro.engine import ReplicationTask, chunk_indices, replication
 from repro.engine.replication import ChunkResult, Folds, _fold_sample
 from repro.utils.rng import spawn_rng
 
+from tests.reference.diffusion import ScalarCampaignSimulator
+
 __all__ = [
     "ChunkFold",
     "canonical_fold",
@@ -37,12 +40,12 @@ __all__ = [
 def run_chunk_per_replication(
     task: ReplicationTask, indices: Sequence[int]
 ) -> ChunkResult:
-    """``run_chunk`` replaying :meth:`CampaignSimulator.run` per replication.
+    """``run_chunk`` replaying the scalar reference per replication.
 
     Same substreams, same collectors, same canonical weight folds as
     the packed pass — only the simulation differs.
     """
-    simulator = CampaignSimulator(task.instance, model=task.model)
+    simulator = ScalarCampaignSimulator(task.instance, model=task.model)
     n = len(indices)
     sigmas = np.zeros(n)
     restricted = np.zeros(n)
@@ -81,30 +84,38 @@ def run_chunk_per_replication(
 
 
 def disable_packed_pass(monkeypatch) -> list:
-    """Send every Monte-Carlo range through :func:`run_chunk_per_replication`.
+    """Send every realization a pipeline plays through the scalar reference.
 
     Rebinds ``run_chunk`` in every ``repro`` module that imported it
-    (the engine's backends and the estimators dispatch it by name) and
-    wraps the packed pass in a spy.  Returns the spy's call list, which
-    stays empty while the patch holds.  In-process only: pool workers
-    forked or spawned earlier keep their own module state.
+    (the engine's backends and the estimators dispatch it by name) to
+    :func:`run_chunk_per_replication`, and
+    :meth:`CampaignSimulator.run` (adaptive observation) to
+    :class:`ScalarCampaignSimulator`, and wraps every binding of the
+    packed pass in a spy.  Returns the spy's call list, which stays
+    empty while the patch holds.  In-process only: pool workers forked
+    or spawned earlier keep their own module state.
     """
     original = replication.run_chunk
+    packed = replication.run_campaigns_lockstep
+    packed_calls: list = []
+
+    def spy(*args, **kwargs):
+        packed_calls.append(args)
+        return packed(*args, **kwargs)
+
+    def scalar_run(simulator, *args, **kwargs):
+        reference = ScalarCampaignSimulator(simulator.instance, simulator.model)
+        return reference.run(*args, **kwargs)
+
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "repro" or name.startswith("repro.")):
             continue
         for attribute, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attribute, run_chunk_per_replication)
-
-    packed_calls: list = []
-    packed = replication.run_campaigns_lockstep
-
-    def spy(*args, **kwargs):
-        packed_calls.append(args)
-        return packed(*args, **kwargs)
-
-    monkeypatch.setattr(replication, "run_campaigns_lockstep", spy)
+            elif value is packed:
+                monkeypatch.setattr(module, attribute, spy)
+    monkeypatch.setattr(CampaignSimulator, "run", scalar_run)
     return packed_calls
 
 
@@ -132,7 +143,7 @@ class ChunkFold:
 
 
 def _fold_chunk(task: ReplicationTask, indices: list[int]) -> ChunkFold:
-    simulator = CampaignSimulator(task.instance, model=task.model)
+    simulator = ScalarCampaignSimulator(task.instance, model=task.model)
     n = len(indices)
     fold = ChunkFold(
         sigmas=np.zeros(n),
