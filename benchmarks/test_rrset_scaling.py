@@ -13,13 +13,19 @@ answers each greedy gain by per-candidate forward-reachability stacks
 over the full graph, while the RR index answers it by popcounts over
 packed membership words — selection cost independent of the graph
 once sampled (DESIGN.md §6c).  Build seconds are recorded alongside
-so the one-off cost stays visible.
+so the one-off cost stays visible, and so are the bytes the RR index
+holds for its membership rows (``member_bytes``).
 
-Assertion: RR-set selection is at least 3x faster than the sketch
+Assertions: RR-set selection is at least 3x faster than the sketch
 bank (1.5x under ``REPRO_BENCH_SMOKE``, where the graph shrinks to
 10k users and both phases run in milliseconds).  Observed margins are
 ~45x at 100k users and ~14x at smoke scale — the gap widens with the
-graph, which is the point.
+graph, which is the point.  And the membership is sparse: at most one
+row of ``ceil(R/64)`` words (plus its 8-byte pair index) per member
+of an RR set, plus the shared zero row, so ``member_bytes <=
+(sum of RR set sizes + 1) * (ceil(R/64) + 1) * 8`` — a dense
+``(n_pairs, ceil(R/64))`` matrix (819 MB at 800,000 pairs and
+R = 8192) fails it.
 
 Environment knobs: ``REPRO_BENCH_RRSET_SAMPLES`` (RR sets, default
 1024), ``REPRO_BENCH_RRSET_WORLDS`` (sketch replications, default 12
@@ -73,6 +79,8 @@ def test_rrset_selection_speedup(dataset_cache):
     rr_build, rr_selection, rr_seconds = _warmed_selection(frozen, rrset)
     speedup = sk_seconds / rr_seconds if rr_seconds > 0 else 0.0
 
+    index = rrset.index
+    member_bytes = index.member_bytes
     rows = [
         [
             "sketch",
@@ -81,6 +89,7 @@ def test_rrset_selection_speedup(dataset_cache):
             "1.00",
             len(sk_selection.nominees),
             sk_selection.n_oracle_calls,
+            "-",
         ],
         [
             "rrset",
@@ -89,6 +98,7 @@ def test_rrset_selection_speedup(dataset_cache):
             f"{speedup:.2f}",
             len(rr_selection.nominees),
             rr_selection.n_oracle_calls,
+            member_bytes,
         ],
     ]
     headers = [
@@ -98,6 +108,7 @@ def test_rrset_selection_speedup(dataset_cache):
         "speedup_vs_sketch",
         "nominees",
         "oracle_calls",
+        "member_bytes",
     ]
     footer = (
         f"users={frozen.n_users} rr_samples={RRSET_SAMPLES} "
@@ -111,6 +122,13 @@ def test_rrset_selection_speedup(dataset_cache):
         "rrset_scaling", rr_seconds * 1e3, speedup,
         users=frozen.n_users, rr_samples=RRSET_SAMPLES,
         worlds=RRSET_WORLDS, pool=RRSET_POOL,
+    )
+
+    # Membership memory follows the RR sets, not the pair universe.
+    sparse_bound = (int(index.sizes.sum()) + 1) * (index.n_words + 1) * 8
+    assert member_bytes <= sparse_bound, (
+        f"RR membership holds {member_bytes} B, more than the "
+        f"{sparse_bound} B its {int(index.sizes.sum())} members need"
     )
 
     # Both oracles must produce meaningful, budget-feasible selections.

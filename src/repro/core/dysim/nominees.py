@@ -64,6 +64,21 @@ class NomineeSelection:
     best_singleton_value: float
 
 
+def _stable_top(keys: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k <= keys.size`` entries of a stable argsort of ``keys``.
+
+    Exact top-k without sorting everything: ``np.partition`` finds the
+    k-th smallest key, every entry not above it (ties and NaNs
+    included) is kept, and only those are stable-sorted — so ties
+    keep index order even when the cut falls inside a run of them.
+    """
+    if k <= 0:
+        return np.zeros(0, dtype=np.intp)
+    kth = np.partition(keys, k - 1)[k - 1]
+    head = np.flatnonzero(~(keys > kth))
+    return head[np.argsort(keys[head], kind="stable")[:k]]
+
+
 def rank_candidates(
     instance: IMDPPInstance, pool_size: int | None
 ) -> list[tuple[int, int]]:
@@ -79,8 +94,8 @@ def rank_candidates(
     # Bit-identical: the quality product keeps the same factor order,
     # row-major ``np.nonzero`` reproduces the loop's append order, the
     # full sort is descending-lexicographic over the exact tuple the
-    # loop sorted, and the pooled rankings use stable argsorts (ties
-    # keep append order, like Python's stable ``sorted``).
+    # loop sorted, and the pooled rankings are stable (ties keep append
+    # order, like Python's stable ``sorted``).
     csr = instance.network.csr
     degrees = np.diff(csr.out_indptr)
     costs = np.asarray(instance.costs, dtype=float)
@@ -101,10 +116,13 @@ def rank_candidates(
             zip(users[order].tolist(), items[order].tolist())
         )
 
+    # The pool reads the first ``pool_size // 2`` of the quality
+    # ranking and, skipping at most that many repeats, at most the
+    # first ``pool_size`` of the value ranking: top-k heads suffice.
     pool: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    by_quality = np.argsort(-quality, kind="stable")
-    by_value = np.argsort(-value, kind="stable")
+    by_quality = _stable_top(-quality, pool_size // 2)
+    by_value = _stable_top(-value, pool_size)
     for ranking, limit in ((by_quality, pool_size // 2), (by_value, pool_size)):
         for index in ranking:
             if len(pool) >= limit:

@@ -424,12 +424,12 @@ class RRCoverageGainOracle(_PackedCoverageGainOracle):
     candidate is the number of *RR samples* its membership row adds
     beyond the covered set, scaled by ``W / R`` (see
     :mod:`repro.sketch.rrset`).  One popcount over
-    ``member[pair] & ~covered`` per candidate — cost independent of
-    the graph size once the index exists — and gains are *exactly*
-    monotone and submodular on the fixed sample family, so the CELF
-    lazy heap commits without any stale-bound surprises.
+    ``row & ~covered`` per candidate — cost independent of the graph
+    size once the index exists — and gains are *exactly* monotone and
+    submodular on the fixed sample family, so the CELF lazy heap
+    commits without any stale-bound surprises.
 
-    ``index`` is duck-typed (``member`` / ``n_words`` /
+    ``index`` is duck-typed (``membership`` / ``n_words`` /
     ``n_samples`` / ``total_importance`` / ``pair_index``).
     """
 
@@ -441,13 +441,13 @@ class RRCoverageGainOracle(_PackedCoverageGainOracle):
         pairs = np.array(
             [self._pair(element) for element in candidates], dtype=np.int64
         )
-        fresh = self.family.member[pairs] & ~self._covered[None, :]
+        fresh = self.family.membership(pairs) & ~self._covered[None, :]
         counts = popcount_words(fresh).sum(axis=-1)
         self.n_evaluations += len(pairs)
         return counts.astype(float) * self._scale
 
     def _row(self, pair: int) -> np.ndarray:
-        return self.family.member[pair]
+        return self.family.membership([pair])[0]
 
 
 def _default_seeds_of(element) -> tuple[Seed, ...]:

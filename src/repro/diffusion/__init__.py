@@ -1,10 +1,6 @@
 """Multi-promotion diffusion: trigger models, simulator, Monte Carlo."""
 
-from repro.diffusion.models import (
-    DiffusionModel,
-    adoption_likelihood,
-    aggregated_influence,
-)
+from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.diffusion.campaign import (
     CampaignOutcome,
     CampaignSimulator,
@@ -15,7 +11,6 @@ from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
 __all__ = [
     "DiffusionModel",
     "adoption_likelihood",
-    "aggregated_influence",
     "CampaignOutcome",
     "CampaignSimulator",
     "MonteCarloEstimate",

@@ -310,7 +310,7 @@ class _Replicas:
     ) -> PerceptionState:
         """Replication ``r``'s final perception state.
 
-        Under learning dynamics the base copy takes over the
+        Under learning dynamics a copy of the base takes over the
         replication's records.  Under frozen dynamics the adoptions
         (``users`` / ``items``, in commit order) fully determine every
         observable read — weights never move, preferences stay at the
@@ -318,8 +318,14 @@ class _Replicas:
         they are replayed onto the copy; only the accumulated-relevance
         buffers may differ in summation order, and they are unread when
         ``beta == 0``.
+
+        A one-replication pass takes the base itself instead of a copy:
+        the pass made it (pristine or copied from ``initial_state``),
+        its one outcome asks at most once, and nothing reads the base
+        afterwards.
         """
-        state = self.base.copy()
+        single = self.layout.n_replications == 1
+        state = self.base if single else self.base.copy()
         if self.dynamic:
             for record in self.users[r].values():
                 state.attach(record)
@@ -574,7 +580,7 @@ def run_campaigns_lockstep(
     def _lt_total(r: int, user: int, item: int) -> float:
         """Preference-gated LT mass against replication ``r``'s state.
 
-        Replays :func:`~repro.diffusion.models.aggregated_influence`
+        Replays the scalar AIS (``tests.reference.aggregated_influence``)
         under LT exactly — in-row order, the influence pipeline, the
         same accumulate-then-cap float sequence — with the adopter test
         answered by the packed bits.

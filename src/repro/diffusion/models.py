@@ -17,6 +17,9 @@ ingredient of the likelihood ``pi`` in Eq. (13):
 (The paper's IC formula prints the condition as ``y not in A(v')``;
 only in-neighbours that *have* adopted ``y`` can promote it, matching
 the LT line, so we read it as a typo and use ``y in A(v')``.)
+:func:`adoption_likelihood` computes AIS for a whole market at once;
+the one-(user, item) scalar form it is pinned against lives with the
+tests (``tests.reference.aggregated_influence``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from repro.social.csr import row_gather
 
 __all__ = [
     "DiffusionModel",
-    "aggregated_influence",
     "adoption_likelihood",
 ]
 
@@ -40,42 +42,6 @@ class DiffusionModel(enum.Enum):
 
     INDEPENDENT_CASCADE = "IC"
     LINEAR_THRESHOLD = "LT"
-
-
-def aggregated_influence(
-    state: PerceptionState,
-    model: DiffusionModel,
-    user: int,
-    item: int,
-) -> float:
-    """``AIS(user, item)`` under the current perception state.
-
-    Only in-neighbours that adopted ``item`` can promote it, so only
-    their (possibly similarity-driven) strengths are computed; they
-    are visited in row order (DESIGN §3).
-    """
-    probability_none = 1.0
-    total = 0.0
-    neighbours, base = state.network.csr.in_row(user)
-    adopters = state.adopted_many(
-        neighbours, np.full(neighbours.size, item, dtype=np.int64)
-    )
-    if adopters.any():
-        strengths = state.influence_batch(
-            neighbours[adopters],
-            np.full(int(adopters.sum()), user, dtype=np.int64),
-            base[adopters],
-        )
-        for strength in strengths.tolist():
-            if strength <= 0.0:
-                continue
-            if model is DiffusionModel.INDEPENDENT_CASCADE:
-                probability_none *= 1.0 - strength
-            else:
-                total += strength
-    if model is DiffusionModel.INDEPENDENT_CASCADE:
-        return 1.0 - probability_none
-    return min(1.0, total)
 
 
 def adoption_likelihood(
@@ -92,10 +58,10 @@ def adoption_likelihood(
     neighbours get their strengths from one ``influence_batch`` call,
     and each (user, item)'s IC product or LT sum accumulates with an
     unbuffered ``ufunc.at``, which applies the arcs in row order — the
-    float order of the scalar :func:`aggregated_influence` (DESIGN
-    §3).  The closing masked sums stay per user, in sorted order.
-    ``tests/diffusion/test_vectorized.py`` pins the result against the
-    per-user reference exactly.
+    float order of the scalar AIS ``tests.reference.aggregated_influence``
+    (DESIGN §3).  The closing masked sums stay per user, in sorted
+    order.  ``tests/diffusion/test_vectorized.py`` pins the result
+    against the per-user and scalar references exactly.
     """
     members = np.array(sorted(users), dtype=np.int64)
     n_items = state.n_items

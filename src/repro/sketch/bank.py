@@ -87,6 +87,10 @@ __all__ = [
 #: benchmark instance while bounding long-lived services.
 DEFAULT_REACH_BUDGET_BYTES = 256 * 1024 * 1024
 
+#: Arcs per block of the Pext-free skeleton build (8 MB of outer
+#: product at 16 items).
+_SKELETON_BLOCK_ARCS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ReachCacheStats:
@@ -159,12 +163,6 @@ def build_skeleton(instance: IMDPPInstance) -> ProbabilitySkeleton:
             comp_cache[user] = cached
         return cached
 
-    items = np.arange(n_items)
-    off_diagonal = ~np.eye(n_items, dtype=bool)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    prob_parts: list[np.ndarray] = []
-
     # Canonical arc order: sources ascending, targets ascending within
     # a source — served straight off the CSR core's sorted row view
     # (``indptr`` slicing plus the row-sorted permutation), with the
@@ -174,7 +172,7 @@ def build_skeleton(instance: IMDPPInstance) -> ProbabilitySkeleton:
         # Pext-free fast path: the canonical entry order collapses to
         # all arcs in global sorted (source, target) order with the
         # item axis innermost, so the whole skeleton is one sorted
-        # gather + one influence_batch call + a chunked outer product
+        # gather + one influence_batch call + a blocked outer product
         # — no Python loop over 10^6 source rows.  The loop's
         # ``strength <= 0`` skip is subsumed by ``p_act > 0``
         # (strengths and preferences are non-negative).  Bit-identity
@@ -187,23 +185,41 @@ def build_skeleton(instance: IMDPPInstance) -> ProbabilitySkeleton:
         strengths = state.influence_batch(
             arc_sources, arc_targets, csr.out_strength[order]
         )
-        block = 1 << 20
-        for lo in range(0, arc_sources.size, block):
-            hi = min(lo + block, int(arc_sources.size))
-            p_act = strengths[lo:hi, None] * preference[arc_targets[lo:hi]]
+
+        def p_act_of(arcs: slice) -> np.ndarray:
+            return strengths[arcs, None] * preference[arc_targets[arcs]]
+
+        # Blocks of arcs keep each outer product and its ``np.nonzero``
+        # a few MB.  A first pass counts the live entries, so the
+        # second writes them straight into arrays allocated once:
+        # joined per-block parts would hold the skeleton twice at the
+        # peak.
+        blocks = [
+            slice(lo, lo + _SKELETON_BLOCK_ARCS)
+            for lo in range(0, arc_sources.size, _SKELETON_BLOCK_ARCS)
+        ]
+        sizes = [int(np.count_nonzero(p_act_of(arcs) > 0.0)) for arcs in blocks]
+        src = np.empty(sum(sizes), dtype=np.int64)
+        dst = np.empty_like(src)
+        prob = np.empty(src.size)
+        end = 0
+        for arcs, size in zip(blocks, sizes):
+            p_act = p_act_of(arcs)
             arc_idx, live_items = np.nonzero(p_act > 0.0)
-            if arc_idx.size:
-                src_parts.append(
-                    arc_sources[lo:hi][arc_idx] * n_items + live_items
-                )
-                dst_parts.append(
-                    arc_targets[lo:hi][arc_idx] * n_items + live_items
-                )
-                prob_parts.append(p_act[arc_idx, live_items])
-        src_iter: range = range(0)
-    else:
-        src_iter = range(n_users)
-    for source in src_iter:
+            start, end = end, end + size
+            src[start:end] = arc_sources[arcs][arc_idx] * n_items + live_items
+            dst[start:end] = arc_targets[arcs][arc_idx] * n_items + live_items
+            prob[start:end] = p_act[arc_idx, live_items]
+        return ProbabilitySkeleton(
+            n_pairs=n_users * n_items, src=src, dst=dst, prob=prob
+        )
+
+    items = np.arange(n_items)
+    off_diagonal = ~np.eye(n_items, dtype=bool)
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    prob_parts: list[np.ndarray] = []
+    for source in range(n_users):
         row_targets, row_base = csr.out_row_sorted(source)
         if not row_targets.size:
             continue
@@ -223,34 +239,28 @@ def build_skeleton(instance: IMDPPInstance) -> ProbabilitySkeleton:
                 src_parts.append(source * n_items + live_items)
                 dst_parts.append(target * n_items + live_items)
                 prob_parts.append(p_act[live_items])
-            if scale > 0.0:
-                # Pext(target, source, x, y); same clipping pipeline as
-                # PerceptionState.extra_adoption_probs.
-                p_ext = scale * np.clip(
-                    strength
-                    * preference[target][:, None]
-                    * complementary_of(target),
-                    0.0,
-                    1.0,
-                )
-                xs, ys = np.nonzero(
-                    (p_ext > EXTRA_ADOPTION_FLOOR) & off_diagonal
-                )
-                if xs.size:
-                    src_parts.append(source * n_items + xs)
-                    dst_parts.append(target * n_items + ys)
-                    prob_parts.append(p_ext[xs, ys])
+            # Pext(target, source, x, y); same clipping pipeline as
+            # PerceptionState.extra_adoption_probs.
+            p_ext = scale * np.clip(
+                strength * preference[target][:, None] * complementary_of(target),
+                0.0,
+                1.0,
+            )
+            xs, ys = np.nonzero((p_ext > EXTRA_ADOPTION_FLOOR) & off_diagonal)
+            if xs.size:
+                src_parts.append(source * n_items + xs)
+                dst_parts.append(target * n_items + ys)
+                prob_parts.append(p_ext[xs, ys])
 
-    if src_parts:
-        src = np.concatenate(src_parts).astype(np.int64)
-        dst = np.concatenate(dst_parts).astype(np.int64)
-        prob = np.concatenate(prob_parts).astype(float)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-        prob = np.zeros(0, dtype=float)
+    def joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+        # ``dtype=`` casts while joining: no second copy.
+        return np.concatenate(parts, dtype=dtype) if parts else np.zeros(0, dtype)
+
     return ProbabilitySkeleton(
-        n_pairs=n_users * n_items, src=src, dst=dst, prob=prob
+        n_pairs=n_users * n_items,
+        src=joined(src_parts, np.int64),
+        dst=joined(dst_parts, np.int64),
+        prob=joined(prob_parts, float),
     )
 
 

@@ -40,12 +40,15 @@ Sampling discipline (pinned by ``tests/property/test_rrset_oracle.py``
   across serial / thread / process backends).
 
 Storage: RR membership is transposed into packed ``uint64`` words per
-pair — bit ``i & 63`` of word ``i >> 6`` of row ``p`` says sample ``i``
-contains pair ``p`` — so a marginal coverage gain is a popcount over
-``member[p] & ~covered``, the same packed-word idiom as
+pair — bit ``i & 63`` of word ``i >> 6`` of a pair's row says sample
+``i`` contains the pair — so a marginal coverage gain is a popcount
+over ``row & ~covered``, the same packed-word idiom as
 :class:`~repro.core.selection.PairLayout` (here the packed axis is the
 *sample* axis, not the pair axis, because coverage queries reduce over
-samples).
+samples).  Rows exist only for the pairs some RR set contains (the
+sorted ``present`` array); every other pair shares an all-zero row, so
+memory follows the RR sets, not the pair universe
+(:meth:`RRSetIndex.membership` maps pairs to rows).
 
 Queries reach the index through :class:`RRSetSigmaEstimator`, the
 RR-set family of the shared
@@ -191,7 +194,8 @@ class RRSetIndex(PairUniverse):
     ----------
     skeleton:
         Canonical coin list (:func:`~repro.sketch.bank.build_skeleton`
-        output — the *same* skeleton the realization bank flips).
+        output — the *same* skeleton the realization bank flips).  The
+        index reverses it and keeps no reference to it.
     n_users / n_items / item_importance:
         Pair-universe geometry and the per-item weights behind the
         root distribution.
@@ -223,7 +227,6 @@ class RRSetIndex(PairUniverse):
     ):
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        self.skeleton = skeleton
         self.n_users = int(n_users)
         self.n_items = int(n_items)
         self.n_pairs = self.n_users * self.n_items
@@ -241,10 +244,9 @@ class RRSetIndex(PairUniverse):
                 f"item_importance must have shape ({self.n_items},), "
                 f"got {self.item_importance.shape}"
             )
-        #: Importance of the item behind each pair index — the root
-        #: distribution's (unnormalized) weights.
-        self.pair_importance = np.tile(self.item_importance, self.n_users)
-        importance_cum = np.cumsum(self.pair_importance)
+        # The root distribution's (unnormalized) weights: the
+        # importance of the item behind each pair index.
+        importance_cum = np.cumsum(np.tile(self.item_importance, self.n_users))
         self.total_importance = float(importance_cum[-1])
         if self.total_importance <= 0.0:
             raise SketchError("total pair importance must be positive")
@@ -255,6 +257,7 @@ class RRSetIndex(PairUniverse):
         order = np.argsort(skeleton.dst, kind="stable")
         rev_src = skeleton.src[order]
         rev_prob = skeleton.prob[order]
+        del order
         counts = np.bincount(skeleton.dst, minlength=self.n_pairs)
         rev_indptr = np.zeros(self.n_pairs + 1, dtype=np.int64)
         np.cumsum(counts, out=rev_indptr[1:])
@@ -308,20 +311,32 @@ class RRSetIndex(PairUniverse):
         )
         #: Packed words per pair over the sample axis.
         self.n_words = -(-self.n_samples // 64)
-        member = np.zeros((self.n_pairs, self.n_words), dtype=np.uint64)
-        rows = np.concatenate([members for _, members in samples])
+        pairs = np.concatenate([members for _, members in samples])
         sample_ids = np.repeat(
             np.arange(self.n_samples, dtype=np.int64), self.sizes
         )
-        bits = np.left_shift(
-            np.uint64(1), (sample_ids & 63).astype(np.uint64)
+        present, slots = np.unique(pairs, return_inverse=True)
+        member_rows = np.zeros(
+            (present.size + 1, self.n_words), dtype=np.uint64
         )
-        np.bitwise_or.at(member, (rows, sample_ids >> 6), bits)
-        member.setflags(write=False)
-        #: (n_pairs, n_words) packed membership — bit ``i & 63`` of
-        #: word ``i >> 6`` of row ``p`` says sample ``i`` contains
-        #: pair ``p``.  Read-only.
-        self.member = member
+        # A pair occurs at most once per sample, so every (row, sample)
+        # bit is set once; the flat view keeps ``ufunc.at`` on its 1-D
+        # fast path.
+        np.bitwise_or.at(
+            member_rows.reshape(-1),
+            (slots + 1) * self.n_words + (sample_ids >> 6),
+            np.left_shift(np.uint64(1), (sample_ids & 63).astype(np.uint64)),
+        )
+        present.setflags(write=False)
+        member_rows.setflags(write=False)
+        #: Sorted pair indices that some RR set contains.  Read-only.
+        self.present = present
+        #: ``(len(present) + 1, n_words)`` packed membership: row
+        #: ``k + 1`` belongs to ``present[k]`` — bit ``i & 63`` of word
+        #: ``i >> 6`` says sample ``i`` contains that pair — and row 0,
+        #: all zeros, to every absent pair.  Read through
+        #: :meth:`membership`.  Read-only.
+        self.member_rows = member_rows
 
     @classmethod
     def from_instance(
@@ -332,10 +347,13 @@ class RRSetIndex(PairUniverse):
         rng_context: tuple = ("rrset",),
         backend: ExecutionBackend | None = None,
     ) -> "RRSetIndex":
-        """Build from a frozen instance (skeleton enumerated here)."""
-        skeleton = build_skeleton(instance)
+        """Build from a frozen instance (skeleton enumerated here).
+
+        The skeleton is passed straight through, so nothing holds it
+        once the index is built.
+        """
         return cls(
-            skeleton,
+            build_skeleton(instance),
             instance.n_users,
             instance.n_items,
             np.asarray(instance.importance, dtype=float),
@@ -348,17 +366,27 @@ class RRSetIndex(PairUniverse):
     # ------------------------------------------------------------------
     @property
     def member_bytes(self) -> int:
-        """Bytes held by the packed membership matrix."""
-        return int(self.member.nbytes)
+        """Bytes held by the membership rows and their pair index."""
+        return int(self.present.nbytes + self.member_rows.nbytes)
+
+    def membership(self, pairs: Sequence[int]) -> np.ndarray:
+        """Packed membership rows of ``pairs``, ``(len(pairs), n_words)``.
+
+        The one way into :attr:`member_rows`: a binary search of
+        :attr:`present` per pair, and the zero row for a pair no RR set
+        contains.  Returns a fresh array.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64)
+        slots = np.searchsorted(self.present, pairs)
+        found = self.present[np.minimum(slots, self.present.size - 1)] == pairs
+        return self.member_rows[np.where(found, slots + 1, 0)]
 
     # ------------------------------------------------------------------
     def covered_words(self, pairs: Sequence[int]) -> np.ndarray:
         """Packed union of the pairs' membership rows (fresh array)."""
         if not len(pairs):
             return np.zeros(self.n_words, dtype=np.uint64)
-        return np.bitwise_or.reduce(
-            self.member[np.asarray(pairs, dtype=np.int64)], axis=0
-        )
+        return np.bitwise_or.reduce(self.membership(pairs), axis=0)
 
     def covered_mask(self, pairs: Sequence[int]) -> np.ndarray:
         """Boolean per-sample coverage indicator ``(n_samples,)``."""
@@ -400,7 +428,7 @@ class RRSetIndex(PairUniverse):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RRSetIndex(samples={self.n_samples}, "
-            f"pairs={self.n_pairs}, "
+            f"pairs={self.n_pairs}, present={self.present.size}, "
             f"mean_size={float(self.sizes.mean()):.2f})"
         )
 

@@ -1,9 +1,10 @@
 """Tests for the trigger-model module beyond AIS (covered elsewhere)."""
 
 
-from repro.diffusion.models import DiffusionModel, aggregated_influence
+from repro.diffusion.models import DiffusionModel
 
 from tests.conftest import build_tiny_instance
+from tests.reference import aggregated_influence
 
 
 class TestDiffusionModelEnum:

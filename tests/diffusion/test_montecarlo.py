@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core.problem import Seed, SeedGroup
-from repro.diffusion.models import DiffusionModel, aggregated_influence
+from repro.diffusion.models import DiffusionModel
 from repro.diffusion.montecarlo import SigmaEstimator, adoption_likelihood
 from repro.utils.rng import RngFactory
 
 from tests.conftest import build_tiny_instance
+from tests.reference import aggregated_influence
 
 
 @pytest.fixture

@@ -24,9 +24,11 @@ replication-word boundaries (R in {1, 63, 64, 65, 130}).
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
+from repro.data import load_dataset
 from repro.diffusion.campaign import CampaignSimulator, run_campaigns_lockstep
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.kg.relevance import RelevanceEngine
@@ -279,14 +281,18 @@ def test_lockstep_promotion_windows(case):
 
 
 @given(
-    instances(),
+    instances(promotions=st.just(2)),
     st.sampled_from(tuple(DiffusionModel)),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30, deadline=None)
 def test_lockstep_resumed_states(case, model, observe_seed):
     """A campaign resumed from an observed state (adaptive IM) replays
-    the reference, and the resumed state is left untouched."""
+    the reference, and the resumed state is left untouched.
+
+    ``T = 2``: the resumed promotion has seeds of its own, where a
+    one-promotion campaign would only replay seeds already adopted.
+    """
     instance, group, run_seed = case
     observed = ScalarCampaignSimulator(instance, model=model).run(
         group, np.random.default_rng(observe_seed), until_promotion=1
@@ -345,6 +351,102 @@ def test_observation_chain_bit_identical(case, model, observe_seed):
             reference[position].bit_generator.state
             == packed[position].bit_generator.state
         ), position
+
+
+def _state_snapshot(state) -> tuple:
+    """Everything a run may read of a perception state, as values."""
+    return (
+        state.weights.tobytes(),
+        [sorted(items) for items in state.adopted],
+        state._adopted_mask.tobytes(),
+        {user: acc.tobytes() for user, acc in state._accumulated.items()},
+        state._moved.tobytes(),
+        [state.preference(user).tobytes() for user in range(state.n_users)],
+    )
+
+
+@given(
+    instances(promotions=st.just(2)),
+    st.sampled_from(tuple(DiffusionModel)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_resumed_run_state_leaves_initial_state(case, model, observe_seed):
+    """A one-generator resumed run hands its own base to ``.state``:
+    the caller's initial state stays as it was, and the final state
+    equals the reference's."""
+    instance, group, run_seed = case
+    observed = ScalarCampaignSimulator(instance, model=model).run(
+        group, np.random.default_rng(observe_seed), until_promotion=1
+    ).state
+    before = _state_snapshot(observed)
+    runs = [
+        simulator_class(instance, model=model).run(
+            group,
+            np.random.default_rng(run_seed),
+            initial_state=observed,
+            start_promotion=2,
+        )
+        for simulator_class in (ScalarCampaignSimulator, CampaignSimulator)
+    ]
+    reference, outcome = runs
+    state = outcome.state
+    assert state is not observed
+    assert _state_snapshot(observed) == before
+    _assert_same_outcome(instance, model, reference, outcome, "resumed")
+    assert [sorted(items) for items in state.adopted] == [
+        sorted(items) for items in reference.state.adopted
+    ]
+    for user in range(instance.n_users):
+        assert np.array_equal(
+            state.preference(user), reference.state.preference(user)
+        ), user
+    # Reads of the handed-over state do not write through either.
+    assert _state_snapshot(observed) == before
+
+
+@pytest.mark.parametrize("model", tuple(DiffusionModel))
+def test_yelp_observation_chain_reads_moved_rows(model):
+    """Observe promotion 1 on ``yelp``, then resume promotion 2 from
+    each side's own observed state.
+
+    Unlike the tiny KG, ``yelp``'s complementary rows do not saturate
+    at 1, so a user whose weights moved during the observation must be
+    resumed with rows under the moved weights, not the pristine ones.
+    """
+    instance = load_dataset("yelp")
+    group = SeedGroup(
+        Seed(user, user * 7 % instance.n_items, 1 + user // 4 % 2)
+        for user in range(0, instance.n_users, 4)
+    )
+    moved = steps = 0
+    for observe_seed, run_seed in ((0, 1), (2, 3), (4, 5), (6, 7)):
+        chains = []
+        for simulator_class in (ScalarCampaignSimulator, CampaignSimulator):
+            simulator = simulator_class(instance, model=model)
+            observed = simulator.run(
+                group, np.random.default_rng(observe_seed), until_promotion=1
+            )
+            resume_rng = np.random.default_rng(run_seed)
+            resumed = simulator.run(
+                group,
+                resume_rng,
+                until_promotion=2,
+                initial_state=observed.state,
+                start_promotion=2,
+            )
+            chains.append((observed, resumed, resume_rng))
+        reference, packed = chains
+        label = (observe_seed, run_seed)
+        _assert_same_outcome(instance, model, reference[0], packed[0], label)
+        _assert_same_outcome(instance, model, reference[1], packed[1], label)
+        assert (
+            reference[2].bit_generator.state == packed[2].bit_generator.state
+        ), label
+        moved += int(packed[0].state._moved.sum())
+        steps += packed[1].steps_run
+    # The case exercises what it is about.
+    assert moved and steps
 
 
 def test_lockstep_empty_rngs(tiny_instance):

@@ -16,15 +16,12 @@ import pytest
 from repro.core.problem import Seed, SeedGroup
 from repro.data import load_dataset
 from repro.diffusion.campaign import CampaignSimulator
-from repro.diffusion.models import (
-    DiffusionModel,
-    adoption_likelihood,
-    aggregated_influence,
-)
+from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.social.network import SocialNetwork
 from repro.utils.rng import spawn_rng
 
 from tests.conftest import build_tiny_instance
+from tests.reference import aggregated_influence
 
 MODELS = (
     DiffusionModel.INDEPENDENT_CASCADE,

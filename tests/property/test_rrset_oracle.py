@@ -22,12 +22,15 @@ Four layers, from exact to statistical:
   standard errors (Lemma 1 plus the RIS identity).
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
+from repro.core.selection import RRCoverageGainOracle
 from repro.diffusion.montecarlo import SigmaEstimator
 from repro.engine.backends import ThreadBackend
 from repro.kg.relevance import RelevanceEngine
@@ -78,6 +81,36 @@ def build_micro_instance() -> IMDPPInstance:
             eta=0.0, beta=0.0, gamma=0.0, association_scale=0.0
         ),
         name="micro",
+    )
+
+
+def build_sparse_instance(n_users: int = 300) -> IMDPPInstance:
+    """A ring with chords and weak coins: most pairs join no RR set.
+
+    130 RR sets of mean size near 1 touch a small fraction of the
+    1,200 pairs, over three packed words (the last one partial).
+    """
+    kg, items = build_tiny_kg()
+    relevance = RelevanceEngine(kg, build_tiny_metagraphs(), items)
+    network = SocialNetwork(n_users, directed=True)
+    for user in range(n_users):
+        network.add_edge(user, (user + 1) % n_users, 0.5)
+        network.add_edge(user, (user + 7) % n_users, 0.3)
+    rng = np.random.default_rng(11)
+    return IMDPPInstance(
+        network=network,
+        kg=kg,
+        relevance=relevance,
+        importance=np.array([1.0, 0.7, 0.3, 0.0]),
+        base_preference=rng.uniform(0.0, 0.6, size=(n_users, N_ITEMS)),
+        initial_weights=np.full((n_users, relevance.n_meta), 0.5),
+        costs=np.full((n_users, N_ITEMS), 5.0),
+        budget=40.0,
+        n_promotions=1,
+        dynamics=DynamicsParams(
+            eta=0.0, beta=0.0, gamma=0.0, association_scale=0.0
+        ),
+        name="sparse",
     )
 
 
@@ -176,12 +209,15 @@ def reference_rrsets(
 
 
 def index_membership(index: RRSetIndex) -> list[list[int]]:
-    """Per-sample sorted member pairs, decoded from the packed words."""
+    """Per-sample sorted member pairs, decoded through the accessor.
+
+    Every pair of the universe is looked up, absent ones included, so
+    the decode also checks that they map to the all-zero row.
+    """
+    words = index.membership(np.arange(index.n_pairs))
     out = []
     for i in range(index.n_samples):
-        bits = (
-            index.member[:, i >> 6] >> np.uint64(i & 63)
-        ) & np.uint64(1)
+        bits = (words[:, i >> 6] >> np.uint64(i & 63)) & np.uint64(1)
         out.append(np.nonzero(bits.astype(bool))[0].tolist())
     return out
 
@@ -205,6 +241,63 @@ def test_sampling_matches_scalar_reference(data):
     ]
 
 
+def test_membership_rows_only_for_present_pairs():
+    """Rows exist only for pairs some RR set holds; absent pairs read
+    the zero row, cover nothing and gain nothing."""
+    instance = build_sparse_instance()
+    n_samples = 130
+    index = RRSetIndex.from_instance(
+        instance, n_samples=n_samples, rng_seed=4
+    )
+    expected = reference_rrsets(
+        instance, skeleton_entries(instance), 4, n_samples
+    )
+    assert index.roots.tolist() == [root for root, _ in expected]
+    assert index_membership(index) == [members for _, members in expected]
+
+    members = sorted({p for _, pairs in expected for p in pairs})
+    assert index.present.tolist() == members
+    assert index.member_rows.shape == (len(members) + 1, index.n_words)
+    assert not index.member_rows[0].any()
+    assert index.member_bytes == (
+        index.present.nbytes + index.member_rows.nbytes
+    )
+    assert 2 * len(members) < index.n_pairs
+    assert index.member_bytes < index.n_pairs * index.n_words * 8
+
+    absent = np.setdiff1d(np.arange(index.n_pairs), index.present)
+    # Absent pairs lie below, between and above the present ones.
+    assert absent[0] < index.present[0] and absent[-1] > index.present[-1]
+    assert not index.membership(absent).any()
+    for pair in absent[:: max(1, absent.size // 40)].tolist():
+        assert not index.covered_mask([pair]).any()
+        assert not index.coverage_stats([pair])[0].any()
+    oracle = RRCoverageGainOracle(index)
+    assert not oracle.gains(absent.tolist()).any()
+    first = int(index.present[0])
+    oracle.commit(first, float(oracle.gains([first])[0]))
+    assert not oracle.gains(absent.tolist()).any()
+    oracle.commit(int(absent[0]), 0.0)
+    assert np.array_equal(oracle._covered, index.covered_words([first]))
+
+
+def test_index_keeps_no_skeleton():
+    instance = build_sparse_instance(40)
+    skeleton = build_skeleton(instance)
+    alive = weakref.ref(skeleton)
+    index = RRSetIndex(
+        skeleton,
+        instance.n_users,
+        instance.n_items,
+        np.asarray(instance.importance, dtype=float),
+        n_samples=16,
+    )
+    del skeleton
+    gc.collect()
+    assert alive() is None
+    assert index.sizes.sum() > 0
+
+
 def test_backends_produce_identical_indexes():
     instance = build_micro_instance()
     serial = RRSetIndex.from_instance(instance, n_samples=32, rng_seed=9)
@@ -212,9 +305,8 @@ def test_backends_produce_identical_indexes():
         threaded = RRSetIndex.from_instance(
             instance, n_samples=32, rng_seed=9, backend=backend
         )
-    assert np.array_equal(serial.member, threaded.member)
-    assert np.array_equal(serial.roots, threaded.roots)
-    assert np.array_equal(serial.sizes, threaded.sizes)
+    for name in ("present", "member_rows", "roots", "sizes"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
 
 
 # ---------------------------------------------------------------------------

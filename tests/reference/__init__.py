@@ -9,6 +9,8 @@ benchmarks (``benchmarks/``) compare against them bit for bit:
   promotion, step and arc at a time (LT decisions by explicit
   in-neighbour accumulation), the oracle of the packed lockstep pass
   that plays every production realization;
+* :func:`aggregated_influence` — the scalar AIS of one (user, item),
+  the oracle of the one-pass Eq. (13) likelihood;
 * :func:`run_chunk_per_replication` — ``run_chunk`` as one scalar
   reference run per replication, for every recipe;
 * :func:`disable_packed_pass` — routes every realization a pipeline
@@ -26,7 +28,7 @@ benchmarks (``benchmarks/``) compare against them bit for bit:
 """
 
 from tests.reference.coverage import CoverageEvaluator
-from tests.reference.diffusion import ScalarCampaignSimulator
+from tests.reference.diffusion import ScalarCampaignSimulator, aggregated_influence
 from tests.reference.reach import PerWorldBank, ReachabilitySketch, stacked_reach
 from tests.reference.replication import (
     canonical_fold,
@@ -39,6 +41,7 @@ __all__ = [
     "PerWorldBank",
     "ReachabilitySketch",
     "ScalarCampaignSimulator",
+    "aggregated_influence",
     "canonical_fold",
     "disable_packed_pass",
     "run_chunk_per_replication",

@@ -1,9 +1,11 @@
-"""Diffusion reference: the scalar campaign simulator.
+"""Diffusion reference: the scalar campaign simulator and scalar AIS.
 
 Production plays every campaign realization through one kernel, the
 packed lockstep pass of :mod:`repro.diffusion.campaign`.  This module
 is its oracle: the campaign process of Sec. III written one promotion,
 one step and one arc at a time against a :class:`PerceptionState`.
+:func:`aggregated_influence` is the likelihood's oracle in the same
+way: the AIS of Eq. (13) one (user, item) at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,45 @@ from repro.diffusion.models import DiffusionModel
 from repro.errors import SimulationError
 from repro.perception.state import PerceptionState
 
-__all__ = ["ScalarCampaignSimulator"]
+__all__ = ["ScalarCampaignSimulator", "aggregated_influence"]
+
+
+def aggregated_influence(
+    state: PerceptionState,
+    model: DiffusionModel,
+    user: int,
+    item: int,
+) -> float:
+    """``AIS(user, item)`` under the current perception state.
+
+    The scalar AIS (footnote 31) that the one-pass
+    :func:`repro.diffusion.models.adoption_likelihood` is pinned
+    against.  Only in-neighbours that adopted ``item`` can promote it,
+    so only their (possibly similarity-driven) strengths are computed;
+    they are visited in row order (DESIGN §3).
+    """
+    probability_none = 1.0
+    total = 0.0
+    neighbours, base = state.network.csr.in_row(user)
+    adopters = state.adopted_many(
+        neighbours, np.full(neighbours.size, item, dtype=np.int64)
+    )
+    if adopters.any():
+        strengths = state.influence_batch(
+            neighbours[adopters],
+            np.full(int(adopters.sum()), user, dtype=np.int64),
+            base[adopters],
+        )
+        for strength in strengths.tolist():
+            if strength <= 0.0:
+                continue
+            if model is DiffusionModel.INDEPENDENT_CASCADE:
+                probability_none *= 1.0 - strength
+            else:
+                total += strength
+    if model is DiffusionModel.INDEPENDENT_CASCADE:
+        return 1.0 - probability_none
+    return min(1.0, total)
 
 
 @dataclass

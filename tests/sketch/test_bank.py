@@ -11,7 +11,8 @@ from repro.engine import (
     ThreadBackend,
 )
 from repro.errors import SketchError
-from repro.sketch import RealizationBank, build_skeleton
+from repro.perception.params import DynamicsParams
+from repro.sketch import RealizationBank, bank as bank_module, build_skeleton
 from repro.utils.rng import spawn_rng
 
 from tests.conftest import build_tiny_instance, own_shm_exports
@@ -57,6 +58,23 @@ class TestSkeleton:
         for array in (skeleton.src, skeleton.dst):
             assert array.min() >= 0
             assert array.max() < skeleton.n_pairs
+
+    def test_pext_free_blocks_are_invisible(self, monkeypatch):
+        """The Pext-free fast path fills the same skeleton whatever its
+        arc block size, a partial last block included."""
+        instance = build_tiny_instance(
+            dynamics=DynamicsParams(
+                eta=0.0, beta=0.0, gamma=0.0, association_scale=0.0
+            )
+        )
+        whole = build_skeleton(instance)
+        monkeypatch.setattr(bank_module, "_SKELETON_BLOCK_ARCS", 3)
+        blocked = build_skeleton(instance)
+        assert whole.n_entries > 3 * 3
+        for name in ("src", "dst", "prob"):
+            ours, theirs = getattr(whole, name), getattr(blocked, name)
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
 
     def test_influence_edges_stay_within_item(self, frozen):
         """Influence entries keep the item; only association crosses."""
