@@ -67,16 +67,17 @@ def _seed_group(instance) -> SeedGroup:
     )
 
 
-def _run_chunk_timed(chunk, task, n_replications):
+def _run_chunk_timed(chunk, task):
     """Best-of-rounds seconds per replication plus the range's result.
 
-    Every round is one cold ``chunk`` call over the same substream
-    family — exactly what a worker executes — so the reference loop
-    pays its per-range simulator construction just as production does.
+    Every round is one cold ``chunk`` call over all the task's samples
+    — exactly what a worker executes — so the reference loop pays its
+    per-range simulator construction just as production does.
     Interference only ever adds time; the minimum over identical
     rounds is the robust wall-clock estimator, and the results are
     round-independent.
     """
+    n_replications = task.n_samples
     indices = list(range(n_replications))
     best_seconds = float("inf")
     result = None
@@ -88,13 +89,14 @@ def _run_chunk_timed(chunk, task, n_replications):
     return best_seconds, result
 
 
-def _task(instance, **collectors):
+def _task(instance, n_samples, **collectors):
     return ReplicationTask(
         instance=instance,
         model=DiffusionModel.INDEPENDENT_CASCADE,
         rng_seed=0,
         rng_context=("mc-bench",),
-        seed_group=_seed_group(instance),
+        seed_groups=[_seed_group(instance)],
+        n_samples=n_samples,
         **collectors,
     )
 
@@ -103,21 +105,22 @@ def test_mc_diffusion_scaling():
     dynamic_instance = load_dataset("yelp", scale=float(MC_SCALE))
     instance = dynamic_instance.frozen()
 
-    frozen = _task(instance)
-    loop_seconds, loop = _run_chunk_timed(
-        run_chunk_per_replication, frozen, MC_REPLICATIONS
-    )
-    packed_seconds, packed = _run_chunk_timed(run_chunk, frozen, MC_REPLICATIONS)
+    frozen = _task(instance, MC_REPLICATIONS)
+    loop_seconds, loop = _run_chunk_timed(run_chunk_per_replication, frozen)
+    packed_seconds, packed = _run_chunk_timed(run_chunk, frozen)
     speedup = loop_seconds / packed_seconds if packed_seconds > 0 else 0.0
 
     dynamic = _task(
-        dynamic_instance, compute_likelihood=True, collect_weights=True
+        dynamic_instance,
+        DYNAMIC_REPLICATIONS,
+        compute_likelihood=True,
+        collect_weights=True,
     )
     dynamic_loop_seconds, dynamic_loop = _run_chunk_timed(
-        run_chunk_per_replication, dynamic, DYNAMIC_REPLICATIONS
+        run_chunk_per_replication, dynamic
     )
     dynamic_packed_seconds, dynamic_packed = _run_chunk_timed(
-        run_chunk, dynamic, DYNAMIC_REPLICATIONS
+        run_chunk, dynamic
     )
     dynamic_speedup = (
         dynamic_loop_seconds / dynamic_packed_seconds

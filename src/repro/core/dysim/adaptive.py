@@ -14,8 +14,9 @@ Adaptive planning is *dynamics-aware*: every candidate evaluation
 replays the observed perception state forward, which only Monte-Carlo
 simulation can do.  ``DysimConfig.oracle`` (the frozen-phase sketch
 and RR-set oracles) therefore does not apply here — reseeding rounds
-batch their Monte-Carlo candidate blocks over the execution backend
-via :func:`~repro.core.selection.replicated_sigma_stats` instead.
+play each Monte-Carlo candidate block as one dispatch over the
+execution backend via
+:func:`~repro.diffusion.montecarlo.replicated_sigma_stats` instead.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 from repro.core.dysim.algorithm import DysimConfig
 from repro.core.dysim.clustering import average_relevance_matrices
 from repro.core.problem import IMDPPInstance, Seed, SeedGroup
-from repro.core.selection import replicated_sigma_stats
 from repro.diffusion.campaign import CampaignSimulator
+from repro.diffusion.montecarlo import replicated_sigma_stats
 from repro.engine import ExecutionBackend, ReplicationTask, SerialBackend
 from repro.perception.state import PerceptionState
 from repro.social.distances import bfs_hops
@@ -124,29 +125,26 @@ class AdaptiveDysim:
     ) -> list[float]:
         """Monte-Carlo spreads of playing each group from the state.
 
-        The whole candidate block fans out through the configured
-        execution backend in one call
-        (:func:`~repro.core.selection.replicated_sigma_stats`), so a
-        process pool parallelizes across candidates; sample ``i`` of
-        every group replays the substream ``("plan", promotion, i)``
-        on every backend, preserving common random numbers — values
-        are bit-identical to evaluating the groups one at a time.
+        The whole candidate block plays as one dispatch over the
+        configured execution backend
+        (:func:`~repro.diffusion.montecarlo.replicated_sigma_stats`);
+        sample ``i`` of every group replays the substream
+        ``("plan", promotion, i)`` on every backend, preserving common
+        random numbers — values are bit-identical to evaluating the
+        groups one at a time.
         """
-        horizon = min(horizon, self.instance.n_promotions)
-        base = ReplicationTask(
+        task = ReplicationTask(
             instance=self.instance,
             model=self.config.model,
             rng_seed=self._factory.seed,
             rng_context=("plan", promotion),
-            seed_group=SeedGroup(),
-            until_promotion=horizon,
+            seed_groups=groups,
+            n_samples=self.config.n_samples_inner,
+            until_promotion=min(horizon, self.instance.n_promotions),
             initial_state=state,
             start_promotion=promotion,
         )
-        stats = replicated_sigma_stats(
-            self._backend, base, groups, self.config.n_samples_inner
-        )
-        return [mean for mean, _ in stats]
+        return [mean for mean, _ in replicated_sigma_stats(self._backend, task)]
 
     def _expected_round_sigma(
         self,

@@ -17,11 +17,8 @@ Here the primitive is factored into
   candidates per call via blockwise mask-and-popcount instead of one
   boolean temporary per candidate;
 * :class:`MonteCarloGainOracle` — sigma-difference gains from a
-  :class:`~repro.diffusion.montecarlo.SigmaEstimator`, fanning
-  uncached candidate blocks through
-  :meth:`~repro.engine.backends.ExecutionBackend.map_chunks` so a
-  process pool parallelizes *across candidates*, not only across the
-  replications of one candidate;
+  :class:`~repro.diffusion.montecarlo.SigmaEstimator`, playing each
+  uncached candidate block as one dispatch over the execution backend;
 * :func:`mcp_lazy_greedy` — the single CELF implementation, batched
   re-evaluation of the top-B stale heap entries per round.
 
@@ -81,16 +78,6 @@ from typing import Callable, Hashable, Iterable, Protocol, Sequence
 import numpy as np
 
 from repro.core.problem import Seed, SeedGroup
-
-# Import order matters: ``repro.diffusion`` must initialize before
-# ``repro.engine`` (the engine's replication module imports the
-# diffusion simulator mid-initialization — the same order every other
-# consumer establishes via ``repro.diffusion.montecarlo``).
-from repro.diffusion.montecarlo import (
-    SigmaBatchTask,
-    evaluate_sigma_chunk,
-    replicated_sigma_stats,
-)
 from repro.errors import AlgorithmError
 
 __all__ = [
@@ -102,12 +89,9 @@ __all__ = [
     "MonteCarloGainOracle",
     "RRCoverageGainOracle",
     "PairLayout",
-    "SigmaBatchTask",
-    "evaluate_sigma_chunk",
     "first_strict_argmax",
     "mcp_lazy_greedy",
     "popcount_words",
-    "replicated_sigma_stats",
 ]
 
 #: How many candidates a gain oracle is asked to answer per call —
@@ -462,11 +446,11 @@ class MonteCarloGainOracle:
     :meth:`~repro.diffusion.montecarlo.SigmaEstimator.estimate_block`:
     cached estimates are served from its
     :class:`~repro.engine.cache.SigmaCache`; for a plain Monte-Carlo
-    estimator the misses fan out through the estimator's execution
-    backend *across candidates* (previously a process pool only
-    parallelized the replications of one candidate at a time).  Every
-    estimate is bit-identical to ``estimator.estimate(...)`` and lands
-    in the same cache under the same key.
+    estimator the misses play as one block on the estimator's
+    execution backend, one balanced range of their replications per
+    worker.  Every estimate is bit-identical to
+    ``estimator.estimate(...)`` and lands in the same cache under the
+    same key.
 
     Parameters
     ----------

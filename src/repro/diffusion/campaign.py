@@ -16,10 +16,10 @@ updates (weightings -> relevance -> preferences / influence) before the
 next step.  A promotion ends when a step produces no new adoption; the
 next promotion starts from the inherited state.
 
-:func:`run_campaigns_lockstep` plays one realization per generator, a
-whole range of R replications *in lockstep*: per-replication adoption
-state is packed into an ``(n_pairs, ceil(R/64))`` uint64 matrix (the
-replication-major sibling of
+:func:`run_campaigns_lockstep` plays one realization per generator, each
+of its own seed group, a whole range of R replications *in lockstep*:
+per-replication adoption state is packed into an
+``(n_pairs, ceil(R/64))`` uint64 matrix (the replication-major sibling of
 :class:`repro.sketch.reachkernel.WorldLayout`), the frontiers of every
 live replication are concatenated into one event array gathered once
 per step over the shared CSR, and each replication's coins still come
@@ -463,7 +463,7 @@ class _RepState:
 
 def run_campaigns_lockstep(
     instance: IMDPPInstance,
-    seed_group: SeedGroup,
+    seed_groups: Sequence[SeedGroup],
     rngs: Sequence[np.random.Generator],
     model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
     until_promotion: int | None = None,
@@ -472,16 +472,20 @@ def run_campaigns_lockstep(
 ) -> list[CampaignOutcome]:
     """Play one campaign realization per generator, all in lockstep.
 
-    Replication ``r`` consumes ``rngs[r]`` exactly as a lone run with
-    the same arguments would — one ``random(k)`` per step whose ``k``
-    counts that replication's own events in the canonical order — so
-    outcomes, final states and final generator states are
-    bit-identical to R independent runs.  Promotions after
-    ``until_promotion`` (default: ``T``) are not played, and play
-    starts at ``start_promotion``; ``initial_state`` is copied, never
-    mutated.
+    Replication ``r`` plays ``seed_groups[r]`` and consumes ``rngs[r]``
+    exactly as a lone run of that group with the same arguments would
+    — one ``random(k)`` per step whose ``k`` counts that replication's
+    own events in the canonical order — so outcomes, final states and
+    final generator states are bit-identical to R independent runs.
+    Promotions after ``until_promotion`` (default: ``T``) are not
+    played, and play starts at ``start_promotion``; ``initial_state``
+    is copied, never mutated.
     """
     n_replications = len(rngs)
+    if len(seed_groups) != n_replications:
+        raise SimulationError(
+            f"{len(seed_groups)} seed groups for {n_replications} generators"
+        )
     if n_replications == 0:
         return []
     last = until_promotion or instance.n_promotions
@@ -507,16 +511,19 @@ def run_campaigns_lockstep(
     adopted, adopted3 = replicas.adopted, replicas.adopted3
 
     reps = [_RepState() for _ in range(n_replications)]
-    seeds_by_promotion: dict[int, list[tuple[int, int]]] = {}
+    seeds_by_promotion: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def _seeds_of(promotion: int) -> list[tuple[int, int]]:
-        cached = seeds_by_promotion.get(promotion)
+    def _seeds_of(r: int, promotion: int) -> list[tuple[int, int]]:
+        # Keyed by group identity: the replications of one group share
+        # its seed lists.
+        group = seed_groups[r]
+        key = (id(group), promotion)
+        cached = seeds_by_promotion.get(key)
         if cached is None:
-            cached = [
+            cached = seeds_by_promotion[key] = [
                 (seed.user, seed.item)
-                for seed in seed_group.by_promotion(promotion)
+                for seed in group.by_promotion(promotion)
             ]
-            seeds_by_promotion[promotion] = cached
         return cached
 
     def _seed_step(r: int, promotion: int) -> None:
@@ -529,7 +536,7 @@ def run_campaigns_lockstep(
         per_user: dict[int, list[int]] = {}
         users: list[int] = []
         items: list[int] = []
-        for user, item in _seeds_of(promotion):
+        for user, item in _seeds_of(r, promotion):
             if adopted[user * n_items + item, word] & mask:
                 continue  # cannot adopt the same item twice
             chosen = per_user.setdefault(user, [])
@@ -917,7 +924,7 @@ class CampaignSimulator:
         """
         return run_campaigns_lockstep(
             self.instance,
-            seed_group,
+            [seed_group],
             [rng],
             model=self.model,
             until_promotion=until_promotion,

@@ -8,9 +8,10 @@ noise — the standard trick that makes lazy/CELF greedy stable.
 
 Replications run through a pluggable :mod:`repro.engine` execution
 backend (serial, thread pool or process pool); every backend replays
-the same substreams, one balanced sample range per worker, and reduces
-matrix sums over the same canonical chunks, so estimates are
-bit-identical regardless of where they ran.  Results are memoized in a
+the same substreams, one balanced range of replications per worker
+for one group or a whole block, and reduces matrix sums over the same
+canonical chunks, so estimates are bit-identical regardless of where
+they ran.  Results are memoized in a
 :class:`~repro.engine.cache.SigmaCache` keyed by the realization they
 played (canonicalized seed group, horizon and estimator configuration)
 and the fields they hold, so requests of one realization share one
@@ -25,7 +26,7 @@ The same pass optionally collects everything the Dysim phases need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,102 +35,40 @@ from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.cache import SigmaCache
-from repro.engine.replication import (
-    DEFAULT_CHUNK_SIZE,
-    ReplicationTask,
-    chunk_indices,
-    run_chunk,
-)
+from repro.engine.replication import ReplicationTask
 from repro.engine.shm import share_for_backend
 from repro.utils.rng import RngFactory
 
 __all__ = [
     "MonteCarloEstimate",
-    "SigmaBatchTask",
     "SigmaEstimator",
     "adoption_likelihood",
-    "evaluate_sigma_chunk",
     "replicated_sigma_stats",
 ]
 
 
-@dataclass
-class SigmaBatchTask:
-    """One block of seed-group sigma evaluations (picklable).
-
-    Workers replay the estimator's exact replication recipe — sample
-    ``i`` of every group draws ``spawn_rng(rng_seed, *rng_context, i)``
-    — so results are bit-identical to :meth:`SigmaEstimator.estimate`
-    no matter where they run.
-    """
-
-    base: ReplicationTask
-    groups: list[SeedGroup]
-    n_samples: int
-
-
-def evaluate_sigma_chunk(
-    task: SigmaBatchTask, indices: Sequence[int]
-) -> list[tuple[float, float]]:
-    """(mean, std) sigma stats per group index (module-level: picklable)."""
-    out: list[tuple[float, float]] = []
-    for i in indices:
-        rep = replace(task.base, seed_group=task.groups[i])
-        result = run_chunk(rep, list(range(task.n_samples)))
-        out.append(
-            (float(result.sigmas.mean()), float(result.sigmas.std()))
-        )
-    return out
-
-
 def replicated_sigma_stats(
-    backend: ExecutionBackend,
-    base_task: ReplicationTask,
-    groups: Sequence[SeedGroup],
-    n_samples: int,
+    backend: ExecutionBackend, task: ReplicationTask
 ) -> list[tuple[float, float]]:
-    """Fan sigma evaluations of many groups over an execution backend.
+    """(mean, std) of the sigma of every seed group of ``task``.
 
-    One rule on every backend.  A block of at least
-    ``max(2, backend.workers)`` groups goes over the *candidate* axis,
-    in chunks of ``min(DEFAULT_CHUNK_SIZE, ceil(n_groups / workers))``
-    groups: each candidate runs its full ``n_samples`` replications in
-    one worker, and its stats reduce the same per-sample array, in
-    index order, as a one-group run.  A two-candidate block is one
-    dispatch — one group per chunk on two workers, both groups in one
-    chunk on the serial backend.  Smaller blocks fan out over the
-    *sample* axis instead (one ``backend.run`` per group, which plays
-    one balanced sample range per worker), so a one-group evaluation
-    keeps its replication-level parallelism on every worker of the
-    pool.  Results come back in group order and are bit-identical
-    across backends.
+    One :meth:`~repro.engine.backends.ExecutionBackend.run` plays the
+    whole block — ``n_samples`` replications per group, one balanced
+    range of the ``groups x samples`` replications per worker, each
+    range in one packed pass — and each group reduces its own samples,
+    in sample order, exactly as a one-group run does.  Results come
+    back in group order and are bit-identical across backends and to
+    per-group :meth:`SigmaEstimator.estimate` calls.
 
-    On a process pool the instance is exported before the first
-    dispatch (:func:`repro.engine.shm.share_for_backend`), so every
-    chunk ships a handle and workers keep the instance resident.
+    On a process pool the instance is exported before the dispatch
+    (:func:`repro.engine.shm.share_for_backend`), so every range ships
+    a handle and workers keep the instance resident.
     """
-    if not groups:
+    if not task.seed_groups:
         return []
-    n_groups = len(groups)
-    workers = backend.workers
-    share_for_backend(base_task.instance, backend)
-    if n_groups < max(2, workers):
-        stats: list[tuple[float, float]] = []
-        for group in groups:
-            result = backend.run(
-                replace(base_task, seed_group=group), int(n_samples)
-            )
-            stats.append(
-                (float(result.sigmas.mean()), float(result.sigmas.std()))
-            )
-        return stats
-    task = SigmaBatchTask(
-        base=base_task, groups=list(groups), n_samples=int(n_samples)
-    )
-    chunk_size = min(DEFAULT_CHUNK_SIZE, -(-n_groups // workers))
-    chunks = chunk_indices(n_groups, chunk_size)
-    parts = backend.map_chunks(evaluate_sigma_chunk, task, chunks)
-    return [stat for part in parts for stat in part]
+    share_for_backend(task.instance, backend)
+    sigmas = backend.run(task).sigmas.reshape(-1, task.n_samples)
+    return [(float(row.mean()), float(row.std())) for row in sigmas]
 
 
 @dataclass
@@ -293,7 +232,8 @@ class SigmaEstimator:
             model=self.model,
             rng_seed=self.rng_factory.seed,
             rng_context=("mc",),
-            seed_group=seed_group,
+            seed_groups=[seed_group],
+            n_samples=self.n_samples,
             until_promotion=until_promotion,
             restrict_users=(
                 frozenset(restrict_users)
@@ -304,7 +244,7 @@ class SigmaEstimator:
             collect_weights=collect_weights or compute_likelihood,
         )
         share_for_backend(self.instance, self.backend)
-        result = self.backend.run(task, self.n_samples)
+        result = self.backend.run(task)
         self.n_evaluations += result.n_samples
 
         estimate = MonteCarloEstimate(
@@ -343,16 +283,15 @@ class SigmaEstimator:
 
         Cache behaviour, counters and floats match per-group
         :meth:`estimate` calls exactly — same keys, same ``("mc",)``
-        substreams — but the cache misses fan out together over the
-        execution backend through :func:`replicated_sigma_stats`,
-        chunked across the *candidate* axis once the block holds one
-        candidate per worker (two at least), so a pool parallelizes
-        across candidates instead of only across one candidate's
-        replications: the CELF prefetch of one candidate per worker is
-        one dispatch, and on a process pool every chunk ships the
-        instance as a handle.  The batched selection layer
+        substreams — but the cache misses play together as one block
+        (:func:`replicated_sigma_stats`): one dispatch of one balanced
+        range of the ``groups x samples`` replications per worker, so
+        the CELF prefetch of one candidate per worker is one dispatch
+        however many groups and workers there are.  The batched
+        selection layer
         (:class:`~repro.core.selection.MonteCarloGainOracle`) routes
-        every greedy's gain evaluations through here.  Coverage estimators override it
+        every greedy's gain evaluations through here.  Coverage
+        estimators override it
         (:class:`~repro.sketch.estimator.CoverageSigmaEstimator`).
         """
         sigmas = np.empty(len(groups))
@@ -373,20 +312,16 @@ class SigmaEstimator:
                 miss_order.append(key)
                 miss_groups[key] = group
         if miss_order:
-            base = ReplicationTask(
+            task = ReplicationTask(
                 instance=self.instance,
                 model=self.model,
                 rng_seed=self.rng_factory.seed,
                 rng_context=("mc",),
-                seed_group=miss_groups[miss_order[0]],
+                seed_groups=[miss_groups[key] for key in miss_order],
+                n_samples=self.n_samples,
                 until_promotion=until_promotion,
             )
-            stats = replicated_sigma_stats(
-                self.backend,
-                base,
-                [miss_groups[key] for key in miss_order],
-                self.n_samples,
-            )
+            stats = replicated_sigma_stats(self.backend, task)
             resolved: dict[tuple, float] = {}
             for key, (mean, std) in zip(miss_order, stats):
                 estimate = MonteCarloEstimate(

@@ -4,11 +4,12 @@
 reproduction — into a pluggable service with three moving parts:
 
 * **Backends** (:mod:`repro.engine.backends`): serial, thread-pool and
-  process-pool executors that fan Monte-Carlo replications out as one
-  balanced sample range per worker.  Sample ``i`` replays the same
-  random substream on every backend (common random numbers), and
-  matrix sums reduce over the canonical chunk tree whatever the
-  ranges, so all backends return bit-identical estimates.
+  process-pool executors that fan the Monte-Carlo replications of one
+  seed group or a block of them out as one balanced range per worker.
+  Sample ``i`` replays the same random substream on every backend and
+  for every group (common random numbers), and matrix sums reduce over
+  the canonical chunk tree whatever the ranges, so all backends return
+  bit-identical estimates.
 * **Replication** (:mod:`repro.engine.replication`): the picklable task
   description and the chunk runner every backend dispatches.
 * **Cache** (:mod:`repro.engine.cache`): memoization of estimates
@@ -49,7 +50,6 @@ from repro.engine.replication import (
     DEFAULT_CHUNK_SIZE,
     ChunkResult,
     ReplicationTask,
-    chunk_indices,
     run_chunk,
 )
 from repro.engine.resilience import (
@@ -90,7 +90,6 @@ __all__ = [
     "SigmaCache",
     "ThreadBackend",
     "attach_csr",
-    "chunk_indices",
     "make_backend",
     "release_csr",
     "release_task_arrays",

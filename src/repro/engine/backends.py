@@ -1,8 +1,10 @@
 """Execution backends: where Monte-Carlo replications actually run.
 
 The estimator hands a :class:`~repro.engine.replication.ReplicationTask`
-to a backend; the backend fans one balanced sample range per worker
-out (:func:`worker_chunks`) and merges the results in sample order.
+— one seed group or a block of them — to a backend; the backend fans
+one balanced range of its ``groups x samples`` replications per worker
+out (:func:`worker_chunks`) and merges the results in replication
+order.
 Every backend dispatches the same
 :func:`~repro.engine.replication.run_chunk`, and matrix sums reduce
 over the canonical chunk tree whatever the ranges, so results are
@@ -77,32 +79,16 @@ __all__ = [
 ]
 
 
-def _replication_chunks(n_samples: int, backend: "ExecutionBackend") -> list[list[int]]:
-    """The sample ranges a backend fans a replication task out over.
-
-    One balanced range per worker, for every recipe: the per-sample
-    scalars gather in index order whatever the ranges, and the matrix
-    sums reduce over the canonical chunk tree however a range boundary
-    cuts it (:class:`~repro.engine.replication.ChunkResult`), so the
-    partition only decides how many replications each worker plays —
-    ``ceil(n_samples / workers)``, the least the pool can wait for.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    return worker_chunks(n_samples, backend)
-
-
 def worker_chunks(n_items: int, backend: "ExecutionBackend") -> list[list[int]]:
     """Balanced contiguous index chunks, one per available worker.
 
-    The coarse-grained sibling of
-    :func:`~repro.engine.replication.chunk_indices`: instead of a fixed
-    chunk *size* it splits ``n_items`` into at most ``backend.workers``
-    contiguous chunks (a single chunk on the serial backend), sized
-    within one item of each other.  Used wherever one chunk per worker
-    keeps the pool saturated at the least pickling: Monte-Carlo sample
-    ranges (:meth:`ExecutionBackend.run`), realization-bank world
-    flips, sweep runs.
+    Splits ``n_items`` into at most ``backend.workers`` contiguous
+    chunks (a single chunk on the serial backend), sized within one
+    item of each other.  The one partition every dispatch uses, because
+    one chunk per worker keeps the pool saturated at the least
+    pickling: Monte-Carlo replications (:meth:`ExecutionBackend.run`),
+    realization-bank world flips and reach fills, RR-set sampling,
+    sweep runs.
     """
     if n_items <= 0:
         return []
@@ -177,11 +163,22 @@ class ExecutionBackend:
         """Run ``fn(task, chunk)`` per chunk, results in chunk order."""
         raise NotImplementedError
 
-    def run(self, task: ReplicationTask, n_samples: int) -> ChunkResult:
-        """Execute ``n_samples`` replications of ``task``, merged in
-        sample order."""
+    def run(self, task: ReplicationTask) -> ChunkResult:
+        """Play every replication of ``task``, merged in replication order.
+
+        One balanced range of the ``groups x samples`` replications per
+        worker, whatever the block: a range boundary may split a group,
+        since per-replication scalars gather in index order and matrix
+        sums reduce over the canonical chunk tree however the ranges
+        cut it (:class:`~repro.engine.replication.ChunkResult`).
+        ``n_samples`` must be positive: a zero-sample "estimate" would
+        silently average an empty array into NaN.
+        """
+        if task.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {task.n_samples}")
+        n_replications = len(task.seed_groups) * task.n_samples
         return ChunkResult.merge(
-            self.map_chunks(run_chunk, task, _replication_chunks(n_samples, self))
+            self.map_chunks(run_chunk, task, worker_chunks(n_replications, self))
         )
 
     def close(self) -> None:

@@ -1,17 +1,18 @@
 """The unit of parallel work: one range of Monte-Carlo replications.
 
-Every execution backend — serial, threaded or multi-process — runs the
-same function, :func:`run_chunk`, over one balanced range of sample
-indices per worker (:func:`~repro.engine.backends.worker_chunks`).
-Two properties follow:
+A task plays ``n_samples`` samples of each of its seed groups; every
+execution backend — serial, threaded or multi-process — runs the same
+function, :func:`run_chunk`, over one balanced range of the
+``groups x samples`` replications per worker
+(:func:`~repro.engine.backends.worker_chunks`).  Two properties follow:
 
-* **Common random numbers.**  Sample ``i`` always replays the random
-  substream ``spawn_rng(rng_seed, *rng_context, i)`` no matter which
-  worker executes it, so greedy marginal-gain comparisons stay
+* **Common random numbers.**  Sample ``s`` of every group replays the
+  random substream ``spawn_rng(rng_seed, *rng_context, s)`` no matter
+  which worker executes it, so greedy marginal-gain comparisons stay
   correlated across seed groups and every backend sees the same worlds.
-* **Bit-identical aggregation.**  Per-sample scalars are gathered in
-  index order, and the final-weights sum reduces over the canonical
-  partition :func:`chunk_indices` wherever the samples ran: each
+* **Bit-identical aggregation.**  Per-replication scalars are gathered
+  in index order, and the final-weights sum reduces over the canonical
+  ``DEFAULT_CHUNK_SIZE``-sample chunks wherever the samples ran: each
   canonical chunk is folded sample by sample from its first index, and
   the chunk folds are summed in chunk order (:class:`ChunkResult`).
   ``SerialBackend`` and ``ProcessPoolBackend`` therefore produce
@@ -35,41 +36,52 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "ReplicationTask",
     "ChunkResult",
-    "chunk_indices",
     "run_chunk",
 ]
 
 #: Canonical chunk size of the matrix reduction tree.  Final weights are
-#: folded per ``chunk_indices(n, 4)`` chunk and the folds summed in chunk
-#: order, so this constant — not the worker count or the ranges the
-#: samples ran in — fixes their floating-point result.  Dispatch does not
-#: depend on it: every recipe runs as one balanced range per worker.
-#: Group blocks, bank fills and RR-set sampling size their chunks from
-#: it too.
+#: folded per chunk of this many consecutive samples and the folds
+#: summed in chunk order, so this constant — not the worker count or the
+#: ranges the samples ran in — fixes their floating-point result.
+#: Dispatch does not depend on it: every task runs as one balanced range
+#: per worker.  A realization bank fills blocks this small in process.
 DEFAULT_CHUNK_SIZE = 4
 
 
 @dataclass
 class ReplicationTask:
-    """Everything a worker needs to replay one Monte-Carlo sample.
+    """Everything a worker needs to replay a block of Monte-Carlo samples.
 
     The task is picklable: process backends ship it to workers once per
-    range.  ``rng_seed``/``rng_context`` identify the common-random-
-    numbers substream family; sample ``i`` draws from
-    ``spawn_rng(rng_seed, *rng_context, i)``.
+    range.  It plays ``n_samples`` samples of each of ``seed_groups``:
+    replication ``i`` plays group ``i // n_samples`` on sample
+    ``i % n_samples``.  ``rng_seed``/``rng_context`` identify the
+    common-random-numbers substream family; sample ``s`` of every group
+    draws from ``spawn_rng(rng_seed, *rng_context, s)``.  The
+    collectors (``restrict_users``, ``compute_likelihood``,
+    ``collect_weights``) read a one-group task.
     """
 
     instance: IMDPPInstance
     model: DiffusionModel
     rng_seed: int
     rng_context: tuple
-    seed_group: SeedGroup
+    seed_groups: Sequence[SeedGroup]
+    n_samples: int
     until_promotion: int | None = None
     restrict_users: frozenset[int] | None = None
     compute_likelihood: bool = False
     collect_weights: bool = False
     initial_state: PerceptionState | None = None
     start_promotion: int = 1
+
+    def __post_init__(self):
+        if len(self.seed_groups) != 1 and (
+            self.restrict_users is not None
+            or self.compute_likelihood
+            or self.collect_weights
+        ):
+            raise ValueError("the collectors read a one-group task")
 
 
 #: Matrix partial sums of one range, in sample order: ``(opens, matrix)``
@@ -104,7 +116,7 @@ def _reduce_folds(folds: Folds | None) -> np.ndarray | None:
 
     Each chunk's fold continues with the single samples that follow
     it, then the chunk folds add up in chunk order — the reduction one
-    ``chunk_indices`` chunk per call would compute, whatever ranges the
+    canonical chunk per call would compute, whatever ranges the
     samples ran in.
     """
     if not folds:
@@ -165,41 +177,28 @@ class ChunkResult:
         )
 
 
-def chunk_indices(
-    n_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> list[list[int]]:
-    """Partition ``range(n_samples)`` into the canonical chunks.
-
-    ``n_samples`` must be positive: a zero-sample "estimate" would
-    silently average an empty array into NaN, so it is rejected here —
-    the one choke point every backend goes through.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    size = max(1, int(chunk_size))
-    return [
-        list(range(start, min(start + size, n_samples)))
-        for start in range(0, n_samples, size)
-    ]
-
-
 def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     """Run the replications ``indices`` of ``task`` in one packed pass.
 
     Every recipe — frozen or learning dynamics, resumed states, the
-    likelihood and final-weights collectors — plays the whole range in
-    one :func:`~repro.diffusion.campaign.run_campaigns_lockstep` call,
-    bit-identical per sample to one scalar reference run per
-    replication (``tests.reference.run_chunk_per_replication``).  The
-    collectors then read each replication's final state, and the final
-    weights fold over the canonical chunks.  This is the single entry
-    point every backend dispatches — it must stay a module-level
-    function so process pools can pickle it by qualified name.
+    likelihood and final-weights collectors, any mix of seed groups —
+    plays the whole range in one
+    :func:`~repro.diffusion.campaign.run_campaigns_lockstep` call,
+    bit-identical per replication to one scalar reference run
+    (``tests.reference.run_chunk_per_replication``).  The collectors
+    then read each replication's final state, and the final weights
+    fold over the canonical chunks.  This is the single entry point
+    every backend dispatches — it must stay a module-level function so
+    process pools can pickle it by qualified name.
     """
+    n_samples = task.n_samples
     outcomes = run_campaigns_lockstep(
         task.instance,
-        task.seed_group,
-        [spawn_rng(task.rng_seed, *task.rng_context, i) for i in indices],
+        [task.seed_groups[i // n_samples] for i in indices],
+        [
+            spawn_rng(task.rng_seed, *task.rng_context, i % n_samples)
+            for i in indices
+        ],
         model=task.model,
         until_promotion=task.until_promotion,
         initial_state=task.initial_state,

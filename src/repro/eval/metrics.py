@@ -79,7 +79,7 @@ def campaign_report(
     factory = RngFactory(seed)
     outcomes = run_campaigns_lockstep(
         instance,
-        seed_group,
+        [seed_group] * n_samples,
         [factory.stream("report", i) for i in range(n_samples)],
         model=model,
     )

@@ -58,11 +58,10 @@ from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.core.selection import PairLayout
 from repro.diffusion.campaign import EXTRA_ADOPTION_FLOOR
 from repro.engine.backends import ExecutionBackend, SerialBackend, worker_chunks
-from repro.engine.replication import DEFAULT_CHUNK_SIZE, chunk_indices
+from repro.engine.replication import DEFAULT_CHUNK_SIZE
 from repro.engine.shm import share_task_arrays
 from repro.errors import SketchError
 from repro.sketch.reachkernel import (
-    MAX_SOURCE_BLOCK,
     ReachStacksTask,
     WorldLayout,
     reach_stacks,
@@ -635,18 +634,14 @@ class RealizationBank(PairUniverse):
             world_layout=self.world_layout,
             sources=tuple(missing),
         )
-        # One chunk per worker (not the replication chunk size): each
-        # chunk is one multi-source BFS, so bigger chunks amortize the
-        # per-level dispatch — and, on process pools, the per-chunk
-        # task pickle.  Chunking never affects results: stacks are
-        # per-source deterministic and map_chunks preserves order.
-        block = max(DEFAULT_CHUNK_SIZE, -(-len(missing) // backend.workers))
-        block = min(block, MAX_SOURCE_BLOCK)
+        # One chunk per worker: each chunk runs as multi-source BFS
+        # blocks, so bigger chunks amortize the per-level dispatch —
+        # and, on process pools, the per-chunk task pickle.  Chunking
+        # never affects results: stacks are per-source deterministic
+        # and map_chunks preserves order.
         stacks = itertools.chain.from_iterable(
             backend.map_chunks(
-                reach_stacks_chunk,
-                task,
-                chunk_indices(len(missing), block),
+                reach_stacks_chunk, task, worker_chunks(len(missing), backend)
             )
         )
         return dict(zip(missing, stacks))

@@ -68,13 +68,12 @@ import numpy as np
 
 from repro.core.problem import IMDPPInstance
 from repro.core.selection import RRCoverageGainOracle
-from repro.engine.backends import ExecutionBackend, SerialBackend
+from repro.engine.backends import ExecutionBackend, SerialBackend, worker_chunks
 from repro.engine.shm import (
     release_task_arrays,
     resolve_array,
     share_task_arrays,
 )
-from repro.engine.replication import DEFAULT_CHUNK_SIZE, chunk_indices
 from repro.errors import SketchError
 from repro.sketch.bank import PairUniverse, ProbabilitySkeleton, build_skeleton
 from repro.sketch.estimator import CoverageSigmaEstimator
@@ -208,9 +207,9 @@ class RRSetIndex(PairUniverse):
         ``spawn_rng(rng_seed, *rng_context, i)``.  Two indexes sharing
         these (and the skeleton) hold the same sets.
     backend:
-        Where sampling fans out (order-preserving chunks of at least
-        ``DEFAULT_CHUNK_SIZE`` samples, one per worker — indexes are
-        backend-independent).  The backend is borrowed; ``None``
+        Where sampling fans out (one order-preserving chunk per
+        worker, :func:`~repro.engine.backends.worker_chunks` — indexes
+        are backend-independent).  The backend is borrowed; ``None``
         samples on a private serial backend.
     """
 
@@ -287,14 +286,13 @@ class RRSetIndex(PairUniverse):
         # chunk — so never cut more chunks than workers.  The chunk
         # partition is invisible in the results: sample i draws from a
         # substream keyed by i alone, and chunks reassemble in order.
-        block = max(DEFAULT_CHUNK_SIZE, -(-self.n_samples // backend.workers))
         try:
             samples = list(
                 itertools.chain.from_iterable(
                     backend.map_chunks(
                         sample_rrsets_chunk,
                         task,
-                        chunk_indices(self.n_samples, block),
+                        worker_chunks(self.n_samples, backend),
                     )
                 )
             )

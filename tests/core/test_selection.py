@@ -15,8 +15,6 @@ Three pinned contracts:
   cache entries, on every backend.
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +31,12 @@ from repro.core.selection import (
     popcount_words,
 )
 from repro.diffusion.montecarlo import SigmaEstimator
-from repro.engine import ProcessPoolBackend, SerialBackend, ThreadBackend
+from repro.engine import (
+    ProcessPoolBackend,
+    SerialBackend,
+    ThreadBackend,
+    worker_chunks,
+)
 from repro.errors import AlgorithmError
 from repro.sketch import RealizationBank
 from repro.utils.rng import RngFactory
@@ -523,114 +526,57 @@ class TestMonteCarloGainOracle:
         monkeypatch.setattr(backend, "map_chunks", recording)
         return calls
 
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 2, reason="needs two worker processes"
-    )
-    def test_pool_sends_a_stale_block_over_the_candidate_axis(
-        self, frozen, monkeypatch
-    ):
-        """One candidate per worker is one dispatch with one group per
-        chunk; a lone candidate keeps the sample axis; both return the
-        serial floats."""
-        pair = [SeedGroup([Seed(0, 0, 1)]), SeedGroup([Seed(1, 1, 1)])]
-        lone = [SeedGroup([Seed(2, 2, 1)])]
-        serial = SigmaEstimator(frozen, n_samples=4, rng_factory=RngFactory(2))
-        with ProcessPoolBackend(workers=2) as backend:
-            calls = self._record_dispatches(backend, monkeypatch)
-            pooled = SigmaEstimator(
-                frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
-            )
-            assert np.array_equal(
-                pooled.estimate_block(pair, until_promotion=1),
-                serial.estimate_block(pair, until_promotion=1),
-            )
-            assert calls == [("evaluate_sigma_chunk", [[0], [1]])]
-            calls.clear()
-            assert np.array_equal(
-                pooled.estimate_block(lone, until_promotion=1),
-                serial.estimate_block(lone, until_promotion=1),
-            )
-            assert [name for name, _ in calls] == ["run_chunk"]
-
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
     @pytest.mark.parametrize(
-        "make_backend, pair_chunks",
+        "make_backend",
         [
-            (SerialBackend, [[0, 1]]),
-            (lambda: ThreadBackend(workers=2), [[0], [1]]),
+            SerialBackend,
+            lambda: ThreadBackend(workers=2),
+            lambda: ThreadBackend(workers=3),
+            lambda: ProcessPoolBackend(workers=2),
         ],
-        ids=["serial", "thread"],
+        ids=["serial", "thread2", "thread3", "process2"],
     )
-    def test_one_block_rule_on_every_backend(
-        self, frozen, monkeypatch, make_backend, pair_chunks
+    def test_any_block_is_one_dispatch_over_worker_ranges(
+        self, frozen, monkeypatch, make_backend, n_groups
     ):
-        """A two-group block is one dispatch over the candidate axis, a
-        lone group keeps the sample axis, and both return the floats of
-        per-group ``estimate`` calls."""
-        pair = [SeedGroup([Seed(0, 0, 1)]), SeedGroup([Seed(1, 1, 1)])]
-        lone = [SeedGroup([Seed(2, 2, 1)])]
-        scalar = SigmaEstimator(frozen, n_samples=4, rng_factory=RngFactory(2))
-        expected = [
-            scalar.estimate(group, until_promotion=1).sigma
-            for group in pair + lone
-        ]
-        with make_backend() as backend:
-            calls = self._record_dispatches(backend, monkeypatch)
-            estimator = SigmaEstimator(
-                frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
-            )
-            values = estimator.estimate_block(pair, until_promotion=1)
-            assert values.tolist() == expected[:2]
-            assert calls == [("evaluate_sigma_chunk", pair_chunks)]
-            calls.clear()
-            values = estimator.estimate_block(lone, until_promotion=1)
-            assert values.tolist() == expected[2:]
-            assert [name for name, _ in calls] == ["run_chunk"]
-
-    @pytest.mark.parametrize(
-        "make_backend, n_groups, dispatches",
-        [
-            (
-                SerialBackend,
-                6,
-                [("evaluate_sigma_chunk", [[0, 1, 2, 3], [4, 5]])],
-            ),
-            (
-                lambda: ThreadBackend(workers=2),
-                5,
-                [("evaluate_sigma_chunk", [[0, 1, 2], [3, 4]])],
-            ),
-            (
-                lambda: ThreadBackend(workers=3),
-                2,
-                [("run_chunk", [[0, 1], [2], [3]])] * 2,
-            ),
-        ],
-        ids=["serial-6", "thread2-5", "thread3-2"],
-    )
-    def test_candidate_chunks_follow_the_worker_count(
-        self, frozen, monkeypatch, make_backend, n_groups, dispatches
-    ):
-        """A block goes over the candidate axis in chunks of
-        ``min(DEFAULT_CHUNK_SIZE, ceil(n_groups / workers))`` groups
-        once it holds ``max(2, workers)`` of them; a smaller block
-        plays each group over one sample range per worker.  Every
-        shape returns the floats of per-group ``estimate`` calls."""
+        """A block of any size is one ``run_chunk`` dispatch over
+        ``worker_chunks(groups x samples)`` ranges, and every group's
+        ``sigma`` and ``sigma_std`` equal a one-group ``estimate``, bit
+        for bit — also where a range boundary splits a group."""
+        n_samples = 5
         groups = [
             SeedGroup([Seed(user, user % frozen.n_items, 1)])
             for user in range(n_groups)
         ]
-        scalar = SigmaEstimator(frozen, n_samples=4, rng_factory=RngFactory(2))
-        expected = [
-            scalar.estimate(group, until_promotion=1).sigma for group in groups
-        ]
+        expected = []
+        for group in groups:
+            lone = SigmaEstimator(
+                frozen, n_samples=n_samples, rng_factory=RngFactory(2)
+            ).estimate(group, until_promotion=1)
+            expected.append((lone.sigma, lone.sigma_std))
         with make_backend() as backend:
             calls = self._record_dispatches(backend, monkeypatch)
             estimator = SigmaEstimator(
-                frozen, n_samples=4, rng_factory=RngFactory(2), backend=backend
+                frozen,
+                n_samples=n_samples,
+                rng_factory=RngFactory(2),
+                backend=backend,
             )
             values = estimator.estimate_block(groups, until_promotion=1)
-        assert values.tolist() == expected
-        assert calls == dispatches
+            ranges = worker_chunks(n_groups * n_samples, backend)
+            assert calls == [("run_chunk", ranges)]
+            if n_groups == 3 and backend.workers == 2:
+                # Group 1 plays samples 0-2 in the first range and
+                # 3-4 in the second.
+                assert ranges == [list(range(8)), list(range(8, 15))]
+            # The block's estimates are cached: these are hits.
+            block = [
+                estimator.estimate(group, until_promotion=1)
+                for group in groups
+            ]
+        assert values.tolist() == [sigma for sigma, _ in expected]
+        assert [(e.sigma, e.sigma_std) for e in block] == expected
 
     def test_values_track_committed_value_exactly(self, frozen):
         estimator = SigmaEstimator(

@@ -17,8 +17,9 @@ dynamics) for both IC and LT and assert bit identity of every output
 lockstep pass is checked per replication against an independent
 scalar reference run under frozen and learning dynamics alike —
 sigmas, the likelihood and final weights its collectors read, resumed
-states, adaptive IM's observe-then-resume chain — and at the
-replication-word boundaries (R in {1, 63, 64, 65, 130}).
+states, adaptive IM's observe-then-resume chain, a different seed
+group per replication — and at the replication-word boundaries
+(R in {1, 63, 64, 65, 130}).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.core.problem import IMDPPInstance, Seed, SeedGroup
 from repro.data import load_dataset
 from repro.diffusion.campaign import CampaignSimulator, run_campaigns_lockstep
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
+from repro.errors import SimulationError
 from repro.kg.relevance import RelevanceEngine
 from repro.perception.params import DynamicsParams
 
@@ -39,6 +41,23 @@ from tests.reference import ScalarCampaignSimulator
 from repro.social.network import SocialNetwork
 
 N_ITEMS = 4
+
+
+@st.composite
+def seed_groups(draw, instance):
+    """A non-empty seed group of ``instance``."""
+    seeds = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, instance.n_users - 1),
+                st.integers(0, N_ITEMS - 1),
+                st.integers(1, instance.n_promotions),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return SeedGroup(Seed(u, i, t) for u, i, t in seeds)
 
 
 @st.composite
@@ -97,18 +116,7 @@ def instances(draw, promotions=st.integers(1, 2)):
         dynamics=dynamics,
         name="hypothesis",
     )
-    seeds = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n_users - 1),
-                st.integers(0, N_ITEMS - 1),
-                st.integers(1, instance.n_promotions),
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    group = SeedGroup(Seed(u, i, t) for u, i, t in seeds)
+    group = draw(seed_groups(instance))
     run_seed = draw(st.integers(0, 2**32 - 1))
     return instance, group, run_seed
 
@@ -194,20 +202,21 @@ def _assert_same_outcome(instance, model, reference, outcome, label):
         ) == adoption_likelihood(outcome.state, model, users), label
 
 
-def _assert_lockstep_matches(
-    instance, group, run_seed, model, n_replications, **window
-):
-    """Every output of every replication equals an independent scalar
-    reference run: adoptions, sigmas, the collectors' likelihoods and
-    final weights, and the final generator state."""
+def _assert_lockstep_matches(instance, groups, run_seed, model, **window):
+    """Replication ``r`` of one lockstep pass over ``groups`` equals an
+    independent scalar reference run of ``groups[r]``: adoptions,
+    sigmas, the collectors' likelihoods and final weights, and the
+    final generator state."""
+    n_replications = len(groups)
     simulator = ScalarCampaignSimulator(instance, model=model)
     reference_rngs = _replication_rngs(run_seed, n_replications)
     references = [
-        simulator.run(group, rng, **window) for rng in reference_rngs
+        simulator.run(group, rng, **window)
+        for group, rng in zip(groups, reference_rngs)
     ]
     rngs = _replication_rngs(run_seed, n_replications)
     outcomes = run_campaigns_lockstep(
-        instance, group, rngs, model=model, **window
+        instance, groups, rngs, model=model, **window
     )
     assert len(outcomes) == n_replications
     for r, (reference, outcome) in enumerate(zip(references, outcomes)):
@@ -226,10 +235,9 @@ def test_lockstep_ic_bit_identical(case, n_replications):
     instance, group, run_seed = case
     _assert_lockstep_matches(
         instance,
-        group,
+        [group] * n_replications,
         run_seed,
         DiffusionModel.INDEPENDENT_CASCADE,
-        n_replications,
     )
 
 
@@ -239,11 +247,52 @@ def test_lockstep_lt_bit_identical(case, n_replications):
     instance, group, run_seed = case
     _assert_lockstep_matches(
         instance,
-        group,
+        [group] * n_replications,
         run_seed,
         DiffusionModel.LINEAR_THRESHOLD,
-        n_replications,
     )
+
+
+@given(
+    instances(promotions=st.just(2)),
+    st.sampled_from(tuple(DiffusionModel)),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_plays_one_group_per_replication(
+    case, model, observe_seed, data
+):
+    """Replication ``r`` plays ``seed_groups[r]``: each equals a lone
+    scalar run of its own group, from the pristine state or resumed
+    from an observed one (``observe_seed``).
+
+    The empty group sits second, behind a non-empty one, so a pass
+    that played ``seed_groups[0]`` for every replication would show.
+    """
+    instance, group, run_seed = case
+    groups = [group, SeedGroup()] + data.draw(
+        st.lists(seed_groups(instance), max_size=4)
+    )
+    window = {}
+    if observe_seed is not None:
+        window = dict(
+            initial_state=ScalarCampaignSimulator(instance, model=model)
+            .run(group, np.random.default_rng(observe_seed), until_promotion=1)
+            .state,
+            start_promotion=2,
+        )
+    _assert_lockstep_matches(instance, groups, run_seed, model, **window)
+
+
+def test_lockstep_rejects_unmatched_seed_groups(tiny_instance):
+    group = SeedGroup([Seed(0, 0, 1)])
+    rngs = _replication_rngs(0, 2)
+    for groups in ([group], [group] * 3):
+        with pytest.raises(SimulationError, match="seed groups"):
+            run_campaigns_lockstep(tiny_instance, groups, rngs)
+    with pytest.raises(SimulationError, match="seed groups"):
+        run_campaigns_lockstep(tiny_instance, [group], [])
 
 
 @given(instances())
@@ -254,10 +303,9 @@ def test_lockstep_word_boundaries(case):
     for n_replications in WORD_BOUNDARY_RS:
         _assert_lockstep_matches(
             instance,
-            group,
+            [group] * n_replications,
             run_seed,
             DiffusionModel.INDEPENDENT_CASCADE,
-            n_replications,
         )
 
 
@@ -272,10 +320,9 @@ def test_lockstep_promotion_windows(case):
     ):
         _assert_lockstep_matches(
             instance,
-            group,
+            [group] * 3,
             run_seed,
             DiffusionModel.INDEPENDENT_CASCADE,
-            3,
             **window,
         )
 
@@ -301,10 +348,9 @@ def test_lockstep_resumed_states(case, model, observe_seed):
     adopted = [set(items) for items in observed.adopted]
     _assert_lockstep_matches(
         instance,
-        group,
+        [group] * 4,
         run_seed,
         model,
-        4,
         initial_state=observed,
         start_promotion=instance.n_promotions,
     )
@@ -450,5 +496,4 @@ def test_yelp_observation_chain_reads_moved_rows(model):
 
 
 def test_lockstep_empty_rngs(tiny_instance):
-    group = SeedGroup([Seed(0, 0, 1)])
-    assert run_campaigns_lockstep(tiny_instance, group, []) == []
+    assert run_campaigns_lockstep(tiny_instance, [], []) == []

@@ -14,7 +14,6 @@ from repro.engine import (
     ReplicationTask,
     SerialBackend,
     ThreadBackend,
-    chunk_indices,
     make_backend,
     run_chunk,
 )
@@ -46,16 +45,6 @@ def _assert_bit_identical(a, b):
 
 
 class TestChunking:
-    def test_partition_covers_all_indices(self):
-        chunks = chunk_indices(10, 4)
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_single_chunk(self):
-        assert chunk_indices(3, 8) == [[0, 1, 2]]
-
-    def test_chunk_size_floor(self):
-        assert chunk_indices(2, 0) == [[0], [1]]
-
     def test_run_chunk_is_order_free(self, tiny_instance):
         """Sample i's world depends only on i, not on chunk shape."""
         task = ReplicationTask(
@@ -63,7 +52,8 @@ class TestChunking:
             model=DysimConfig().model,
             rng_seed=4,
             rng_context=("mc",),
-            seed_group=GROUP,
+            seed_groups=[GROUP],
+            n_samples=4,
         )
         together = run_chunk(task, [0, 1, 2, 3])
         split = ChunkResult.merge([run_chunk(task, [0, 1]), run_chunk(task, [2, 3])])

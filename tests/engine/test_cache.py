@@ -286,8 +286,8 @@ class TestSpareWeights:
         folded = []
         run = estimator.backend.run
 
-        def spy(task, n_samples):
-            result = run(task, n_samples)
+        def spy(task):
+            result = run(task)
             folded.append(result.weight_folds is not None)
             return result
 

@@ -3,11 +3,12 @@
 ``run_chunk`` plays a whole range of replications in one packed
 ``run_campaigns_lockstep`` call, whatever the recipe: frozen or
 learning dynamics, resumed states, the likelihood and final-weights
-collectors.  It is bit-identical to one scalar reference run per
-replication (``tests.reference.run_chunk_per_replication``) — these
-tests pin that, plus the surfaces around it: one packed call per range
-and no ``CampaignSimulator.run`` call, the one range per worker every
-recipe gets, and that no environment variable can steer the kernel.
+collectors, blocks of seed groups.  It is bit-identical to one scalar
+reference run per replication
+(``tests.reference.run_chunk_per_replication``) — these tests pin
+that, plus the surfaces around it: one packed call per range and no
+``CampaignSimulator.run`` call, the one range per worker every recipe
+gets, and that no environment variable can steer the kernel.
 """
 
 import os
@@ -28,13 +29,13 @@ from repro.engine import (
     ThreadBackend,
     run_chunk,
 )
-from repro.engine import replication
-from repro.engine.backends import _replication_chunks
+from repro.engine import replication, worker_chunks
 
 from tests.conftest import build_tiny_instance
 from tests.reference import disable_packed_pass, run_chunk_per_replication
 
 GROUP = SeedGroup([Seed(0, 0, 1), Seed(2, 1, 2)])
+OTHER_GROUP = SeedGroup([Seed(1, 2, 1), Seed(3, 0, 2)])
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -45,7 +46,8 @@ def _task(instance, **overrides):
         model=DiffusionModel.INDEPENDENT_CASCADE,
         rng_seed=9,
         rng_context=("mc",),
-        seed_group=GROUP,
+        seed_groups=[GROUP],
+        n_samples=10,
     )
     kwargs.update(overrides)
     return ReplicationTask(**kwargs)
@@ -77,12 +79,14 @@ def route_counter(monkeypatch):
 
 
 def _recipes(frozen_instance):
-    """One task per recipe family, by name."""
+    """One task per recipe family, by name; each plays 10 replications,
+    the block recipes as 2 groups x 5 samples."""
     dynamic = build_tiny_instance()
     restrict = frozenset(range(0, frozen_instance.n_users, 2))
     resumed = CampaignSimulator(dynamic).run(
         GROUP, np.random.default_rng(3), until_promotion=1
     ).state
+    block = dict(seed_groups=[GROUP, OTHER_GROUP], n_samples=5)
     return {
         "frozen": _task(frozen_instance),
         "frozen-restricted": _task(frozen_instance, restrict_users=restrict),
@@ -105,6 +109,11 @@ def _recipes(frozen_instance):
             frozen_instance,
             initial_state=frozen_instance.new_state(),
             compute_likelihood=True,
+        ),
+        "frozen-block": _task(frozen_instance, until_promotion=1, **block),
+        "dynamic-block": _task(dynamic, **block),
+        "initial_state-block": _task(
+            dynamic, initial_state=resumed, start_promotion=2, **block
         ),
     }
 
@@ -132,9 +141,9 @@ class TestRecipeRule:
             monkeypatch.setattr(pool, "map_chunks", recording)
             for name, task in _recipes(frozen_instance).items():
                 dispatched.clear()
-                pool.run(task, 9)
-                assert dispatched == [[list(range(5)), list(range(5, 9))]], name
-        assert _replication_chunks(9, SerialBackend()) == [list(range(9))]
+                pool.run(task)
+                assert dispatched == [[list(range(5)), list(range(5, 10))]], name
+        assert worker_chunks(10, SerialBackend()) == [list(range(10))]
 
 
 def _assert_same_result(reference, packed, name):
@@ -159,12 +168,12 @@ class TestRunChunkEquivalence:
 
     def test_backend_coarse_chunks_match_serial(self, frozen_instance, monkeypatch):
         tasks = _recipes(frozen_instance)
-        serial = {name: SerialBackend().run(task, 9) for name, task in tasks.items()}
+        serial = {name: SerialBackend().run(task) for name, task in tasks.items()}
         with ThreadBackend(workers=3) as pool:
-            pooled = {name: pool.run(task, 9) for name, task in tasks.items()}
+            pooled = {name: pool.run(task) for name, task in tasks.items()}
         packed_calls = disable_packed_pass(monkeypatch)
         for name, task in tasks.items():
-            reference = SerialBackend().run(task, 9)
+            reference = SerialBackend().run(task)
             _assert_same_result(reference, serial[name], name)
             _assert_same_result(reference, pooled[name], name)
         assert not packed_calls

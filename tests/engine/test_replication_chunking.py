@@ -1,11 +1,11 @@
 """Chunking edge cases: tiny sample counts, zero rejection, ordering.
 
-The canonical chunk partition is the engine's contract surface — these
-tests pin its behavior where it is easiest to get silently wrong:
-fewer samples than workers, zero samples, the single-chunk degenerate
-case that must still follow canonical order (and must not spin up an
-executor at all), and the matrix reduction tree that must stay
-canonical however the sample ranges cut it.
+The engine's range dispatch and reduction tree are its contract
+surface — these tests pin their behavior where it is easiest to get
+silently wrong: fewer samples than workers, zero samples, the
+single-range degenerate case (which must not spin up an executor at
+all), and the matrix reduction tree that must stay canonical however
+the sample ranges cut it.
 """
 
 from dataclasses import replace
@@ -20,7 +20,6 @@ from repro.engine import (
     ReplicationTask,
     SerialBackend,
     ThreadBackend,
-    chunk_indices,
     run_chunk,
 )
 from repro.utils.rng import RngFactory
@@ -31,7 +30,7 @@ from tests.reference import canonical_fold
 GROUP = SeedGroup([Seed(0, 0, 1), Seed(2, 1, 2)])
 
 
-def _task(instance):
+def _task(instance, n_samples):
     from repro.diffusion.models import DiffusionModel
 
     return ReplicationTask(
@@ -39,25 +38,19 @@ def _task(instance):
         model=DiffusionModel.INDEPENDENT_CASCADE,
         rng_seed=9,
         rng_context=("mc",),
-        seed_group=GROUP,
+        seed_groups=[GROUP],
+        n_samples=n_samples,
     )
 
 
 class TestZeroSamples:
-    def test_chunk_indices_rejects_zero(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            chunk_indices(0)
-
-    def test_chunk_indices_rejects_negative(self):
-        with pytest.raises(ValueError):
-            chunk_indices(-3)
-
     @pytest.mark.parametrize("backend_factory", [SerialBackend, ThreadBackend])
     def test_backends_reject_zero_samples(self, backend_factory):
         backend = backend_factory()
         try:
-            with pytest.raises(ValueError):
-                backend.run(_task(build_tiny_instance()), 0)
+            for n_samples in (0, -3):
+                with pytest.raises(ValueError, match="n_samples"):
+                    backend.run(_task(build_tiny_instance(), n_samples))
         finally:
             backend.close()
 
@@ -67,19 +60,19 @@ class TestFewerSamplesThanWorkers:
 
     def test_thread_pool_matches_serial(self):
         instance = build_tiny_instance()
-        task = _task(instance)
-        serial = SerialBackend().run(task, 2)
+        task = _task(instance, 2)
+        serial = SerialBackend().run(task)
         with ThreadBackend(workers=4) as pool:
-            pooled = pool.run(task, 2)
+            pooled = pool.run(task)
         assert np.array_equal(serial.sigmas, pooled.sigmas)
         assert serial.n_samples == pooled.n_samples == 2
 
     def test_process_pool_matches_serial(self):
         instance = build_tiny_instance()
-        task = _task(instance)
-        serial = SerialBackend().run(task, 3)
+        task = _task(instance, 3)
+        serial = SerialBackend().run(task)
         with ProcessPoolBackend(workers=4) as pool:
-            pooled = pool.run(task, 3)
+            pooled = pool.run(task)
         assert np.array_equal(serial.sigmas, pooled.sigmas)
 
     def test_estimator_single_sample(self):
@@ -92,10 +85,6 @@ class TestFewerSamplesThanWorkers:
 
 
 class TestSingleChunk:
-    def test_single_chunk_is_canonical_prefix(self):
-        assert chunk_indices(3, 8) == [[0, 1, 2]]
-        assert chunk_indices(4, 4) == [[0, 1, 2, 3]]
-
     def test_single_chunk_skips_executor(self, monkeypatch):
         """A one-chunk run must not pay pool start-up.
 
@@ -106,28 +95,28 @@ class TestSingleChunk:
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
         instance = build_tiny_instance()
         with ThreadBackend(workers=1) as pool:
-            result = pool.run(_task(instance), 3)
+            result = pool.run(_task(instance, 3))
             assert result.n_samples == 3
             assert pool._executor is None  # never spun up
         with ThreadBackend(workers=4) as pool:
-            result = pool.run(_task(instance), 1)
+            result = pool.run(_task(instance, 1))
             assert result.n_samples == 1
             assert pool._executor is None
 
     def test_single_chunk_result_matches_run_chunk(self):
         instance = build_tiny_instance()
-        task = _task(instance)
+        task = _task(instance, 3)
         direct = run_chunk(task, [0, 1, 2])
-        via_backend = SerialBackend().run(task, 3)
+        via_backend = SerialBackend().run(task)
         assert np.array_equal(direct.sigmas, via_backend.sigmas)
 
     def test_map_chunks_preserves_chunk_order(self):
-        """map_chunks returns results in canonical chunk order."""
+        """map_chunks returns results in chunk order."""
 
         def identify(task, chunk):
             return (task, list(chunk))
 
-        chunks = chunk_indices(10, 3)
+        chunks = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
         with ThreadBackend(workers=4) as pool:
             results = pool.map_chunks(identify, "task", chunks)
         assert results == [("task", chunk) for chunk in chunks]
@@ -157,7 +146,7 @@ class TestCanonicalReduction:
     The backends' equality tests compare backends with one another, so
     a reduction tree moved on every backend at once would pass them;
     this pins each estimate to the reference fold — one fold per
-    ``chunk_indices(n, 4)`` chunk, merged in chunk order — bit for bit.
+    4-sample chunk, merged in chunk order — bit for bit.
     """
 
     USERS = {0, 1, 2}
@@ -177,8 +166,10 @@ class TestCanonicalReduction:
             collect_weights=True,
         )
         reference = canonical_fold(
-            replace(_task(instance), restrict_users=frozenset(self.USERS)),
-            n_samples,
+            replace(
+                _task(instance, n_samples),
+                restrict_users=frozenset(self.USERS),
+            )
         )
         assert np.array_equal(estimate.mean_weights, reference.weights_sum / n_samples)
         assert estimate.likelihood == float(reference.likelihoods.mean())

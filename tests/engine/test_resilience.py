@@ -14,9 +14,11 @@ import pytest
 
 from repro.core.dysim import Dysim, DysimConfig
 from repro.core.problem import Seed, SeedGroup
-from repro.diffusion.montecarlo import SigmaEstimator
+from repro.diffusion.models import DiffusionModel
+from repro.diffusion.montecarlo import SigmaEstimator, replicated_sigma_stats
 from repro.engine import (
     ProcessPoolBackend,
+    ReplicationTask,
     SerialBackend,
     ThreadBackend,
 )
@@ -244,6 +246,26 @@ class TestPoolRecovery:
             assert stats.crashed_chunks >= 1
             assert stats.pool_rebuilds >= 1
         _assert_bit_identical(clean, recovered)
+
+    def test_process_block_crash_bit_identical(self, tiny_instance):
+        """A worker killed in the second range of a 3-group block costs
+        nothing but wall clock: every group's stats are the serial
+        ones."""
+        task = ReplicationTask(
+            instance=tiny_instance,
+            model=DiffusionModel.INDEPENDENT_CASCADE,
+            rng_seed=4,
+            rng_context=("mc",),
+            seed_groups=[GROUP, SeedGroup([Seed(1, 1, 1)]), SeedGroup()],
+            n_samples=5,
+        )
+        clean = replicated_sigma_stats(SerialBackend(), task)
+        plan = FaultPlan(faults=(FaultSpec(kind="crash", chunk=1, call=0),))
+        with ProcessPoolBackend(workers=2, fault_plan=plan, **FAST) as pool:
+            recovered = replicated_sigma_stats(pool, task)
+            assert pool.fault_stats.crashed_chunks >= 1
+            assert pool.fault_stats.retries >= 1
+        assert recovered == clean
 
     def test_process_hung_chunk_bit_identical(self, tiny_instance):
         """A chunk sleeping past the deadline is abandoned and redone."""

@@ -7,10 +7,10 @@
   pipeline plays, Monte-Carlo ranges and single runs alike, through
   the scalar reference;
 * :func:`canonical_fold` — the straightforward reduction the engine's
-  matrix sums must reproduce wherever the samples ran: every
-  ``chunk_indices(n, 4)`` chunk replays its samples with the scalar
-  reference and folds their final weights from zero, and the chunk
-  folds then add up in chunk order.
+  matrix sums must reproduce wherever the samples ran: every chunk of
+  4 consecutive samples replays its samples with the scalar reference
+  and folds their final weights from zero, and the chunk folds then
+  add up in chunk order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import adoption_likelihood
-from repro.engine import ReplicationTask, chunk_indices, replication
+from repro.engine import ReplicationTask, replication
 from repro.engine.replication import ChunkResult, Folds, _fold_sample
 from repro.utils.rng import spawn_rng
 
@@ -42,8 +42,10 @@ def run_chunk_per_replication(
 ) -> ChunkResult:
     """``run_chunk`` replaying the scalar reference per replication.
 
-    Same substreams, same collectors, same canonical weight folds as
-    the packed pass — only the simulation differs.
+    Index ``i`` plays group ``i // n_samples`` on sample
+    ``i % n_samples``: same groups, same substreams, same collectors,
+    same canonical weight folds as the packed pass — only the
+    simulation differs.
     """
     simulator = ScalarCampaignSimulator(task.instance, model=task.model)
     n = len(indices)
@@ -56,9 +58,10 @@ def run_chunk_per_replication(
         restrict = set(task.restrict_users)
 
     for j, i in enumerate(indices):
-        rng = spawn_rng(task.rng_seed, *task.rng_context, i)
+        group, sample = divmod(i, task.n_samples)
+        rng = spawn_rng(task.rng_seed, *task.rng_context, sample)
         outcome = simulator.run(
-            task.seed_group,
+            task.seed_groups[group],
             rng,
             until_promotion=task.until_promotion,
             initial_state=task.initial_state,
@@ -152,9 +155,10 @@ def _fold_chunk(task: ReplicationTask, indices: list[int]) -> ChunkFold:
         weights_sum=np.zeros(task.instance.initial_weights.shape),
     )
     users = set(task.restrict_users or range(task.instance.n_users))
+    (group,) = task.seed_groups
     for j, i in enumerate(indices):
         outcome = simulator.run(
-            task.seed_group,
+            group,
             spawn_rng(task.rng_seed, *task.rng_context, i),
             until_promotion=task.until_promotion,
         )
@@ -165,9 +169,13 @@ def _fold_chunk(task: ReplicationTask, indices: list[int]) -> ChunkFold:
     return fold
 
 
-def canonical_fold(task: ReplicationTask, n_samples: int) -> ChunkFold:
-    """``n_samples`` replications of ``task``, one fold per canonical
-    4-sample chunk, merged in chunk order."""
+def canonical_fold(task: ReplicationTask) -> ChunkFold:
+    """The ``n_samples`` replications of a one-group ``task``, one fold
+    per canonical 4-sample chunk, merged in chunk order."""
+    n = task.n_samples
     return ChunkFold.merge(
-        [_fold_chunk(task, chunk) for chunk in chunk_indices(n_samples, 4)]
+        [
+            _fold_chunk(task, list(range(start, min(start + 4, n))))
+            for start in range(0, n, 4)
+        ]
     )
