@@ -166,8 +166,9 @@ def test_mc_diffusion_scaling():
     assert np.array_equal(loop.sigmas, packed.sigmas)
     assert np.array_equal(dynamic_loop.sigmas, dynamic_packed.sigmas)
     assert np.array_equal(dynamic_loop.likelihoods, dynamic_packed.likelihoods)
-    assert np.array_equal(
-        dynamic_loop.weights_sum, dynamic_packed.weights_sum
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(dynamic_loop.weights, dynamic_packed.weights, strict=True)
     )
 
     assert speedup >= MIN_SPEEDUP, (

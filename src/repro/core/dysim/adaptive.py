@@ -144,7 +144,7 @@ class AdaptiveDysim:
             initial_state=state,
             start_promotion=promotion,
         )
-        return [mean for mean, _ in replicated_sigma_stats(self._backend, task)]
+        return [e.sigma for e in replicated_sigma_stats(self._backend, task)]
 
     def _expected_round_sigma(
         self,

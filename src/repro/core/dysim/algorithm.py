@@ -73,10 +73,8 @@ class DysimConfig:
         MIOA path-probability threshold.
     market_order:
         "AE" (default), "PF", "SZ", "RMS" or "RD" (Fig. 11).
-    clustering:
-        "affinity" or "agglomerative".
     hop_threshold:
-        Social closeness radius for affinity clustering.
+        Social closeness radius for nominee clustering.
     diameter_cap:
         Cap on ``d_tau`` (DR recursion depth).
     use_target_markets / use_item_priority:
@@ -111,7 +109,6 @@ class DysimConfig:
     theta: int = 3
     theta_path: float = 1.0 / 320.0
     market_order: str = "AE"
-    clustering: str = "affinity"
     hop_threshold: int = 2
     diameter_cap: int = 4
     use_target_markets: bool = True
@@ -236,7 +233,6 @@ class Dysim:
             clusters = cluster_nominees(
                 instance,
                 nominees,
-                method=config.clustering,
                 hop_threshold=config.hop_threshold,
             )
         else:

@@ -4,24 +4,17 @@ TMI clusters nominees "according to the social distances between the
 nominees and the relevance between their promoting items, i.e.
 ``r̄^C_{x,y} - r̄^S_{x,y}``" — larger complementary and smaller
 substitutable relevance encouraged.  The paper plugs in POT [53] or
-FGCC [54]; we implement the objective directly with two interchangeable
-methods:
-
-* ``"affinity"`` (default) — connect two nominees when their users are
-  within ``hop_threshold`` (undirected) *and* their items' net
-  relevance ``r̄^C - r̄^S`` is non-negative; clusters are the connected
-  components.  Same-user nominees with complementary items also join.
-* ``"agglomerative"`` — average-linkage agglomerative clustering on
-  the combined distance
-  ``hops / max_hops - relevance_weight * (r̄^C - r̄^S)``,
-  merged until no pair of clusters is closer than ``merge_threshold``.
+FGCC [54]; we implement the objective directly: connect two nominees
+when their users are within ``hop_threshold`` (undirected) *and* their
+items' net relevance ``r̄^C - r̄^S`` is non-negative; clusters are the
+connected components.  Same-user nominees with complementary items
+also join.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import AlgorithmError
 from repro.core.problem import IMDPPInstance
 from repro.kg.metagraph import Relationship
 from repro.social.distances import pairwise_social_distance
@@ -87,56 +80,15 @@ def _affinity_clusters(
     return list(clusters.values())
 
 
-def _agglomerative_clusters(
-    nominees: list[tuple[int, int]],
-    hops: np.ndarray,
-    net_relevance: np.ndarray,
-    max_hops: int,
-    relevance_weight: float,
-    merge_threshold: float,
-) -> list[list[tuple[int, int]]]:
-    n = len(nominees)
-    distance = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            net = net_relevance[nominees[i][1], nominees[j][1]]
-            d = hops[i, j] / max_hops - relevance_weight * net
-            distance[i, j] = distance[j, i] = d
-    clusters: list[list[int]] = [[i] for i in range(n)]
-    while len(clusters) > 1:
-        best = None
-        best_distance = merge_threshold
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                pairs = [
-                    distance[i, j] for i in clusters[a] for j in clusters[b]
-                ]
-                average = float(np.mean(pairs))
-                if average < best_distance:
-                    best_distance = average
-                    best = (a, b)
-        if best is None:
-            break
-        a, b = best
-        clusters[a].extend(clusters[b])
-        del clusters[b]
-    return [[nominees[i] for i in members] for members in clusters]
-
-
 def cluster_nominees(
     instance: IMDPPInstance,
     nominees: list[tuple[int, int]],
-    method: str = "affinity",
     hop_threshold: int = 2,
     max_hops: int = 6,
-    relevance_weight: float = 1.0,
-    merge_threshold: float = 0.35,
 ) -> list[list[tuple[int, int]]]:
     """Cluster nominees into the groups that seed target markets."""
     if not nominees:
         return []
-    if method not in ("affinity", "agglomerative"):
-        raise AlgorithmError(f"unknown clustering method {method!r}")
     users = [user for user, _ in nominees]
     hops_users = pairwise_social_distance(
         instance.network, sorted(set(users)), max_hops=max_hops
@@ -148,9 +100,4 @@ def cluster_nominees(
         for j in range(n):
             hops[i, j] = hops_users[position[users[i]], position[users[j]]]
     avg_c, avg_s = average_relevance_matrices(instance)
-    net = avg_c - avg_s
-    if method == "affinity":
-        return _affinity_clusters(nominees, hops, net, hop_threshold)
-    return _agglomerative_clusters(
-        nominees, hops, net, max_hops, relevance_weight, merge_threshold
-    )
+    return _affinity_clusters(nominees, hops, avg_c - avg_s, hop_threshold)

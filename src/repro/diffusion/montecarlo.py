@@ -6,12 +6,15 @@ sample ``i`` of every seed group replays the same random substream, so
 greedy marginal-gain comparisons see correlated worlds and far less
 noise — the standard trick that makes lazy/CELF greedy stable.
 
-Replications run through a pluggable :mod:`repro.engine` execution
-backend (serial, thread pool or process pool); every backend replays
-the same substreams, one balanced range of replications per worker
-for one group or a whole block, and reduces matrix sums over the same
-canonical chunks, so estimates are bit-identical regardless of where
-they ran.  Results are memoized in a
+Every request — one seed group or a block, plain sigma or with the
+collectors below — takes one path: its cache misses play together as
+one dispatch over a pluggable :mod:`repro.engine` execution backend
+(serial, thread pool or process pool; one balanced range of the
+``groups x samples`` replications per worker), and
+:func:`replicated_sigma_stats` reduces each group from its
+per-replication outputs in sample order, so estimates are
+bit-identical regardless of where they ran or which groups shared the
+dispatch.  Results are memoized in a
 :class:`~repro.engine.cache.SigmaCache` keyed by the realization they
 played (canonicalized seed group, horizon and estimator configuration)
 and the fields they hold, so requests of one realization share one
@@ -35,7 +38,7 @@ from repro.core.problem import IMDPPInstance, SeedGroup
 from repro.diffusion.models import DiffusionModel, adoption_likelihood
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.cache import SigmaCache
-from repro.engine.replication import ReplicationTask
+from repro.engine.replication import DEFAULT_CHUNK_SIZE, ReplicationTask
 from repro.engine.shm import share_for_backend
 from repro.utils.rng import RngFactory
 
@@ -45,30 +48,6 @@ __all__ = [
     "adoption_likelihood",
     "replicated_sigma_stats",
 ]
-
-
-def replicated_sigma_stats(
-    backend: ExecutionBackend, task: ReplicationTask
-) -> list[tuple[float, float]]:
-    """(mean, std) of the sigma of every seed group of ``task``.
-
-    One :meth:`~repro.engine.backends.ExecutionBackend.run` plays the
-    whole block — ``n_samples`` replications per group, one balanced
-    range of the ``groups x samples`` replications per worker, each
-    range in one packed pass — and each group reduces its own samples,
-    in sample order, exactly as a one-group run does.  Results come
-    back in group order and are bit-identical across backends and to
-    per-group :meth:`SigmaEstimator.estimate` calls.
-
-    On a process pool the instance is exported before the dispatch
-    (:func:`repro.engine.shm.share_for_backend`), so every range ships
-    a handle and workers keep the instance resident.
-    """
-    if not task.seed_groups:
-        return []
-    share_for_backend(task.instance, backend)
-    sigmas = backend.run(task).sigmas.reshape(-1, task.n_samples)
-    return [(float(row.mean()), float(row.std())) for row in sigmas]
 
 
 @dataclass
@@ -81,6 +60,78 @@ class MonteCarloEstimate:
     sigma_restricted: float | None = None
     likelihood: float | None = None
     mean_weights: np.ndarray | None = None
+
+
+def _canonical_sum(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """One group's final weights summed over the canonical tree.
+
+    Each chunk of ``DEFAULT_CHUNK_SIZE`` consecutive samples folds from
+    zero in sample order, and the chunk folds add up in chunk order
+    (``tests.reference.canonical_fold`` pins it), so the sum depends on
+    the sample count alone, never on the ranges the samples ran in.
+    """
+    total = None
+    for start in range(0, len(matrices), DEFAULT_CHUNK_SIZE):
+        fold = np.zeros(matrices[start].shape)
+        for matrix in matrices[start : start + DEFAULT_CHUNK_SIZE]:
+            fold += matrix
+        if total is None:
+            total = fold
+        else:
+            total += fold
+    return total
+
+
+def replicated_sigma_stats(
+    backend: ExecutionBackend, task: ReplicationTask
+) -> list[MonteCarloEstimate]:
+    """The estimate of every seed group of ``task``, in group order.
+
+    One :meth:`~repro.engine.backends.ExecutionBackend.run` plays the
+    whole block — ``n_samples`` replications per group, one balanced
+    range of the ``groups x samples`` replications per worker, each
+    range in one packed pass — and each group reduces its own samples
+    in sample order: every field the task collected (sigma and its
+    spread; restricted sigma, likelihood and mean final weights when
+    asked), the weights over the canonical tree.  Estimates are
+    therefore bit-identical across backends and to one-group tasks.
+
+    On a process pool the instance is exported before the dispatch
+    (:func:`repro.engine.shm.share_for_backend`), so every range ships
+    a handle and workers keep the instance resident.
+    """
+    if not task.seed_groups:
+        return []
+    share_for_backend(task.instance, backend)
+    result = backend.run(task)
+    n = task.n_samples
+    estimates = []
+    for start in range(0, result.n_samples, n):
+        rows = slice(start, start + n)
+        sigmas = result.sigmas[rows]
+        estimates.append(
+            MonteCarloEstimate(
+                sigma=float(sigmas.mean()),
+                sigma_std=float(sigmas.std()),
+                n_samples=n,
+                sigma_restricted=(
+                    float(result.restricted[rows].mean())
+                    if task.restrict_users is not None
+                    else None
+                ),
+                likelihood=(
+                    float(result.likelihoods[rows].mean())
+                    if task.compute_likelihood
+                    else None
+                ),
+                mean_weights=(
+                    _canonical_sum(result.weights[rows]) / n
+                    if task.collect_weights
+                    else None
+                ),
+            )
+        )
+    return estimates
 
 
 class SigmaEstimator:
@@ -104,13 +155,15 @@ class SigmaEstimator:
         Estimate memoization; pass a shared :class:`SigmaCache` to pool
         memoization across estimators, or ``None`` for a private one.
 
-    Every estimate runs as one balanced sample range per backend
-    worker, and each range plays in one packed lockstep pass — frozen
-    or learning dynamics, with or without the state collectors
-    (likelihood, weights) — bit-identical to one lone
+    Every request — :meth:`estimate` (one group, any collectors) and
+    :meth:`estimate_block` (many groups, plain sigma) alike — takes one
+    path: its cache misses play as one block
+    (:func:`replicated_sigma_stats`), one balanced range of the
+    ``groups x samples`` replications per backend worker, each range
+    one packed lockstep pass bit-identical to one lone
     :meth:`~repro.diffusion.campaign.CampaignSimulator.run` per sample
     (:func:`repro.engine.replication.run_chunk`): a realization is the
-    same whether it plays alone or inside a range.
+    same whether it plays alone, inside a range or inside a block.
 
     Estimates are memoized per realization: a request is served by any
     cached estimate of the same group, horizon and configuration that
@@ -121,11 +174,12 @@ class SigmaEstimator:
     TDSI estimate of the group it just extended.
     """
 
-    #: Distinguishes estimator families in cache keys: a cache shared
-    #: between a Monte-Carlo and a sketch-based estimator of otherwise
-    #: identical configuration must never alias their entries (the
-    #: estimates differ — one simulates, the other replays sketched
-    #: worlds).  Subclasses implementing a different oracle override it.
+    #: Names the oracle behind an estimator's answers.  Coverage
+    #: estimators key their answers by it, so a cache shared with a
+    #: Monte-Carlo estimator of otherwise identical configuration never
+    #: aliases counted and simulated estimates.  Monte-Carlo entries
+    #: are keyed ``"mc"`` whichever estimator plays them
+    #: (:meth:`_cache_key`).
     oracle_kind = "mc"
 
     def __init__(
@@ -179,12 +233,14 @@ class SigmaEstimator:
         The family — the estimator configuration and the horizon — is
         the cache's spare slot.  The configuration is part of the key so
         one cache can safely back several estimators (e.g. frozen +
-        dynamic, or Monte-Carlo + sketch — ``oracle_kind`` keeps their
-        entries apart even when everything else matches).  The horizon
-        is the one the simulator plays: ``None`` (and 0) mean ``T``.
+        dynamic).  It is keyed ``"mc"`` whichever estimator plays it: a
+        coverage estimator's simulated answers share the entries of a
+        plain Monte-Carlo twin, while its counted ones key by its own
+        ``oracle_kind``.  The horizon is the one the simulator plays:
+        ``None`` (and 0) mean ``T``.
         """
         family = (
-            self.oracle_kind,
+            "mc",
             until_promotion or self.instance.n_promotions,
             self.n_samples,
             self.model.value,
@@ -195,22 +251,22 @@ class SigmaEstimator:
             sorted((s.user, s.item, s.promotion) for s in seed_group)
         )
 
-    def estimate(
+    def _estimates(
         self,
-        seed_group: SeedGroup,
+        groups: Sequence[SeedGroup],
         until_promotion: int | None = None,
         restrict_users: set[int] | None = None,
         compute_likelihood: bool = False,
         collect_weights: bool = False,
-    ) -> MonteCarloEstimate:
-        """Estimate sigma (and optional extras) for one seed group.
+    ) -> list[MonteCarloEstimate]:
+        """Every request's one path: estimates of ``groups``, in order.
 
-        The estimate holds exactly the extras asked for.  A cached
-        estimate of the same realization that holds them serves the
-        request without replications; a likelihood run also leaves its
-        mean final weights in the cache as a spare field, so a weights
-        request after the newest likelihood estimate of its group and
-        horizon is a hit.
+        Each group is looked up with the fields asked for; the misses
+        dedupe by cache key and play together, with their collectors,
+        as one block, and each estimate is stored with its spare
+        weights.  Hits, misses and floats match one request per group
+        in order: a repeat of a missed group is a hit on the entry its
+        first request stored.
         """
         users = tuple(sorted(restrict_users)) if restrict_users is not None else None
         asked = frozenset(
@@ -222,53 +278,68 @@ class SigmaEstimator:
             )
             if wanted
         )
-        key = self._cache_key(seed_group, until_promotion)
-        cached = self.cache.get(key, asked)
-        if cached is not None:
-            return cached
+        held = asked | {("mean_weights", None)} if compute_likelihood else asked
+        keys = [self._cache_key(group, until_promotion) for group in groups]
+        estimates: list[MonteCarloEstimate | None] = [None] * len(groups)
+        first_miss: dict[tuple, int] = {}
+        for i, key in enumerate(keys):
+            if key not in first_miss:
+                estimates[i] = self.cache.get(key, asked)
+                if estimates[i] is None:
+                    first_miss[key] = i
+        if not first_miss:
+            return estimates
 
         task = ReplicationTask(
             instance=self.instance,
             model=self.model,
             rng_seed=self.rng_factory.seed,
             rng_context=("mc",),
-            seed_groups=[seed_group],
+            seed_groups=[groups[i] for i in first_miss.values()],
             n_samples=self.n_samples,
             until_promotion=until_promotion,
             restrict_users=(
-                frozenset(restrict_users)
-                if restrict_users is not None
-                else None
+                frozenset(restrict_users) if restrict_users is not None else None
             ),
             compute_likelihood=compute_likelihood,
             collect_weights=collect_weights or compute_likelihood,
         )
-        share_for_backend(self.instance, self.backend)
-        result = self.backend.run(task)
-        self.n_evaluations += result.n_samples
+        played = replicated_sigma_stats(self.backend, task)
+        self.n_evaluations += len(played) * self.n_samples
+        for (key, i), estimate in zip(first_miss.items(), played):
+            estimates[i] = self.cache.put(
+                key, estimate, held, asked, spare_slot=key[0]
+            )
+        for i, key in enumerate(keys):
+            if estimates[i] is None:
+                estimates[i] = self.cache.get(key, asked)
+        return estimates
 
-        estimate = MonteCarloEstimate(
-            sigma=float(result.sigmas.mean()),
-            sigma_std=float(result.sigmas.std()),
-            n_samples=self.n_samples,
-            sigma_restricted=(
-                float(result.restricted.mean())
-                if restrict_users is not None
-                else None
-            ),
-            likelihood=(
-                float(result.likelihoods.mean())
-                if compute_likelihood
-                else None
-            ),
-            mean_weights=(
-                result.weights_sum / self.n_samples
-                if task.collect_weights
-                else None
-            ),
+    def estimate(
+        self,
+        seed_group: SeedGroup,
+        until_promotion: int | None = None,
+        restrict_users: set[int] | None = None,
+        compute_likelihood: bool = False,
+        collect_weights: bool = False,
+    ) -> MonteCarloEstimate:
+        """Estimate sigma (and optional extras) for one seed group.
+
+        A block of one.  The estimate holds exactly the extras asked
+        for.  A cached estimate of the same realization that holds them
+        serves the request without replications; a likelihood run also
+        leaves its mean final weights in the cache as a spare field, so
+        a weights request after the newest likelihood estimate of its
+        group and horizon is a hit.
+        """
+        (estimate,) = self._estimates(
+            [seed_group],
+            until_promotion,
+            restrict_users,
+            compute_likelihood,
+            collect_weights,
         )
-        held = asked | {("mean_weights", None)} if compute_likelihood else asked
-        return self.cache.put(key, estimate, held, asked, spare_slot=key[0])
+        return estimate
 
     def sigma(self, seed_group: SeedGroup) -> float:
         """Convenience: the scalar spread estimate."""
@@ -279,14 +350,13 @@ class SigmaEstimator:
         groups: Sequence[SeedGroup],
         until_promotion: int | None = None,
     ) -> np.ndarray:
-        """Batched plain-sigma estimates over many seed groups.
+        """Plain-sigma estimates of many seed groups.
 
-        Cache behaviour, counters and floats match per-group
-        :meth:`estimate` calls exactly — same keys, same ``("mc",)``
-        substreams — but the cache misses play together as one block
-        (:func:`replicated_sigma_stats`): one dispatch of one balanced
-        range of the ``groups x samples`` replications per worker, so
-        the CELF prefetch of one candidate per worker is one dispatch
+        The same path as :meth:`estimate`, so cache behaviour, counters
+        and floats match per-group calls exactly, but the cache misses
+        play together as one block: one dispatch of one balanced range
+        of the ``groups x samples`` replications per worker, so the
+        CELF prefetch of one candidate per worker is one dispatch
         however many groups and workers there are.  The batched
         selection layer
         (:class:`~repro.core.selection.MonteCarloGainOracle`) routes
@@ -294,46 +364,8 @@ class SigmaEstimator:
         estimators override it
         (:class:`~repro.sketch.estimator.CoverageSigmaEstimator`).
         """
-        sigmas = np.empty(len(groups))
-        # Misses dedupe by cache key, mirroring sequential estimate()
-        # calls where a repeated group is a hit on its second lookup.
-        miss_order: list[tuple] = []
-        miss_groups: dict[tuple, SeedGroup] = {}
-        key_of: list[tuple | None] = [None] * len(groups)
-        for i, group in enumerate(groups):
-            key = self._cache_key(group, until_promotion)
-            cached = self.cache.get(key)
-            if cached is not None:
-                sigmas[i] = cached.sigma
-            elif key in miss_groups:
-                key_of[i] = key
-            else:
-                key_of[i] = key
-                miss_order.append(key)
-                miss_groups[key] = group
-        if miss_order:
-            task = ReplicationTask(
-                instance=self.instance,
-                model=self.model,
-                rng_seed=self.rng_factory.seed,
-                rng_context=("mc",),
-                seed_groups=[miss_groups[key] for key in miss_order],
-                n_samples=self.n_samples,
-                until_promotion=until_promotion,
-            )
-            stats = replicated_sigma_stats(self.backend, task)
-            resolved: dict[tuple, float] = {}
-            for key, (mean, std) in zip(miss_order, stats):
-                estimate = MonteCarloEstimate(
-                    sigma=mean, sigma_std=std, n_samples=self.n_samples
-                )
-                self.cache.put(key, estimate)
-                self.n_evaluations += self.n_samples
-                resolved[key] = mean
-            for i, key in enumerate(key_of):
-                if key is not None:
-                    sigmas[i] = resolved[key]
-        return sigmas
+        estimates = self._estimates(groups, until_promotion)
+        return np.array([estimate.sigma for estimate in estimates], dtype=float)
 
     def clear_cache(self) -> None:
         """Drop memoized estimates (after the instance state changed).

@@ -6,10 +6,9 @@ one balanced range of its ``groups x samples`` replications per worker
 out (:func:`worker_chunks`) and merges the results in replication
 order.
 Every backend dispatches the same
-:func:`~repro.engine.replication.run_chunk`, and matrix sums reduce
-over the canonical chunk tree whatever the ranges, so results are
-bit-identical across backends — see the ``repro.engine.replication``
-module docstring for why.
+:func:`~repro.engine.replication.run_chunk`, whose outputs are
+per-replication, so results are bit-identical across backends — see
+the ``repro.engine.replication`` module docstring for why.
 
 Choosing a backend
 ------------------
@@ -168,9 +167,8 @@ class ExecutionBackend:
 
         One balanced range of the ``groups x samples`` replications per
         worker, whatever the block: a range boundary may split a group,
-        since per-replication scalars gather in index order and matrix
-        sums reduce over the canonical chunk tree however the ranges
-        cut it (:class:`~repro.engine.replication.ChunkResult`).
+        since every output is per replication and gathers in index
+        order (:class:`~repro.engine.replication.ChunkResult`).
         ``n_samples`` must be positive: a zero-sample "estimate" would
         silently average an empty array into NaN.
         """

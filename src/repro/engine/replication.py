@@ -10,11 +10,11 @@ function, :func:`run_chunk`, over one balanced range of the
   random substream ``spawn_rng(rng_seed, *rng_context, s)`` no matter
   which worker executes it, so greedy marginal-gain comparisons stay
   correlated across seed groups and every backend sees the same worlds.
-* **Bit-identical aggregation.**  Per-replication scalars are gathered
-  in index order, and the final-weights sum reduces over the canonical
-  ``DEFAULT_CHUNK_SIZE``-sample chunks wherever the samples ran: each
-  canonical chunk is folded sample by sample from its first index, and
-  the chunk folds are summed in chunk order (:class:`ChunkResult`).
+* **Bit-identical aggregation.**  A range returns its per-replication
+  outputs — scalars and, when collected, final weights — and ranges
+  merge in replication order (:class:`ChunkResult`), so the parent
+  reduces the same values in the same order wherever they ran
+  (:func:`~repro.diffusion.montecarlo.replicated_sigma_stats`).
   ``SerialBackend`` and ``ProcessPoolBackend`` therefore produce
   floating-point-identical estimates.
 """
@@ -39,12 +39,12 @@ __all__ = [
     "run_chunk",
 ]
 
-#: Canonical chunk size of the matrix reduction tree.  Final weights are
-#: folded per chunk of this many consecutive samples and the folds
-#: summed in chunk order, so this constant — not the worker count or the
-#: ranges the samples ran in — fixes their floating-point result.
-#: Dispatch does not depend on it: every task runs as one balanced range
-#: per worker.  A realization bank fills blocks this small in process.
+#: Canonical chunk size of the final-weights sum: each group's weights
+#: fold per chunk of this many consecutive samples and the folds add up
+#: in chunk order (:func:`~repro.diffusion.montecarlo.
+#: replicated_sigma_stats`).  Dispatch does not depend on it: every
+#: task runs as one balanced range per worker.  A realization bank
+#: fills blocks this small in process.
 DEFAULT_CHUNK_SIZE = 4
 
 
@@ -59,7 +59,7 @@ class ReplicationTask:
     common-random-numbers substream family; sample ``s`` of every group
     draws from ``spawn_rng(rng_seed, *rng_context, s)``.  The
     collectors (``restrict_users``, ``compute_likelihood``,
-    ``collect_weights``) read a one-group task.
+    ``collect_weights``) read every replication's final state.
     """
 
     instance: IMDPPInstance
@@ -75,90 +75,25 @@ class ReplicationTask:
     initial_state: PerceptionState | None = None
     start_promotion: int = 1
 
-    def __post_init__(self):
-        if len(self.seed_groups) != 1 and (
-            self.restrict_users is not None
-            or self.compute_likelihood
-            or self.collect_weights
-        ):
-            raise ValueError("the collectors read a one-group task")
-
-
-#: Matrix partial sums of one range, in sample order: ``(opens, matrix)``
-#: pairs.  ``opens`` marks the fold of a canonical chunk from its first
-#: sample on; any other matrix is one sample continuing the chunk the
-#: pair before it opened (see :func:`_fold_sample`).
-Folds = list[tuple[bool, np.ndarray]]
-
-
-def _fold_sample(folds: Folds, sample: int, matrix: np.ndarray) -> None:
-    """Add the next sample's matrix of a range to its folds.
-
-    A sample that starts a canonical chunk opens a fold; the samples
-    after it in the same chunk join that fold.  A range that starts
-    inside a chunk cannot fold those samples — the chunk's fold began
-    in the range before — so it ships them one by one for the parent
-    to continue the fold with, in index order.
-    """
-    if sample % DEFAULT_CHUNK_SIZE == 0:
-        fold = np.zeros(matrix.shape)
-        fold += matrix
-        folds.append((True, fold))
-    elif folds and folds[-1][0]:
-        fold = folds[-1][1]
-        fold += matrix
-    else:
-        folds.append((False, matrix))
-
-
-def _reduce_folds(folds: Folds | None) -> np.ndarray | None:
-    """Sum a run's folds over the canonical tree.
-
-    Each chunk's fold continues with the single samples that follow
-    it, then the chunk folds add up in chunk order — the reduction one
-    canonical chunk per call would compute, whatever ranges the
-    samples ran in.
-    """
-    if not folds:
-        return None
-    chunks: list[np.ndarray] = []
-    for opens, matrix in folds:
-        if opens or not chunks:
-            chunks.append(np.array(matrix, dtype=float))
-        else:
-            chunks[-1] += matrix
-    total = chunks[0]
-    for chunk in chunks[1:]:
-        total += chunk
-    return total
-
 
 @dataclass
 class ChunkResult:
-    """Aggregates from one range (or a merge of several ranges)."""
+    """Per-replication outputs of one range (or a merge of several),
+    in replication order."""
 
     sigmas: np.ndarray
     restricted: np.ndarray
     likelihoods: np.ndarray
-    weight_folds: Folds | None = None
+    #: Each replication's final weights, when the task collects them.
+    weights: list[np.ndarray] | None = None
 
     @property
     def n_samples(self) -> int:
         return int(self.sigmas.size)
 
-    @property
-    def weights_sum(self) -> np.ndarray | None:
-        """Sum of the final weights over the canonical tree."""
-        return _reduce_folds(self.weight_folds)
-
     @classmethod
     def merge(cls, parts: Sequence["ChunkResult"]) -> "ChunkResult":
-        """Combine range results *in sample order*.
-
-        Scalars and folds concatenate; the folds reduce only when a sum
-        is read, so a merge of any split of the samples reads the same
-        sums as one run over all of them.
-        """
+        """Concatenate range results *in replication order*."""
         parts = list(parts)
         if not parts:
             empty = np.zeros(0)
@@ -167,13 +102,15 @@ class ChunkResult:
                 restricted=empty.copy(),
                 likelihoods=empty.copy(),
             )
-
-        folds = [p.weight_folds for p in parts if p.weight_folds is not None]
         return cls(
             sigmas=np.concatenate([p.sigmas for p in parts]),
             restricted=np.concatenate([p.restricted for p in parts]),
             likelihoods=np.concatenate([p.likelihoods for p in parts]),
-            weight_folds=[pair for f in folds for pair in f] if folds else None,
+            weights=(
+                [w for p in parts for w in p.weights]
+                if parts[0].weights is not None
+                else None
+            ),
         )
 
 
@@ -181,15 +118,16 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     """Run the replications ``indices`` of ``task`` in one packed pass.
 
     Every recipe — frozen or learning dynamics, resumed states, the
-    likelihood and final-weights collectors, any mix of seed groups —
-    plays the whole range in one
+    restricted-sigma, likelihood and final-weights collectors, any mix
+    of seed groups — plays the whole range in one
     :func:`~repro.diffusion.campaign.run_campaigns_lockstep` call,
     bit-identical per replication to one scalar reference run
     (``tests.reference.run_chunk_per_replication``).  The collectors
-    then read each replication's final state, and the final weights
-    fold over the canonical chunks.  This is the single entry point
-    every backend dispatches — it must stay a module-level function so
-    process pools can pickle it by qualified name.
+    then read each replication's final state, one outcome at a time:
+    an outcome, with the state it materialized, is released before the
+    next is read.  This is the single entry point every backend
+    dispatches — it must stay a module-level function so process pools
+    can pickle it by qualified name.
     """
     n_samples = task.n_samples
     outcomes = run_campaigns_lockstep(
@@ -208,12 +146,13 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
     sigmas = np.zeros(n)
     restricted = np.zeros(n)
     likelihoods = np.zeros(n)
-    weight_folds: Folds | None = [] if task.collect_weights else None
+    weights: list[np.ndarray] | None = [] if task.collect_weights else None
     restrict = None
     if task.restrict_users is not None:
         restrict = set(task.restrict_users)
 
-    for j, (i, outcome) in enumerate(zip(indices, outcomes)):
+    for j in range(n):
+        outcome, outcomes[j] = outcomes[j], None
         sigmas[j] = outcome.sigma
         if restrict is not None:
             restricted[j] = outcome.sigma_restricted(restrict)
@@ -222,12 +161,12 @@ def run_chunk(task: ReplicationTask, indices: Sequence[int]) -> ChunkResult:
             if users is None:
                 users = set(range(task.instance.n_users))
             likelihoods[j] = adoption_likelihood(outcome.state, task.model, users)
-        if weight_folds is not None:
-            _fold_sample(weight_folds, i, outcome.state.weights)
+        if weights is not None:
+            weights.append(outcome.state.weights)
 
     return ChunkResult(
         sigmas=sigmas,
         restricted=restricted,
         likelihoods=likelihoods,
-        weight_folds=weight_folds,
+        weights=weights,
     )

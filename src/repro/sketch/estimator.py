@@ -9,10 +9,11 @@ RealizationBank`, ``oracle="sketch"``) and reverse-reachable sets
 :class:`CoverageSigmaEstimator` is the one estimator over either
 family: it builds the family lazily, answers sigma, sigma restricted
 to a market (``sigma_tau``) and every greedy marginal gain from it,
-and hands queries coverage cannot represent (dynamic perceptions, the
-LT trigger model, likelihood / weight collection) to an
-internal Monte-Carlo estimator sharing the same cache, backend and RNG
-root.  :class:`SketchSigmaEstimator` and
+and plays the queries coverage cannot represent (dynamic perceptions,
+the LT trigger model, likelihood / weight collection) through the
+Monte-Carlo path it inherits, keyed in the cache exactly as a plain
+:class:`~repro.diffusion.montecarlo.SigmaEstimator` of the same
+configuration keys them.  :class:`SketchSigmaEstimator` and
 :class:`~repro.sketch.rrset.RRSetSigmaEstimator` only say how to build
 their family, read its per-sample values and make its gain oracle.
 
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.problem import IMDPPInstance, SeedGroup
+from repro.core.problem import SeedGroup
 from repro.core.selection import (
     CoverageGainOracle,
     GreedyResult,
@@ -41,10 +42,7 @@ from repro.core.selection import (
 )
 from repro.diffusion.models import DiffusionModel
 from repro.diffusion.montecarlo import MonteCarloEstimate, SigmaEstimator
-from repro.engine.backends import ExecutionBackend
-from repro.engine.cache import SigmaCache
 from repro.sketch.bank import RealizationBank, ReachCacheStats
-from repro.utils.rng import RngFactory
 
 __all__ = ["CoverageSigmaEstimator", "SketchSigmaEstimator"]
 
@@ -63,38 +61,10 @@ class CoverageSigmaEstimator(SigmaEstimator):
     :meth:`_sample_values` and :meth:`_gain_oracle`.
     """
 
-    def __init__(
-        self,
-        instance: IMDPPInstance,
-        model: DiffusionModel = DiffusionModel.INDEPENDENT_CASCADE,
-        n_samples: int = 20,
-        rng_factory: RngFactory | None = None,
-        backend: ExecutionBackend | None = None,
-        cache: SigmaCache | None = None,
-    ):
-        super().__init__(
-            instance,
-            model=model,
-            n_samples=n_samples,
-            rng_factory=rng_factory,
-            backend=backend,
-            cache=cache,
-        )
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._family = None
-        # Unsupported queries delegate here; sharing the cache is safe
-        # because cache keys embed each estimator's oracle_kind, and
-        # the MC substream context ("mc", i) never collides with the
-        # family's ("sketch", i) / ("rrset", i) samples.
-        self._fallback = SigmaEstimator(
-            instance,
-            model=model,
-            n_samples=self.n_samples,
-            rng_factory=self.rng_factory,
-            backend=self.backend,
-            cache=self.cache,
-        )
-        self._coverage_evaluations = 0
-        #: Queries answered from the family / delegated to Monte-Carlo.
+        #: Queries answered from the family / played by Monte-Carlo.
         self.coverage_queries = 0
         self.fallback_queries = 0
 
@@ -150,21 +120,19 @@ class CoverageSigmaEstimator(SigmaEstimator):
         """Sigma (and sigma_tau) by coverage counting when possible.
 
         Likelihood / weight collection and non-coverable configurations
-        (dynamic perceptions, LT model) delegate to the internal
-        Monte-Carlo estimator.
+        (dynamic perceptions, LT model) play through the inherited
+        Monte-Carlo path.
         """
         needs_simulation = compute_likelihood or collect_weights
         if needs_simulation or not self.supports_coverage_selection:
-            estimate = self._fallback.estimate(
+            self.fallback_queries += 1
+            return super().estimate(
                 seed_group,
                 until_promotion=until_promotion,
                 restrict_users=restrict_users,
                 compute_likelihood=compute_likelihood,
                 collect_weights=collect_weights,
             )
-            self.fallback_queries += 1
-            self._sync_evaluations()
-            return estimate
 
         pairs = self.family.nominee_pairs(seed_group, until_promotion)
         restrict_key = (
@@ -200,8 +168,8 @@ class CoverageSigmaEstimator(SigmaEstimator):
         )
         self.cache.put(key, estimate)
         self.coverage_queries += 1
-        self._coverage_evaluations += self.n_samples
-        self._sync_evaluations()
+        # A coverage query counts as one pass over the samples.
+        self.n_evaluations += self.n_samples
         return estimate
 
     def estimate_block(
@@ -209,8 +177,8 @@ class CoverageSigmaEstimator(SigmaEstimator):
         groups: Sequence[SeedGroup],
         until_promotion: int | None = None,
     ) -> np.ndarray:
-        """Per-group :meth:`estimate` calls — coverage lookups (or the
-        Monte-Carlo fallback, one group at a time) need no fan-out."""
+        """Per-group :meth:`estimate` calls — coverage lookups (or
+        Monte-Carlo plays, one group at a time) need no fan-out."""
         sigmas = np.empty(len(groups))
         for i, group in enumerate(groups):
             sigmas[i] = self.estimate(group, until_promotion=until_promotion).sigma
@@ -244,17 +212,8 @@ class CoverageSigmaEstimator(SigmaEstimator):
             stop_on_negative_gain=False,
         )
         self.coverage_queries += result.n_oracle_calls
-        self._coverage_evaluations += result.n_oracle_calls * self.n_samples
-        self._sync_evaluations()
+        self.n_evaluations += result.n_oracle_calls * self.n_samples
         return result
-
-    # ------------------------------------------------------------------
-    def _sync_evaluations(self) -> None:
-        # n_evaluations mirrors the MC meaning — replications consumed
-        # — counting each coverage query as one pass over the samples.
-        self.n_evaluations = (
-            self._coverage_evaluations + self._fallback.n_evaluations
-        )
 
     def clear_cache(self) -> None:
         """Drop memoized estimates and the sample family."""

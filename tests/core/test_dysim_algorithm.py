@@ -77,11 +77,6 @@ class TestDysim:
         assert result.fallback_used == "dysim"
         instance.check_budget(result.seed_group)
 
-    def test_agglomerative_clustering_path(self, instance):
-        config = DysimConfig(**FAST, clustering="agglomerative")
-        result = Dysim(instance, config).run()
-        instance.check_budget(result.seed_group)
-
     def test_lt_model_end_to_end(self, instance):
         from repro.diffusion.models import DiffusionModel
 

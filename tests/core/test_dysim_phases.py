@@ -93,18 +93,6 @@ class TestClustering:
         )
         assert len(clusters) == 2
 
-    def test_agglomerative_runs(self, instance):
-        clusters = cluster_nominees(
-            instance,
-            [(0, 0), (1, 1), (3, 3)],
-            method="agglomerative",
-        )
-        assert sum(len(c) for c in clusters) == 3
-
-    def test_unknown_method(self, instance):
-        with pytest.raises(AlgorithmError):
-            cluster_nominees(instance, [(0, 0)], method="kmeans")
-
 
 class TestMarkets:
     def test_identify_markets_contains_sources(self, instance):

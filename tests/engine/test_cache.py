@@ -50,6 +50,29 @@ class TestCounters:
     def test_empty_cache_hit_rate(self):
         assert SigmaCache().stats().hit_rate == 0.0
 
+    def test_a_repeat_in_a_block_is_a_hit(self, estimator, tiny_instance, monkeypatch):
+        """``estimate_block([g, h, g])`` counts like three ``estimate``
+        calls: the repeat is a hit on the entry its first request
+        stored, and only the two distinct groups play."""
+        played = []
+        run = estimator.backend.run
+
+        def spy(task):
+            played.append(len(task.seed_groups))
+            return run(task)
+
+        monkeypatch.setattr(estimator.backend, "run", spy)
+        values = estimator.estimate_block([GROUP, OTHER_GROUP, GROUP])
+        sequential = SigmaEstimator(
+            tiny_instance, n_samples=6, rng_factory=RngFactory(4)
+        )
+        expected = [sequential.sigma(g) for g in (GROUP, OTHER_GROUP, GROUP)]
+        assert values.tolist() == expected
+        assert played == [2]
+        for counted in (estimator, sequential):
+            assert (counted.cache_hits, counted.cache_misses) == (1, 2)
+            assert counted.n_evaluations == 12
+
 
 class TestInvalidation:
     def test_clear_forces_recomputation(self, estimator):
@@ -288,7 +311,7 @@ class TestSpareWeights:
 
         def spy(task):
             result = run(task)
-            folded.append(result.weight_folds is not None)
+            folded.append(result.weights is not None)
             return result
 
         monkeypatch.setattr(estimator.backend, "run", spy)

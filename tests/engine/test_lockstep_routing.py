@@ -115,6 +115,13 @@ def _recipes(frozen_instance):
         "initial_state-block": _task(
             dynamic, initial_state=resumed, start_promotion=2, **block
         ),
+        "collectors-block": _task(
+            dynamic,
+            restrict_users=restrict,
+            compute_likelihood=True,
+            collect_weights=True,
+            **block,
+        ),
     }
 
 
@@ -150,10 +157,12 @@ def _assert_same_result(reference, packed, name):
     assert np.array_equal(reference.sigmas, packed.sigmas), name
     assert np.array_equal(reference.restricted, packed.restricted), name
     assert np.array_equal(reference.likelihoods, packed.likelihoods), name
-    if reference.weight_folds is None:
-        assert packed.weight_folds is None, name
+    if reference.weights is None:
+        assert packed.weights is None, name
     else:
-        assert np.array_equal(reference.weights_sum, packed.weights_sum), name
+        assert len(reference.weights) == len(packed.weights), name
+        for expected, got in zip(reference.weights, packed.weights):
+            assert np.array_equal(expected, got), name
 
 
 class TestRunChunkEquivalence:

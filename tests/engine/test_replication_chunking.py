@@ -8,13 +8,15 @@ all), and the matrix reduction tree that must stay canonical however
 the sample ranges cut it.
 """
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.problem import Seed, SeedGroup
-from repro.diffusion.montecarlo import SigmaEstimator
+from repro.diffusion import campaign
+from repro.diffusion.montecarlo import SigmaEstimator, replicated_sigma_stats
 from repro.engine import (
     ProcessPoolBackend,
     ReplicationTask,
@@ -28,6 +30,8 @@ from tests.conftest import build_tiny_instance
 from tests.reference import canonical_fold
 
 GROUP = SeedGroup([Seed(0, 0, 1), Seed(2, 1, 2)])
+#: Groups of a collector block: ``GROUP`` first, then two others.
+BLOCK = [GROUP, SeedGroup([Seed(1, 2, 1), Seed(3, 0, 2)]), SeedGroup([Seed(4, 3, 1)])]
 
 
 def _task(instance, n_samples):
@@ -175,3 +179,51 @@ class TestCanonicalReduction:
         assert estimate.likelihood == float(reference.likelihoods.mean())
         assert estimate.sigma_restricted == float(reference.restricted.mean())
         assert estimate.sigma == float(reference.sigmas.mean())
+
+    @pytest.mark.parametrize("n_samples", [1, 3, 4, 5, 10, 13])
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
+    def test_block_groups_match_their_own_canonical_fold(
+        self, backend, n_groups, n_samples
+    ):
+        """Every group of a block that carries every collector equals
+        the reference fold of its own one-group task, wherever the
+        ranges cut the block."""
+        task = replace(
+            _task(build_tiny_instance(), n_samples),
+            seed_groups=BLOCK[:n_groups],
+            restrict_users=frozenset(self.USERS),
+            compute_likelihood=True,
+            collect_weights=True,
+        )
+        estimates = replicated_sigma_stats(backend, task)
+        assert len(estimates) == n_groups
+        for group, estimate in zip(BLOCK, estimates):
+            reference = canonical_fold(replace(task, seed_groups=[group]))
+            assert np.array_equal(
+                estimate.mean_weights, reference.weights_sum / n_samples
+            )
+            assert estimate.likelihood == float(reference.likelihoods.mean())
+            assert estimate.sigma_restricted == float(reference.restricted.mean())
+            assert estimate.sigma == float(reference.sigmas.mean())
+            assert estimate.sigma_std == float(reference.sigmas.std())
+
+
+def test_collectors_keep_one_state_alive(monkeypatch):
+    """A range's collectors read one materialized final state at a time:
+    each outcome, with its state, goes before the next is read."""
+    final_state = campaign._Replicas.final_state
+    states: list[weakref.ref] = []
+    alive: list[int] = []
+
+    def spy(replicas, *args, **kwargs):
+        state = final_state(replicas, *args, **kwargs)
+        states.append(weakref.ref(state))
+        alive.append(sum(ref() is not None for ref in states))
+        return state
+
+    monkeypatch.setattr(campaign._Replicas, "final_state", spy)
+    SigmaEstimator(
+        build_tiny_instance(), n_samples=12, rng_factory=RngFactory(9)
+    ).estimate(GROUP, restrict_users={0, 1, 2}, compute_likelihood=True)
+    assert len(states) == 12
+    assert max(alive) == 1

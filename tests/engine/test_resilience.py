@@ -249,8 +249,8 @@ class TestPoolRecovery:
 
     def test_process_block_crash_bit_identical(self, tiny_instance):
         """A worker killed in the second range of a 3-group block costs
-        nothing but wall clock: every group's stats are the serial
-        ones."""
+        nothing but wall clock: every group's estimate, collectors
+        included, is the serial one."""
         task = ReplicationTask(
             instance=tiny_instance,
             model=DiffusionModel.INDEPENDENT_CASCADE,
@@ -258,6 +258,9 @@ class TestPoolRecovery:
             rng_context=("mc",),
             seed_groups=[GROUP, SeedGroup([Seed(1, 1, 1)]), SeedGroup()],
             n_samples=5,
+            restrict_users=frozenset({0, 1, 2}),
+            compute_likelihood=True,
+            collect_weights=True,
         )
         clean = replicated_sigma_stats(SerialBackend(), task)
         plan = FaultPlan(faults=(FaultSpec(kind="crash", chunk=1, call=0),))
@@ -265,7 +268,9 @@ class TestPoolRecovery:
             recovered = replicated_sigma_stats(pool, task)
             assert pool.fault_stats.crashed_chunks >= 1
             assert pool.fault_stats.retries >= 1
-        assert recovered == clean
+        assert len(recovered) == len(clean) == 3
+        for ours, theirs in zip(recovered, clean):
+            _assert_bit_identical(ours, theirs)
 
     def test_process_hung_chunk_bit_identical(self, tiny_instance):
         """A chunk sleeping past the deadline is abandoned and redone."""

@@ -24,7 +24,7 @@ import numpy as np
 from repro.diffusion.campaign import CampaignSimulator
 from repro.diffusion.models import adoption_likelihood
 from repro.engine import ReplicationTask, replication
-from repro.engine.replication import ChunkResult, Folds, _fold_sample
+from repro.engine.replication import ChunkResult
 from repro.utils.rng import spawn_rng
 
 from tests.reference.diffusion import ScalarCampaignSimulator
@@ -44,7 +44,7 @@ def run_chunk_per_replication(
 
     Index ``i`` plays group ``i // n_samples`` on sample
     ``i % n_samples``: same groups, same substreams, same collectors,
-    same canonical weight folds as the packed pass — only the
+    same per-replication outputs as the packed pass — only the
     simulation differs.
     """
     simulator = ScalarCampaignSimulator(task.instance, model=task.model)
@@ -52,7 +52,7 @@ def run_chunk_per_replication(
     sigmas = np.zeros(n)
     restricted = np.zeros(n)
     likelihoods = np.zeros(n)
-    weight_folds: Folds | None = [] if task.collect_weights else None
+    weights: list[np.ndarray] | None = [] if task.collect_weights else None
     restrict = None
     if task.restrict_users is not None:
         restrict = set(task.restrict_users)
@@ -75,14 +75,14 @@ def run_chunk_per_replication(
             if users is None:
                 users = set(range(task.instance.n_users))
             likelihoods[j] = adoption_likelihood(outcome.state, task.model, users)
-        if weight_folds is not None:
-            _fold_sample(weight_folds, i, outcome.state.weights)
+        if weights is not None:
+            weights.append(outcome.state.weights)
 
     return ChunkResult(
         sigmas=sigmas,
         restricted=restricted,
         likelihoods=likelihoods,
-        weight_folds=weight_folds,
+        weights=weights,
     )
 
 
